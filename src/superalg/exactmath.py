@@ -6,10 +6,12 @@ exponent tuples to rational coefficients over a fixed, ordered tuple of
 variable names (the canonical order is fixed by whoever constructs the
 polynomial; algebras use lexicographic parameter order).
 
-The linear algebra is deliberately small and dependency-free: reduced row
-echelon form with strictly increasing pivot columns (a canonical form, so row
-spaces compare by equality), kernel bases read off the rref, and Jordan-type
-extraction for nilpotent matrices from the rank sequence of powers.
+The linear algebra is deliberately small and dependency-free, and all of it
+runs on one sparse echelon engine: reduced row echelon form with strictly
+increasing pivot columns (a canonical form, so row spaces compare by
+equality), ranks, inverses and kernel bases read off it, and the Jordan type
+of a nilpotent matrix from the ranks along its image chain
+Im(m) ⊇ Im(m^2) ⊇ ..., which stops with None as soon as a rank stalls.
 """
 
 from __future__ import annotations
@@ -252,6 +254,9 @@ class Polynomial:
         return f"Polynomial({str(self)!r})"
 
 
+# Largest exponent after "^": no short coefficient can take long to expand.
+MAX_EXPONENT = 64
+
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|-|\(|\))")
 
 
@@ -259,8 +264,8 @@ def parse_coefficient(text: str, variables: Sequence[str]) -> Polynomial:
     """Parse a coefficient expression such as "2*alpha4 - 1/2" or "-beta5^2".
 
     Grammar: sums/differences of products of rational literals and declared
-    variable names with optional integer powers; parentheses allowed.  Names
-    outside `variables` are rejected.
+    variable names with optional integer powers (at most MAX_EXPONENT);
+    parentheses allowed.  Names outside `variables` are rejected.
     """
     variables = tuple(variables)
     tokens: list[str] = []
@@ -325,9 +330,17 @@ def parse_coefficient(text: str, variables: Sequence[str]) -> Polynomial:
             etok = take()
             if not re.fullmatch(r"\d+", etok):
                 raise InputError(f"bad exponent {etok!r} in coefficient {text!r}")
+            e = int(etok)
+            if e > MAX_EXPONENT:
+                raise InputError(f"exponent {e} in coefficient {text!r} exceeds "
+                                 f"the limit of {MAX_EXPONENT}")
             out = Polynomial.const(1, variables)
-            for _ in range(int(etok)):
-                out = out * base
+            while e:  # square-and-multiply
+                if e & 1:
+                    out = out * base
+                e >>= 1
+                if e:
+                    base = base * base
             return out
         return base
 
@@ -431,65 +444,95 @@ class RatMatrix:
     def diagonal(self) -> tuple[Fraction, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
-    def stack(self, other: RatMatrix) -> RatMatrix:
-        if other.rows == 0:
-            return self
-        if self.rows == 0:
-            return other
-        if self.cols != other.cols:
-            raise InputError("matrix width mismatch in stack")
-        return RatMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
-
     def __str__(self) -> str:
         return "\n".join("[" + "  ".join(format_rational(x) for x in row) + "]"
                          for row in self.entries)
 
 
+# -- exact elimination: one sparse echelon engine ----------------------------
+#
+# Every routine below is a view over one reduction step.  Rows are dicts
+# col -> coeff without zeros (the derivation and annihilator systems and the
+# R_x blocks are very sparse).  An echelon basis keeps one row per pivot
+# column, keyed by it, monic there and zero to its left.
+
+SparseRow = dict[int, Fraction]
+_ZERO = Fraction(0)
+
+
+def _subtract(row: SparseRow, f: Fraction, other: SparseRow) -> None:
+    """row -= f * other, in place, dropping entries that cancel."""
+    for c, v in other.items():
+        new = row.get(c, _ZERO) - f * v
+        if new:
+            row[c] = new
+        else:
+            del row[c]
+
+
+def _echelon(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
+    """Forward pass: reduce each row (consumed) against the pivot rows so far,
+    and keep its nonzero remainder, made monic, as a new pivot row."""
+    pivots: dict[int, SparseRow] = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            if c not in pivots:
+                inv = 1 / row[c]
+                pivots[c] = {cc: v * inv for cc, v in row.items()}
+                break
+            _subtract(row, row[c], pivots[c])
+    return pivots
+
+
+def _rref_rows(rows: Iterable[SparseRow]) -> tuple[tuple[int, ...], list[SparseRow]]:
+    """Forward pass, then back-substitution from the right (so each pivot row
+    is already reduced when used): pivot columns and canonical reduced rows."""
+    echelon = _echelon(rows)
+    pivots = tuple(sorted(echelon))
+    for i in range(len(pivots) - 1, 0, -1):
+        c, prow = pivots[i], echelon[pivots[i]]
+        for c2 in pivots[:i]:
+            f = echelon[c2].get(c)
+            if f:
+                _subtract(echelon[c2], f, prow)
+    return pivots, [echelon[c] for c in pivots]
+
+
+def _sparse_rows(m: RatMatrix) -> list[SparseRow]:
+    return [{j: x for j, x in enumerate(row) if x} for row in m.entries]
+
+
+def _kernel(pivots: tuple[int, ...], rows: Sequence[SparseRow],
+            ncols: int) -> list[tuple[Fraction, ...]]:
+    """Kernel basis read off reduced rows: one vector per free column."""
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        vec = [_ZERO] * ncols
+        vec[free] = Fraction(1)
+        for pc, row in zip(pivots, rows):
+            if free in row:
+                vec[pc] = -row[free]
+        basis.append(tuple(vec))
+    return basis
+
+
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form and its (strictly increasing) pivot columns."""
-    work = [list(row) for row in m.entries]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        pivot_row = next((i for i in range(r, m.rows) if work[i][c]), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(m.rows):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    out = RatMatrix(m.rows, m.cols, tuple(tuple(row) for row in work))
-    return out, tuple(pivots)
+    pivots, rows = _rref_rows(_sparse_rows(m))
+    dense = [tuple(row.get(j, _ZERO) for j in range(m.cols)) for row in rows]
+    dense += [(_ZERO,) * m.cols] * (m.rows - len(rows))
+    return RatMatrix(m.rows, m.cols, tuple(dense)), pivots
 
 
 def rank(m: RatMatrix) -> int:
-    return len(rref(m)[1])
-
-
-def kernel_from_rref(reduced: RatMatrix, pivots: tuple[int, ...]) -> list[tuple[Fraction, ...]]:
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(reduced.cols) if c not in pivot_set]
-    basis = []
-    for free in free_cols:
-        vec = [Fraction(0)] * reduced.cols
-        vec[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced.entries[r][free]
-        basis.append(tuple(vec))
-    return basis
+    return len(_echelon(_sparse_rows(m)))
 
 
 def rref_rank_kernel(m: RatMatrix) -> tuple[RatMatrix, int, list[tuple[Fraction, ...]]]:
     """Canonical rref, rank, and a kernel basis with rank + dim ker = cols."""
     reduced, pivots = rref(m)
-    return reduced, len(pivots), kernel_from_rref(reduced, pivots)
+    return reduced, len(pivots), _kernel(pivots, _sparse_rows(reduced), m.cols)
 
 
 def row_space_basis(m: RatMatrix) -> RatMatrix:
@@ -498,63 +541,10 @@ def row_space_basis(m: RatMatrix) -> RatMatrix:
     return RatMatrix(len(pivots), m.cols, reduced.entries[:len(pivots)])
 
 
-# -- sparse echelon solver ---------------------------------------------------
-#
-# The derivation and annihilator systems are large but extremely sparse, so
-# a dense rref would waste almost all of its work on zero entries.  Rows are
-# dicts col -> coeff; reduction keeps one pivot row per pivot column.
-
-SparseRow = dict[int, Fraction]
-
-
 def sparse_kernel(rows: Iterable[SparseRow], ncols: int) -> list[tuple[Fraction, ...]]:
     """Kernel basis of a sparse linear system, identical to the dense result."""
-    pivot_rows: dict[int, SparseRow] = {}
-    for row in rows:
-        row = dict(row)
-        while row:
-            c = min(row)
-            if c in pivot_rows:
-                factor = row[c]
-                for cc, v in pivot_rows[c].items():
-                    new = row.get(cc, Fraction(0)) - factor * v
-                    if new:
-                        row[cc] = new
-                    else:
-                        row.pop(cc, None)
-            else:
-                inv = 1 / row[c]
-                pivot_rows[c] = {cc: v * inv for cc, v in row.items()}
-                break
-    # Back-substitute to full reduction so the kernel basis is canonical.
-    for c in sorted(pivot_rows, reverse=True):
-        prow = pivot_rows[c]
-        for c2 in sorted(pivot_rows):
-            if c2 >= c:
-                break
-            target = pivot_rows[c2]
-            f = target.get(c)
-            if f:
-                for cc, v in prow.items():
-                    new = target.get(cc, Fraction(0)) - f * v
-                    if new:
-                        target[cc] = new
-                    else:
-                        target.pop(cc, None)
-    pivots = sorted(pivot_rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for pc in pivots:
-            coeff = pivot_rows[pc].get(free)
-            if coeff:
-                vec[pc] = -coeff
-        basis.append(tuple(vec))
-    return basis
+    pivots, reduced = _rref_rows(dict(row) for row in rows)
+    return _kernel(pivots, reduced, ncols)
 
 
 def invert(m: RatMatrix) -> RatMatrix:
@@ -578,27 +568,32 @@ def invert(m: RatMatrix) -> RatMatrix:
 def nilpotent_jordan_type(m: RatMatrix) -> tuple[int, ...] | None:
     """Descending Jordan block sizes of a nilpotent matrix, else None.
 
-    Uses the rank sequence of powers: the number of blocks of size >= k is
-    rank(m^(k-1)) - rank(m^k).  Returns None when m^dim != 0.
+    Walks the image chain Im(m) ⊇ Im(m^2) ⊇ ... without forming a power of m:
+    the echelon basis of Im(m^k) is the reduction of m applied to the basis
+    of Im(m^(k-1)), starting from the columns of m, and rank(m^k) is its
+    size.  The number of blocks of size >= k is rank(m^(k-1)) - rank(m^k).
+    The chain ends at rank 0, where m is nilpotent, or as soon as a rank
+    repeats: then Im(m^(k+1)) = Im(m^k) is a nonzero stationary image, so m
+    is not nilpotent and the result is None.
     """
     if m.rows != m.cols:
         raise InputError("Jordan type needs a square matrix")
-    dim = m.rows
-    if dim == 0:
-        return ()
-    ranks = [dim]
-    power = m
-    for _ in range(dim):
-        r = rank(power)
-        ranks.append(r)
-        if r == 0:
-            break
-        power = power @ m
-    if ranks[-1] != 0:
-        return None
-    blocks_ge = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
-    parts: list[int] = []
-    for size in range(len(blocks_ge), 0, -1):
-        exact = blocks_ge[size - 1] - (blocks_ge[size] if size < len(blocks_ge) else 0)
-        parts.extend([size] * exact)
-    return tuple(sorted(parts, reverse=True))
+    columns = [{i: row[j] for i, row in enumerate(m.entries) if row[j]}
+               for j in range(m.cols)]
+    ranks = [m.rows]
+    image = _echelon(dict(col) for col in columns)
+    while image:
+        if len(image) == ranks[-1]:
+            return None
+        ranks.append(len(image))
+        images = []
+        for vec in image.values():
+            out: SparseRow = {}
+            for j, x in vec.items():
+                _subtract(out, -x, columns[j])
+            images.append(out)
+        image = _echelon(images)
+    ranks.append(0)
+    # blocks_ge[k - 1] counts the blocks of size >= k: the conjugate partition.
+    blocks_ge = [a - b for a, b in zip(ranks, ranks[1:])]
+    return tuple(sum(1 for b in blocks_ge if b >= i) for i in range(1, blocks_ge[0] + 1))

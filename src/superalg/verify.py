@@ -240,10 +240,10 @@ def verify_solvable_family(fid: str, size: int,
     full_params.update(structural)
     algebra = families.build(fid, size, full_params)
 
-    report.ensure("solvable-not-nilpotent",
-                  is_solvable(algebra) and not is_nilpotent(algebra),
+    solvable, nilpotent = is_solvable(algebra), is_nilpotent(algebra)
+    report.ensure("solvable-not-nilpotent", solvable and not nilpotent,
                   "solvable and not nilpotent",
-                  f"solvable={is_solvable(algebra)}, nilpotent={is_nilpotent(algebra)}")
+                  f"solvable={solvable}, nilpotent={nilpotent}")
 
     base_even = algebra.n_even - info.codim
     n_even, n_odd = algebra.n_even, algebra.n_odd

@@ -80,6 +80,43 @@ def echelon_kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction
     return basis
 
 
+def dense_rref(rows: list[list[Fraction]],
+               ncols: int) -> tuple[list[list[Fraction]], tuple[int, ...]]:
+    """Reduced row echelon form by plain dense Gauss-Jordan, row by row over
+    the whole matrix, with its pivot columns."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return work, tuple(pivots)
+
+
+def dense_kernel(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
+    """Kernel basis read off `dense_rref`: one vector per free column, with a
+    1 there and minus the free column's entries at the pivot positions."""
+    reduced, pivots = dense_rref(rows, ncols)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r][free]
+        basis.append(tuple(vec))
+    return basis
+
+
 def jordan_type_by_powers(m: RatMatrix) -> tuple[int, ...] | None:
     """Jordan type from kernel dimensions of powers, or None if not nilpotent."""
     dim = m.rows

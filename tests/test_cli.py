@@ -123,6 +123,15 @@ class TestAnalysisCommands:
         code, _, err = run(["check", str(path)], capsys)
         assert code == 2 and "[e1, y1]" in err
 
+    def test_oversized_exponent_exits_2(self, tmp_path, capsys):
+        doc = {"name": "hostile", "even_basis": ["e1", "e2"], "odd_basis": [],
+               "parameters": ["a"], "products": [
+                   {"left": "e1", "right": "e1", "value": [["e2", "(a+1)^1000"]]}]}
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(["check", str(path)], capsys)
+        assert code == 2 and "limit of 64" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(["check", "/nonexistent.json"], capsys)
         assert code == 2

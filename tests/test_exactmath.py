@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superalg.errors import InputError
-from superalg.exactmath import (Polynomial, RatMatrix, format_rational, invert,
-                                nilpotent_jordan_type, parse_coefficient,
-                                parse_rational, poly_eval, rank, rref,
-                                rref_rank_kernel, sparse_kernel)
+from superalg.exactmath import (MAX_EXPONENT, Polynomial, RatMatrix,
+                                format_rational, invert, nilpotent_jordan_type,
+                                parse_coefficient, parse_rational, poly_eval,
+                                rank, rref, rref_rank_kernel, sparse_kernel)
 
-from oracles import bareiss_rank, echelon_kernel, jordan_type_by_powers
+from oracles import (bareiss_rank, dense_kernel, dense_rref, echelon_kernel,
+                     jordan_type_by_powers)
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
 
@@ -92,6 +94,44 @@ class TestPolynomial:
         with pytest.raises(InputError):
             parse_coefficient("delta", ("alpha4",))
 
+    def test_power_is_repeated_product(self):
+        variables = ("a",)
+        base = Polynomial.var("a", variables) + 1
+        want = Polynomial.const(1, variables)
+        for _ in range(5):
+            want = want * base
+        assert parse_coefficient("(a+1)^5", variables) == want
+        assert parse_coefficient("(a+1)^0", variables) == 1
+        assert parse_coefficient(f"a^{MAX_EXPONENT}", variables) == Polynomial(
+            variables, {(MAX_EXPONENT,): Fraction(1)})
+
+    def test_oversized_exponent_is_input_error_without_expanding(self):
+        start = time.perf_counter()
+        with pytest.raises(InputError, match=f"limit of {MAX_EXPONENT}"):
+            parse_coefficient("(a+1)^1000", ("a",))
+        with pytest.raises(InputError, match=f"limit of {MAX_EXPONENT}"):
+            parse_coefficient(f"2^{MAX_EXPONENT + 1}", ())
+        assert time.perf_counter() - start < 1.0
+
+    def test_every_catalog_sdf_reparses_under_the_exponent_cap(self):
+        from superalg import CORRECTED, FAMILY_IDS, VERBATIM, build, family_info
+        from superalg.core import sdf_dumps, sdf_loads
+        checked = 0
+        for fid in FAMILY_IDS:
+            info = family_info(fid)
+            for size in range(info.min_size, 8):
+                if info.size_parity is not None and size % 2 != info.size_parity:
+                    continue
+                variants = ([{"t": t} for t in range(4, size + 1)]
+                            if "t" in info.structural else [None])
+                for params in variants:
+                    for mode in (CORRECTED, VERBATIM):
+                        algebra = build(fid, size, params, mode)
+                        text = sdf_dumps(algebra)
+                        assert sdf_loads(text) == algebra, (fid, size, params, mode)
+                        checked += 1
+        assert checked > 2 * len(FAMILY_IDS)
+
     def test_substitute_partial(self):
         variables = ("a", "b")
         p = Polynomial.var("a", variables) * Polynomial.var("b", variables) + 3
@@ -157,8 +197,29 @@ class TestRref:
             sparse_rows = [{j: v for j, v in enumerate(row) if v}
                            for row in m.entries]
             got = sparse_kernel(sparse_rows, cols)
-            _, _, want = rref_rank_kernel(m)
-            assert got == want
+            assert got == dense_kernel([list(r) for r in m.entries], cols)
+            assert got == rref_rank_kernel(m)[2]
+
+    def test_rref_matches_dense_oracle(self):
+        rng = random.Random(37)
+        for trial in range(150):
+            rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+            density = 1.0 if trial % 2 else 0.3
+            grid = [[Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                     if rng.random() < density else Fraction(0)
+                     for _ in range(cols)] for _ in range(rows)]
+            if trial % 3 == 0:
+                grid[rng.randrange(rows)] = [Fraction(0)] * cols
+            if trial % 5 == 0:
+                zero_col = rng.randrange(cols)
+                for row in grid:
+                    row[zero_col] = Fraction(0)
+            m = RatMatrix.from_rows(grid)
+            want_rows, want_pivots = dense_rref(grid, cols)
+            reduced, pivots = rref(m)
+            assert pivots == want_pivots
+            assert [list(r) for r in reduced.entries] == want_rows
+            assert rank(m) == len(want_pivots) == bareiss_rank(grid)
 
     def test_stacked_right_annihilator_system_of_the_2_3_algebra(self):
         # rows of the linear system [b_i, z] = 0 over z, stacked over all i
@@ -220,6 +281,42 @@ class TestJordanType:
 
     def test_not_nilpotent_returns_none(self):
         assert nilpotent_jordan_type(RatMatrix.identity(3)) is None
+
+    def test_empty_and_one_by_one(self):
+        assert nilpotent_jordan_type(RatMatrix.zeros(0, 0)) == ()
+        assert nilpotent_jordan_type(RatMatrix.zeros(1, 1)) == (1,)
+        for value in (1, -2, Fraction(1, 3)):
+            m = RatMatrix.from_rows([[value]])
+            assert nilpotent_jordan_type(m) is None
+            assert jordan_type_by_powers(m) is None
+
+    def test_rank_stalls_late_on_a_nilpotent_block_plus_a_unit(self):
+        # J_k with some superdiagonal ones dropped, plus a 1x1 block (lam),
+        # conjugated by a random unipotent P: the rank falls for as long as
+        # the nilpotent part lasts, then stalls at 1.
+        rng = random.Random(31)
+        for trial in range(60):
+            k = rng.randint(1, 7)
+            lam = (Fraction(1), Fraction(-2), Fraction(1, 3))[trial % 3]
+            dim = k + 1
+            grid = [[Fraction(0)] * dim for _ in range(dim)]
+            for i in range(k - 1):
+                if rng.random() < 0.7:
+                    grid[i][i + 1] = Fraction(1)
+            grid[k][k] = lam
+            lower = [[Fraction(rng.randint(-2, 2)) if j < i else Fraction(0)
+                      for j in range(dim)] for i in range(dim)]
+            # P = 1 + N with N strictly lower, so P^-1 = sum of (-N)^i.
+            n = RatMatrix.from_rows(lower)
+            p = RatMatrix.identity(dim) + n
+            p_inv, term = RatMatrix.identity(dim), RatMatrix.identity(dim)
+            for _ in range(dim):
+                term = term @ n.scale(-1)
+                p_inv = p_inv + term
+            assert p_inv @ p == RatMatrix.identity(dim)
+            m = p_inv @ RatMatrix.from_rows(grid) @ p
+            assert nilpotent_jordan_type(m) is None
+            assert jordan_type_by_powers(m) is None
 
     def test_non_square_is_input_error(self):
         with pytest.raises(InputError):
