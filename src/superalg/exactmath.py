@@ -350,11 +350,6 @@ def parse_coefficient(text: str, variables: Sequence[str]) -> Polynomial:
     return result
 
 
-def poly_eval(p: Polynomial, assignment: Mapping[str, Fraction]) -> Fraction:
-    """Exact value of `p` at `assignment` (must cover all used variables)."""
-    return p.evaluate(assignment)
-
-
 # ---------------------------------------------------------------------------
 # Exact matrices
 # ---------------------------------------------------------------------------

@@ -61,6 +61,57 @@ def _var(name: str, params: Sequence[str]) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
+# Registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FamilyInfo:
+    """Catalog record: table function, domain, parameter schema, metadata."""
+
+    family_id: str
+    # (size, mode, **structural) -> (parameter names, products, n_even, n_odd)
+    table: Callable
+    size_name: str                  # "n" or "m"
+    kind: str                       # "nilpotent" or "solvable"
+    min_size: int
+    size_parity: int | None         # required size mod 2, or None
+    dims: str                       # e.g. "(n|n-1)"
+    parameter_schema: tuple[str, ...]
+    structural: tuple[str, ...] = ()
+    nilradical: str | None = None
+    codim: int | None = None
+    notes: tuple[str, ...] = ()
+
+    def admits(self, size: int) -> bool:
+        return size >= self.min_size and (
+            self.size_parity is None or size % 2 == self.size_parity)
+
+    def describe_domain(self) -> str:
+        s = self.size_name
+        parts = [f"{s} >= {self.min_size}"]
+        if self.size_parity is not None:
+            parts.append(f"{s} odd")
+        if "t" in self.structural:
+            parts.append(f"4 <= t <= {s}")
+        return ", ".join(parts)
+
+
+_REGISTRY: dict[str, FamilyInfo] = {}
+
+
+def _family(fid: str, size_name: str, kind: str, min_size: int, parity, dims: str,
+            schema_desc: tuple[str, ...] = (), structural=(), nilradical=None,
+            codim=None, notes=()) -> Callable:
+    """Register the decorated table function as catalog family `fid`."""
+    def register(table: Callable) -> Callable:
+        _REGISTRY[fid] = FamilyInfo(fid, table, size_name, kind, min_size, parity,
+                                    dims, schema_desc, tuple(structural),
+                                    nilradical, codim, tuple(notes))
+        return table
+    return register
+
+
+# ---------------------------------------------------------------------------
 # Shared table fragments
 # ---------------------------------------------------------------------------
 
@@ -150,10 +201,13 @@ def _g_zero_rows(n: int) -> Products:
 # Nilpotent families
 # ---------------------------------------------------------------------------
 
+@_family("N2M", "m", "nilpotent", 3, 1, "(2|m)")
 def _table_N2M(m: int, mode: str):
     return [], _n2m_rows(m, mode, lie_complete=True), 2, m
 
 
+@_family("L", "n", "nilpotent", 3, None, "(n|n-1)",
+         ("alpha4..alphan (rational)", "theta (rational)"))
 def _table_L(n: int, mode: str):
     params = [f"alpha{k}" for k in range(4, n + 1)] + ["theta"]
     prod = _l_zero_rows(n)
@@ -173,6 +227,8 @@ def _table_L(n: int, mode: str):
     return params, prod, n, n - 1
 
 
+@_family("G", "n", "nilpotent", 3, None, "(n|n-1)",
+         ("beta4..betan (rational)", "gamma (rational)"))
 def _table_G(n: int, mode: str):
     params = [f"beta{k}" for k in range(4, n + 1)] + ["gamma"]
     prod = _g_zero_rows(n)
@@ -189,6 +245,8 @@ def _table_G(n: int, mode: str):
     return params, prod, n, n - 1
 
 
+@_family("M", "n", "nilpotent", 3, None, "(n|n)",
+         ("alpha4..alphan (rational)", "theta (rational)", "tau (rational)"))
 def _table_M(n: int, mode: str):
     params = [f"alpha{k}" for k in range(4, n + 1)] + ["theta", "tau"]
     prod = _m_zero_rows(n)
@@ -228,6 +286,8 @@ def _table_M(n: int, mode: str):
     return params, prod, n, n
 
 
+@_family("H", "n", "nilpotent", 3, None, "(n|n)",
+         ("beta4..betan (rational)", "delta (rational)", "gamma (rational)"))
 def _table_H(n: int, mode: str):
     params = [f"beta{k}" for k in range(4, n + 1)] + ["delta", "gamma"]
     prod = _h_zero_rows(n)
@@ -255,6 +315,9 @@ def _table_H(n: int, mode: str):
 # Solvable extensions of the (2|m) nilradical
 # ---------------------------------------------------------------------------
 
+@_family("M1", "m", "solvable", 3, 1, "(3|m)", nilradical="N2M", codim=1,
+         notes=("not a Lie superalgebra: the square of the extension "
+                "generator is e2",))
 def _table_M1(m: int, mode: str):
     prod = _n2m_rows(m, mode, lie_complete=False)
     _add(prod, _e(1), "x", _e(1), 1)
@@ -269,6 +332,8 @@ def _table_M1(m: int, mode: str):
     return [], prod, 3, m
 
 
+@_family("M2", "m", "solvable", 3, 1, "(3|m)", ("alpha (rational)",),
+         nilradical="N2M", codim=1)
 def _table_M2(m: int, mode: str):
     params = ["alpha"]
     alpha = _var("alpha", params)
@@ -284,6 +349,7 @@ def _table_M2(m: int, mode: str):
     return params, prod, 3, m
 
 
+@_family("M3", "m", "solvable", 3, 1, "(3|m)", nilradical="N2M", codim=1)
 def _table_M3(m: int, mode: str):
     prod = _n2m_rows(m, mode, lie_complete=False)
     _add(prod, _e(1), "x", _e(1), 1)
@@ -300,6 +366,8 @@ def _table_M3(m: int, mode: str):
     return [], prod, 3, m
 
 
+@_family("M4", "m", "solvable", 3, 1, "(3|m)",
+         ("b2, b4, .., b(m-1) (rational)",), nilradical="N2M", codim=1)
 def _table_M4(m: int, mode: str):
     params = [f"b{2 * k}" for k in range(1, (m - 1) // 2 + 1)]
     prod = _n2m_rows(m, mode, lie_complete=False)
@@ -315,6 +383,7 @@ def _table_M4(m: int, mode: str):
     return params, prod, 3, m
 
 
+@_family("M5", "m", "solvable", 3, 1, "(4|m)", nilradical="N2M", codim=2)
 def _table_M5(m: int, mode: str):
     prod = _n2m_rows(m, mode, lie_complete=False)
     _add(prod, _e(1), "x1", _e(1), 1)
@@ -338,6 +407,7 @@ def _table_M5(m: int, mode: str):
 # Solvable extensions, split nilradicals
 # ---------------------------------------------------------------------------
 
+@_family("SL", "n", "solvable", 3, None, "(n+1|n-1)", nilradical="L", codim=1)
 def _table_SL(n: int, mode: str):
     prod = _l_zero_rows(n)
     _add(prod, _e(1), "x", _e(1), 2)
@@ -350,6 +420,7 @@ def _table_SL(n: int, mode: str):
     return [], prod, n + 1, n - 1
 
 
+@_family("SM", "n", "solvable", 3, None, "(n+1|n)", nilradical="M", codim=1)
 def _table_SM(n: int, mode: str):
     prod = _m_zero_rows(n)
     _add(prod, _e(1), "x", _e(1), 2)
@@ -372,6 +443,7 @@ def _h_weight_rows(prod: Products, n: int, x: str) -> None:
     _add(prod, x, _y(1), _y(1), -1)
 
 
+@_family("MH1", "n", "solvable", 3, None, "(n+2|n)", nilradical="H", codim=2)
 def _table_MH1(n: int, mode: str):
     prod = _h_zero_rows(n)
     _h_weight_rows(prod, n, "x1")
@@ -379,12 +451,15 @@ def _table_MH1(n: int, mode: str):
     return [], prod, n + 2, n
 
 
+@_family("MH2", "n", "solvable", 3, None, "(n+2|n)", nilradical="H", codim=2)
 def _table_MH2(n: int, mode: str):
     params, prod, n0, n1 = _table_MH1(n, mode)
     _add(prod, "x2", _e(2), _e(2), -1)
     return params, prod, n0, n1
 
 
+@_family("H1", "n", "solvable", 3, None, "(n+1|n)", ("b (rational, b != 0)",),
+         nilradical="H", codim=1)
 def _table_H1(n: int, mode: str):
     params = ["b"]
     b = _var("b", params)
@@ -395,6 +470,8 @@ def _table_H1(n: int, mode: str):
     return params, prod, n + 1, n
 
 
+@_family("H2", "n", "solvable", 3, None, "(n+1|n)", ("b (rational)",),
+         nilradical="H", codim=1)
 def _table_H2(n: int, mode: str):
     params = ["b"]
     prod = _h_zero_rows(n)
@@ -403,6 +480,7 @@ def _table_H2(n: int, mode: str):
     return params, prod, n + 1, n
 
 
+@_family("H3", "n", "solvable", 3, None, "(n+1|n)", nilradical="H", codim=1)
 def _table_H3(n: int, mode: str):
     prod = _h_zero_rows(n)
     _h_weight_rows(prod, n, "x")
@@ -423,6 +501,8 @@ def _nil_rows_H4(prod: Products, n: int, params: list[str], odd_top: int) -> Non
             _add(prod, _y(i), "x", _y(k), P(f"a{k + 1 - i}"))
 
 
+@_family("H4", "n", "solvable", 3, None, "(n+1|n)", ("a2..an (rational)",),
+         nilradical="H", codim=1)
 def _table_H4(n: int, mode: str):
     params = [f"a{k}" for k in range(2, n + 1)]
     prod = _h_zero_rows(n)
@@ -430,6 +510,10 @@ def _table_H4(n: int, mode: str):
     return params, prod, n + 1, n
 
 
+@_family("H5", "n", "solvable", 3, None, "(n+1|n)",
+         ("a2..an (rational)", "gamma (in {0, 1})"), nilradical="H", codim=1,
+         notes=("the gamma term of [x,x] is inconsistent with the identity "
+                "and is dropped in corrected mode (see errata)",))
 def _table_H5(n: int, mode: str):
     params = [f"a{k}" for k in range(2, n + 1)] + ["gamma"]
     prod = _h_zero_rows(n)
@@ -442,7 +526,9 @@ def _table_H5(n: int, mode: str):
     return params, prod, n + 1, n
 
 
-def _table_SH1(n: int, mode: str, t: int):
+@_family("SH1", "n", "solvable", 4, None, "(n+1|n)", structural=("t",),
+         nilradical="H", codim=1)
+def _table_SH1(n: int, mode: str, *, t: int):
     prod = _h_zero_rows(n)
     _add(prod, _e(1), _e(2), _e(t), 1)
     for j in range(3, n - 1):
@@ -459,6 +545,7 @@ def _table_SH1(n: int, mode: str, t: int):
     return [], prod, n + 1, n
 
 
+@_family("SH2", "n", "solvable", 3, None, "(n+1|n)", nilradical="H", codim=1)
 def _table_SH2(n: int, mode: str):
     prod = _h_zero_rows(n)
     _add(prod, _y(1), _e(2), _y(n), 1)
@@ -469,6 +556,8 @@ def _table_SH2(n: int, mode: str):
     return [], prod, n + 1, n
 
 
+@_family("SH3", "n", "solvable", 5, 1, "(n+1|n)", ("gamma (rational, != 0)",),
+         nilradical="H", codim=1)
 def _table_SH3(n: int, mode: str):
     params = ["gamma"]
     gamma = _var("gamma", params)
@@ -494,6 +583,7 @@ def _table_SH3(n: int, mode: str):
     return params, prod, n + 1, n
 
 
+@_family("SH4", "n", "solvable", 3, None, "(n+1|n)", nilradical="H", codim=1)
 def _table_SH4(n: int, mode: str):
     prod = _h_zero_rows(n)
     if mode == VERBATIM:
@@ -519,6 +609,7 @@ def _g_weight_rows(prod: Products, n: int, x: str) -> None:
     _add(prod, x, _y(1), _y(1), -1)
 
 
+@_family("MG1", "n", "solvable", 3, None, "(n+2|n-1)", nilradical="G", codim=2)
 def _table_MG1(n: int, mode: str):
     prod = _g_zero_rows(n)
     _g_weight_rows(prod, n, "x1")
@@ -526,12 +617,15 @@ def _table_MG1(n: int, mode: str):
     return [], prod, n + 2, n - 1
 
 
+@_family("MG2", "n", "solvable", 3, None, "(n+2|n-1)", nilradical="G", codim=2)
 def _table_MG2(n: int, mode: str):
     params, prod, n0, n1 = _table_MG1(n, mode)
     _add(prod, "x2", _e(2), _e(2), -1)
     return params, prod, n0, n1
 
 
+@_family("G1", "n", "solvable", 3, None, "(n+1|n-1)", ("b (rational, b != 0)",),
+         nilradical="G", codim=1)
 def _table_G1(n: int, mode: str):
     params = ["b"]
     b = _var("b", params)
@@ -542,6 +636,8 @@ def _table_G1(n: int, mode: str):
     return params, prod, n + 1, n - 1
 
 
+@_family("G2", "n", "solvable", 3, None, "(n+1|n-1)", ("b (rational)",),
+         nilradical="G", codim=1)
 def _table_G2(n: int, mode: str):
     params = ["b"]
     prod = _g_zero_rows(n)
@@ -550,6 +646,7 @@ def _table_G2(n: int, mode: str):
     return params, prod, n + 1, n - 1
 
 
+@_family("G3", "n", "solvable", 3, None, "(n+1|n-1)", nilradical="G", codim=1)
 def _table_G3(n: int, mode: str):
     prod = _g_zero_rows(n)
     _g_weight_rows(prod, n, "x")
@@ -558,6 +655,8 @@ def _table_G3(n: int, mode: str):
     return [], prod, n + 1, n - 1
 
 
+@_family("G4", "n", "solvable", 3, None, "(n+1|n-1)",
+         ("(gamma, b) in {(0,1), (1,0), (1,1)}",), nilradical="G", codim=1)
 def _table_G4(n: int, mode: str):
     params = ["b", "gamma"]
     prod = _g_zero_rows(n)
@@ -584,6 +683,10 @@ def _nil_rows_G5(prod: Products, n: int, params: list[str], mode: str) -> None:
     _add(prod, "x", "x", _e(n), P("gamma"))
 
 
+@_family("G5", "n", "solvable", 3, None, "(n+1|n-1)",
+         ("a2..a(n-1) (rational)", "gamma (rational)"), nilradical="G", codim=1,
+         notes=("gamma multiplies [x,x] but is absent from the family's "
+                "displayed name; it is exposed as an explicit parameter",))
 def _table_G5(n: int, mode: str):
     params = [f"a{k}" for k in range(2, n)] + ["gamma"]
     prod = _g_zero_rows(n)
@@ -591,6 +694,9 @@ def _table_G5(n: int, mode: str):
     return params, prod, n + 1, n - 1
 
 
+@_family("G6", "n", "solvable", 3, None, "(n+1|n-1)",
+         ("a2..a(n-1) (rational)", "gamma (rational)"), nilradical="G", codim=1,
+         notes=("gamma exposed as an explicit parameter (as for G5)",))
 def _table_G6(n: int, mode: str):
     params = [f"a{k}" for k in range(2, n)] + ["gamma"]
     prod = _g_zero_rows(n)
@@ -599,7 +705,9 @@ def _table_G6(n: int, mode: str):
     return params, prod, n + 1, n - 1
 
 
-def _table_SG1(n: int, mode: str, t: int):
+@_family("SG1", "n", "solvable", 4, None, "(n+1|n-1)", structural=("t",),
+         nilradical="G", codim=1)
+def _table_SG1(n: int, mode: str, *, t: int):
     prod = _g_zero_rows(n)
     _add(prod, _e(1), _e(2), _e(t), 1)
     for j in range(3, n - 1):
@@ -619,6 +727,8 @@ def _table_SG1(n: int, mode: str, t: int):
     return [], prod, n + 1, n - 1
 
 
+@_family("SG2", "n", "solvable", 5, 1, "(n+1|n-1)", ("gamma (rational, != 0)",),
+         nilradical="G", codim=1)
 def _table_SG2(n: int, mode: str):
     params = ["gamma"]
     h = (n + 3) // 2
@@ -639,6 +749,7 @@ def _table_SG2(n: int, mode: str):
     return params, prod, n + 1, n - 1
 
 
+@_family("SG3", "n", "solvable", 3, None, "(n+1|n-1)", nilradical="G", codim=1)
 def _table_SG3(n: int, mode: str):
     prod = _g_zero_rows(n)
     _add(prod, _e(2), _e(2), _e(n), 1)
@@ -648,159 +759,7 @@ def _table_SG3(n: int, mode: str):
     return [], prod, n + 1, n - 1
 
 
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FamilyInfo:
-    """Catalog record: domain, parameter schema, and structural metadata."""
-
-    family_id: str
-    size_name: str                  # "n" or "m"
-    kind: str                       # "nilpotent" or "solvable"
-    min_size: int
-    size_parity: int | None         # required size mod 2, or None
-    dims: str                       # e.g. "(n|n-1)"
-    parameter_schema: tuple[str, ...]
-    structural: tuple[str, ...] = ()
-    nilradical: str | None = None
-    codim: int | None = None
-    notes: tuple[str, ...] = ()
-
-    def describe_domain(self) -> str:
-        s = self.size_name
-        parts = [f"{s} >= {self.min_size}"]
-        if self.size_parity is not None:
-            parts.append(f"{s} odd")
-        if "t" in self.structural:
-            parts.append(f"4 <= t <= {s}")
-        return ", ".join(parts)
-
-
-_TABLES: dict[str, Callable] = {
-    "N2M": _table_N2M, "L": _table_L, "G": _table_G, "M": _table_M, "H": _table_H,
-    "M1": _table_M1, "M2": _table_M2, "M3": _table_M3, "M4": _table_M4,
-    "M5": _table_M5, "SL": _table_SL, "SM": _table_SM,
-    "MH1": _table_MH1, "MH2": _table_MH2,
-    "H1": _table_H1, "H2": _table_H2, "H3": _table_H3, "H4": _table_H4,
-    "H5": _table_H5,
-    "SH1": _table_SH1, "SH2": _table_SH2, "SH3": _table_SH3, "SH4": _table_SH4,
-    "MG1": _table_MG1, "MG2": _table_MG2,
-    "G1": _table_G1, "G2": _table_G2, "G3": _table_G3, "G4": _table_G4,
-    "G5": _table_G5, "G6": _table_G6,
-    "SG1": _table_SG1, "SG2": _table_SG2, "SG3": _table_SG3,
-}
-
-FAMILY_IDS: tuple[str, ...] = tuple(_TABLES)
-
-
-def _info(fid: str) -> FamilyInfo:
-    return _REGISTRY[fid]
-
-
-def _schema(fid: str, size: int) -> tuple[str, ...]:
-    """Rational parameter names of a family at a concrete size."""
-    if fid in ("L", "M"):
-        base = [f"alpha{k}" for k in range(4, size + 1)] + ["theta"]
-        if fid == "M":
-            base.append("tau")
-        return tuple(sorted(base))
-    if fid in ("G", "H"):
-        base = [f"beta{k}" for k in range(4, size + 1)] + ["gamma"]
-        if fid == "H":
-            base.append("delta")
-        return tuple(sorted(base))
-    if fid == "M2":
-        return ("alpha",)
-    if fid == "M4":
-        return tuple(f"b{2 * k}" for k in range(1, (size - 1) // 2 + 1))
-    if fid in ("H1", "H2", "G1", "G2"):
-        return ("b",)
-    if fid == "G4":
-        return ("b", "gamma")
-    if fid in ("H4",):
-        return tuple(f"a{k}" for k in range(2, size + 1))
-    if fid == "H5":
-        return tuple(sorted([f"a{k}" for k in range(2, size + 1)] + ["gamma"]))
-    if fid in ("G5", "G6"):
-        return tuple(sorted([f"a{k}" for k in range(2, size)] + ["gamma"]))
-    if fid in ("SH3", "SG2"):
-        return ("gamma",)
-    return ()
-
-
-_REGISTRY: dict[str, FamilyInfo] = {}
-
-
-def _register(fid: str, size_name: str, kind: str, min_size: int, parity, dims: str,
-              schema_desc: tuple[str, ...], structural=(), nilradical=None,
-              codim=None, notes=()) -> None:
-    _REGISTRY[fid] = FamilyInfo(fid, size_name, kind, min_size, parity, dims,
-                                schema_desc, tuple(structural), nilradical,
-                                codim, tuple(notes))
-
-
-_register("N2M", "m", "nilpotent", 3, 1, "(2|m)", ())
-_register("L", "n", "nilpotent", 3, None, "(n|n-1)",
-          ("alpha4..alphan (rational)", "theta (rational)"))
-_register("G", "n", "nilpotent", 3, None, "(n|n-1)",
-          ("beta4..betan (rational)", "gamma (rational)"))
-_register("M", "n", "nilpotent", 3, None, "(n|n)",
-          ("alpha4..alphan (rational)", "theta (rational)", "tau (rational)"))
-_register("H", "n", "nilpotent", 3, None, "(n|n)",
-          ("beta4..betan (rational)", "delta (rational)", "gamma (rational)"))
-_register("M1", "m", "solvable", 3, 1, "(3|m)", (), nilradical="N2M", codim=1,
-          notes=("not a Lie superalgebra: the square of the extension "
-                 "generator is e2",))
-_register("M2", "m", "solvable", 3, 1, "(3|m)", ("alpha (rational)",),
-          nilradical="N2M", codim=1)
-_register("M3", "m", "solvable", 3, 1, "(3|m)", (), nilradical="N2M", codim=1)
-_register("M4", "m", "solvable", 3, 1, "(3|m)",
-          ("b2, b4, .., b(m-1) (rational)",), nilradical="N2M", codim=1)
-_register("M5", "m", "solvable", 3, 1, "(4|m)", (), nilradical="N2M", codim=2)
-_register("SL", "n", "solvable", 3, None, "(n+1|n-1)", (), nilradical="L", codim=1)
-_register("SM", "n", "solvable", 3, None, "(n+1|n)", (), nilradical="M", codim=1)
-_register("MH1", "n", "solvable", 3, None, "(n+2|n)", (), nilradical="H", codim=2)
-_register("MH2", "n", "solvable", 3, None, "(n+2|n)", (), nilradical="H", codim=2)
-_register("H1", "n", "solvable", 3, None, "(n+1|n)", ("b (rational, b != 0)",),
-          nilradical="H", codim=1)
-_register("H2", "n", "solvable", 3, None, "(n+1|n)", ("b (rational)",),
-          nilradical="H", codim=1)
-_register("H3", "n", "solvable", 3, None, "(n+1|n)", (), nilradical="H", codim=1)
-_register("H4", "n", "solvable", 3, None, "(n+1|n)", ("a2..an (rational)",),
-          nilradical="H", codim=1)
-_register("H5", "n", "solvable", 3, None, "(n+1|n)",
-          ("a2..an (rational)", "gamma (in {0, 1})"), nilradical="H", codim=1,
-          notes=("the gamma term of [x,x] is inconsistent with the identity "
-                 "and is dropped in corrected mode (see errata)",))
-_register("SH1", "n", "solvable", 4, None, "(n+1|n)", (), structural=("t",),
-          nilradical="H", codim=1)
-_register("SH2", "n", "solvable", 3, None, "(n+1|n)", (), nilradical="H", codim=1)
-_register("SH3", "n", "solvable", 5, 1, "(n+1|n)", ("gamma (rational, != 0)",),
-          nilradical="H", codim=1)
-_register("SH4", "n", "solvable", 3, None, "(n+1|n)", (), nilradical="H", codim=1)
-_register("MG1", "n", "solvable", 3, None, "(n+2|n-1)", (), nilradical="G", codim=2)
-_register("MG2", "n", "solvable", 3, None, "(n+2|n-1)", (), nilradical="G", codim=2)
-_register("G1", "n", "solvable", 3, None, "(n+1|n-1)", ("b (rational, b != 0)",),
-          nilradical="G", codim=1)
-_register("G2", "n", "solvable", 3, None, "(n+1|n-1)", ("b (rational)",),
-          nilradical="G", codim=1)
-_register("G3", "n", "solvable", 3, None, "(n+1|n-1)", (), nilradical="G", codim=1)
-_register("G4", "n", "solvable", 3, None, "(n+1|n-1)",
-          ("(gamma, b) in {(0,1), (1,0), (1,1)}",), nilradical="G", codim=1)
-_register("G5", "n", "solvable", 3, None, "(n+1|n-1)",
-          ("a2..a(n-1) (rational)", "gamma (rational)"), nilradical="G", codim=1,
-          notes=("gamma multiplies [x,x] but is absent from the family's "
-                 "displayed name; it is exposed as an explicit parameter",))
-_register("G6", "n", "solvable", 3, None, "(n+1|n-1)",
-          ("a2..a(n-1) (rational)", "gamma (rational)"), nilradical="G", codim=1,
-          notes=("gamma exposed as an explicit parameter (as for G5)",))
-_register("SG1", "n", "solvable", 4, None, "(n+1|n-1)", (), structural=("t",),
-          nilradical="G", codim=1)
-_register("SG2", "n", "solvable", 5, 1, "(n+1|n-1)", ("gamma (rational, != 0)",),
-          nilradical="G", codim=1)
-_register("SG3", "n", "solvable", 3, None, "(n+1|n-1)", (), nilradical="G", codim=1)
+FAMILY_IDS: tuple[str, ...] = tuple(_REGISTRY)
 
 
 # ---------------------------------------------------------------------------
@@ -858,20 +817,14 @@ def build(family_id: str, size: int, params: Mapping[str, object] | None = None,
     out-of-domain size, or a forbidden value raises InputError naming the
     violated constraint.
     """
-    if family_id not in _TABLES:
-        raise InputError(f"unknown family id {family_id!r}")
+    info = family_info(family_id)
     if mode not in (VERBATIM, CORRECTED):
         raise InputError(f"unknown errata mode {mode!r}")
-    info = _info(family_id)
     params = dict(params or {})
     _validate_domain(info, size, params)
 
-    structural = {k: params.pop(k) for k in info.structural if k in params}
-    if "t" in info.structural:
-        names, prod, n_even, n_odd = _TABLES[family_id](size, mode, structural["t"])
-    else:
-        names, prod, n_even, n_odd = _TABLES[family_id](size, mode)
-
+    structural = {k: params.pop(k) for k in info.structural}
+    names, prod, n_even, n_odd = info.table(size, mode, **structural)
     declared = tuple(sorted(names))
     values: dict[str, Fraction] = {}
     for key, raw in params.items():
@@ -906,8 +859,7 @@ def build_family(spec: FamilySpec) -> SuperAlgebra:
 def list_families() -> list[dict]:
     """Deterministic catalog of every family id with domains and schemas."""
     catalog = []
-    for fid in FAMILY_IDS:
-        info = _info(fid)
+    for fid, info in _REGISTRY.items():
         catalog.append({
             "id": fid,
             "size_parameter": info.size_name,
@@ -929,20 +881,35 @@ def family_info(fid: str) -> FamilyInfo:
     return _REGISTRY[fid]
 
 
+def sizes(fid: str, lo: int, hi: int) -> list[int]:
+    """The sizes in lo..hi that lie in the family's domain."""
+    info = family_info(fid)
+    return [s for s in range(lo, hi + 1) if info.admits(s)]
+
+
 def parameter_names(fid: str, size: int) -> tuple[str, ...]:
-    return _schema(fid, size)
+    """Sorted rational parameter names at one size, as the table declares them.
+
+    No family declares a parameter that depends on its structural t, so the
+    table is read at t = 4.
+    """
+    info = family_info(fid)
+    structural = {k: 4 for k in info.structural}
+    _validate_domain(info, size, structural)
+    names, *_ = info.table(size, CORRECTED, **structural)
+    return tuple(sorted(names))
 
 
 def nilradical_spec(fid: str, size: int, params: Mapping[str, object] | None = None,
                     ) -> FamilySpec:
     """The claimed nilradical of a solvable family as a buildable spec."""
-    info = _info(fid)
+    info = family_info(fid)
     if info.kind != "solvable":
         raise InputError(f"{fid} is not a solvable-extension family")
     params = dict(params or {})
     if info.nilradical == "N2M":
         return FamilySpec("N2M", size, {})
-    zeros: dict[str, object] = {p: 0 for p in _schema(info.nilradical, size)}
+    zeros: dict[str, object] = {p: 0 for p in parameter_names(info.nilradical, size)}
     if fid in ("SH1", "SG1"):
         zeros[f"beta{params['t']}"] = 1
     elif fid == "SH2":
@@ -1050,19 +1017,13 @@ def _cell_map(prod: Products, parameters: tuple[str, ...]) -> dict:
 def errata_for(family_id: str, size: int, params: Mapping[str, object] | None = None,
                ) -> list[ErrataEntry]:
     """Concrete errata entries for one family at one size (symbolic values)."""
-    if family_id not in _TABLES:
-        raise InputError(f"unknown family id {family_id!r}")
-    info = _info(family_id)
+    info = family_info(family_id)
     params = dict(params or {})
     _validate_domain(info, size, params)
-    structural = {k: params[k] for k in info.structural if k in params}
-    if "t" in info.structural:
-        names_c, prod_c, *_ = _TABLES[family_id](size, CORRECTED, structural["t"])
-        names_v, prod_v, *_ = _TABLES[family_id](size, VERBATIM, structural["t"])
-    else:
-        names_c, prod_c, *_ = _TABLES[family_id](size, CORRECTED)
-        names_v, prod_v, *_ = _TABLES[family_id](size, VERBATIM)
-    declared = tuple(sorted(names_c))
+    structural = {k: params[k] for k in info.structural}
+    names, prod_c, *_ = info.table(size, CORRECTED, **structural)
+    _, prod_v, *_ = info.table(size, VERBATIM, **structural)
+    declared = tuple(sorted(names))
     corrected = _cell_map(prod_c, declared)
     verbatim = _cell_map(prod_v, declared)
     entries: list[ErrataEntry] = []
@@ -1084,23 +1045,12 @@ def errata_for(family_id: str, size: int, params: Mapping[str, object] | None = 
     return entries
 
 
-def has_errata(family_id: str) -> bool:
-    return family_id in ("M", "H", "M1", "M2", "M3", "M4", "M5",
-                         "H5", "SH3", "SH4", "G5", "G6", "SG1")
-
-
 def errata_ledger(sizes: Sequence[int] = (3, 4, 5, 6, 7, 8)) -> list[ErrataEntry]:
     """All shipped corrections over a size grid, in deterministic order."""
     entries: list[ErrataEntry] = []
-    for fid in FAMILY_IDS:
-        if not has_errata(fid):
-            continue
-        info = _info(fid)
+    for fid, info in _REGISTRY.items():
+        structural = {k: 4 for k in info.structural}
         for size in sizes:
-            if size < info.min_size:
-                continue
-            if info.size_parity is not None and size % 2 != info.size_parity:
-                continue
-            params = {"t": 4} if "t" in info.structural else None
-            entries.extend(errata_for(fid, size, params))
+            if info.admits(size):
+                entries.extend(errata_for(fid, size, structural))
     return entries

@@ -629,30 +629,16 @@ _DIST_GROUPS: dict[str, Callable[[int], list[tuple[str, int, dict]]]] = {
     "DIST-H": lambda s: [("H1", s, {"b": 1}), ("H2", s, {"b": 1}),
                          ("H2", s, {"b": 2}), ("H3", s, {}), ("H4", s, {}),
                          ("H5", s, {"gamma": 0})],
-    "DIST-SH": lambda s: [("SH1", s, {"t": 4}), ("SH2", s, {})]
-    + ([("SH3", s, {"gamma": 1})] if s % 2 == 1 and s >= 5 else [])
-    + [("SH4", s, {})],
+    "DIST-SH": lambda s: [("SH1", s, {"t": 4}), ("SH2", s, {}),
+                          ("SH3", s, {"gamma": 1}), ("SH4", s, {})],
     "DIST-MG": lambda s: [("MG1", s, {}), ("MG2", s, {})],
     "DIST-G": lambda s: [("G1", s, {"b": 1}), ("G2", s, {"b": 1}), ("G3", s, {}),
                          ("G4", s, {"gamma": 0, "b": 1}),
                          ("G4", s, {"gamma": 1, "b": 0}), ("G5", s, {}),
                          ("G6", s, {})],
-    "DIST-SG": lambda s: [("SG1", s, {"t": 4})]
-    + ([("SG2", s, {"gamma": 1})] if s % 2 == 1 and s >= 5 else [])
-    + [("SG3", s, {})],
+    "DIST-SG": lambda s: [("SG1", s, {"t": 4}), ("SG2", s, {"gamma": 1}),
+                          ("SG3", s, {})],
 }
-
-
-def _sizes_for(fid: str, lo: int, hi: int) -> list[int]:
-    info = families.family_info(fid)
-    sizes = []
-    for s in range(lo, hi + 1):
-        if s < info.min_size:
-            continue
-        if info.size_parity is not None and s % 2 != info.size_parity:
-            continue
-        sizes.append(s)
-    return sizes
 
 
 def claim_ids() -> list[str]:
@@ -691,7 +677,7 @@ def run_claims(selected: Sequence[str] | None = None,
         try:
             if kind == "NILP":
                 lo, hi = rng(3, 7)
-                for size in _sizes_for(fid, lo, hi):
+                for size in families.sizes(fid, lo, hi):
                     for sample in _NILPOTENT_SAMPLES[fid]:
                         params = _zeros(fid, size) if fid != "N2M" else {}
                         params.update(sample)
@@ -699,29 +685,29 @@ def run_claims(selected: Sequence[str] | None = None,
                             verify_nilpotent_family(fid, size, params, seed))
             elif kind == "P":
                 lo, hi = rng(4, 6)
-                for size in _sizes_for(fid, max(lo, 4), hi):
+                for size in families.sizes(fid, max(lo, 4), hi):
                     reports.append(verify_derivation_proposition(cid, size))
             elif kind == "COR":
                 lo, hi = rng(5, 7)
-                for size in _sizes_for(fid, max(lo, 4), hi):
+                for size in families.sizes(fid, max(lo, 4), hi):
                     reports.append(verify_corollary(cid, size))
             elif kind == "SOLV":
                 lo, hi = rng(3, 6)
-                for size in _sizes_for(fid, lo, hi):
+                for size in families.sizes(fid, lo, hi):
                     for sample in _SOLVABLE_SAMPLES[fid](size):
                         reports.append(verify_solvable_family(fid, size, sample))
             elif kind == "DIST":
                 lo, hi = rng(5, 5)
                 size = max(lo, 5) if hi >= 5 else lo
                 members = [(f, s, p) for f, s, p in _DIST_GROUPS[cid](size)
-                           if s in _sizes_for(f, s, s)
+                           if s in families.sizes(f, s, s)
                            and (p.get("t") is None or p["t"] <= s)]
                 if len(members) >= 2:
                     reports.append(pairwise_distinguish(members, cid, seed))
             elif kind == "AUDIT":
                 lo, hi = rng(3, 8)
                 info = families.family_info(fid)
-                for size in _sizes_for(fid, lo, hi):
+                for size in families.sizes(fid, lo, hi):
                     params = {"t": 4} if "t" in info.structural else None
                     reports.append(audit_errata(fid, size, params))
         except UnsupportedShapeError as exc:

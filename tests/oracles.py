@@ -261,10 +261,9 @@ def span_dim(vectors: list[list[Fraction]]) -> int:
 def smallest_instance(fid: str) -> tuple[int, dict]:
     """A domain-valid fully-instantiated sample at the family's smallest size."""
     from superalg import family_info, parameter_names
+    from superalg.families import sizes
     info = family_info(fid)
-    size = info.min_size
-    if info.size_parity is not None and size % 2 != info.size_parity:
-        size += 1
+    size = sizes(fid, info.min_size, info.min_size + 1)[0]
     params: dict = {p: 0 for p in parameter_names(fid, size)}
     if "t" in info.structural:
         params["t"] = 4

@@ -22,6 +22,7 @@ from superalg.core import (EVEN, GradedVector, char_sequence, check_leibniz,
                            check_lie, nilindex, product, right_annihilator)
 from superalg.derivations import derivation_space, max_nil_independent
 from superalg.exactmath import nilpotent_jordan_type
+from superalg.families import sizes
 from superalg.verify import (audit_errata, corollary_patterns,
                              verify_corollary, verify_derivation_proposition,
                              verify_solvable_family)
@@ -33,13 +34,6 @@ from oracles import (brute_leibniz_residuals, brute_lie_residuals,
 
 def zeros(fid: str, size: int) -> dict[str, int]:
     return {p: 0 for p in parameter_names(fid, size)}
-
-
-def sizes_for(fid: str, lo: int, hi: int) -> list[int]:
-    info = family_info(fid)
-    return [s for s in range(lo, hi + 1)
-            if s >= info.min_size
-            and (info.size_parity is None or s % 2 == info.size_parity)]
 
 
 def structural_variants(fid: str, size: int) -> list[dict]:
@@ -62,7 +56,7 @@ def test_criterion_1_leibniz_identity_suite():
     start = time.perf_counter()
     failures = []
     for fid in FAMILY_IDS:
-        for size in sizes_for(fid, 3, 8):
+        for size in sizes(fid, 3, 8):
             for structural in structural_variants(fid, size):
                 algebra = build(fid, size, structural or None, CORRECTED)
                 residuals = check_leibniz(algebra)
@@ -95,7 +89,7 @@ def test_criterion_1_lie_identity(fid):
     expected = EXPECTED_LIE_RESIDUALS[fid]
     rng = random.Random(1)
     failures = []
-    for size in sizes_for(fid, 3, 8):
+    for size in sizes(fid, 3, 8):
         algebra = build(fid, size, None, CORRECTED)
         residuals = check_lie(algebra)
         if [(r.identity, r.where, r.component, r.value)
@@ -237,8 +231,8 @@ def test_criterion_7_solvable_suite():
         info = family_info(fid)
         if info.kind != "solvable":
             continue
-        grid = sizes_for(fid, 3, 5) if info.size_name == "m" \
-            else sizes_for(fid, 4, 6)
+        grid = sizes(fid, 3, 5) if info.size_name == "m" \
+            else sizes(fid, 4, 6)
         if info.size_name == "m":
             grid = [m for m in grid if m in (3, 5)]
         for size in grid:
@@ -260,7 +254,7 @@ def test_criterion_7_solvable_suite():
 def test_criterion_7_verbatim_failures_all_ledgered():
     failures = []
     for fid in FAMILY_IDS:
-        for size in sizes_for(fid, 3, 8):
+        for size in sizes(fid, 3, 8):
             for structural in structural_variants(fid, size):
                 report = audit_errata(fid, size, structural or None)
                 for check in report.checks:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -47,6 +48,11 @@ class TestFamilyCommand:
     def test_domain_error_names_constraint(self, capsys):
         code, _, err = run(["family", "N2M", "--m", "4", "-o", "-"], capsys)
         assert code == 2 and "odd" in err
+
+    def test_zeros_below_the_minimum_size_names_the_limit(self, capsys):
+        code, _, err = run(["family", "M4", "--m", "2", "--zeros", "-o", "-"],
+                           capsys)
+        assert code == 2 and "M4: m must be >= 3 (got 2)" in err
 
     def test_verbatim_mode(self, tmp_path, capsys):
         out = tmp_path / "m5.json"
@@ -144,6 +150,19 @@ class TestCatalogAndErrata:
         catalog = json.loads(stdout)
         assert len(catalog) == 34
         assert catalog[0]["id"] == "N2M"
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["catalog"],
+         "6645abdbe9b7e3808166f549c28b45d2381b6fdcc00e90ad5db8397568699db7"),
+        (["errata"],
+         "97f83e7da843d70c368794ad79b6f1d1674fbd86d952947de7a6a3f335c379ce"),
+        (["errata", "--sizes", "3..12"],
+         "022bd8ecada880023662380073fe0d97ca3a01c9dfb72137dc7e261d8e282c46"),
+    ])
+    def test_output_is_pinned(self, argv, digest, capsys):
+        code, stdout, _ = run(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(stdout.encode()).hexdigest() == digest
 
     def test_errata_filtered(self, capsys):
         code, stdout, _ = run(["errata", "--family", "H5", "--sizes", "4..5"],

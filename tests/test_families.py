@@ -12,7 +12,7 @@ from superalg import (CORRECTED, FAMILY_IDS, VERBATIM, build, build_family,
 from superalg.core import (GradedVector, check_leibniz, check_lie, nilindex,
                            product, sdf_dumps)
 from superalg.errors import InputError
-from superalg.families import FamilySpec
+from superalg.families import FamilySpec, sizes
 
 
 def zeros(fid: str, size: int) -> dict[str, int]:
@@ -86,6 +86,18 @@ class TestDomains:
         with pytest.raises(InputError):
             build("XX", 4)
 
+    def test_sizes_keeps_the_domain(self):
+        assert sizes("N2M", 3, 9) == [3, 5, 7, 9]
+        assert sizes("SH3", 3, 8) == [5, 7]
+        assert sizes("SH1", 3, 5) == [4, 5]
+        assert sizes("L", 3, 2) == []
+
+    def test_parameter_names_reject_out_of_domain_sizes(self):
+        with pytest.raises(InputError, match="m must be >= 3"):
+            parameter_names("M4", 2)
+        with pytest.raises(InputError, match="odd"):
+            parameter_names("SG2", 6)
+
 
 class TestConstructionFacts:
     def test_smallest_filiform_odd_instance(self):
@@ -115,6 +127,14 @@ class TestConstructionFacts:
                                           "beta4": 1}))
         assert first == second
 
+    @pytest.mark.parametrize("fid", FAMILY_IDS)
+    def test_parameter_names_are_the_built_parameters(self, fid):
+        # Sizes reach past 9 so that sorting puts a10 before a2 and b10 before b2.
+        structural = {"t": 4} if family_info(fid).structural else None
+        for size in sizes(fid, 3, 15):
+            assert parameter_names(fid, size) == \
+                build(fid, size, structural).parameters, f"{fid} at size {size}"
+
     def test_partial_instantiation_keeps_other_parameters(self):
         a = build("H", 5, {"beta4": 1})
         assert "beta4" not in a.parameters
@@ -125,17 +145,10 @@ def _structural(fid):
     return {"t": 4} if "t" in family_info(fid).structural else None
 
 
-def _sizes(fid, lo=3, hi=8):
-    info = family_info(fid)
-    return [s for s in range(lo, hi + 1)
-            if s >= info.min_size
-            and (info.size_parity is None or s % 2 == info.size_parity)]
-
-
 class TestIdentities:
     @pytest.mark.parametrize("fid", FAMILY_IDS)
     def test_corrected_mode_is_leibniz_symbolically(self, fid):
-        for size in _sizes(fid, 3, 6):
+        for size in sizes(fid, 3, 6):
             algebra = build(fid, size, _structural(fid), CORRECTED)
             assert check_leibniz(algebra) == [], f"{fid} at size {size}"
 
@@ -154,7 +167,7 @@ class TestIdentities:
 
     def test_nilindex_equals_total_dimension_for_nilpotent_families(self):
         for fid in ("N2M", "L", "G", "M", "H"):
-            for size in _sizes(fid, 3, 5):
+            for size in sizes(fid, 3, 5):
                 a = build(fid, size, zeros(fid, size))
                 assert nilindex(a) == a.dim
 
@@ -172,7 +185,7 @@ class TestErrata:
 
     def test_families_without_entries_pass_verbatim(self):
         for fid in FAMILY_IDS:
-            for size in _sizes(fid, 3, 5):
+            for size in sizes(fid, 3, 5):
                 entries = errata_for(fid, size, _structural(fid))
                 if not entries:
                     algebra = build(fid, size, _structural(fid), VERBATIM)
