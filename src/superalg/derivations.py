@@ -4,9 +4,10 @@ A degree-s derivation is a linear map D with
 ``D([x,y]) = [D x, y] + (-1)^{s p} [x, D y]`` for x of parity p; even
 derivations (s = 0) preserve parity, odd ones (s = 1) swap it.  The space is
 computed as the exact kernel of the linear system over the grading-compatible
-matrix entries, and every returned basis matrix is re-verified against the
-identity by an independent evaluation pass (the assembler and the checker are
-separate code paths on purpose).
+matrix entries, scattered from the nonzero structure constants.  Every
+returned basis matrix is re-verified by `is_derivation`, a sparse evaluation
+of the identity on every ordered basis pair that shares no code with the
+assembler (the two are separate code paths on purpose).
 
 Nil-independence counting is implemented for simultaneously triangular
 families only, where "some combination is nilpotent" is equivalent to "its
@@ -55,29 +56,30 @@ class DerivationSpace:
 
 
 def is_derivation(algebra: SuperAlgebra, matrix: RatMatrix, degree: int) -> bool:
-    """Direct check of the degree-s identity on every ordered basis pair."""
+    """Direct check of the degree-s identity on every ordered basis pair, over
+    the nonzero products and the nonzero entries of D's columns only."""
     if matrix.rows != algebra.dim or matrix.cols != algebra.dim:
         raise InputError("derivation matrix must act on the whole space")
     table = algebra.constant_structure()
     dim = algebra.dim
-    ent = matrix.entries
+    # columns[k] = D b_k as its nonzero (l, D[l, k]) pairs.
+    columns = [[(l, row[k]) for l, row in enumerate(matrix.entries) if row[k]]
+               for k in range(dim)]
     for i in range(dim):
         sign = -1 if (degree and algebra.parity(i)) else 1
         for j in range(dim):
-            lhs = [Fraction(0)] * dim
+            # D([b_i,b_j]) - [D b_i, b_j] - (-1)^{s p_i} [b_i, D b_j]
+            residual: dict[int, Fraction] = {}
             for k, c in table.get((i, j), ()):
-                for l in range(dim):
-                    if ent[l][k]:
-                        lhs[l] += c * ent[l][k]
-            rhs = [Fraction(0)] * dim
-            for k in range(dim):
-                if ent[k][i]:
-                    for l, c in table.get((k, j), ()):
-                        rhs[l] += ent[k][i] * c
-                if ent[k][j]:
-                    for l, c in table.get((i, k), ()):
-                        rhs[l] += sign * ent[k][j] * c
-            if lhs != rhs:
+                for l, d in columns[k]:
+                    residual[l] = residual.get(l, 0) + c * d
+            for k, d in columns[i]:
+                for l, c in table.get((k, j), ()):
+                    residual[l] = residual.get(l, 0) - d * c
+            for k, d in columns[j]:
+                for l, c in table.get((i, k), ()):
+                    residual[l] = residual.get(l, 0) - sign * d * c
+            if any(residual.values()):
                 return False
     return True
 
@@ -88,10 +90,12 @@ def derivation_space(algebra: SuperAlgebra, degree: int) -> DerivationSpace:
         raise InputError("degree must be 0 (even) or 1 (odd)")
     table = algebra.constant_structure()
     dim = algebra.dim
-    parity = algebra.parity
+    parity = [algebra.parity(i) for i in range(dim)]
+    of_parity = [[i for i in range(dim) if parity[i] == p] for p in (EVEN, ODD)]
     positions = _positions(algebra, degree)
     pos_index = {p: idx for idx, p in enumerate(positions)}
 
+    # Row (i, j, l) is component l of the identity on the pair (b_i, b_j).
     rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
 
     def bump(i: int, j: int, l: int, col: int, value: Fraction) -> None:
@@ -102,33 +106,26 @@ def derivation_space(algebra: SuperAlgebra, degree: int) -> DerivationSpace:
         else:
             r.pop(col, None)
 
-    for i in range(dim):
-        sign = -1 if (degree and parity(i)) else 1
-        for j in range(dim):
-            # D([b_i, b_j]) lands on unknowns D[l, k] per component k.
-            for k, c in table.get((i, j), ()):
-                target_parity = (parity(k) + degree) % 2
-                for l in range(dim):
-                    if parity(l) == target_parity:
-                        bump(i, j, l, pos_index[(l, k)], c)
-            for k in range(dim):
-                # [D b_i, b_j]: unknown D[k, i] multiplies c_{k j}^l.
-                if parity(k) == (parity(i) + degree) % 2:
-                    for l, c in table.get((k, j), ()):
-                        bump(i, j, l, pos_index[(k, i)], -c)
-                # (-1)^{s p_i} [b_i, D b_j]: unknown D[k, j] times c_{i k}^l.
-                if parity(k) == (parity(j) + degree) % 2:
-                    for l, c in table.get((i, k), ()):
-                        bump(i, j, l, pos_index[(k, j)], -sign * c)
+    # Each product [b_a, b_b] ∋ c b_k enters three terms of the identity.
+    for (a, b), terms in table.items():
+        sign = -1 if (degree and parity[a]) else 1
+        for k, c in terms:
+            # D([b_a, b_b]): unknown D[l, k] on component l.
+            for l in of_parity[(parity[k] + degree) % 2]:
+                bump(a, b, l, pos_index[(l, k)], c)
+            # [D b_i, b_b] with D b_i ∋ D[a, i] b_a: on pair (i, b).
+            for i in of_parity[(parity[a] + degree) % 2]:
+                bump(i, b, k, pos_index[(a, i)], -c)
+            # (-1)^{s p_a} [b_a, D b_j] with D b_j ∋ D[b, j] b_b: on pair (a, j).
+            for j in of_parity[(parity[b] + degree) % 2]:
+                bump(a, j, k, pos_index[(b, j)], -sign * c)
 
     kernel = sparse_kernel((r for r in rows.values() if r), len(positions))
     basis = []
     for vec in kernel:
         grid = [[Fraction(0)] * dim for _ in range(dim)]
-        for idx, value in enumerate(vec):
-            if value:
-                l, k = positions[idx]
-                grid[l][k] = value
+        for (l, k), value in zip(positions, vec):
+            grid[l][k] = value
         basis.append(RatMatrix(dim, dim, tuple(tuple(r) for r in grid)))
     space = DerivationSpace(degree, tuple(basis), dim)
     for matrix in space.basis:

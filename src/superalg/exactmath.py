@@ -364,7 +364,8 @@ class RatMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Fraction | int]]) -> RatMatrix:
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        data = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
+                     for row in rows)
         if not data:
             return cls(0, 0, ())
         width = len(data[0])
@@ -537,8 +538,9 @@ def row_space_basis(m: RatMatrix) -> RatMatrix:
 
 
 def sparse_kernel(rows: Iterable[SparseRow], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Kernel basis of a sparse linear system, identical to the dense result."""
-    pivots, reduced = _rref_rows(dict(row) for row in rows)
+    """Kernel basis of a sparse linear system, identical to the dense result.
+    Shortest rows pivot first; the rref, hence the kernel, is order-free."""
+    pivots, reduced = _rref_rows(sorted((dict(row) for row in rows), key=len))
     return _kernel(pivots, reduced, ncols)
 
 

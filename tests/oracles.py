@@ -196,6 +196,68 @@ def brute_lie_residuals(algebra: SuperAlgebra):
     return out
 
 
+def derivation_residuals(algebra: SuperAlgebra, matrix: RatMatrix, degree: int):
+    """Evaluate D([x,y]) - [D x, y] - (-1)^{s p_x} [x, D y] on every ordered
+    pair of basis vectors via products and `RatMatrix.apply`, listing the
+    nonzero components."""
+    out = []
+    labels = algebra.labels
+    basis = [GradedVector.basis(algebra, lab) for lab in labels]
+    images = [GradedVector(matrix.apply(x.coords)) for x in basis]
+    for i, x in enumerate(basis):
+        sign = (-1) ** (degree * algebra.parity(i))
+        for j, y in enumerate(basis):
+            lhs = matrix.apply(product(algebra, x, y).coords)
+            first = product(algebra, images[i], y).coords
+            second = product(algebra, x, images[j]).coords
+            for comp, (a, b, c) in enumerate(zip(lhs, first, second)):
+                value = a - b - sign * c
+                if value:
+                    out.append(((labels[i], labels[j]), labels[comp], value))
+    return out
+
+
+def dense_derivation_kernel(algebra: SuperAlgebra,
+                            degree: int) -> list[tuple[Fraction, ...]]:
+    """The degree-s derivation space as flattened dim x dim matrices (entry
+    D[p, q] at p * dim + q): `dense_kernel` of the identity written out
+    densely over the entries the grading allows, one row per pair
+    (b_i, b_j) and component l, with coefficients from products of basis
+    vectors."""
+    dim = algebra.dim
+    parity = [algebra.parity(i) for i in range(dim)]
+    unknowns = [(p, q) for p in range(dim) for q in range(dim)
+                if parity[p] == (parity[q] + degree) % 2]
+    column = {pq: idx for idx, pq in enumerate(unknowns)}
+    basis = [GradedVector.basis(algebra, lab) for lab in algebra.labels]
+    prods = [[product(algebra, x, y).coords for y in basis] for x in basis]
+
+    def add(row: list[Fraction], entry: tuple[int, int], value: Fraction) -> None:
+        if value and entry in column:   # entries the grading forbids are 0
+            row[column[entry]] += value
+
+    rows = set()
+    for i in range(dim):
+        sign = (-1) ** (degree * parity[i])
+        for j in range(dim):
+            for l in range(dim):
+                row = [Fraction(0)] * len(unknowns)
+                for q in range(dim):
+                    add(row, (l, q), prods[i][j][q])   # D([b_i, b_j])
+                for p in range(dim):
+                    add(row, (p, i), -prods[p][j][l])   # [D b_i, b_j]
+                    add(row, (p, j), -sign * prods[i][p][l])   # [b_i, D b_j]
+                if any(row):
+                    rows.add(tuple(row))
+    kernel = []
+    for vec in dense_kernel(sorted(rows), len(unknowns)):
+        flat = [Fraction(0)] * (dim * dim)
+        for (p, q), value in zip(unknowns, vec):
+            flat[p * dim + q] = value
+        kernel.append(tuple(flat))
+    return kernel
+
+
 def random_graded_algebra(rng: random.Random, n0: int, n1: int,
                           density: float = 0.3) -> SuperAlgebra:
     """Random sparse structure constants respecting the grading (rarely Leibniz)."""

@@ -16,7 +16,9 @@ from superalg.derivations import (derivation_space, extendability,
 from superalg.errors import InputError, UnsupportedShapeError
 from superalg.exactmath import RatMatrix
 
-from oracles import bareiss_rank, random_parity_change
+from oracles import (bareiss_rank, dense_derivation_kernel, dense_rref,
+                     derivation_residuals, random_graded_algebra,
+                     random_parity_change)
 
 
 def zeros(fid: str, size: int) -> dict[str, int]:
@@ -93,6 +95,73 @@ class TestSolver:
     def test_bad_degree_rejected(self):
         with pytest.raises(InputError):
             derivation_space(abelian(1, 1), 2)
+
+
+def random_algebras(seed: int):
+    rng = random.Random(seed)
+    return [random_graded_algebra(rng, n0, n1, density)
+            for n0, n1 in ((2, 1), (1, 2), (2, 2), (3, 2), (2, 3))
+            for density in (0.2, 0.4)]
+
+
+def one_nonzero_instances(fid: str, size: int):
+    """The zero instance, then one instance per parameter set to 1."""
+    names = parameter_names(fid, size)
+    for hot in (None,) + names:
+        yield build(fid, size, {p: int(p == hot) for p in names})
+
+
+class TestAgainstOracles:
+    def test_recheck_agrees_with_the_product_oracle(self):
+        """Every basis matrix, the zero map, and each of them perturbed in
+        one grading-compatible entry: the re-check says yes exactly when
+        the product-based evaluation finds no residual."""
+        rng = random.Random(71)
+        catalog = [build("N2M", 5), build("L", 5, zeros("L", 5)),
+                   build("H", 5, {**zeros("H", 5), "delta": 1}),
+                   build("G", 4, zeros("G", 4)),
+                   build("M", 5, {**zeros("M", 5), "theta": 1})]
+        verdicts = set()
+        for a in random_algebras(53) + catalog:
+            for degree in (EVEN, ODD):
+                allowed = [(l, k) for l in range(a.dim) for k in range(a.dim)
+                           if a.parity(l) == (a.parity(k) + degree) % 2]
+                zero = RatMatrix.zeros(a.dim, a.dim)
+                for m in (zero,) + derivation_space(a, degree).basis:
+                    grid = [list(r) for r in m.entries]
+                    l, k = rng.choice(allowed)
+                    grid[l][k] += rng.choice((-2, -1, 1, Fraction(1, 2)))
+                    for matrix in (m, RatMatrix.from_rows(grid)):
+                        verdict = is_derivation(a, matrix, degree)
+                        residuals = derivation_residuals(a, matrix, degree)
+                        assert verdict == (not residuals), (a.name, degree, grid)
+                        verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    @staticmethod
+    def assert_spans_oracle_kernel(a, degree):
+        width = a.dim * a.dim
+
+        def canonical(vectors):
+            reduced, _ = dense_rref([list(v) for v in vectors], width)
+            return [row for row in reduced if any(row)]
+
+        got = [[x for row in m.entries for x in row]
+               for m in derivation_space(a, degree).basis]
+        assert canonical(got) == canonical(dense_derivation_kernel(a, degree)), \
+            (a.name, a.dim, degree)
+
+    @pytest.mark.parametrize("fid", ["L", "M", "H", "G"])
+    def test_assembly_spans_the_dense_oracle_kernel(self, fid):
+        for size in (4, 5):
+            for a in one_nonzero_instances(fid, size):
+                for degree in (EVEN, ODD):
+                    self.assert_spans_oracle_kernel(a, degree)
+
+    def test_assembly_on_random_algebras(self):
+        for a in random_algebras(59):
+            for degree in (EVEN, ODD):
+                self.assert_spans_oracle_kernel(a, degree)
 
 
 class TestNilpotencyCertificates:

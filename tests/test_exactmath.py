@@ -145,6 +145,13 @@ def random_matrix(rng, rows, cols, lo=-5, hi=5):
 
 
 class TestRref:
+    def test_from_rows_keeps_fractions_and_converts_the_rest(self):
+        half = Fraction(1, 2)
+        m = RatMatrix.from_rows([[half, 3], [-1, 0]])
+        assert m.entries[0][0] is half
+        assert all(type(x) is Fraction for row in m.entries for x in row)
+        assert m.entries == ((half, Fraction(3)), (Fraction(-1), Fraction(0)))
+
     def test_zero_matrix(self):
         reduced, r, kernel = rref_rank_kernel(RatMatrix.zeros(3, 3))
         assert r == 0 and len(kernel) == 3
@@ -198,6 +205,22 @@ class TestRref:
             got = sparse_kernel(sparse_rows, cols)
             assert got == dense_kernel([list(r) for r in m.entries], cols)
             assert got == rref_rank_kernel(m)[2]
+
+    def test_sparse_kernel_ignores_row_order(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            cols = rng.randint(1, 10)
+            grid = []
+            for _ in range(rng.randint(1, 14)):
+                density = rng.choice((0.1, 0.3, 1.0))
+                grid.append([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                             if rng.random() < density else Fraction(0)
+                             for _ in range(cols)])
+            sparse_rows = [{j: v for j, v in enumerate(row) if v} for row in grid]
+            want = sparse_kernel(sparse_rows, cols)
+            shuffled = list(sparse_rows)
+            rng.shuffle(shuffled)
+            assert sparse_kernel(shuffled, cols) == want == dense_kernel(grid, cols)
 
     def test_rref_matches_dense_oracle(self):
         rng = random.Random(37)
