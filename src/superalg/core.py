@@ -617,8 +617,12 @@ def char_sequence(algebra: SuperAlgebra, samples: int = 64, seed: int = 0,
     vector outside L0^2 plus `samples` seeded integer-coordinate vectors with
     entries in [-bound, bound].  The even and odd maxima are taken
     independently (each in lexicographic partition order).  The result is a
-    sampled maximum, not a certified one.
+    sampled maximum, not a certified one.  A negative `samples` or `bound` is
+    an InputError.
     """
+    for name, value in (("samples", samples), ("bound", bound)):
+        if value < 0:
+            raise InputError(f"char_sequence: {name} must be >= 0 (got {value})")
     if not is_nilpotent(algebra):
         raise NotNilpotentError(
             f"characteristic sequence needs a nilpotent algebra, got {algebra.name!r}")

@@ -279,7 +279,9 @@ def max_nil_independent(space: DerivationSpace) -> NilIndependenceReport:
 EXTENDABLE = "extendable"
 NOT_EXTENDABLE = "not-extendable"
 
-_CLASSIFIER_FAMILIES = ("L", "M", "H", "G")
+# The nilpotent families with a derivation proposition and an extendability
+# table, in claim order.
+CLASSIFIER_FAMILIES = ("L", "M", "H", "G")
 
 
 def predicted_extendable(family_id: str, n: int,
@@ -290,7 +292,7 @@ def predicted_extendable(family_id: str, n: int,
     (the corresponding one-dimensional extensions exist); the displayed
     tables subsume it under their last row.
     """
-    if family_id not in _CLASSIFIER_FAMILIES:
+    if family_id not in CLASSIFIER_FAMILIES:
         raise InputError(f"no extendability table for family {family_id!r}")
     nonzero = {name for name, v in values.items() if v != 0}
     if family_id in ("L", "M"):
@@ -338,15 +340,15 @@ def extendability(family_id: str, n: int,
     at n = 3 the prediction's derivation constraint degenerates, so the
     result is flagged instead of matched.
     """
-    if family_id not in _CLASSIFIER_FAMILIES:
+    if family_id not in CLASSIFIER_FAMILIES:
         raise InputError(
             f"extendability is defined for the nilpotent families "
-            f"{', '.join(_CLASSIFIER_FAMILIES)}; got {family_id!r}")
+            f"{', '.join(CLASSIFIER_FAMILIES)}; got {family_id!r}")
     values = {name: Fraction(0) for name in families.parameter_names(family_id, n)}
     for name, raw in (params or {}).items():
         if name not in values:
             raise InputError(f"{family_id}: unknown parameter {name!r}")
-        values[name] = Fraction(raw) if not isinstance(raw, str) else Fraction(raw)
+        values[name] = Fraction(raw)
 
     algebra = families.build(family_id, n, values, mode)
     space = derivation_space(algebra, EVEN)

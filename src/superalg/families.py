@@ -66,7 +66,20 @@ def _var(name: str, params: Sequence[str]) -> Polynomial:
 
 @dataclass(frozen=True)
 class FamilyInfo:
-    """Catalog record: table function, domain, parameter schema, metadata."""
+    """Catalog record: every per-family fact, stated once.
+
+    Besides the table, domain, schema prose and structural metadata:
+
+    * `value_domain` - `(names, admits, rule)`: once any of `names` is given,
+      all must be, and `admits(*values)` must hold, else `build` raises
+      "<fid>: <rule>";
+    * `nilradical_params` - `(size, params) -> values` overriding the zeros
+      of the claimed nilradical's parameters (see `nilradical_spec`);
+    * `samples` - `size -> [params, ...]`, the instances the NILP or SOLV
+      claims check at that size;
+    * `lie` - whether the corrected table is a Lie superalgebra, which the
+      claims then also check.
+    """
 
     family_id: str
     # (size, mode, **structural) -> (parameter names, products, n_even, n_odd)
@@ -76,11 +89,15 @@ class FamilyInfo:
     min_size: int
     size_parity: int | None         # required size mod 2, or None
     dims: str                       # e.g. "(n|n-1)"
-    parameter_schema: tuple[str, ...]
+    parameter_schema: tuple[str, ...] = ()
     structural: tuple[str, ...] = ()
     nilradical: str | None = None
     codim: int | None = None
     notes: tuple[str, ...] = ()
+    value_domain: tuple[tuple[str, ...], Callable[..., bool], str] | None = None
+    nilradical_params: Callable[[int, Mapping], dict] = lambda size, params: {}
+    samples: Callable[[int], list[dict]] = lambda size: [{}]
+    lie: bool = False
 
     def admits(self, size: int) -> bool:
         return size >= self.min_size and (
@@ -99,16 +116,19 @@ class FamilyInfo:
 _REGISTRY: dict[str, FamilyInfo] = {}
 
 
-def _family(fid: str, size_name: str, kind: str, min_size: int, parity, dims: str,
-            schema_desc: tuple[str, ...] = (), structural=(), nilradical=None,
-            codim=None, notes=()) -> Callable:
-    """Register the decorated table function as catalog family `fid`."""
+def _family(fid: str, *fields, **named) -> Callable:
+    """Register the decorated table function as catalog family `fid`.
+
+    `fields` and `named` are the `FamilyInfo` fields after `table`.
+    """
     def register(table: Callable) -> Callable:
-        _REGISTRY[fid] = FamilyInfo(fid, table, size_name, kind, min_size, parity,
-                                    dims, schema_desc, tuple(structural),
-                                    nilradical, codim, tuple(notes))
+        _REGISTRY[fid] = FamilyInfo(fid, table, *fields, **named)
         return table
     return register
+
+
+_B_NONZERO = (("b",), lambda b: b != 0, "b must be nonzero")
+_GAMMA_NONZERO = (("gamma",), lambda gamma: gamma != 0, "gamma must be nonzero")
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +221,14 @@ def _g_zero_rows(n: int) -> Products:
 # Nilpotent families
 # ---------------------------------------------------------------------------
 
-@_family("N2M", "m", "nilpotent", 3, 1, "(2|m)")
+@_family("N2M", "m", "nilpotent", 3, 1, "(2|m)", lie=True)
 def _table_N2M(m: int, mode: str):
     return [], _n2m_rows(m, mode, lie_complete=True), 2, m
 
 
 @_family("L", "n", "nilpotent", 3, None, "(n|n-1)",
-         ("alpha4..alphan (rational)", "theta (rational)"))
+         ("alpha4..alphan (rational)", "theta (rational)"),
+         samples=lambda n: [{}, {"theta": 1}])
 def _table_L(n: int, mode: str):
     params = [f"alpha{k}" for k in range(4, n + 1)] + ["theta"]
     prod = _l_zero_rows(n)
@@ -228,7 +249,8 @@ def _table_L(n: int, mode: str):
 
 
 @_family("G", "n", "nilpotent", 3, None, "(n|n-1)",
-         ("beta4..betan (rational)", "gamma (rational)"))
+         ("beta4..betan (rational)", "gamma (rational)"),
+         samples=lambda n: [{}, {"gamma": 1}])
 def _table_G(n: int, mode: str):
     params = [f"beta{k}" for k in range(4, n + 1)] + ["gamma"]
     prod = _g_zero_rows(n)
@@ -246,7 +268,8 @@ def _table_G(n: int, mode: str):
 
 
 @_family("M", "n", "nilpotent", 3, None, "(n|n)",
-         ("alpha4..alphan (rational)", "theta (rational)", "tau (rational)"))
+         ("alpha4..alphan (rational)", "theta (rational)", "tau (rational)"),
+         samples=lambda n: [{}, {"tau": 1}])
 def _table_M(n: int, mode: str):
     params = [f"alpha{k}" for k in range(4, n + 1)] + ["theta", "tau"]
     prod = _m_zero_rows(n)
@@ -287,7 +310,8 @@ def _table_M(n: int, mode: str):
 
 
 @_family("H", "n", "nilpotent", 3, None, "(n|n)",
-         ("beta4..betan (rational)", "delta (rational)", "gamma (rational)"))
+         ("beta4..betan (rational)", "delta (rational)", "gamma (rational)"),
+         samples=lambda n: [{}, {"delta": 1}])
 def _table_H(n: int, mode: str):
     params = [f"beta{k}" for k in range(4, n + 1)] + ["delta", "gamma"]
     prod = _h_zero_rows(n)
@@ -333,7 +357,8 @@ def _table_M1(m: int, mode: str):
 
 
 @_family("M2", "m", "solvable", 3, 1, "(3|m)", ("alpha (rational)",),
-         nilradical="N2M", codim=1)
+         nilradical="N2M", codim=1, lie=True,
+         samples=lambda m: [{"alpha": 0}, {"alpha": 1}])
 def _table_M2(m: int, mode: str):
     params = ["alpha"]
     alpha = _var("alpha", params)
@@ -349,7 +374,8 @@ def _table_M2(m: int, mode: str):
     return params, prod, 3, m
 
 
-@_family("M3", "m", "solvable", 3, 1, "(3|m)", nilradical="N2M", codim=1)
+@_family("M3", "m", "solvable", 3, 1, "(3|m)", nilradical="N2M", codim=1,
+         lie=True)
 def _table_M3(m: int, mode: str):
     prod = _n2m_rows(m, mode, lie_complete=False)
     _add(prod, _e(1), "x", _e(1), 1)
@@ -367,7 +393,8 @@ def _table_M3(m: int, mode: str):
 
 
 @_family("M4", "m", "solvable", 3, 1, "(3|m)",
-         ("b2, b4, .., b(m-1) (rational)",), nilradical="N2M", codim=1)
+         ("b2, b4, .., b(m-1) (rational)",), nilradical="N2M", codim=1,
+         lie=True, samples=lambda m: [{}, {"b2": 1}])
 def _table_M4(m: int, mode: str):
     params = [f"b{2 * k}" for k in range(1, (m - 1) // 2 + 1)]
     prod = _n2m_rows(m, mode, lie_complete=False)
@@ -383,7 +410,8 @@ def _table_M4(m: int, mode: str):
     return params, prod, 3, m
 
 
-@_family("M5", "m", "solvable", 3, 1, "(4|m)", nilradical="N2M", codim=2)
+@_family("M5", "m", "solvable", 3, 1, "(4|m)", nilradical="N2M", codim=2,
+         lie=True)
 def _table_M5(m: int, mode: str):
     prod = _n2m_rows(m, mode, lie_complete=False)
     _add(prod, _e(1), "x1", _e(1), 1)
@@ -459,7 +487,8 @@ def _table_MH2(n: int, mode: str):
 
 
 @_family("H1", "n", "solvable", 3, None, "(n+1|n)", ("b (rational, b != 0)",),
-         nilradical="H", codim=1)
+         nilradical="H", codim=1, value_domain=_B_NONZERO,
+         samples=lambda n: [{"b": 1}, {"b": 2}])
 def _table_H1(n: int, mode: str):
     params = ["b"]
     b = _var("b", params)
@@ -471,7 +500,7 @@ def _table_H1(n: int, mode: str):
 
 
 @_family("H2", "n", "solvable", 3, None, "(n+1|n)", ("b (rational)",),
-         nilradical="H", codim=1)
+         nilradical="H", codim=1, samples=lambda n: [{"b": 0}, {"b": 1}])
 def _table_H2(n: int, mode: str):
     params = ["b"]
     prod = _h_zero_rows(n)
@@ -502,7 +531,7 @@ def _nil_rows_H4(prod: Products, n: int, params: list[str], odd_top: int) -> Non
 
 
 @_family("H4", "n", "solvable", 3, None, "(n+1|n)", ("a2..an (rational)",),
-         nilradical="H", codim=1)
+         nilradical="H", codim=1, samples=lambda n: [{}, {"a2": 1}])
 def _table_H4(n: int, mode: str):
     params = [f"a{k}" for k in range(2, n + 1)]
     prod = _h_zero_rows(n)
@@ -513,7 +542,10 @@ def _table_H4(n: int, mode: str):
 @_family("H5", "n", "solvable", 3, None, "(n+1|n)",
          ("a2..an (rational)", "gamma (in {0, 1})"), nilradical="H", codim=1,
          notes=("the gamma term of [x,x] is inconsistent with the identity "
-                "and is dropped in corrected mode (see errata)",))
+                "and is dropped in corrected mode (see errata)",),
+         value_domain=(("gamma",), lambda gamma: gamma in (0, 1),
+                       "gamma must lie in {0, 1}"),
+         samples=lambda n: [{"gamma": 0}, {"gamma": 1}, {"a2": 1, "gamma": 0}])
 def _table_H5(n: int, mode: str):
     params = [f"a{k}" for k in range(2, n + 1)] + ["gamma"]
     prod = _h_zero_rows(n)
@@ -527,7 +559,9 @@ def _table_H5(n: int, mode: str):
 
 
 @_family("SH1", "n", "solvable", 4, None, "(n+1|n)", structural=("t",),
-         nilradical="H", codim=1)
+         nilradical="H", codim=1,
+         nilradical_params=lambda n, params: {f"beta{params['t']}": 1},
+         samples=lambda n: [{"t": t} for t in range(4, n + 1)])
 def _table_SH1(n: int, mode: str, *, t: int):
     prod = _h_zero_rows(n)
     _add(prod, _e(1), _e(2), _e(t), 1)
@@ -545,7 +579,8 @@ def _table_SH1(n: int, mode: str, *, t: int):
     return [], prod, n + 1, n
 
 
-@_family("SH2", "n", "solvable", 3, None, "(n+1|n)", nilradical="H", codim=1)
+@_family("SH2", "n", "solvable", 3, None, "(n+1|n)", nilradical="H", codim=1,
+         nilradical_params=lambda n, params: {"delta": 1})
 def _table_SH2(n: int, mode: str):
     prod = _h_zero_rows(n)
     _add(prod, _y(1), _e(2), _y(n), 1)
@@ -557,7 +592,10 @@ def _table_SH2(n: int, mode: str):
 
 
 @_family("SH3", "n", "solvable", 5, 1, "(n+1|n)", ("gamma (rational, != 0)",),
-         nilradical="H", codim=1)
+         nilradical="H", codim=1, value_domain=_GAMMA_NONZERO,
+         samples=lambda n: [{"gamma": 1}],
+         nilradical_params=lambda n, params: {f"beta{(n + 3) // 2}": 1,
+                                              "gamma": params.get("gamma", 1)})
 def _table_SH3(n: int, mode: str):
     params = ["gamma"]
     gamma = _var("gamma", params)
@@ -583,7 +621,8 @@ def _table_SH3(n: int, mode: str):
     return params, prod, n + 1, n
 
 
-@_family("SH4", "n", "solvable", 3, None, "(n+1|n)", nilradical="H", codim=1)
+@_family("SH4", "n", "solvable", 3, None, "(n+1|n)", nilradical="H", codim=1,
+         nilradical_params=lambda n, params: {"gamma": 1})
 def _table_SH4(n: int, mode: str):
     prod = _h_zero_rows(n)
     if mode == VERBATIM:
@@ -625,7 +664,8 @@ def _table_MG2(n: int, mode: str):
 
 
 @_family("G1", "n", "solvable", 3, None, "(n+1|n-1)", ("b (rational, b != 0)",),
-         nilradical="G", codim=1)
+         nilradical="G", codim=1, value_domain=_B_NONZERO,
+         samples=lambda n: [{"b": 1}])
 def _table_G1(n: int, mode: str):
     params = ["b"]
     b = _var("b", params)
@@ -637,7 +677,7 @@ def _table_G1(n: int, mode: str):
 
 
 @_family("G2", "n", "solvable", 3, None, "(n+1|n-1)", ("b (rational)",),
-         nilradical="G", codim=1)
+         nilradical="G", codim=1, samples=lambda n: [{"b": 0}, {"b": 1}])
 def _table_G2(n: int, mode: str):
     params = ["b"]
     prod = _g_zero_rows(n)
@@ -656,7 +696,12 @@ def _table_G3(n: int, mode: str):
 
 
 @_family("G4", "n", "solvable", 3, None, "(n+1|n-1)",
-         ("(gamma, b) in {(0,1), (1,0), (1,1)}",), nilradical="G", codim=1)
+         ("(gamma, b) in {(0,1), (1,0), (1,1)}",), nilradical="G", codim=1,
+         value_domain=(("gamma", "b"),
+                       lambda gamma, b: (gamma, b) in ((0, 1), (1, 0), (1, 1)),
+                       "(gamma, b) must be one of (0,1), (1,0), (1,1)"),
+         samples=lambda n: [{"gamma": 0, "b": 1}, {"gamma": 1, "b": 0},
+                            {"gamma": 1, "b": 1}])
 def _table_G4(n: int, mode: str):
     params = ["b", "gamma"]
     prod = _g_zero_rows(n)
@@ -686,7 +731,8 @@ def _nil_rows_G5(prod: Products, n: int, params: list[str], mode: str) -> None:
 @_family("G5", "n", "solvable", 3, None, "(n+1|n-1)",
          ("a2..a(n-1) (rational)", "gamma (rational)"), nilradical="G", codim=1,
          notes=("gamma multiplies [x,x] but is absent from the family's "
-                "displayed name; it is exposed as an explicit parameter",))
+                "displayed name; it is exposed as an explicit parameter",),
+         samples=lambda n: [{}, {"a2": 1}, {"gamma": 1}])
 def _table_G5(n: int, mode: str):
     params = [f"a{k}" for k in range(2, n)] + ["gamma"]
     prod = _g_zero_rows(n)
@@ -696,7 +742,8 @@ def _table_G5(n: int, mode: str):
 
 @_family("G6", "n", "solvable", 3, None, "(n+1|n-1)",
          ("a2..a(n-1) (rational)", "gamma (rational)"), nilradical="G", codim=1,
-         notes=("gamma exposed as an explicit parameter (as for G5)",))
+         notes=("gamma exposed as an explicit parameter (as for G5)",),
+         samples=lambda n: [{}, {"a2": 1}, {"gamma": 1}])
 def _table_G6(n: int, mode: str):
     params = [f"a{k}" for k in range(2, n)] + ["gamma"]
     prod = _g_zero_rows(n)
@@ -706,7 +753,9 @@ def _table_G6(n: int, mode: str):
 
 
 @_family("SG1", "n", "solvable", 4, None, "(n+1|n-1)", structural=("t",),
-         nilradical="G", codim=1)
+         nilradical="G", codim=1,
+         nilradical_params=lambda n, params: {f"beta{params['t']}": 1},
+         samples=lambda n: [{"t": t} for t in range(4, n + 1)])
 def _table_SG1(n: int, mode: str, *, t: int):
     prod = _g_zero_rows(n)
     _add(prod, _e(1), _e(2), _e(t), 1)
@@ -728,7 +777,10 @@ def _table_SG1(n: int, mode: str, *, t: int):
 
 
 @_family("SG2", "n", "solvable", 5, 1, "(n+1|n-1)", ("gamma (rational, != 0)",),
-         nilradical="G", codim=1)
+         nilradical="G", codim=1, value_domain=_GAMMA_NONZERO,
+         samples=lambda n: [{"gamma": 1}],
+         nilradical_params=lambda n, params: {f"beta{(n + 3) // 2}": 1,
+                                              "gamma": params.get("gamma", 1)})
 def _table_SG2(n: int, mode: str):
     params = ["gamma"]
     h = (n + 3) // 2
@@ -749,7 +801,8 @@ def _table_SG2(n: int, mode: str):
     return params, prod, n + 1, n - 1
 
 
-@_family("SG3", "n", "solvable", 3, None, "(n+1|n-1)", nilradical="G", codim=1)
+@_family("SG3", "n", "solvable", 3, None, "(n+1|n-1)", nilradical="G", codim=1,
+         nilradical_params=lambda n, params: {"gamma": 1})
 def _table_SG3(n: int, mode: str):
     prod = _g_zero_rows(n)
     _add(prod, _e(2), _e(2), _e(n), 1)
@@ -794,19 +847,18 @@ def _validate_domain(info: FamilyInfo, size: int, params: Mapping[str, object]) 
                              f"(got t={t}, {s}={size})")
 
 
-def _validate_values(fid: str, values: Mapping[str, Fraction]) -> None:
-    if fid in ("H1", "G1") and values.get("b") == 0:
-        raise InputError(f"{fid}: b must be nonzero")
-    if fid in ("SH3", "SG2") and values.get("gamma") == 0:
-        raise InputError(f"{fid}: gamma must be nonzero")
-    if fid == "H5" and "gamma" in values and values["gamma"] not in (0, 1):
-        raise InputError("H5: gamma must lie in {0, 1}")
-    if fid == "G4" and values:
-        if "gamma" not in values or "b" not in values:
-            raise InputError("G4: gamma and b must be instantiated together")
-        pair = (values["gamma"], values["b"])
-        if pair not in ((0, 1), (1, 0), (1, 1)):
-            raise InputError("G4: (gamma, b) must be one of (0,1), (1,0), (1,1)")
+def _validate_values(info: FamilyInfo, values: Mapping[str, Fraction]) -> None:
+    if info.value_domain is None:
+        return
+    names, admits, rule = info.value_domain
+    given = [values[name] for name in names if name in values]
+    if not given:
+        return
+    if len(given) < len(names):
+        raise InputError(f"{info.family_id}: {' and '.join(names)} must be "
+                         f"instantiated together")
+    if not admits(*given):
+        raise InputError(f"{info.family_id}: {rule}")
 
 
 def build(family_id: str, size: int, params: Mapping[str, object] | None = None,
@@ -831,8 +883,8 @@ def build(family_id: str, size: int, params: Mapping[str, object] | None = None,
         if key not in declared:
             raise InputError(f"{family_id}: unknown parameter {key!r} "
                              f"(expected one of: {', '.join(declared) or 'none'})")
-        values[key] = Fraction(raw) if not isinstance(raw, str) else Fraction(raw)
-    _validate_values(family_id, values)
+        values[key] = Fraction(raw)
+    _validate_values(info, values)
 
     even = [_e(i) for i in range(1, n_even + 1)]
     if info.kind == "solvable":
@@ -906,20 +958,9 @@ def nilradical_spec(fid: str, size: int, params: Mapping[str, object] | None = N
     info = family_info(fid)
     if info.kind != "solvable":
         raise InputError(f"{fid} is not a solvable-extension family")
-    params = dict(params or {})
-    if info.nilradical == "N2M":
-        return FamilySpec("N2M", size, {})
-    zeros: dict[str, object] = {p: 0 for p in parameter_names(info.nilradical, size)}
-    if fid in ("SH1", "SG1"):
-        zeros[f"beta{params['t']}"] = 1
-    elif fid == "SH2":
-        zeros["delta"] = 1
-    elif fid in ("SH3", "SG2"):
-        zeros[f"beta{(size + 3) // 2}"] = 1
-        zeros["gamma"] = params.get("gamma", 1)
-    elif fid in ("SH4", "SG3"):
-        zeros["gamma"] = 1
-    return FamilySpec(info.nilradical, size, zeros)
+    values: dict[str, object] = {p: 0 for p in parameter_names(info.nilradical, size)}
+    values.update(info.nilradical_params(size, params or {}))
+    return FamilySpec(info.nilradical, size, values)
 
 
 # ---------------------------------------------------------------------------

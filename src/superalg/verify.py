@@ -31,8 +31,8 @@ from .core import (EVEN, GradedSubspace, GradedVector, SuperAlgebra,
                    char_sequence, check_leibniz, check_lie, fingerprint,
                    is_nilpotent, is_solvable, nilindex, right_mul_matrix,
                    subspace_product)
-from .derivations import (derivation_space, extendability, is_derivation,
-                          same_span)
+from .derivations import (CLASSIFIER_FAMILIES, derivation_space, extendability,
+                          is_derivation, same_span)
 from .errors import InputError, SuperalgError, UnsupportedShapeError
 from .exactmath import RatMatrix, nilpotent_jordan_type
 
@@ -139,6 +139,22 @@ def _zeros(fid: str, size: int) -> dict[str, int]:
     return {p: 0 for p in families.parameter_names(fid, size)}
 
 
+def _residuals(found: list) -> str:
+    return f"{len(found)} residuals; first: {found[0]}" if found else ""
+
+
+def _check_identities(report: ClaimReport, info: families.FamilyInfo,
+                      symbolic: SuperAlgebra) -> None:
+    """The Leibniz identity in all parameters, and the Lie identities if claimed."""
+    residuals = check_leibniz(symbolic)
+    report.ensure("leibniz-symbolic", not residuals,
+                  "identity holds in all parameters", _residuals(residuals))
+    if info.lie:
+        lie = check_lie(symbolic)
+        report.ensure("lie-identity", not lie, "graded antisymmetry and Jacobi hold",
+                      _residuals(lie))
+
+
 def _fmt_params(params: Mapping[str, object]) -> str:
     shown = {k: v for k, v in params.items() if v not in (0, Fraction(0))}
     if not shown:
@@ -162,15 +178,7 @@ def verify_nilpotent_family(fid: str, size: int,
     report = ClaimReport(f"NILP-{fid}",
                          f"{fid}({info.size_name}={size}; {_fmt_params(params)})")
 
-    symbolic = families.build(fid, size)
-    residuals = check_leibniz(symbolic)
-    report.ensure("leibniz-symbolic", not residuals,
-                  "identity holds in all parameters",
-                  f"{len(residuals)} residuals; first: {residuals[0]}" if residuals else "")
-    if fid == "N2M":
-        lie = check_lie(symbolic)
-        report.ensure("lie-identity", not lie, "graded antisymmetry and Jacobi hold",
-                      f"{len(lie)} residuals; first: {lie[0]}" if lie else "")
+    _check_identities(report, info, families.build(fid, size))
 
     algebra = families.build(fid, size, params)
     ni = nilindex(algebra)
@@ -178,10 +186,7 @@ def verify_nilpotent_family(fid: str, size: int,
                   f"nilindex {ni} equals dim {algebra.dim}",
                   f"nilindex {ni}, expected {algebra.dim}")
 
-    if fid == "N2M":
-        expected = ((1, 1), (size,))
-    else:
-        expected = ((algebra.n_even - 1, 1), (algebra.n_odd,))
+    expected = ((algebra.n_even - 1, 1), (algebra.n_odd,))
     cs = char_sequence(algebra, seed=seed)
     report.ensure("charseq", cs == expected,
                   f"characteristic sequence {cs} (sampled max)",
@@ -225,19 +230,10 @@ def verify_solvable_family(fid: str, size: int,
                          f"{fid}({info.size_name}={size}; {_fmt_params(params)})")
 
     structural = {k: v for k, v in params.items() if k in info.structural}
-    symbolic = families.build(fid, size, structural or None)
-    residuals = check_leibniz(symbolic)
-    report.ensure("leibniz-symbolic", not residuals,
-                  "identity holds in all parameters",
-                  f"{len(residuals)} residuals; first: {residuals[0]}" if residuals else "")
-    if fid in ("M2", "M3", "M4", "M5"):
-        lie = check_lie(symbolic)
-        report.ensure("lie-identity", not lie, "graded antisymmetry and Jacobi hold",
-                      f"{len(lie)} residuals; first: {lie[0]}" if lie else "")
+    _check_identities(report, info, families.build(fid, size, structural or None))
 
     full_params = _zeros(fid, size)
-    full_params.update({k: v for k, v in params.items() if k not in info.structural})
-    full_params.update(structural)
+    full_params.update(params)
     algebra = families.build(fid, size, full_params)
 
     solvable, nilpotent = is_solvable(algebra), is_nilpotent(algebra)
@@ -318,7 +314,7 @@ def proposition_directions(fid: str, n: int) -> tuple[list[str], dict[str, RatMa
     of d(e2) is forced to a_{n-1} by the identity pair (e2, y1); the shipped
     template carries that tie.
     """
-    if fid not in ("L", "M", "H", "G"):
+    if fid not in CLASSIFIER_FAMILIES:
         raise InputError(f"no derivation proposition for family {fid!r}")
     n_even = n
     n_odd = n - 1 if fid in ("L", "G") else n
@@ -421,7 +417,7 @@ def verify_derivation_proposition(pid: str, n: int,
     """Solver-computed even derivation space == proposition template space."""
     start = time.perf_counter()
     fid = pid.split("-", 1)[1] if pid.startswith("P-") else pid
-    if fid not in ("L", "M", "H", "G"):
+    if fid not in CLASSIFIER_FAMILIES:
         raise InputError(f"unknown proposition id {pid!r}")
     if samples is None:
         samples = default_proposition_samples(fid, n)
@@ -476,7 +472,7 @@ def verify_corollary(cid: str, n: int) -> ClaimReport:
     """Extendability verdicts over the pattern grid match the prediction table."""
     start = time.perf_counter()
     fid = cid.split("-", 1)[1] if cid.startswith("C-") or cid.startswith("COR-") else cid
-    if fid not in ("L", "M", "H", "G"):
+    if fid not in CLASSIFIER_FAMILIES:
         raise InputError(f"unknown corollary id {cid!r}")
     report = ClaimReport(f"COR-{fid}", f"{fid}(n={n}) pattern sweep")
     mismatches = []
@@ -511,11 +507,8 @@ def pairwise_distinguish(members: Sequence[tuple[str, int, Mapping[str, object]]
     start = time.perf_counter()
     built = []
     for fid, size, params in members:
-        info = families.family_info(fid)
         full = _zeros(fid, size)
         full.update(params)
-        if "t" in info.structural and "t" not in full:
-            raise InputError(f"{fid}: structural parameter t is required")
         algebra = families.build(fid, size, full)
         built.append((algebra.name, fingerprint(algebra, seed=seed)))
     report = ClaimReport(claim_id, ", ".join(name for name, _ in built))
@@ -548,8 +541,7 @@ def audit_errata(fid: str, size: int,
     corrected = families.build(fid, size, params, families.CORRECTED)
     res_corr = check_leibniz(corrected)
     report.ensure("corrected-passes", not res_corr,
-                  "corrected table satisfies the identity",
-                  f"{len(res_corr)} residuals; first: {res_corr[0]}" if res_corr else "")
+                  "corrected table satisfies the identity", _residuals(res_corr))
     verbatim = families.build(fid, size, params, families.VERBATIM)
     res_verb = check_leibniz(verbatim)
     entries = families.errata_for(fid, size, params)
@@ -581,47 +573,6 @@ def audit_errata(fid: str, size: int,
 # Claim registry and runner
 # ---------------------------------------------------------------------------
 
-_NILPOTENT_SAMPLES: dict[str, list[dict[str, int]]] = {
-    "N2M": [{}],
-    "L": [{}, {"theta": 1}],
-    "G": [{}, {"gamma": 1}],
-    "M": [{}, {"tau": 1}],
-    "H": [{}, {"delta": 1}],
-}
-
-_SOLVABLE_SAMPLES: dict[str, Callable[[int], list[dict]]] = {
-    "M1": lambda s: [{}],
-    "M2": lambda s: [{"alpha": 0}, {"alpha": 1}],
-    "M3": lambda s: [{}],
-    "M4": lambda s: [{}, {"b2": 1}],
-    "M5": lambda s: [{}],
-    "SL": lambda s: [{}],
-    "SM": lambda s: [{}],
-    "MH1": lambda s: [{}],
-    "MH2": lambda s: [{}],
-    "H1": lambda s: [{"b": 1}, {"b": 2}],
-    "H2": lambda s: [{"b": 0}, {"b": 1}],
-    "H3": lambda s: [{}],
-    "H4": lambda s: [{}, {"a2": 1}],
-    "H5": lambda s: [{"gamma": 0}, {"gamma": 1}, {"a2": 1, "gamma": 0}],
-    "SH1": lambda s: [{"t": t} for t in range(4, s + 1)],
-    "SH2": lambda s: [{}],
-    "SH3": lambda s: [{"gamma": 1}],
-    "SH4": lambda s: [{}],
-    "MG1": lambda s: [{}],
-    "MG2": lambda s: [{}],
-    "G1": lambda s: [{"b": 1}],
-    "G2": lambda s: [{"b": 0}, {"b": 1}],
-    "G3": lambda s: [{}],
-    "G4": lambda s: [{"gamma": 0, "b": 1}, {"gamma": 1, "b": 0},
-                     {"gamma": 1, "b": 1}],
-    "G5": lambda s: [{}, {"a2": 1}, {"gamma": 1}],
-    "G6": lambda s: [{}, {"a2": 1}, {"gamma": 1}],
-    "SG1": lambda s: [{"t": t} for t in range(4, s + 1)],
-    "SG2": lambda s: [{"gamma": 1}],
-    "SG3": lambda s: [{}],
-}
-
 _DIST_GROUPS: dict[str, Callable[[int], list[tuple[str, int, dict]]]] = {
     "DIST-M": lambda s: [("M1", s, {}), ("M2", s, {"alpha": 1}), ("M3", s, {}),
                          ("M4", s, {"b2": 1})],
@@ -642,11 +593,11 @@ _DIST_GROUPS: dict[str, Callable[[int], list[tuple[str, int, dict]]]] = {
 
 
 def claim_ids() -> list[str]:
-    ids = [f"NILP-{f}" for f in ("N2M", "L", "G", "M", "H")]
-    ids += [f"P-{f}" for f in ("L", "M", "H", "G")]
-    ids += [f"COR-{f}" for f in ("L", "M", "H", "G")]
-    ids += [f"SOLV-{f}" for f in families.FAMILY_IDS
-            if families.family_info(f).kind == "solvable"]
+    kinds = {f: families.family_info(f).kind for f in families.FAMILY_IDS}
+    ids = [f"NILP-{f}" for f, kind in kinds.items() if kind == "nilpotent"]
+    ids += [f"P-{f}" for f in CLASSIFIER_FAMILIES]
+    ids += [f"COR-{f}" for f in CLASSIFIER_FAMILIES]
+    ids += [f"SOLV-{f}" for f, kind in kinds.items() if kind == "solvable"]
     ids += list(_DIST_GROUPS)
     ids += [f"AUDIT-{f}" for f in families.FAMILY_IDS]
     return ids
@@ -678,8 +629,8 @@ def run_claims(selected: Sequence[str] | None = None,
             if kind == "NILP":
                 lo, hi = rng(3, 7)
                 for size in families.sizes(fid, lo, hi):
-                    for sample in _NILPOTENT_SAMPLES[fid]:
-                        params = _zeros(fid, size) if fid != "N2M" else {}
+                    for sample in families.family_info(fid).samples(size):
+                        params = _zeros(fid, size)
                         params.update(sample)
                         reports.append(
                             verify_nilpotent_family(fid, size, params, seed))
@@ -694,14 +645,13 @@ def run_claims(selected: Sequence[str] | None = None,
             elif kind == "SOLV":
                 lo, hi = rng(3, 6)
                 for size in families.sizes(fid, lo, hi):
-                    for sample in _SOLVABLE_SAMPLES[fid](size):
+                    for sample in families.family_info(fid).samples(size):
                         reports.append(verify_solvable_family(fid, size, sample))
             elif kind == "DIST":
                 lo, hi = rng(5, 5)
                 size = max(lo, 5) if hi >= 5 else lo
                 members = [(f, s, p) for f, s, p in _DIST_GROUPS[cid](size)
-                           if s in families.sizes(f, s, s)
-                           and (p.get("t") is None or p["t"] <= s)]
+                           if s in families.sizes(f, s, s)]
                 if len(members) >= 2:
                     reports.append(pairwise_distinguish(members, cid, seed))
             elif kind == "AUDIT":

@@ -101,6 +101,12 @@ class TestAnalysisCommands:
         code, _, err = run(["charseq", str(out)], capsys)
         assert code == 2 and "nilpotent" in err
 
+    @pytest.mark.parametrize("flag", ["--samples", "--bound"])
+    def test_charseq_negative_flag_names_the_limit(self, n23, capsys, flag):
+        code, stdout, err = run(["charseq", n23, flag, "-1"], capsys)
+        assert code == 2 and stdout == ""
+        assert f"{flag[2:]} must be >= 0 (got -1)" in err
+
     def test_derivations(self, n23, capsys):
         code, stdout, _ = run(["derivations", n23], capsys)
         assert code == 0

@@ -46,6 +46,26 @@ class TestCatalog:
         assert by_id["SL"]["codimension"] == 1
 
 
+# Each restricted family: (size, [(values, exact InputError message)],
+# [values that must build]).
+_PAIR_RULE = "G4: (gamma, b) must be one of (0,1), (1,0), (1,1)"
+_PAIR_TOGETHER = "G4: gamma and b must be instantiated together"
+VALUE_DOMAINS = {
+    "H1": (4, [({"b": 0}, "H1: b must be nonzero")], [{"b": 1}, {"b": -2}]),
+    "G1": (4, [({"b": 0}, "G1: b must be nonzero")], [{"b": 1}, {"b": -2}]),
+    "SH3": (5, [({"gamma": 0}, "SH3: gamma must be nonzero")],
+            [{"gamma": 1}, {"gamma": Fraction(-1, 2)}]),
+    "SG2": (5, [({"gamma": 0}, "SG2: gamma must be nonzero")],
+            [{"gamma": 1}, {"gamma": Fraction(-1, 2)}]),
+    "H5": (4, [({"gamma": v}, "H5: gamma must lie in {0, 1}")
+               for v in (2, -1, Fraction(1, 2))],
+           [{"gamma": 0}, {"gamma": 1}, {"a2": 1}, {"a2": 1, "gamma": 1}]),
+    "G4": (4, [({"gamma": 0, "b": 0}, _PAIR_RULE), ({"gamma": 2, "b": 1}, _PAIR_RULE),
+               ({"gamma": 1}, _PAIR_TOGETHER), ({"b": 1}, _PAIR_TOGETHER)],
+           [{"gamma": 0, "b": 1}, {"gamma": 1, "b": 0}, {"gamma": 1, "b": 1}, {}]),
+}
+
+
 class TestDomains:
     def test_even_m_rejected(self):
         with pytest.raises(InputError, match="odd"):
@@ -77,6 +97,20 @@ class TestDomains:
         with pytest.raises(InputError):
             build("G4", 4, {"gamma": 0, "b": 0})
         build("G4", 4, {"gamma": 1, "b": 1})
+
+    @pytest.mark.parametrize("fid", sorted(VALUE_DOMAINS))
+    def test_value_domain_rejects_with_its_message(self, fid):
+        size, forbidden, allowed = VALUE_DOMAINS[fid]
+        for values, message in forbidden:
+            with pytest.raises(InputError) as exc:
+                build(fid, size, values)
+            assert str(exc.value) == message, values
+        for values in allowed:
+            build(fid, size, values)
+
+    def test_every_value_domain_is_covered(self):
+        assert set(VALUE_DOMAINS) == \
+            {fid for fid in FAMILY_IDS if family_info(fid).value_domain}
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(InputError, match="unknown parameter"):
@@ -157,6 +191,12 @@ class TestIdentities:
         for size in (3, 5):
             algebra = build(fid, size)
             assert check_lie(algebra) == []
+
+    @pytest.mark.parametrize("fid", FAMILY_IDS)
+    def test_lie_flag_marks_exactly_the_lie_tables(self, fid):
+        for size in sizes(fid, 3, 6):
+            lie = check_lie(build(fid, size, _structural(fid)))
+            assert (lie == []) == family_info(fid).lie, f"{fid} at size {size}"
 
     def test_the_non_lie_member_fails_only_on_its_square(self):
         # The first solvable extension is deliberately non-Lie: the square of
