@@ -25,9 +25,10 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (DegenerateSamplingError, InputError,
                      InternalInconsistencyError, NotNilpotentError)
-from .exactmath import (Polynomial, RatMatrix, format_rational, invert,
-                        nilpotent_jordan_type, parse_coefficient,
-                        row_space_basis, sparse_kernel)
+from .exactmath import (Polynomial, RatMatrix, SparseRow, _back_substitute,
+                        _in_row_space, _reduce_into, _subtract, format_rational,
+                        invert, nilpotent_jordan_type, parse_coefficient,
+                        sparse_kernel)
 
 EVEN = 0
 ODD = 1
@@ -420,57 +421,76 @@ def check_lie(algebra: SuperAlgebra) -> list[Residual]:
 # Graded subspaces, series, annihilator
 # ---------------------------------------------------------------------------
 
+Echelon = tuple[tuple[int, tuple[tuple[int, Fraction], ...]], ...]
+
+
 @dataclass(frozen=True)
 class GradedSubspace:
-    """A graded subspace: rref-canonical row bases of the even and odd parts.
+    """A graded subspace: the canonical reduced echelon basis of each part.
 
-    Rows of `even` have length n_even (coordinates within the even block);
-    rows of `odd` have length n_odd.  The rref canonical form makes equality
-    of subspaces literal equality of the dataclass.
+    `parts[p]` holds the rows of parity p as sorted ``(pivot, ((col, coeff),
+    ...))`` pairs, sparse over the whole basis (odd columns start at n_even),
+    each monic at its pivot and zero in every other row's pivot column.  The
+    form is canonical, so equality of subspaces is literal equality.  Every
+    constructor reduces its vectors into the parts with the `exactmath`
+    engine; `even` and `odd` are dense read-only views in part coordinates.
     """
 
-    even: RatMatrix
-    odd: RatMatrix
+    n_even: int
+    n_odd: int
+    parts: tuple[Echelon, Echelon]
+
+    @classmethod
+    def _from_echelons(cls, algebra: SuperAlgebra,
+                       echelons: Sequence[dict[int, SparseRow]]) -> GradedSubspace:
+        parts = []
+        for echelon in echelons:
+            pivots, rows = _back_substitute(echelon)
+            parts.append(tuple((c, tuple(sorted(row.items())))
+                               for c, row in zip(pivots, rows)))
+        return cls(algebra.n_even, algebra.n_odd, (parts[EVEN], parts[ODD]))
 
     @classmethod
     def from_parity_vectors(cls, algebra: SuperAlgebra,
                             even_vectors: Iterable[Sequence[Fraction]],
                             odd_vectors: Iterable[Sequence[Fraction]]) -> GradedSubspace:
-        ev = list(even_vectors)
-        od = list(odd_vectors)
-        even = row_space_basis(RatMatrix.from_rows(ev)) if ev \
-            else RatMatrix.zeros(0, algebra.n_even)
-        odd = row_space_basis(RatMatrix.from_rows(od)) if od \
-            else RatMatrix.zeros(0, algebra.n_odd)
-        return cls(even, odd)
+        echelons: tuple[dict, dict] = ({}, {})
+        for parity, offset, vectors in ((EVEN, 0, even_vectors),
+                                        (ODD, algebra.n_even, odd_vectors)):
+            for vec in vectors:
+                _reduce_into(echelons[parity],
+                             {offset + j: Fraction(x) for j, x in enumerate(vec) if x})
+        return cls._from_echelons(algebra, echelons)
 
     @classmethod
     def full(cls, algebra: SuperAlgebra) -> GradedSubspace:
-        return cls(RatMatrix.identity(algebra.n_even), RatMatrix.identity(algebra.n_odd))
-
-    @classmethod
-    def zero_subspace(cls, algebra: SuperAlgebra) -> GradedSubspace:
-        return cls(RatMatrix.zeros(0, algebra.n_even), RatMatrix.zeros(0, algebra.n_odd))
+        n0, one = algebra.n_even, Fraction(1)
+        return cls._from_echelons(algebra, ({i: {i: one} for i in range(n0)},
+                                            {i: {i: one} for i in range(n0, algebra.dim)}))
 
     def dims(self) -> tuple[int, int]:
-        return (self.even.rows, self.odd.rows)
+        return (len(self.parts[EVEN]), len(self.parts[ODD]))
 
     def is_zero(self) -> bool:
-        return self.even.rows == 0 and self.odd.rows == 0
+        return not self.parts[EVEN] and not self.parts[ODD]
 
-    def part(self, parity: int) -> RatMatrix:
-        return self.even if parity == EVEN else self.odd
+    def _dense(self, parity: int) -> RatMatrix:
+        offset, width = (0, self.n_even) if parity == EVEN else (self.n_even, self.n_odd)
+        rows = []
+        for _, row in self.parts[parity]:
+            dense = [Fraction(0)] * width
+            for c, x in row:
+                dense[c - offset] = x
+            rows.append(tuple(dense))
+        return RatMatrix(len(rows), width, tuple(rows))
+
+    even = property(lambda self: self._dense(EVEN))
+    odd = property(lambda self: self._dense(ODD))
 
     def contains_part_vector(self, parity: int, coords: Sequence[Fraction]) -> bool:
-        part = self.part(parity)
-        vec = list(coords)
-        for r in range(part.rows):
-            pivot = next((c for c in range(part.cols) if part.entries[r][c]), None)
-            if pivot is None or not vec[pivot]:
-                continue
-            f = vec[pivot] / part.entries[r][pivot]
-            vec = [a - f * b for a, b in zip(vec, part.entries[r])]
-        return not any(vec)
+        offset = 0 if parity == EVEN else self.n_even
+        return _in_row_space(self.parts[parity],
+                             {offset + j: x for j, x in enumerate(coords) if x})
 
     def contains_vector(self, algebra: SuperAlgebra, v: GradedVector) -> bool:
         n0 = algebra.n_even
@@ -478,46 +498,37 @@ class GradedSubspace:
                 and self.contains_part_vector(ODD, v.coords[n0:]))
 
     def contains_subspace(self, other: GradedSubspace) -> bool:
-        return (all(self.contains_part_vector(EVEN, row) for row in other.even.entries)
-                and all(self.contains_part_vector(ODD, row) for row in other.odd.entries))
-
-    def homogeneous_rows(self) -> list[tuple[int, tuple[Fraction, ...]]]:
-        rows = [(EVEN, row) for row in self.even.entries]
-        rows += [(ODD, row) for row in self.odd.entries]
-        return rows
+        return all(_in_row_space(self.parts[p], dict(row))
+                   for p in (EVEN, ODD) for _, row in other.parts[p])
 
 
 def subspace_product(algebra: SuperAlgebra, u: GradedSubspace,
                      v: GradedSubspace) -> GradedSubspace:
-    """Span of [a, b] over basis vectors a of u and b of v, in canonical form."""
+    """Span of [a, b] over basis vectors a of u and b of v, in canonical form.
+
+    Each product is reduced into its parity's echelon as soon as it is
+    formed; products whose target part already has full rank are skipped.
+    """
     table = algebra.constant_structure()
-    n0 = algebra.n_even
-    even_out: list[list[Fraction]] = []
-    odd_out: list[list[Fraction]] = []
-    for pu, row_u in u.homogeneous_rows():
-        offset_u = 0 if pu == EVEN else n0
-        for pv, row_v in v.homogeneous_rows():
-            offset_v = 0 if pv == EVEN else n0
-            target = (pu + pv) % 2
-            size = n0 if target == EVEN else algebra.n_odd
-            shift = 0 if target == EVEN else n0
-            out = [Fraction(0)] * size
-            nonzero = False
-            for i, a in enumerate(row_u):
-                if not a:
-                    continue
-                for j, b in enumerate(row_v):
-                    if not b:
-                        continue
-                    terms = table.get((offset_u + i, offset_v + j))
-                    if terms:
-                        f = a * b
-                        for k, c in terms:
-                            out[k - shift] += f * c
-                            nonzero = True
-            if nonzero and any(out):
-                (even_out if target == EVEN else odd_out).append(out)
-    return GradedSubspace.from_parity_vectors(algebra, even_out, odd_out)
+    sizes = (algebra.n_even, algebra.n_odd)
+    echelons: tuple[dict, dict] = ({}, {})
+    for pu in (EVEN, ODD):
+        for pv in (EVEN, ODD):
+            target = pu ^ pv
+            echelon = echelons[target]
+            for _, row_u in u.parts[pu]:
+                for _, row_v in v.parts[pv]:
+                    if len(echelon) == sizes[target]:
+                        break
+                    out: SparseRow = {}
+                    for i, a in row_u:
+                        for j, b in row_v:
+                            terms = table.get((i, j))
+                            if terms:
+                                _subtract(out, -a * b, terms)  # out += a*b*[b_i, b_j]
+                    if out:
+                        _reduce_into(echelon, out)
+    return GradedSubspace._from_echelons(algebra, echelons)
 
 
 def lower_central_series(algebra: SuperAlgebra) -> list[GradedSubspace]:
@@ -573,17 +584,13 @@ def right_annihilator(algebra: SuperAlgebra) -> GradedSubspace:
     table = algebra.constant_structure()
     n0, n1 = algebra.n_even, algebra.n_odd
     parts: list[list[tuple[Fraction, ...]]] = []
-    for parity, size, offset in ((EVEN, n0, 0), (ODD, n1, n0)):
-        if size == 0:
-            parts.append([])
-            continue
+    for size, offset in ((n0, 0), (n1, n0)):
         rows: dict[tuple[int, int], dict[int, Fraction]] = {}
         for i in range(algebra.dim):
             for j in range(size):
                 for k, c in table.get((i, offset + j), ()):
                     rows.setdefault((i, k), {})[j] = c
-        kernel = sparse_kernel(rows.values(), size)
-        parts.append(kernel)
+        parts.append(sparse_kernel(rows.values(), size))
     return GradedSubspace.from_parity_vectors(algebra, parts[0], parts[1])
 
 
@@ -591,22 +598,14 @@ def right_annihilator(algebra: SuperAlgebra) -> GradedSubspace:
 # Characteristic sequence
 # ---------------------------------------------------------------------------
 
-def even_square(algebra: SuperAlgebra) -> RatMatrix:
-    """rref basis of [L0, L0] inside the even block."""
+def even_square(algebra: SuperAlgebra) -> GradedSubspace:
+    """[L0, L0]: the span of the products of even basis vectors."""
     table = algebra.constant_structure()
-    n0 = algebra.n_even
-    vectors = []
-    for i in range(n0):
-        for j in range(n0):
-            terms = table.get((i, j))
-            if terms:
-                row = [Fraction(0)] * n0
-                for k, c in terms:
-                    row[k] = c
-                vectors.append(row)
-    if not vectors:
-        return RatMatrix.zeros(0, n0)
-    return row_space_basis(RatMatrix.from_rows(vectors))
+    square: dict[int, SparseRow] = {}
+    for i in range(algebra.n_even):
+        for j in range(algebra.n_even):
+            _reduce_into(square, dict(table.get((i, j), ())))
+    return GradedSubspace._from_echelons(algebra, (square, {}))
 
 
 def char_sequence(algebra: SuperAlgebra, samples: int = 64, seed: int = 0,
@@ -628,10 +627,9 @@ def char_sequence(algebra: SuperAlgebra, samples: int = 64, seed: int = 0,
             f"characteristic sequence needs a nilpotent algebra, got {algebra.name!r}")
     n0 = algebra.n_even
     square = even_square(algebra)
-    probe = GradedSubspace(square, RatMatrix.zeros(0, algebra.n_odd))
 
     def admissible(coords: Sequence[Fraction]) -> bool:
-        return any(coords) and not probe.contains_part_vector(EVEN, coords)
+        return any(coords) and not square.contains_part_vector(EVEN, coords)
 
     candidates: list[tuple[Fraction, ...]] = []
     for i in range(n0):

@@ -447,18 +447,20 @@ class RatMatrix:
 
 # -- exact elimination: one sparse echelon engine ----------------------------
 #
-# Every routine below is a view over one reduction step.  Rows are dicts
-# col -> coeff without zeros (the derivation and annihilator systems and the
-# R_x blocks are very sparse).  An echelon basis keeps one row per pivot
-# column, keyed by it, monic there and zero to its left.
+# Every routine below, and the graded subspaces in `core`, run on one
+# reduction step.  Rows are dicts col -> coeff without zeros (the derivation
+# and annihilator systems and the R_x blocks are very sparse).  An echelon
+# basis keeps one row per pivot column, keyed by it, monic there and zero to
+# its left.
 
 SparseRow = dict[int, Fraction]
 _ZERO = Fraction(0)
 
 
-def _subtract(row: SparseRow, f: Fraction, other: SparseRow) -> None:
-    """row -= f * other, in place, dropping entries that cancel."""
-    for c, v in other.items():
+def _subtract(row: SparseRow, f: Fraction, other: Iterable[tuple[int, Fraction]]) -> None:
+    """row -= f * other (given as (col, coeff) pairs), in place, dropping
+    entries that cancel."""
+    for c, v in other:
         new = row.get(c, _ZERO) - f * v
         if new:
             row[c] = new
@@ -466,33 +468,56 @@ def _subtract(row: SparseRow, f: Fraction, other: SparseRow) -> None:
             del row[c]
 
 
+def _reduce_into(pivots: dict[int, SparseRow], row: SparseRow) -> bool:
+    """Reduce row (consumed) against the pivot rows by its leading entry; keep
+    a nonzero remainder, made monic, as a new pivot row.  True iff it was new."""
+    while row:
+        c = min(row)
+        prow = pivots.get(c)
+        if prow is None:
+            inv = 1 / row[c]
+            pivots[c] = {cc: v * inv for cc, v in row.items()}
+            return True
+        _subtract(row, row[c], prow.items())
+    return False
+
+
 def _echelon(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
-    """Forward pass: reduce each row (consumed) against the pivot rows so far,
-    and keep its nonzero remainder, made monic, as a new pivot row."""
+    """Forward pass: reduce each row (consumed) into the pivot rows so far."""
     pivots: dict[int, SparseRow] = {}
     for row in rows:
-        while row:
-            c = min(row)
-            if c not in pivots:
-                inv = 1 / row[c]
-                pivots[c] = {cc: v * inv for cc, v in row.items()}
-                break
-            _subtract(row, row[c], pivots[c])
+        _reduce_into(pivots, row)
     return pivots
 
 
-def _rref_rows(rows: Iterable[SparseRow]) -> tuple[tuple[int, ...], list[SparseRow]]:
-    """Forward pass, then back-substitution from the right (so each pivot row
-    is already reduced when used): pivot columns and canonical reduced rows."""
-    echelon = _echelon(rows)
+def _back_substitute(echelon: dict[int, SparseRow]) -> tuple[tuple[int, ...], list[SparseRow]]:
+    """Clear every pivot column above its pivot, from the right (so each pivot
+    row is already reduced when used): pivot columns and canonical rows."""
     pivots = tuple(sorted(echelon))
     for i in range(len(pivots) - 1, 0, -1):
-        c, prow = pivots[i], echelon[pivots[i]]
+        c, prow = pivots[i], echelon[pivots[i]].items()
         for c2 in pivots[:i]:
             f = echelon[c2].get(c)
             if f:
                 _subtract(echelon[c2], f, prow)
     return pivots, [echelon[c] for c in pivots]
+
+
+def _rref_rows(rows: Iterable[SparseRow]) -> tuple[tuple[int, ...], list[SparseRow]]:
+    """Forward pass, then back-substitution: the canonical reduced rows."""
+    return _back_substitute(_echelon(rows))
+
+
+def _in_row_space(reduced: Iterable[tuple[int, Iterable[tuple[int, Fraction]]]],
+                  row: SparseRow) -> bool:
+    """Whether row (consumed) lies in the span of fully reduced rows, given
+    as (pivot, pairs): it does iff subtracting row[pivot] times each pivot
+    row leaves zero (no pivot row touches another's pivot column)."""
+    for c, prow in reduced:
+        f = row.get(c)
+        if f:
+            _subtract(row, f, prow)
+    return not row
 
 
 def _sparse_rows(m: RatMatrix) -> list[SparseRow]:
@@ -587,7 +612,7 @@ def nilpotent_jordan_type(m: RatMatrix) -> tuple[int, ...] | None:
         for vec in image.values():
             out: SparseRow = {}
             for j, x in vec.items():
-                _subtract(out, -x, columns[j])
+                _subtract(out, -x, columns[j].items())
             images.append(out)
         image = _echelon(images)
     ranks.append(0)

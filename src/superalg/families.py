@@ -79,6 +79,8 @@ class FamilyInfo:
       claims check at that size;
     * `lie` - whether the corrected table is a Lie superalgebra, which the
       claims then also check.
+    * `structural` - structural parameter name -> the default that the
+      catalog-wide reads (`parameter_names`, the ledger, AUDIT) build at.
     """
 
     family_id: str
@@ -90,7 +92,7 @@ class FamilyInfo:
     size_parity: int | None         # required size mod 2, or None
     dims: str                       # e.g. "(n|n-1)"
     parameter_schema: tuple[str, ...] = ()
-    structural: tuple[str, ...] = ()
+    structural: Mapping[str, int] = field(default_factory=dict)  # name -> default
     nilradical: str | None = None
     codim: int | None = None
     notes: tuple[str, ...] = ()
@@ -558,7 +560,7 @@ def _table_H5(n: int, mode: str):
     return params, prod, n + 1, n
 
 
-@_family("SH1", "n", "solvable", 4, None, "(n+1|n)", structural=("t",),
+@_family("SH1", "n", "solvable", 4, None, "(n+1|n)", structural={"t": 4},
          nilradical="H", codim=1,
          nilradical_params=lambda n, params: {f"beta{params['t']}": 1},
          samples=lambda n: [{"t": t} for t in range(4, n + 1)])
@@ -752,7 +754,7 @@ def _table_G6(n: int, mode: str):
     return params, prod, n + 1, n - 1
 
 
-@_family("SG1", "n", "solvable", 4, None, "(n+1|n-1)", structural=("t",),
+@_family("SG1", "n", "solvable", 4, None, "(n+1|n-1)", structural={"t": 4},
          nilradical="G", codim=1,
          nilradical_params=lambda n, params: {f"beta{params['t']}": 1},
          samples=lambda n: [{"t": t} for t in range(4, n + 1)])
@@ -943,10 +945,10 @@ def parameter_names(fid: str, size: int) -> tuple[str, ...]:
     """Sorted rational parameter names at one size, as the table declares them.
 
     No family declares a parameter that depends on its structural t, so the
-    table is read at t = 4.
+    table is read at the structural defaults.
     """
     info = family_info(fid)
-    structural = {k: 4 for k in info.structural}
+    structural = dict(info.structural)
     _validate_domain(info, size, structural)
     names, *_ = info.table(size, CORRECTED, **structural)
     return tuple(sorted(names))
@@ -1090,7 +1092,7 @@ def errata_ledger(sizes: Sequence[int] = (3, 4, 5, 6, 7, 8)) -> list[ErrataEntry
     """All shipped corrections over a size grid, in deterministic order."""
     entries: list[ErrataEntry] = []
     for fid, info in _REGISTRY.items():
-        structural = {k: 4 for k in info.structural}
+        structural = dict(info.structural)
         for size in sizes:
             if info.admits(size):
                 entries.extend(errata_for(fid, size, structural))

@@ -543,7 +543,7 @@ def audit_errata(fid: str, size: int,
     report.ensure("corrected-passes", not res_corr,
                   "corrected table satisfies the identity", _residuals(res_corr))
     verbatim = families.build(fid, size, params, families.VERBATIM)
-    res_verb = check_leibniz(verbatim)
+    res_verb = res_corr if verbatim == corrected else check_leibniz(verbatim)
     entries = families.errata_for(fid, size, params)
     if res_verb and not entries:
         report.bad("ledger-coverage",
@@ -658,7 +658,7 @@ def run_claims(selected: Sequence[str] | None = None,
                 lo, hi = rng(3, 8)
                 info = families.family_info(fid)
                 for size in families.sizes(fid, lo, hi):
-                    params = {"t": 4} if "t" in info.structural else None
+                    params = dict(info.structural) or None
                     reports.append(audit_errata(fid, size, params))
         except UnsupportedShapeError as exc:
             partial = ClaimReport(cid, "unsupported computation")

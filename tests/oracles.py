@@ -258,6 +258,53 @@ def dense_derivation_kernel(algebra: SuperAlgebra,
     return kernel
 
 
+def _dense_graded_basis(algebra: SuperAlgebra, spanning: list[GradedVector],
+                        ) -> tuple[list[GradedVector], tuple[int, int]]:
+    """Basis of the graded span of `spanning`: the even and the odd
+    components are each reduced by `dense_rref`; the ranks are the dims."""
+    n0 = algebra.n_even
+    basis: list[GradedVector] = []
+    dims = []
+    for lo, hi in ((0, n0), (n0, algebra.dim)):
+        rows = [list(v.coords[lo:hi]) for v in spanning if any(v.coords[lo:hi])]
+        reduced, pivots = dense_rref(rows, hi - lo)
+        for row in reduced[:len(pivots)]:
+            coords = [Fraction(0)] * algebra.dim
+            coords[lo:hi] = row
+            basis.append(GradedVector(tuple(coords)))
+        dims.append(len(pivots))
+    return basis, (dims[0], dims[1])
+
+
+def _dense_series(algebra: SuperAlgebra, step) -> list[tuple[int, int]]:
+    """Dims of T_1 = L, T_{k+1} = span step(T_k), until a term keeps the
+    previous dims (the terms only shrink) or is zero."""
+    full = [GradedVector.basis(algebra, lab) for lab in algebra.labels]
+    term, dims = _dense_graded_basis(algebra, full)
+    series = [dims]
+    while True:
+        term, dims = _dense_graded_basis(algebra, step(term, full))
+        if dims == series[-1]:
+            return series
+        series.append(dims)
+        if dims == (0, 0):
+            return series
+
+
+def dense_lower_central_series(algebra: SuperAlgebra) -> list[tuple[int, int]]:
+    """Per-parity dims of L^1 = L, L^{k+1} = [L^k, L], each term spanned by
+    `product` of the previous term's basis with the basis of L."""
+    return _dense_series(algebra, lambda term, full: [
+        product(algebra, x, y) for x in term for y in full])
+
+
+def dense_derived_series(algebra: SuperAlgebra) -> list[tuple[int, int]]:
+    """Per-parity dims of L^(1) = L, L^(k+1) = [L^(k), L^(k)], each term
+    spanned by `product` of the previous term's basis with itself."""
+    return _dense_series(algebra, lambda term, full: [
+        product(algebra, x, y) for x in term for y in term])
+
+
 def random_graded_algebra(rng: random.Random, n0: int, n1: int,
                           density: float = 0.3) -> SuperAlgebra:
     """Random sparse structure constants respecting the grading (rarely Leibniz)."""
@@ -322,17 +369,23 @@ def span_dim(vectors: list[list[Fraction]]) -> int:
 
 def smallest_instance(fid: str) -> tuple[int, dict]:
     """A domain-valid fully-instantiated sample at the family's smallest size."""
-    from superalg import family_info, parameter_names
+    from superalg import family_info
     from superalg.families import sizes
     info = family_info(fid)
     size = sizes(fid, info.min_size, info.min_size + 1)[0]
+    return size, instance(fid, size)
+
+
+def instance(fid: str, size: int) -> dict:
+    """Domain-valid values for every parameter of a family at a legal size."""
+    from superalg import family_info, parameter_names
+    info = family_info(fid)
     params: dict = {p: 0 for p in parameter_names(fid, size)}
-    if "t" in info.structural:
-        params["t"] = 4
+    params.update(info.structural)
     if fid in ("H1", "G1"):
         params["b"] = 1
     if fid in ("SH3", "SG2"):
         params["gamma"] = 1
     if fid == "G4":
         params = {"gamma": 1, "b": 1}
-    return size, params
+    return params

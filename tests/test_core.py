@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from superalg import build, parameter_names
-from superalg.core import (EVEN, GradedSubspace, GradedVector,
+from superalg.core import (EVEN, ODD, GradedSubspace, GradedVector,
                            SuperAlgebra, change_basis, char_sequence,
                            check_leibniz, check_lie, derived_series,
                            fingerprint, is_nilpotent, is_solvable,
@@ -20,8 +20,9 @@ from superalg.core import (EVEN, GradedSubspace, GradedVector,
 from superalg.errors import InputError, NotNilpotentError
 from superalg.exactmath import RatMatrix, nilpotent_jordan_type
 
-from oracles import (brute_leibniz_residuals, random_graded_algebra,
-                     random_parity_change, span_dim)
+from oracles import (brute_leibniz_residuals, dense_derived_series,
+                     dense_lower_central_series, dense_rref, instance,
+                     random_graded_algebra, random_parity_change, span_dim)
 
 
 def abelian(n0: int, n1: int) -> SuperAlgebra:
@@ -231,8 +232,89 @@ class TestSubspaces:
         square = subspace_product(a, full, full)
         assert sum(square.dims()) == span_dim(vectors)
 
+    def test_row_order_does_not_matter(self):
+        rng = random.Random(23)
+        for _ in range(50):
+            a, even, odd = _random_spanning_sets(rng)
+            shuffled_even, shuffled_odd = even[:], odd[:]
+            rng.shuffle(shuffled_even)
+            rng.shuffle(shuffled_odd)
+            assert (GradedSubspace.from_parity_vectors(a, even, odd)
+                    == GradedSubspace.from_parity_vectors(a, shuffled_even, shuffled_odd))
+
+    def test_dense_views_are_the_oracle_rref(self):
+        rng = random.Random(29)
+        for _ in range(50):
+            a, even, odd = _random_spanning_sets(rng)
+            sub = GradedSubspace.from_parity_vectors(a, even, odd)
+            for view, rows, width in ((sub.even, even, a.n_even),
+                                      (sub.odd, odd, a.n_odd)):
+                reduced, pivots = dense_rref(rows, width)
+                assert (view.rows, view.cols) == (len(pivots), width)
+                assert [list(r) for r in view.entries] == reduced[:len(pivots)]
+            assert sub.dims() == (span_dim(even), span_dim(odd))
+
+    def test_containment_agrees_with_a_rank_test(self):
+        rng = random.Random(31)
+        verdicts = set()
+        for _ in range(50):
+            a, even, odd = _random_spanning_sets(rng)
+            sub = GradedSubspace.from_parity_vectors(a, even, odd)
+            for parity, rows, width in ((EVEN, even, a.n_even), (ODD, odd, a.n_odd)):
+                inside = [sum((Fraction(rng.randint(-3, 3)) * r[c] for r in rows),
+                              Fraction(0)) for c in range(width)]
+                nudged = inside[:]
+                if width:
+                    nudged[rng.randrange(width)] += Fraction(1, 1000)
+                for v in (inside, nudged):
+                    expected = span_dim(rows + [v]) == span_dim(rows)
+                    assert sub.contains_part_vector(parity, v) == expected
+                    other = GradedSubspace.from_parity_vectors(
+                        a, [v] if parity == EVEN else [], [v] if parity == ODD else [])
+                    assert sub.contains_subspace(other) == expected
+                    verdicts.add(expected)
+            assert sub.contains_subspace(sub)
+        assert verdicts == {True, False}
+
+
+def _random_spanning_sets(rng):
+    """An abelian algebra with random dims and random, often dependent,
+    spanning rows for each part."""
+    n0, n1 = rng.randint(1, 6), rng.randint(0, 6)
+
+    def rows(width):
+        base = [[Fraction(rng.randint(-3, 3)) if rng.random() < 0.6 else Fraction(0)
+                 for _ in range(width)] for _ in range(rng.randint(0, width))]
+        mixes = [[sum((Fraction(rng.randint(-2, 2)) * r[c] for r in base), Fraction(0))
+                  for c in range(width)] for _ in range(rng.randint(0, 3))]
+        return base + mixes
+
+    return abelian(n0, n1), rows(n0), rows(n1)
+
 
 class TestSeries:
+    def test_series_match_the_dense_oracle(self):
+        rng = random.Random(37)
+        cases = [random_graded_algebra(rng, rng.randint(1, 4), rng.randint(0, 4),
+                                       density=rng.choice([0.15, 0.3, 0.5]))
+                 for _ in range(20)]
+        from superalg import FAMILY_IDS, family_info
+        from superalg.families import sizes
+        for fid in FAMILY_IDS:
+            info = family_info(fid)
+            if info.kind == "solvable" or fid in ("N2M", "L", "M", "H", "G"):
+                size = sizes(fid, 4, 6)[0]
+                cases.append(build(fid, size, instance(fid, size)))
+        nilindices = set()
+        for a in cases:
+            lcs = [t.dims() for t in lower_central_series(a)]
+            assert lcs == dense_lower_central_series(a), a.name
+            assert [t.dims() for t in derived_series(a)] == dense_derived_series(a), a.name
+            expected = len(lcs) if lcs[-1] == (0, 0) else None
+            assert nilindex(a) == expected, a.name
+            nilindices.add(expected is None)
+        assert nilindices == {True, False}
+
     def test_abelian_stabilizes_at_two_terms(self):
         series = lower_central_series(abelian(2, 1))
         assert len(series) == 2 and series[-1].is_zero()

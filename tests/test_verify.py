@@ -122,6 +122,36 @@ class TestAudit:
             report = audit_errata(fid, size)
             assert report.status == "pass", (fid, failing(report))
 
+    @pytest.mark.parametrize("fid, size, params, calls", [
+        ("N2M", 5, None, 1), ("L", 6, None, 1), ("SL", 4, None, 1),
+        ("M", 6, None, 2), ("SG1", 5, {"t": 4}, 2), ("H5", 4, None, 2)])
+    def test_identity_checked_once_when_tables_are_equal(
+            self, monkeypatch, fid, size, params, calls):
+        import superalg.verify as verify
+        from superalg.core import SuperAlgebra, check_leibniz
+
+        counted = []
+
+        def counting(algebra):
+            counted.append(algebra.name)
+            return check_leibniz(algebra)
+
+        def strip(report):
+            data = report.as_dict()
+            data.pop("wall_time_s")
+            return data
+
+        monkeypatch.setattr(verify, "check_leibniz", counting)
+        reused = audit_errata(fid, size, params)
+        assert len(counted) == calls
+        # Without the reuse: no two tables compare equal, so both are checked.
+        monkeypatch.setattr(SuperAlgebra, "__eq__", lambda self, other: False)
+        counted.clear()
+        separate = audit_errata(fid, size, params)
+        assert len(counted) == 2
+        assert strip(reused) == strip(separate)
+        assert reused.status == "pass"
+
 
 class TestRunner:
     def test_selected_claims_and_range(self):
