@@ -11,7 +11,7 @@ from .errors import (DegenerateSamplingError, InputError,
                      SuperalgError, UnsupportedShapeError)
 from .exactmath import (Polynomial, RatMatrix, format_rational,
                         nilpotent_jordan_type, parse_coefficient,
-                        parse_rational, rref_rank_kernel)
+                        parse_rational)
 from .families import (CORRECTED, FAMILY_IDS, VERBATIM, ErrataEntry,
                        FamilySpec, build, build_family, errata_for,
                        errata_ledger, family_info, list_families,

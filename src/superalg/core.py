@@ -246,39 +246,17 @@ def right_mul_matrix(algebra: SuperAlgebra, x: GradedVector) -> RatMatrix:
     if px is None:
         raise InputError("right multiplication needs a homogeneous element")
     table = algebra.constant_structure()
-    cols = []
-    for j in range(algebra.dim):
-        sign = -1 if (px and algebra.parity(j)) else 1
-        col = [Fraction(0)] * algebra.dim
-        for i, xi in enumerate(x.coords):
-            if not xi:
-                continue
-            for k, c in table.get((j, i), ()):
-                col[k] += sign * xi * c
-        cols.append(col)
-    return RatMatrix(algebra.dim, algebra.dim,
-                     tuple(tuple(cols[j][l] for j in range(algebra.dim))
-                           for l in range(algebra.dim)))
-
-
-def right_mul_blocks(algebra: SuperAlgebra, even_coords: Sequence[Fraction],
-                     ) -> tuple[RatMatrix, RatMatrix]:
-    """Even and odd blocks of R_x for an even element given by even coordinates."""
-    table = algebra.constant_structure()
-    n0, n1 = algebra.n_even, algebra.n_odd
-    even_block = [[Fraction(0)] * n0 for _ in range(n0)]
-    odd_block = [[Fraction(0)] * n1 for _ in range(n1)]
-    for i, xi in enumerate(even_coords):
+    dim, n0 = algebra.dim, algebra.n_even
+    rows = [[Fraction(0)] * dim for _ in range(dim)]
+    for i, xi in enumerate(x.coords):
         if not xi:
             continue
-        for j in range(n0):
+        # Column j holds R_x(b_j); the sign (-1)^{pq} rides on the factor.
+        for j in range(dim):
+            f = -xi if px and j >= n0 else xi
             for k, c in table.get((j, i), ()):
-                even_block[k][j] += xi * c
-        for j in range(n1):
-            for k, c in table.get((n0 + j, i), ()):
-                odd_block[k - n0][j] += xi * c
-    return (RatMatrix(n0, n0, tuple(tuple(r) for r in even_block)),
-            RatMatrix(n1, n1, tuple(tuple(r) for r in odd_block)))
+                rows[k][j] += f * c
+    return RatMatrix(dim, dim, tuple(map(tuple, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -531,31 +509,29 @@ def subspace_product(algebra: SuperAlgebra, u: GradedSubspace,
     return GradedSubspace._from_echelons(algebra, echelons)
 
 
-def lower_central_series(algebra: SuperAlgebra) -> list[GradedSubspace]:
-    """L^1 = L, L^{k+1} = [L^k, L], computed until the first repeat or zero."""
-    full = GradedSubspace.full(algebra)
+def _series(full: GradedSubspace, step) -> list[GradedSubspace]:
+    """full, step(full), step(step(full)), ... until the first repeat or zero."""
     series = [full]
     while True:
-        nxt = subspace_product(algebra, series[-1], full)
+        nxt = step(series[-1])
         if nxt == series[-1]:
             break
         series.append(nxt)
         if nxt.is_zero():
             break
     return series
+
+
+def lower_central_series(algebra: SuperAlgebra) -> list[GradedSubspace]:
+    """L^1 = L, L^{k+1} = [L^k, L], computed until the first repeat or zero."""
+    full = GradedSubspace.full(algebra)
+    return _series(full, lambda s: subspace_product(algebra, s, full))
 
 
 def derived_series(algebra: SuperAlgebra) -> list[GradedSubspace]:
     """L^(1) = L, L^(k+1) = [L^(k), L^(k)], until the first repeat or zero."""
-    series = [GradedSubspace.full(algebra)]
-    while True:
-        nxt = subspace_product(algebra, series[-1], series[-1])
-        if nxt == series[-1]:
-            break
-        series.append(nxt)
-        if nxt.is_zero():
-            break
-    return series
+    return _series(GradedSubspace.full(algebra),
+                   lambda s: subspace_product(algebra, s, s))
 
 
 def is_nilpotent(algebra: SuperAlgebra) -> bool:
@@ -649,10 +625,11 @@ def char_sequence(algebra: SuperAlgebra, samples: int = 64, seed: int = 0,
 
     best_even: tuple[int, ...] | None = None
     best_odd: tuple[int, ...] | None = None
+    odd_zeros = (Fraction(0),) * algebra.n_odd
     for coords in candidates:
-        even_block, odd_block = right_mul_blocks(algebra, coords)
-        jt_even = nilpotent_jordan_type(even_block)
-        jt_odd = nilpotent_jordan_type(odd_block)
+        rx = right_mul_matrix(algebra, GradedVector(coords + odd_zeros))
+        jt_even = nilpotent_jordan_type(rx.principal(range(n0)))
+        jt_odd = nilpotent_jordan_type(rx.principal(range(n0, algebra.dim)))
         if jt_even is None or jt_odd is None:
             raise InternalInconsistencyError(
                 "right multiplication non-nilpotent on a nilpotent algebra")
@@ -804,31 +781,62 @@ def sdf_dumps(algebra: SuperAlgebra) -> str:
     return json.dumps(sdf_dump(algebra), indent=2) + "\n"
 
 
+def _sdf_term(where: str, term) -> tuple[str, str | int]:
+    """One [label, coefficient] pair of an SDF product value, shape-checked."""
+    if not (isinstance(term, list) and len(term) == 2 and isinstance(term[0], str)):
+        raise InputError(f"malformed SDF value in product {where}: expected "
+                         f"[label, coefficient] pairs, got {term!r}")
+    coeff = term[1]
+    if isinstance(coeff, float):
+        raise InputError(f"coefficient {coeff!r} in product {where} is a float; "
+                         f"write it exactly as a string such as \"3/2\"")
+    if not isinstance(coeff, (str, int)) or isinstance(coeff, bool):
+        raise InputError(f"coefficient {coeff!r} in product {where} must be "
+                         f"a string or an integer")
+    return term[0], coeff
+
+
 def sdf_load(data: dict) -> SuperAlgebra:
-    """Parse an SDF dict; grading violations are rejected naming the product."""
+    """Parse an SDF dict.  Malformed shapes, float coefficients and grading
+    violations are rejected as InputError naming the product."""
+    if not isinstance(data, dict):
+        raise InputError("malformed SDF: expected a JSON object")
     try:
         name = data["name"]
-        even = list(data["even_basis"])
-        odd = list(data["odd_basis"])
-        parameters = tuple(data.get("parameters", []))
+        even = data["even_basis"]
+        odd = data["odd_basis"]
         raw_products = data["products"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise InputError(f"malformed SDF: missing field {exc}") from None
+    parameters = data.get("parameters", [])
+    if not isinstance(name, str):
+        raise InputError("malformed SDF: name must be a string")
+    for field, names in (("even_basis", even), ("odd_basis", odd),
+                         ("parameters", parameters)):
+        if not (isinstance(names, list) and all(isinstance(x, str) for x in names)):
+            raise InputError(f"malformed SDF: {field} must be a list of strings")
+    if not isinstance(raw_products, list):
+        raise InputError("malformed SDF: products must be a list of objects")
     products: dict[tuple[str, str], list[tuple[str, object]]] = {}
     for entry in raw_products:
-        try:
-            left, right, value = entry["left"], entry["right"], entry["value"]
-        except (KeyError, TypeError):
-            raise InputError(f"malformed SDF product entry: {entry!r}") from None
+        if not (isinstance(entry, dict) and "value" in entry
+                and isinstance(entry.get("left"), str)
+                and isinstance(entry.get("right"), str)):
+            raise InputError(f"malformed SDF product entry: {entry!r}")
+        left, right, value = entry["left"], entry["right"], entry["value"]
+        where = f"[{left}, {right}]"
         if (left, right) in products:
-            raise InputError(f"duplicate product [{left}, {right}] in SDF")
-        products[(left, right)] = [(lab, coeff) for lab, coeff in value]
+            raise InputError(f"duplicate product {where} in SDF")
+        if not isinstance(value, list):
+            raise InputError(f"malformed SDF value in product {where}: expected "
+                             f"a list of [label, coefficient] pairs")
+        products[(left, right)] = [_sdf_term(where, term) for term in value]
     return make_superalgebra(name, even, odd, parameters, products)
 
 
 def sdf_loads(text: str) -> SuperAlgebra:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"not valid JSON: {exc}") from None
     return sdf_load(data)

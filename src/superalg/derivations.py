@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 from . import families
 from .core import EVEN, ODD, SuperAlgebra
 from .errors import InputError, InternalInconsistencyError, UnsupportedShapeError
-from .exactmath import RatMatrix, rank, row_space_basis, sparse_kernel
+from .exactmath import RatMatrix, SparseRow, _reduce_into, _rref_rows, sparse_kernel
 
 
 def _positions(algebra: SuperAlgebra, degree: int) -> list[tuple[int, int]]:
@@ -137,28 +137,32 @@ def derivation_space(algebra: SuperAlgebra, degree: int) -> DerivationSpace:
 
 
 def vectorize_matrices(algebra: SuperAlgebra, degree: int,
-                       matrices: Sequence[RatMatrix]) -> RatMatrix:
-    """Rows = grading-compatible entries of each matrix, in solver order."""
-    positions = _positions(algebra, degree)
-    allowed = set(positions)
+                       matrices: Sequence[RatMatrix]) -> list[SparseRow]:
+    """Each matrix as a sparse row over the grading-compatible entries, in
+    solver order; a matrix of another size, or with a nonzero entry
+    anywhere else, is an InputError."""
+    index = {p: idx for idx, p in enumerate(_positions(algebra, degree))}
     rows = []
     for m in matrices:
-        for l in range(m.rows):
-            for k in range(m.cols):
-                if m.entries[l][k] and (l, k) not in allowed:
-                    raise InputError("matrix is not grading-compatible")
-        rows.append([m.entries[l][k] for (l, k) in positions])
-    if not rows:
-        return RatMatrix.zeros(0, len(positions))
-    return RatMatrix.from_rows(rows)
+        if m.rows != algebra.dim or m.cols != algebra.dim:
+            raise InputError("matrix must act on the whole space")
+        row: SparseRow = {}
+        for l, entries in enumerate(m.entries):
+            for k, x in enumerate(entries):
+                if x:
+                    if (l, k) not in index:
+                        raise InputError("matrix is not grading-compatible")
+                    row[index[(l, k)]] = x
+        rows.append(row)
+    return rows
 
 
 def same_span(algebra: SuperAlgebra, degree: int,
               left: Sequence[RatMatrix], right: Sequence[RatMatrix]) -> bool:
-    """Exact subspace equality of two matrix families (both directions)."""
-    a = row_space_basis(vectorize_matrices(algebra, degree, left))
-    b = row_space_basis(vectorize_matrices(algebra, degree, right))
-    return a == b
+    """Exact subspace equality of two matrix families: their canonical
+    reduced rows agree."""
+    return (_rref_rows(vectorize_matrices(algebra, degree, left))
+            == _rref_rows(vectorize_matrices(algebra, degree, right)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +216,16 @@ def space_all_nilpotent(space: DerivationSpace) -> NilpotencyCertificate:
 
 
 def _reduce_matrix_list(matrices: list[RatMatrix]) -> list[RatMatrix]:
+    """The canonical basis of the span of square matrices of one size."""
     if not matrices:
         return []
     size = matrices[0].rows
-    flat = RatMatrix.from_rows([[m.entries[i][j] for i in range(size)
-                                 for j in range(size)] for m in matrices])
-    basis = row_space_basis(flat)
-    out = []
-    for row in basis.entries:
-        grid = tuple(tuple(row[i * size + j] for j in range(size)) for i in range(size))
-        out.append(RatMatrix(size, size, grid))
-    return out
+    _, basis = _rref_rows({i * size + j: x for i, row in enumerate(m.entries)
+                           for j, x in enumerate(row) if x} for m in matrices)
+    zero = Fraction(0)
+    return [RatMatrix(size, size, tuple(
+        tuple(row.get(i * size + j, zero) for j in range(size)) for i in range(size)))
+        for row in basis]
 
 
 @dataclass(frozen=True)
@@ -246,30 +249,21 @@ def max_nil_independent(space: DerivationSpace) -> NilIndependenceReport:
 
     For triangular matrices a combination is nilpotent exactly when its
     diagonal vanishes, so the maximal nil-independent count is the rank of
-    the stacked diagonals; witnesses are basis elements realizing that rank.
-    Non-triangular input raises UnsupportedShapeError (never approximated).
+    the stacked diagonals.  The witnesses are the basis elements whose
+    diagonal is independent of the earlier ones, in basis order; there are
+    exactly that rank of them.  Non-triangular input raises
+    UnsupportedShapeError (never approximated).
     """
-    if not space.basis:
-        return NilIndependenceReport(0, (), "all-nilpotent")
     if not _simultaneously_triangular(space.basis):
         raise UnsupportedShapeError(
             "nil-independence is only decided for simultaneously triangular "
             "derivation families")
-    diagonals = [m.diagonal() for m in space.basis]
-    total_rank = rank(RatMatrix.from_rows(diagonals))
-    if total_rank == 0:
+    echelon: dict[int, SparseRow] = {}
+    witnesses = tuple(m for m in space.basis if _reduce_into(
+        echelon, {i: x for i, x in enumerate(m.diagonal()) if x}))
+    if not witnesses:
         return NilIndependenceReport(0, (), "all-nilpotent")
-    witnesses: list[RatMatrix] = []
-    picked: list[tuple[Fraction, ...]] = []
-    for m, diag in zip(space.basis, diagonals):
-        if len(witnesses) == total_rank:
-            break
-        trial = picked + [diag]
-        if rank(RatMatrix.from_rows(trial)) > len(picked):
-            witnesses.append(m)
-            picked.append(diag)
-    return NilIndependenceReport(total_rank, tuple(witnesses),
-                                 "triangular-diagonal-rank")
+    return NilIndependenceReport(len(witnesses), witnesses, "triangular-diagonal-rank")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ polynomial; algebras use lexicographic parameter order).
 The linear algebra is deliberately small and dependency-free, and all of it
 runs on one sparse echelon engine: reduced row echelon form with strictly
 increasing pivot columns (a canonical form, so row spaces compare by
-equality), ranks, inverses and kernel bases read off it, and the Jordan type
+equality), inverses and kernel bases read off it, and the Jordan type
 of a nilpotent matrix from the ranks along its image chain
 Im(m) ⊇ Im(m^2) ⊇ ..., which stops with None as soon as a rank stalls.
 """
@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
@@ -32,7 +33,10 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if not re.fullmatch(r"[+-]?\d+(/\d+)?", s):
         raise InputError(f"not a rational literal: {text!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise InputError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(x: Fraction) -> str:
@@ -317,7 +321,7 @@ def parse_coefficient(text: str, variables: Sequence[str]) -> Polynomial:
                 raise InputError(f"unbalanced parentheses in {text!r}")
             return parse_power_suffix(node)
         if re.fullmatch(r"\d+(/\d+)?", tok):
-            return parse_power_suffix(Polynomial.const(Fraction(tok), variables))
+            return parse_power_suffix(Polynomial.const(parse_rational(tok), variables))
         if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
             if tok not in variables:
                 raise InputError(f"undeclared parameter {tok!r} in coefficient {text!r}")
@@ -344,7 +348,10 @@ def parse_coefficient(text: str, variables: Sequence[str]) -> Polynomial:
             return out
         return base
 
-    result = parse_expr()
+    try:
+        result = parse_expr()
+    except RecursionError:
+        raise InputError(f"coefficient nested too deeply: {text[:40]!r}...") from None
     if take() != "$":
         raise InputError(f"trailing tokens in coefficient {text!r}")
     return result
@@ -387,11 +394,13 @@ class RatMatrix:
         i, j = key
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.entries)
+    def principal(self, indices: Iterable[int]) -> RatMatrix:
+        """The submatrix on the given rows and the same columns, in that order."""
+        keep = tuple(indices)
+        if len(keep) < 2:  # itemgetter returns a bare item for one index
+            return RatMatrix(len(keep), len(keep), tuple((self.entries[i][i],) for i in keep))
+        pick = itemgetter(*keep)
+        return RatMatrix(len(keep), len(keep), tuple(map(pick, pick(self.entries))))
 
     def transpose(self) -> RatMatrix:
         return RatMatrix(self.cols, self.rows,
@@ -447,11 +456,11 @@ class RatMatrix:
 
 # -- exact elimination: one sparse echelon engine ----------------------------
 #
-# Every routine below, and the graded subspaces in `core`, run on one
-# reduction step.  Rows are dicts col -> coeff without zeros (the derivation
-# and annihilator systems and the R_x blocks are very sparse).  An echelon
-# basis keeps one row per pivot column, keyed by it, monic there and zero to
-# its left.
+# Every routine below, the graded subspaces in `core` and the spans and
+# nil-independence counts in `derivations` run on one reduction step.  Rows
+# are dicts col -> coeff without zeros (the derivation and annihilator
+# systems and the R_x blocks are very sparse).  An echelon basis keeps one
+# row per pivot column, keyed by it, monic there and zero to its left.
 
 SparseRow = dict[int, Fraction]
 _ZERO = Fraction(0)
@@ -520,10 +529,6 @@ def _in_row_space(reduced: Iterable[tuple[int, Iterable[tuple[int, Fraction]]]],
     return not row
 
 
-def _sparse_rows(m: RatMatrix) -> list[SparseRow]:
-    return [{j: x for j, x in enumerate(row) if x} for row in m.entries]
-
-
 def _kernel(pivots: tuple[int, ...], rows: Sequence[SparseRow],
             ncols: int) -> list[tuple[Fraction, ...]]:
     """Kernel basis read off reduced rows: one vector per free column."""
@@ -540,26 +545,10 @@ def _kernel(pivots: tuple[int, ...], rows: Sequence[SparseRow],
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form and its (strictly increasing) pivot columns."""
-    pivots, rows = _rref_rows(_sparse_rows(m))
+    pivots, rows = _rref_rows({j: x for j, x in enumerate(row) if x} for row in m.entries)
     dense = [tuple(row.get(j, _ZERO) for j in range(m.cols)) for row in rows]
     dense += [(_ZERO,) * m.cols] * (m.rows - len(rows))
     return RatMatrix(m.rows, m.cols, tuple(dense)), pivots
-
-
-def rank(m: RatMatrix) -> int:
-    return len(_echelon(_sparse_rows(m)))
-
-
-def rref_rank_kernel(m: RatMatrix) -> tuple[RatMatrix, int, list[tuple[Fraction, ...]]]:
-    """Canonical rref, rank, and a kernel basis with rank + dim ker = cols."""
-    reduced, pivots = rref(m)
-    return reduced, len(pivots), _kernel(pivots, _sparse_rows(reduced), m.cols)
-
-
-def row_space_basis(m: RatMatrix) -> RatMatrix:
-    """Nonzero rows of the rref: the canonical basis of the row space."""
-    reduced, pivots = rref(m)
-    return RatMatrix(len(pivots), m.cols, reduced.entries[:len(pivots)])
 
 
 def sparse_kernel(rows: Iterable[SparseRow], ncols: int) -> list[tuple[Fraction, ...]]:

@@ -1043,45 +1043,34 @@ def _site_for(fid: str, cell: tuple[str, str], size: int) -> tuple[tuple[str, ..
     raise InputError(f"no justification curated for {fid} at {cell}")
 
 
-def _cell_map(prod: Products, parameters: tuple[str, ...]) -> dict:
-    out: dict[tuple[str, str], dict[str, Polynomial]] = {}
-    for (left, right), terms in prod.items():
-        acc = out.setdefault((left, right), {})
-        for target, coeff in terms:
-            if isinstance(coeff, Polynomial):
-                poly = coeff.rebase(parameters)
-            else:
-                poly = Polynomial.const(Fraction(coeff), parameters)
-            acc[target] = acc[target] + poly if target in acc else poly
-    return {cell: {t: p for t, p in acc.items() if not p.is_zero()}
-            for cell, acc in out.items()}
-
-
 def errata_for(family_id: str, size: int, params: Mapping[str, object] | None = None,
                ) -> list[ErrataEntry]:
-    """Concrete errata entries for one family at one size (symbolic values)."""
+    """Concrete errata entries for one family at one size (symbolic values):
+    the cells where the corrected and verbatim builds differ."""
     info = family_info(family_id)
     params = dict(params or {})
     _validate_domain(info, size, params)
     structural = {k: params[k] for k in info.structural}
-    names, prod_c, *_ = info.table(size, CORRECTED, **structural)
-    _, prod_v, *_ = info.table(size, VERBATIM, **structural)
-    declared = tuple(sorted(names))
-    corrected = _cell_map(prod_c, declared)
-    verbatim = _cell_map(prod_v, declared)
+    corrected, verbatim = (build(family_id, size, structural, mode)
+                           for mode in (CORRECTED, VERBATIM))
+    lab = corrected.labels
+
+    def named(terms) -> tuple[tuple[str, str], ...]:
+        return tuple(sorted((lab[k], str(p)) for k, p in terms))
+
+    # Both builds keep each cell's terms merged, zero-free and sorted.
+    changed = {(lab[i], lab[j]): (i, j)
+               for i, j in set(corrected.structure) | set(verbatim.structure)
+               if corrected.structure.get((i, j)) != verbatim.structure.get((i, j))}
     entries: list[ErrataEntry] = []
-    for cell in sorted(set(corrected) | set(verbatim)):
-        cval = corrected.get(cell, {})
-        vval = verbatim.get(cell, {})
-        if cval == vval:
-            continue
+    for cell in sorted(changed):
         site, why = _site_for(family_id, cell, size)
         entries.append(ErrataEntry(
             family_id=family_id,
             size=size,
             location=cell,
-            verbatim=tuple((t, str(p)) for t, p in sorted(vval.items())),
-            corrected=tuple((t, str(p)) for t, p in sorted(cval.items())),
+            verbatim=named(verbatim.structure.get(changed[cell], ())),
+            corrected=named(corrected.structure.get(changed[cell], ())),
             residual_site=site,
             justification=why,
         ))

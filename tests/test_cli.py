@@ -135,6 +135,27 @@ class TestAnalysisCommands:
         code, _, err = run(["check", str(path)], capsys)
         assert code == 2 and "[e1, y1]" in err
 
+    @pytest.mark.parametrize("value", [
+        '5', '[["e1"]]', '[["e1", null]]', '[[["e1"], 1]]', '[["e1", [1]]]',
+        '[["e1", 1e400]]', '[["e1", 1.5]]', '[["e1", true]]'])
+    def test_malformed_value_exits_2_naming_the_product(self, tmp_path, capsys,
+                                                        value):
+        text = ('{"name": "bad", "even_basis": ["e1", "e2"], "odd_basis": [], '
+                '"products": [{"left": "e1", "right": "e1", "value": %s}]}' % value)
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, _, err = run(["check", str(path)], capsys)
+        assert code == 2 and err.startswith("error: ") and "[e1, e1]" in err
+
+    @pytest.mark.parametrize("doc", [
+        {"name": "bad", "even_basis": ["e1"], "odd_basis": [], "products": 5},
+        {"name": "bad", "even_basis": [["e1"]], "odd_basis": [], "products": []}])
+    def test_malformed_shape_exits_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(["check", str(path)], capsys)
+        assert code == 2 and err.startswith("error: malformed SDF")
+
     def test_oversized_exponent_exits_2(self, tmp_path, capsys):
         doc = {"name": "hostile", "even_basis": ["e1", "e2"], "odd_basis": [],
                "parameters": ["a"], "products": [

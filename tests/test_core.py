@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superalg import build, parameter_names
 from superalg.core import (EVEN, ODD, GradedSubspace, GradedVector,
@@ -133,6 +135,34 @@ class TestRightMultiplication:
         a = build("N2M", 3)
         with pytest.raises(InputError):
             right_mul_matrix(a, vec(a, e1=1, y1=1))
+
+    def test_columns_match_the_product_oracle(self):
+        # column j is R_x(b_j) = (-1)^{pq} [b_j, x], read off `product`
+        rng = random.Random(41)
+        for trial in range(40):
+            a = random_graded_algebra(rng, rng.randint(1, 4), rng.randint(0, 4), 0.5)
+            parity = ODD if a.n_odd and trial % 2 else EVEN
+            x = _random_homogeneous(rng, a, parity)
+            rx = right_mul_matrix(a, x)
+            for j in range(a.dim):
+                sign = -1 if parity == ODD and a.parity(j) == ODD else 1
+                bj = GradedVector.basis(a, a.label(j))
+                want = product(a, bj, x).scale(sign).coords
+                assert tuple(rx.entries[l][j] for l in range(a.dim)) == want
+
+    def test_even_elements_preserve_parity(self):
+        # R_x for even x has zero off-diagonal parity blocks
+        rng = random.Random(43)
+        for fid, size in (("L", 5), ("M", 4), ("H", 5), ("G", 6), ("N2M", 5),
+                          ("SH1", 5), ("M5", 5)):
+            a = build(fid, size, instance(fid, size))
+            for _ in range(5):
+                rx = right_mul_matrix(a, _random_homogeneous(rng, a, EVEN))
+                n0 = a.n_even
+                assert not any(rx.entries[i][j] for i in range(n0)
+                               for j in range(n0, a.dim))
+                assert not any(rx.entries[i][j] for i in range(n0, a.dim)
+                               for j in range(n0))
 
 
 class TestIdentityChecks:
@@ -441,16 +471,14 @@ class TestCharSequence:
         a = build("N2M", 3)
         assert char_sequence(a) == ((1, 1), (3,))
         # dense grid over x = a*e1 + c*e2 (the even square is zero here)
-        from superalg.core import right_mul_blocks
         best = None
         for s in range(-5, 6):
             for c in range(-5, 6):
                 if s == 0 and c == 0:
                     continue
-                even_block, odd_block = right_mul_blocks(
-                    a, (Fraction(s), Fraction(c)))
-                pair = (nilpotent_jordan_type(even_block),
-                        nilpotent_jordan_type(odd_block))
+                rx = right_mul_matrix(a, vec(a, e1=s, e2=c))
+                pair = (nilpotent_jordan_type(rx.principal(range(a.n_even))),
+                        nilpotent_jordan_type(rx.principal(range(a.n_even, a.dim))))
                 cand = pair
                 if best is None:
                     best = cand
@@ -472,6 +500,23 @@ class TestCharSequence:
     def test_not_nilpotent_raises(self):
         with pytest.raises(NotNilpotentError):
             char_sequence(build("SL", 4))
+
+    def test_every_nilpotent_claim_instance_over_three_seeds(self):
+        # the NILP claim instances (sizes 3..7, every sample): each reaches
+        # ((n0 - 1, 1), (n1,)) for seeds 0, 1 and 2
+        from superalg.families import FAMILY_IDS, family_info, sizes
+        count = 0
+        for fid in FAMILY_IDS:
+            if family_info(fid).kind != "nilpotent":
+                continue
+            for size in sizes(fid, 3, 7):
+                for sample in family_info(fid).samples(size):
+                    a = build(fid, size, {**zeros(fid, size), **sample})
+                    want = ((a.n_even - 1, 1), (a.n_odd,))
+                    for seed in (0, 1, 2):
+                        assert char_sequence(a, seed=seed) == want, (a.name, seed)
+                    count += 1
+        assert count == 43
 
 
 class TestFingerprint:
@@ -531,6 +576,106 @@ class TestSDF:
                    {"left": "e1", "right": "e1", "value": [["e2", "alpha4"]]}]}
         with pytest.raises(InputError, match="alpha4"):
             sdf_load(doc)
+
+    @pytest.mark.parametrize("value", [
+        5, [["e1"]], [["e1", None]], [[["e1"], 1]], [["e1", [1]]],
+        [["e1", float("inf")]], [["e1", 1.5]], [["e1", True]], [5], "e1"])
+    def test_malformed_value_rejected_naming_product(self, value):
+        doc = {"name": "bad", "even_basis": ["e1", "e2"], "odd_basis": [],
+               "products": [{"left": "e1", "right": "e1", "value": value}]}
+        with pytest.raises(InputError, match=r"\[e1, e1\]"):
+            sdf_load(doc)
+
+    @pytest.mark.parametrize("field,value", [
+        ("products", 5), ("products", {"left": "e1"}), ("even_basis", [["e1"]]),
+        ("odd_basis", "y1"), ("parameters", [1]), ("name", 3)])
+    def test_malformed_shape_rejected(self, field, value):
+        doc = {"name": "bad", "even_basis": ["e1", "e2"], "odd_basis": [],
+               "parameters": [], "products": []}
+        doc[field] = value
+        with pytest.raises(InputError, match=f"malformed SDF: {field}"):
+            sdf_load(doc)
+
+    def test_malformed_product_entry_rejected(self):
+        for entry in (5, [], {"left": "e1", "right": "e1"},
+                      {"left": ["e1"], "right": "e1", "value": []}):
+            doc = {"name": "bad", "even_basis": ["e1"], "odd_basis": [],
+                   "products": [entry]}
+            with pytest.raises(InputError, match="malformed SDF product entry"):
+                sdf_load(doc)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_fuzz_round_trip_of_random_graded_algebras(self, data):
+        n0 = data.draw(st.integers(1, 3))
+        n1 = data.draw(st.integers(0, 3))
+        even = [f"e{i}" for i in range(1, n0 + 1)]
+        odd = [f"y{i}" for i in range(1, n1 + 1)]
+        parameters = data.draw(st.sampled_from([(), ("a",), ("a", "b")]))
+        symbolic = {(): ["1"], ("a",): ["a", "-a^2 + 1/2"],
+                    ("a", "b"): ["a", "2*a*b - b", "(a - b)^3"]}[parameters]
+        coefficient = st.one_of(
+            st.integers(-9, 9),
+            st.builds(lambda p, q: f"{p}/{q}", st.integers(-9, 9), st.integers(1, 9)),
+            st.sampled_from(symbolic))
+        products = {}
+        for i, left in enumerate(even + odd):
+            for j, right in enumerate(even + odd):
+                if not data.draw(st.booleans()):
+                    continue
+                parity = ((i >= n0) + (j >= n0)) % 2
+                targets = odd if parity else even
+                if targets:
+                    products[(left, right)] = data.draw(st.lists(
+                        st.tuples(st.sampled_from(targets), coefficient),
+                        max_size=3))
+        a = make_superalgebra("fuzz", even, odd, parameters, products)
+        text = sdf_dumps(a)
+        b = sdf_loads(text)
+        assert b == a and sdf_dumps(b) == text
+
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        max_leaves=20)
+
+    @settings(max_examples=150, deadline=None)
+    @given(json_values)
+    def test_fuzz_arbitrary_json_only_raises_input_error(self, doc):
+        try:
+            sdf_loads(json.dumps(doc))
+        except InputError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_fuzz_sdf_shaped_json_only_raises_input_error(self, data):
+        labels = ["e1", "e2", "y1", "a", ""]
+        names = st.lists(st.sampled_from(labels), max_size=3)
+        anything = self.json_values
+        term = st.one_of(
+            st.tuples(st.sampled_from(labels),
+                      st.one_of(st.integers(), st.text(max_size=6),
+                                st.sampled_from(["1/0", "a^65", "((a", "e1"]),
+                                anything)).map(list),
+            anything)
+        product = st.one_of(
+            st.fixed_dictionaries({"left": st.sampled_from(labels),
+                                   "right": st.sampled_from(labels),
+                                   "value": st.one_of(st.lists(term, max_size=3),
+                                                      anything)}),
+            anything)
+        doc = data.draw(st.fixed_dictionaries({
+            "name": st.one_of(st.just("fuzz"), anything),
+            "even_basis": st.one_of(names, anything),
+            "odd_basis": st.one_of(names, anything),
+            "parameters": st.one_of(st.sampled_from([[], ["a"]]), anything),
+            "products": st.one_of(st.lists(product, max_size=4), anything)}))
+        try:
+            sdf_loads(json.dumps(doc))
+        except InputError:
+            pass
 
     def test_dump_is_json_serializable(self):
         json.dumps(sdf_dump(build("G", 4)))

@@ -7,12 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from superalg import build, parameter_names
+from superalg import (FAMILY_IDS, build, build_family, family_info,
+                      nilradical_spec, parameter_names)
 from superalg.core import (EVEN, ODD, GradedVector, change_basis,
                            make_superalgebra, right_mul_matrix)
 from superalg.derivations import (derivation_space, extendability,
                                   is_derivation, max_nil_independent,
-                                  space_all_nilpotent)
+                                  same_span, space_all_nilpotent)
+from superalg.families import sizes
 from superalg.errors import InputError, UnsupportedShapeError
 from superalg.exactmath import RatMatrix
 
@@ -231,6 +233,147 @@ class TestNilIndependence:
         m = RatMatrix.from_rows([[0, 1], [1, 0]])
         with pytest.raises(UnsupportedShapeError):
             max_nil_independent(DerivationSpace(EVEN, (m,), 2))
+
+
+def _nilpotent_targets() -> dict[str, object]:
+    """Every catalog family whose zero build is legal, at sizes 3..6: the
+    algebra itself if nilpotent, else its nilradical (deduplicated)."""
+    targets = {}
+    for fid in FAMILY_IDS:
+        info = family_info(fid)
+        for size in sizes(fid, 3, 6):
+            params = {**zeros(fid, size), **info.structural}
+            try:
+                algebra = build(fid, size, params)
+            except InputError:
+                continue   # H1, G1, G4, SH3 and SG2 need nonzero values
+            if info.kind == "solvable":
+                algebra = build_family(nilradical_spec(fid, size, params))
+            targets.setdefault(algebra.name, algebra)
+    return targets
+
+
+_NIL_TARGETS = _nilpotent_targets()
+
+
+class TestNilIndependenceOracle:
+    @pytest.mark.parametrize("name", sorted(_NIL_TARGETS))
+    def test_count_and_witnesses_match_the_dense_diagonal_rank(self, name):
+        algebra = _NIL_TARGETS[name]
+        dim = algebra.dim
+        report = max_nil_independent(derivation_space(algebra, EVEN))
+        # oracle count: diagonals of the dense kernel basis, by dense_rref
+        kernel = dense_derivation_kernel(algebra, EVEN)
+        diagonals = [[vec[p * dim + p] for p in range(dim)] for vec in kernel]
+        assert report.max_count == len(dense_rref(diagonals, dim)[1])
+        # oracle witnesses: the basis elements whose diagonal raises the
+        # dense rank of the ones picked before, in basis order
+        picked: list[list[Fraction]] = []
+        witnesses = []
+        for m in derivation_space(algebra, EVEN).basis:
+            trial = picked + [list(m.diagonal())]
+            if len(dense_rref(trial, dim)[1]) > len(picked):
+                picked = trial
+                witnesses.append(m)
+        assert report.witnesses == tuple(witnesses)
+        assert report.method == ("all-nilpotent" if not witnesses
+                                 else "triangular-diagonal-rank")
+
+
+def _dense_span(algebra, matrices) -> tuple:
+    """Nonzero dense_rref rows of the flattened matrices, with the pivots."""
+    dim = algebra.dim
+    rows = [[m.entries[i][j] for i in range(dim) for j in range(dim)]
+            for m in matrices]
+    reduced, pivots = dense_rref(rows, dim * dim)
+    return reduced[:len(pivots)], pivots
+
+
+def _random_graded_matrix(rng, algebra, degree) -> RatMatrix:
+    dim = algebra.dim
+    return RatMatrix.from_rows([
+        [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+         if algebra.parity(l) == (algebra.parity(k) + degree) % 2
+         and rng.random() < 0.5 else 0 for k in range(dim)]
+        for l in range(dim)])
+
+
+class TestSameSpanOracle:
+    def test_random_families_agree_with_dense_rref(self):
+        rng = random.Random(53)
+        outcomes = set()
+        for trial in range(80):
+            algebra = abelian(rng.randint(1, 3), rng.randint(0, 3))
+            degree = ODD if algebra.n_odd and trial % 2 else EVEN
+            left = [_random_graded_matrix(rng, algebra, degree)
+                    for _ in range(rng.randint(0, 4))]
+            right = [_random_graded_matrix(rng, algebra, degree)
+                     for _ in range(rng.randint(0, 4))]
+            if trial % 3 == 0:   # equal spans, listed the other way round
+                right = left[::-1]
+            elif trial % 3 == 1:   # the left span, maybe enlarged
+                right = left + right[:1]
+            elif left:   # most often the same pivots but another span
+                dim = algebra.dim
+                last = max((l, k) for l in range(dim) for k in range(dim)
+                           if algebra.parity(l) == (algebra.parity(k) + degree) % 2)
+                right = left[:-1] + [left[-1] + _unit(dim, {last: 1})]
+            want = _dense_span(algebra, left) == _dense_span(algebra, right)
+            assert same_span(algebra, degree, left, right) == want
+            outcomes.add(want)
+        assert outcomes == {True, False}
+
+    def test_reordered_rescaled_and_recombined_bases_span_the_same(self):
+        rng = random.Random(59)
+        for trial in range(40):
+            algebra = abelian(rng.randint(1, 3), rng.randint(1, 3))
+            degree = trial % 2
+            left = [_random_graded_matrix(rng, algebra, degree)
+                    for _ in range(rng.randint(1, 4))]
+            right = [m.scale(Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3)))
+                     for m in left]
+            rng.shuffle(right)
+            right.append(left[0] + left[-1].scale(rng.randint(-2, 2)))
+            assert _dense_span(algebra, left) == _dense_span(algebra, right)
+            assert same_span(algebra, degree, left, right)
+            # adding a matrix changes the span unless it already lies in it
+            extra = _random_graded_matrix(rng, algebra, degree)
+            want = _dense_span(algebra, left) == _dense_span(algebra, left + [extra])
+            assert same_span(algebra, degree, left, left + [extra]) == want
+
+    def test_unequal_spans(self):
+        algebra = abelian(2, 1)
+        a = _unit(algebra.dim, {(0, 0): 1})
+        b = _unit(algebra.dim, {(1, 0): 1})
+        assert not same_span(algebra, EVEN, [a], [b])
+        assert not same_span(algebra, EVEN, [a], [a, b])
+        # one pivot each, in the same column, but different lines
+        c = _unit(algebra.dim, {(1, 1): 1})
+        assert not same_span(algebra, EVEN, [a + c], [a + c.scale(2)])
+        assert same_span(algebra, EVEN, [a, b], [b, a + b])
+
+    def test_empty_families(self):
+        algebra = abelian(2, 1)
+        zero = RatMatrix.zeros(algebra.dim, algebra.dim)
+        assert same_span(algebra, EVEN, [], [])
+        assert same_span(algebra, EVEN, [], [zero, zero])
+        assert not same_span(algebra, EVEN, [], [_unit(algebra.dim, {(2, 2): 1})])
+
+    def test_grading_incompatible_matrix_rejected(self):
+        algebra = abelian(2, 1)
+        even_map = _unit(algebra.dim, {(0, 0): 1})
+        odd_map = _unit(algebra.dim, {(2, 0): 1})
+        with pytest.raises(InputError, match="grading-compatible"):
+            same_span(algebra, EVEN, [even_map], [odd_map])
+        with pytest.raises(InputError, match="grading-compatible"):
+            same_span(algebra, ODD, [odd_map], [even_map])
+        with pytest.raises(InputError, match="whole space"):
+            same_span(algebra, EVEN, [even_map], [RatMatrix.identity(2)])
+
+
+def _unit(dim: int, entries: dict) -> RatMatrix:
+    return RatMatrix.from_rows([[entries.get((i, j), 0) for j in range(dim)]
+                                for i in range(dim)])
 
 
 class TestExtendability:

@@ -14,7 +14,7 @@ from superalg.errors import InputError
 from superalg.exactmath import (MAX_EXPONENT, Polynomial, RatMatrix,
                                 format_rational, invert, nilpotent_jordan_type,
                                 parse_coefficient, parse_rational,
-                                rank, rref, rref_rank_kernel, sparse_kernel)
+                                rref, sparse_kernel)
 
 from oracles import (bareiss_rank, dense_kernel, dense_rref, echelon_kernel,
                      jordan_type_by_powers)
@@ -144,6 +144,15 @@ def random_matrix(rng, rows, cols, lo=-5, hi=5):
         [[Fraction(rng.randint(lo, hi)) for _ in range(cols)] for _ in range(rows)])
 
 
+def sparse_rows(m):
+    return [{j: v for j, v in enumerate(row) if v} for row in m.entries]
+
+
+def rank_and_kernel(m):
+    """Rank as the number of rref pivots, kernel from the sparse engine."""
+    return len(rref(m)[1]), sparse_kernel(sparse_rows(m), m.cols)
+
+
 class TestRref:
     def test_from_rows_keeps_fractions_and_converts_the_rest(self):
         half = Fraction(1, 2)
@@ -153,11 +162,11 @@ class TestRref:
         assert m.entries == ((half, Fraction(3)), (Fraction(-1), Fraction(0)))
 
     def test_zero_matrix(self):
-        reduced, r, kernel = rref_rank_kernel(RatMatrix.zeros(3, 3))
+        r, kernel = rank_and_kernel(RatMatrix.zeros(3, 3))
         assert r == 0 and len(kernel) == 3
 
     def test_identity(self):
-        _, r, kernel = rref_rank_kernel(RatMatrix.identity(2))
+        r, kernel = rank_and_kernel(RatMatrix.identity(2))
         assert r == 2 and kernel == []
 
     def test_pivot_columns_strictly_increase(self):
@@ -173,13 +182,13 @@ class TestRref:
             rows = rng.randint(1, 12)
             cols = rng.randint(1, 12)
             m = random_matrix(rng, rows, cols)
-            assert rank(m) == bareiss_rank([list(r) for r in m.entries])
+            assert len(rref(m)[1]) == bareiss_rank([list(r) for r in m.entries])
 
     def test_kernel_is_a_kernel_and_dimensions_add_up(self):
         rng = random.Random(13)
         for _ in range(60):
             m = random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
-            _, r, kernel = rref_rank_kernel(m)
+            r, kernel = rank_and_kernel(m)
             assert r + len(kernel) == m.cols
             for vec in kernel:
                 assert not any(m.apply(vec))
@@ -188,7 +197,7 @@ class TestRref:
         rng = random.Random(17)
         for _ in range(40):
             m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
-            _, r, kernel = rref_rank_kernel(m)
+            _, kernel = rank_and_kernel(m)
             oracle = echelon_kernel([list(row) for row in m.entries], m.cols)
             assert len(kernel) == len(oracle)
             combined = [list(v) for v in kernel] + oracle
@@ -200,11 +209,10 @@ class TestRref:
             rows = rng.randint(1, 8)
             cols = rng.randint(1, 8)
             m = random_matrix(rng, rows, cols, -3, 3)
-            sparse_rows = [{j: v for j, v in enumerate(row) if v}
-                           for row in m.entries]
-            got = sparse_kernel(sparse_rows, cols)
+            got = sparse_kernel(sparse_rows(m), cols)
             assert got == dense_kernel([list(r) for r in m.entries], cols)
-            assert got == rref_rank_kernel(m)[2]
+            # the rref keeps the row space, so its kernel is the same
+            assert got == sparse_kernel(sparse_rows(rref(m)[0]), cols)
 
     def test_sparse_kernel_ignores_row_order(self):
         rng = random.Random(23)
@@ -216,9 +224,9 @@ class TestRref:
                 grid.append([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                              if rng.random() < density else Fraction(0)
                              for _ in range(cols)])
-            sparse_rows = [{j: v for j, v in enumerate(row) if v} for row in grid]
-            want = sparse_kernel(sparse_rows, cols)
-            shuffled = list(sparse_rows)
+            rows = [{j: v for j, v in enumerate(row) if v} for row in grid]
+            want = sparse_kernel(rows, cols)
+            shuffled = list(rows)
             rng.shuffle(shuffled)
             assert sparse_kernel(shuffled, cols) == want == dense_kernel(grid, cols)
 
@@ -241,7 +249,7 @@ class TestRref:
             reduced, pivots = rref(m)
             assert pivots == want_pivots
             assert [list(r) for r in reduced.entries] == want_rows
-            assert rank(m) == len(want_pivots) == bareiss_rank(grid)
+            assert len(pivots) == bareiss_rank(grid)
 
     def test_stacked_right_annihilator_system_of_the_2_3_algebra(self):
         # rows of the linear system [b_i, z] = 0 over z, stacked over all i
@@ -261,13 +269,24 @@ class TestRref:
                 if hit:
                     rows.append(row)
         system = RatMatrix.from_rows(rows)
-        _, r, kernel = rref_rank_kernel(system)
+        r, kernel = rank_and_kernel(system)
         assert len(kernel) == 1
         assert r == system.cols - 1
         assert bareiss_rank([list(x) for x in system.entries]) == r
         # the kernel line is the e2 coordinate axis
         vec = kernel[0]
         assert vec[1] != 0 and all(not v for idx, v in enumerate(vec) if idx != 1)
+
+    def test_principal_matches_the_hand_slice(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            size = rng.randint(0, 7)
+            m = random_matrix(rng, size, size)
+            keep = sorted(rng.sample(range(size), rng.randint(0, size)))
+            want = RatMatrix.from_rows([[m.entries[i][j] for j in keep] for i in keep])
+            got = m.principal(keep)
+            assert (got.rows, got.cols, got.entries) == (len(keep), len(keep), want.entries)
+            assert m.principal(range(size)) == m
 
     def test_invert_round_trip(self):
         rng = random.Random(23)
@@ -277,7 +296,7 @@ class TestRref:
             try:
                 inv = invert(m)
             except InputError:
-                assert rank(m) < size
+                assert len(rref(m)[1]) < size
                 continue
             assert inv @ m == RatMatrix.identity(size)
 
@@ -296,8 +315,7 @@ class TestJordanType:
         from superalg.core import GradedVector, right_mul_matrix
         algebra = build("N2M", 5)
         rx = right_mul_matrix(algebra, GradedVector.basis(algebra, "e1"))
-        odd = range(2, 7)
-        block = RatMatrix.from_rows([[rx.entries[i][j] for j in odd] for i in odd])
+        block = rx.principal(range(2, 7))
         assert nilpotent_jordan_type(block) == (5,)
         assert jordan_type_by_powers(block) == (5,)
 
