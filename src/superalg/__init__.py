@@ -1,4 +1,10 @@
-"""Exact verification engine for a catalog of graded algebra families."""
+"""Exact verification engine for a catalog of graded algebra families.
+
+The ``families`` re-exports resolve on first access (PEP 562), so importing
+the package, or ``superalg.cli``, does not run the family registry.
+"""
+
+from importlib import import_module
 
 from .core import (Fingerprint, GradedSubspace, GradedVector, Residual,
                    SuperAlgebra, change_basis, char_sequence, check_leibniz,
@@ -12,9 +18,16 @@ from .errors import (DegenerateSamplingError, InputError,
 from .exactmath import (Polynomial, RatMatrix, format_rational,
                         nilpotent_jordan_type, parse_coefficient,
                         parse_rational)
-from .families import (CORRECTED, FAMILY_IDS, VERBATIM, ErrataEntry,
-                       FamilySpec, build, build_family, errata_for,
-                       errata_ledger, family_info, list_families,
-                       nilradical_spec, parameter_names)
+
+_FAMILIES_EXPORTS = frozenset({
+    "CORRECTED", "FAMILY_IDS", "VERBATIM", "ErrataEntry", "FamilySpec",
+    "build", "build_family", "errata_for", "errata_ledger", "family_info",
+    "list_families", "nilradical_spec", "parameter_names"})
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    if name in _FAMILIES_EXPORTS:
+        return getattr(import_module(".families", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,25 +5,50 @@ charseq, derivations, annihilator, invariants, catalog, errata, verify.
 Exit codes: 0 success / all claims pass, 1 verification failure, 2 input
 error.  SDF (a JSON document) is the single interchange format; every
 subcommand that analyses an algebra consumes one.
+
+Each run is a fresh process, so importing this module loads only `core`,
+`exactmath` and `errors`; `families`, `derivations` and `verify` execute on
+first use, by the subcommands that call them.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
 from fractions import Fraction
 
-from . import families
 from .core import (EVEN, ODD, char_sequence, check_leibniz, check_lie,
                    derived_series, fingerprint, lower_central_series,
                    right_annihilator, sdf_dumps, sdf_loads)
-from .derivations import derivation_space
 from .errors import (DegenerateSamplingError, InputError, NotNilpotentError,
                      SuperalgError)
 from .exactmath import format_rational
-from .verify import render_text, run_claims
+
+
+def _lazy_submodule(name: str):
+    """Package submodule `name`, whose code runs on first attribute access.
+
+    It is registered in sys.modules and on the package, as an import would
+    do, so every later import of it shares the one module object.
+    """
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+families = _lazy_submodule("families")
+derivations = _lazy_submodule("derivations")
+verify = _lazy_submodule("verify")
 
 
 def _default_seed() -> int:
@@ -77,7 +102,8 @@ def _cmd_family(args) -> int:
     if args.zeros:
         for name in families.parameter_names(args.family_id, size):
             params.setdefault(name, Fraction(0))
-    algebra = families.build(args.family_id, size, params, args.errata)
+    mode = families.CORRECTED if args.errata is None else args.errata
+    algebra = families.build(args.family_id, size, params, mode)
     text = sdf_dumps(algebra)
     if args.output == "-":
         sys.stdout.write(text)
@@ -127,7 +153,7 @@ def _cmd_charseq(args) -> int:
 def _cmd_derivations(args) -> int:
     algebra = _load_algebra(args.file)
     degree = EVEN if args.degree == "even" else ODD
-    space = derivation_space(algebra, degree)
+    space = derivations.derivation_space(algebra, degree)
     payload = {
         "degree": args.degree,
         "dim": space.dim,
@@ -176,14 +202,13 @@ def _cmd_verify(args) -> int:
     selected = None
     if args.claims and args.claims != "all":
         prefixes = [c.strip() for c in args.claims.split(",") if c.strip()]
-        from .verify import claim_ids
-        selected = [cid for cid in claim_ids()
+        selected = [cid for cid in verify.claim_ids()
                     if any(cid == p or cid.startswith(p) for p in prefixes)]
         if not selected:
             raise InputError(f"no claims match {args.claims!r}")
-    report = run_claims(selected, args.n_range, args.seed)
+    report = verify.run_claims(selected, args.n_range, args.seed)
     rendered = (json.dumps(report.as_dict(), indent=2) if args.json
-                else render_text(report))
+                else verify.render_text(report))
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
             handle.write(rendered + "\n")
@@ -214,15 +239,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("family", help="build a catalog family and emit SDF")
-    p.add_argument("family_id", choices=list(families.FAMILY_IDS))
+    p.add_argument("family_id", help="a family id from `superalg catalog`")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--param", action="append", default=[],
                    metavar="NAME=VALUE")
     p.add_argument("--zeros", action="store_true",
                    help="set every unspecified parameter to 0")
-    p.add_argument("--errata", choices=[families.VERBATIM, families.CORRECTED],
-                   default=families.CORRECTED)
+    p.add_argument("--errata", default=None, metavar="MODE",
+                   help="table transcription mode, checked by the builder "
+                        "(default: the corrected tables)")
     p.add_argument("-o", "--output", default="-", metavar="FILE")
     p.set_defaults(func=_cmd_family)
 
@@ -239,7 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("charseq", help="sampled characteristic sequence")
     p.add_argument("file")
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--samples", type=int, default=64,
+                   help="after the even basis vectors outside L0^2, draw "
+                        "seeded vectors until dim L0 + SAMPLES candidates "
+                        "(or 50 * (SAMPLES + 1) draws); default 64")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--bound", type=int, default=5)
     p.set_defaults(func=_cmd_charseq)

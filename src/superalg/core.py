@@ -588,12 +588,15 @@ def char_sequence(algebra: SuperAlgebra, samples: int = 64, seed: int = 0,
                   bound: int = 5) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Characteristic sequence: componentwise maxima of Jordan types of R_x.
 
-    x ranges over a sample of L0 \\ L0^2 that always includes every even basis
-    vector outside L0^2 plus `samples` seeded integer-coordinate vectors with
-    entries in [-bound, bound].  The even and odd maxima are taken
-    independently (each in lexicographic partition order).  The result is a
-    sampled maximum, not a certified one.  A negative `samples` or `bound` is
-    an InputError.
+    x ranges over a sample of L0 \\ L0^2: every even basis vector outside
+    L0^2, then seeded integer-coordinate vectors with entries in
+    [-bound, bound], drawn (those in L0^2 rejected) until there are
+    dim L0 + `samples` candidates in all or 50 * (`samples` + 1) draws have
+    been made.  So when k even basis vectors lie in L0^2, up to `samples` + k
+    random vectors are used, and `samples` = 0 still uses up to k.  The even
+    and odd maxima are taken independently (each in lexicographic partition
+    order).  The result is a sampled maximum, not a certified one.  A
+    negative `samples` or `bound` is an InputError.
     """
     for name, value in (("samples", samples), ("bound", bound)):
         if value < 0:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from . import families
 from .core import EVEN, ODD, SuperAlgebra
 from .errors import InputError, InternalInconsistencyError, UnsupportedShapeError
 from .exactmath import RatMatrix, SparseRow, _reduce_into, _rref_rows, sparse_kernel
@@ -325,15 +324,17 @@ class ExtendabilityResult:
 
 def extendability(family_id: str, n: int,
                   params: Mapping[str, object] | None = None,
-                  mode: str = families.VERBATIM) -> ExtendabilityResult:
+                  mode: str | None = None) -> ExtendabilityResult:
     """Classify whether a nilpotent family instance admits a non-nilpotent
     solvable extension: extendable iff some even derivation is non-nilpotent.
 
     Unspecified parameters default to zero.  The verdict is compared against
     the zero/nonzero-pattern prediction table; for the (n|n-1) alpha-family
     at n = 3 the prediction's derivation constraint degenerates, so the
-    result is flagged instead of matched.
+    result is flagged instead of matched.  `mode` defaults to verbatim.
     """
+    from . import families  # only the classifier builds catalog tables
+
     if family_id not in CLASSIFIER_FAMILIES:
         raise InputError(
             f"extendability is defined for the nilpotent families "
@@ -344,6 +345,8 @@ def extendability(family_id: str, n: int,
             raise InputError(f"{family_id}: unknown parameter {name!r}")
         values[name] = Fraction(raw)
 
+    if mode is None:
+        mode = families.VERBATIM
     algebra = families.build(family_id, n, values, mode)
     space = derivation_space(algebra, EVEN)
     cert = space_all_nilpotent(space)

@@ -39,6 +39,12 @@ from .exactmath import Polynomial
 VERBATIM = "verbatim"
 CORRECTED = "corrected"
 
+# The largest size (n or m) that `build` accepts, and so the largest size the
+# errata ledger and the claim ranges may reach.  The claims use sizes up to 8;
+# tables grow with the square of the size, and an uncapped size from the
+# command line would only run on until killed.
+MAX_SIZE = 64
+
 HALF = Fraction(1, 2)
 
 Products = dict[tuple[str, str], list[tuple[str, object]]]
@@ -836,6 +842,9 @@ def _validate_domain(info: FamilyInfo, size: int, params: Mapping[str, object]) 
     if size < info.min_size:
         raise InputError(
             f"{info.family_id}: {s} must be >= {info.min_size} (got {size})")
+    if size > MAX_SIZE:
+        raise InputError(f"{info.family_id}: {s} must be <= MAX_SIZE = "
+                         f"{MAX_SIZE} (got {size})")
     if info.size_parity is not None and size % 2 != info.size_parity:
         raise InputError(f"{info.family_id}: {s} must be odd (got {size})")
     if "t" in info.structural:
@@ -1079,6 +1088,10 @@ def errata_for(family_id: str, size: int, params: Mapping[str, object] | None = 
 
 def errata_ledger(sizes: Sequence[int] = (3, 4, 5, 6, 7, 8)) -> list[ErrataEntry]:
     """All shipped corrections over a size grid, in deterministic order."""
+    top = max(sizes, default=0)
+    if top > MAX_SIZE:
+        raise InputError(f"errata sizes must be <= MAX_SIZE = {MAX_SIZE} "
+                         f"(got {top})")
     entries: list[ErrataEntry] = []
     for fid, info in _REGISTRY.items():
         structural = dict(info.structural)

@@ -610,8 +610,13 @@ def run_claims(selected: Sequence[str] | None = None,
     Default ranges per claim kind: nilpotent families 3..7 (sizes for the
     (2|m) family are the odd values), propositions 4..6, corollaries 5..7,
     solvable families 3..6, distinction groups at size 5, errata audits 3..8.
+    A range that ends above `families.MAX_SIZE`, or in which no selected
+    claim has an instance, is an InputError.
     """
     start = time.perf_counter()
+    if n_range and n_range[1] > families.MAX_SIZE:
+        raise InputError(f"size range {n_range[0]}..{n_range[1]} ends above "
+                         f"MAX_SIZE = {families.MAX_SIZE}")
     wanted = list(selected) if selected else claim_ids()
     known = set(claim_ids())
     for cid in wanted:
@@ -667,4 +672,7 @@ def run_claims(selected: Sequence[str] | None = None,
             broken = ClaimReport(cid, "internal error")
             broken.bad("execution", str(exc))
             reports.append(broken)
+    if not reports:  # the default ranges give every claim an instance
+        raise InputError(f"no selected claim has an instance with size in "
+                         f"{n_range[0]}..{n_range[1]}")
     return RunReport(ENGINE_VERSION, seed, reports, time.perf_counter() - start)

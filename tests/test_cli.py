@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from superalg.cli import main
 from superalg.core import sdf_dumps, sdf_loads
+from superalg.families import MAX_SIZE
 
 
 def run(argv, capsys):
@@ -53,6 +58,21 @@ class TestFamilyCommand:
         code, _, err = run(["family", "M4", "--m", "2", "--zeros", "-o", "-"],
                            capsys)
         assert code == 2 and "M4: m must be >= 3 (got 2)" in err
+
+    def test_unknown_family_id_exits_2(self, capsys):
+        code, _, err = run(["family", "XYZ", "--n", "3"], capsys)
+        assert code == 2 and "unknown family id 'XYZ'" in err
+
+    def test_unknown_errata_mode_exits_2(self, capsys):
+        code, _, err = run(["family", "L", "--n", "3", "--errata", "bogus"],
+                           capsys)
+        assert code == 2 and "unknown errata mode 'bogus'" in err
+
+    def test_size_above_the_cap_exits_2_naming_the_limit(self, capsys):
+        code, _, err = run(["family", "L", "--n", str(MAX_SIZE + 1), "--zeros",
+                            "-o", "-"], capsys)
+        assert code == 2
+        assert f"L: n must be <= MAX_SIZE = {MAX_SIZE} (got {MAX_SIZE + 1})" in err
 
     def test_verbatim_mode(self, tmp_path, capsys):
         out = tmp_path / "m5.json"
@@ -191,6 +211,12 @@ class TestCatalogAndErrata:
         assert code == 0
         assert hashlib.sha256(stdout.encode()).hexdigest() == digest
 
+    def test_errata_sizes_above_the_cap_exit_2(self, capsys):
+        code, stdout, err = run(["errata", "--sizes", f"3..{MAX_SIZE + 1}"],
+                                capsys)
+        assert code == 2 and stdout == ""
+        assert f"errata sizes must be <= MAX_SIZE = {MAX_SIZE}" in err
+
     def test_errata_filtered(self, capsys):
         code, stdout, _ = run(["errata", "--family", "H5", "--sizes", "4..5"],
                               capsys)
@@ -219,7 +245,92 @@ class TestVerifyCommand:
         code, _, err = run(["verify", "--claims", "XYZ"], capsys)
         assert code == 2 and "no claims match" in err
 
+    def test_range_without_instances_exits_2(self, capsys):
+        code, stdout, err = run(["verify", "--claims", "NILP-L",
+                                 "--n-range", "0..2"], capsys)
+        assert code == 2 and stdout == ""
+        assert "no selected claim has an instance with size in 0..2" in err
+
+    def test_range_above_the_cap_exits_2(self, capsys):
+        code, _, err = run(["verify", "--claims", "NILP-L",
+                            "--n-range", f"3..{MAX_SIZE + 1}"], capsys)
+        assert code == 2 and f"MAX_SIZE = {MAX_SIZE}" in err
+
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check", "--bogus"])
         assert exc.value.code == 2
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Prints, on the last line of stderr, the superalg modules in sys.modules and
+# those whose code has run (a module still pending a lazy load has a subclass
+# of ModuleType as its type), after importing the CLI and running argv.
+PROBE = """
+import json, sys, types
+import superalg.cli
+code = superalg.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+ours = {n: m for n, m in sys.modules.items() if n.startswith("superalg")}
+print(json.dumps([sorted(ours), sorted(n for n, m in ours.items()
+                                       if type(m) is types.ModuleType), code]),
+      file=sys.stderr)
+"""
+
+BASE = ["superalg", "superalg.cli", "superalg.core", "superalg.errors",
+        "superalg.exactmath"]
+
+
+def fresh_python(code: str, *argv: str, cwd: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("SUPERALG_SEED", None)
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestColdStart:
+    """A fresh CLI process runs only the modules its subcommand calls."""
+
+    def probe(self, tmp_path, *argv):
+        proc = fresh_python(PROBE, *argv, cwd=tmp_path)
+        return json.loads(proc.stderr.splitlines()[-1])
+
+    def test_import_registers_the_deferred_modules_without_running_them(
+            self, tmp_path):
+        registered, executed, _ = self.probe(tmp_path)
+        assert executed == BASE
+        assert registered == sorted(BASE + ["superalg.derivations",
+                                            "superalg.families",
+                                            "superalg.verify"])
+
+    @pytest.mark.parametrize("argv, extra", [
+        (["family", "L", "--n", "4", "-o", "l4.json"], ["superalg.families"]),
+        (["check", "h5.json"], []),
+        (["series", "h5.json"], []),
+        (["annihilator", "h5.json"], []),
+        (["charseq", "h5.json"], []),
+        (["derivations", "h5.json"], ["superalg.derivations"]),
+        (["invariants", "h5.json"], ["superalg.derivations"]),
+    ])
+    def test_each_subcommand_runs_only_the_modules_it_calls(self, tmp_path,
+                                                            argv, extra):
+        assert main(["family", "H", "--n", "5", "--zeros",
+                     "-o", str(tmp_path / "h5.json")]) == 0
+        _, executed, code = self.probe(tmp_path, *argv)
+        assert code == 0
+        assert executed == sorted(BASE + extra)
+
+    def test_package_reexports_of_families_resolve_on_first_access(self,
+                                                                   tmp_path):
+        proc = fresh_python(
+            "import sys, superalg\n"
+            "assert 'superalg.families' not in sys.modules\n"
+            "from superalg import FAMILY_IDS, build\n"
+            "assert superalg.FAMILY_IDS is FAMILY_IDS and 'L' in FAMILY_IDS\n"
+            "assert build('L', 3).name == 'L(n=3)'\n"
+            "try:\n"
+            "    superalg.no_such_name\n"
+            "except AttributeError:\n"
+            "    print('ok')\n", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ok\n"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from superalg import (CORRECTED, FAMILY_IDS, VERBATIM, build, build_family,
 from superalg.core import (GradedVector, check_leibniz, check_lie, nilindex,
                            product, sdf_dumps)
 from superalg.errors import InputError
-from superalg.families import FamilySpec, sizes
+from superalg.families import MAX_SIZE, FamilySpec, sizes
 
 
 def zeros(fid: str, size: int) -> dict[str, int]:
@@ -131,6 +132,18 @@ class TestDomains:
             parameter_names("M4", 2)
         with pytest.raises(InputError, match="odd"):
             parameter_names("SG2", 6)
+
+    def test_size_cap_is_named_and_checked_before_any_table_is_built(self):
+        over = MAX_SIZE + 1
+        limit = re.escape(f"must be <= MAX_SIZE = {MAX_SIZE} (got {over})")
+        with pytest.raises(InputError, match=rf"L: n {limit}"):
+            build("L", over)
+        with pytest.raises(InputError, match=rf"M4: m {limit}"):
+            parameter_names("M4", over)
+        with pytest.raises(InputError, match=rf"H: n {limit}"):
+            errata_for("H", over)
+        with pytest.raises(InputError, match=rf"errata sizes {limit}"):
+            errata_ledger([3, over])
 
 
 class TestConstructionFacts:

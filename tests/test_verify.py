@@ -7,6 +7,7 @@ import json
 import pytest
 
 from superalg.errors import InputError
+from superalg.families import MAX_SIZE
 from superalg.verify import (audit_errata, claim_ids, pairwise_distinguish,
                              render_text, run_claims,
                              verify_corollary, verify_derivation_proposition,
@@ -163,6 +164,16 @@ class TestRunner:
     def test_unknown_claim_rejected(self):
         with pytest.raises(InputError):
             run_claims(["NOPE"])
+
+    def test_range_without_instances_is_an_input_error(self):
+        with pytest.raises(InputError, match=r"size in 0\.\.2"):
+            run_claims(["NILP-L"], (0, 2))
+        with pytest.raises(InputError, match=r"size in 4\.\.4"):
+            run_claims(["NILP-N2M", "AUDIT-N2M"], (4, 4))
+
+    def test_range_above_the_size_cap_is_rejected_before_any_claim_runs(self):
+        with pytest.raises(InputError, match=f"ends above MAX_SIZE = {MAX_SIZE}"):
+            run_claims(["NILP-L"], (3, MAX_SIZE + 1))
 
     def test_report_is_deterministic_and_serializable(self):
         a = run_claims(["NILP-N2M"], (3, 5))
