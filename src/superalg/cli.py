@@ -20,9 +20,10 @@ import os
 import sys
 from fractions import Fraction
 
-from .core import (EVEN, ODD, char_sequence, check_leibniz, check_lie,
-                   derived_series, fingerprint, lower_central_series,
-                   right_annihilator, sdf_dumps, sdf_loads)
+from .core import (EVEN, MAX_BOUND, MAX_SAMPLES, ODD, char_sequence,
+                   check_leibniz, check_lie, derived_series, fingerprint,
+                   lower_central_series, right_annihilator, sdf_dumps,
+                   sdf_loads)
 from .errors import (DegenerateSamplingError, InputError, NotNilpotentError,
                      SuperalgError)
 from .exactmath import format_rational
@@ -190,6 +191,8 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_errata(args) -> int:
+    if args.family:
+        families.family_info(args.family)  # an unknown id is an InputError
     sizes = range(args.sizes[0], args.sizes[1] + 1)
     entries = families.errata_ledger(list(sizes))
     if args.family:
@@ -268,9 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=64,
                    help="after the even basis vectors outside L0^2, draw "
                         "seeded vectors until dim L0 + SAMPLES candidates "
-                        "(or 50 * (SAMPLES + 1) draws); default 64")
+                        "(or 50 * (SAMPLES + 1) draws); default 64, "
+                        f"at most {MAX_SAMPLES}")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--bound", type=int, default=5)
+    p.add_argument("--bound", type=int, default=5,
+                   help="coordinates are drawn from [-BOUND, BOUND]; "
+                        f"default 5, at most {MAX_BOUND}")
     p.set_defaults(func=_cmd_charseq)
 
     p = sub.add_parser("derivations", help="superderivation space basis")

@@ -7,8 +7,10 @@ algebra's free parameters.  Grading is validated at construction: a product of
 parities (p, q) may only produce components of parity p+q mod 2.
 
 Identity checking (`check_leibniz`, `check_lie`) runs symbolically over the
-parameters; every rank-based computation (series, annihilators, Jordan data)
-requires an instantiated algebra, i.e. one whose parameter list is empty.
+parameters, on one kernel that scatters each nonzero product pair into the
+triples it feeds, so its cost grows with the number of nonzero product pairs,
+not with dim³.  Every rank-based computation (series, annihilators, Jordan
+data) requires an instantiated algebra, i.e. one whose parameter list is empty.
 
 Products are right-normed throughout: the lower central series is
 ``L^1 = L, L^{k+1} = [L^k, L]`` and the right multiplication operator is
@@ -21,6 +23,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (DegenerateSamplingError, InputError,
@@ -283,17 +286,68 @@ class Residual:
         return f"{self.identity} residual at ({spot}) on {self.component}: {self.value}"
 
 
-def _acc_terms(acc: dict[int, dict], k: int, t1: dict, t2: dict, sign: int) -> None:
-    """acc[k] += sign * t1 * t2 where t1, t2 are raw polynomial term dicts."""
-    bucket = acc.setdefault(k, {})
-    for e1, c1 in t1.items():
-        for e2, c2 in t2.items():
-            exp = tuple(a + b for a, b in zip(e1, e2))
-            new = bucket.get(exp, 0) + sign * c1 * c2
-            if new:
-                bucket[exp] = new
-            else:
-                bucket.pop(exp, None)
+def _narrowed_cells(algebra: SuperAlgebra) -> tuple[dict[tuple[int, int], tuple], tuple]:
+    """Each nonzero cell as ((k, ((exponent, coeff), ...)), ...), and the zero exponent.
+
+    Integral coefficients become ints and every constant term carries the one
+    returned zero exponent, so the kernel multiplies ints where it can and
+    spots a constant factor by identity.
+    """
+    zero = (0,) * len(algebra.parameters)
+    cells = {
+        key: tuple((k, tuple((e if any(e) else zero,
+                              c.numerator if c.denominator == 1 else c)
+                             for e, c in poly.terms.items()))
+                   for k, poly in terms)
+        for key, terms in algebra.structure.items()
+    }
+    return cells, zero
+
+
+def _emit(algebra: SuperAlgebra, identity: str,
+          acc: dict[tuple[int, ...], dict]) -> list[Residual]:
+    """The nonzero buckets, keyed (basis indices..., component), in key order."""
+    labels = algebra.labels
+    # Most buckets cancel; only the rest are sorted and made Polynomials.
+    nonzero = {key: terms for key, bucket in acc.items()
+               if (terms := {e: c for e, c in bucket.items() if c})}
+    return [Residual(identity, tuple(labels[i] for i in key[:-1]), labels[key[-1]],
+                     Polynomial(algebra.parameters, nonzero[key]))
+            for key in sorted(nonzero)]
+
+
+def _scatter(algebra: SuperAlgebra, identity: str, via_right, via_left) -> list[Residual]:
+    """Residuals of a signed sum of double products, from the nonzero pairs only.
+
+    Each product [b_p, b_q] ∋ c1·b_t meets every nonzero cell that has b_t as
+    its right operand, [b_r, b_t] (routed by `via_right`), or as its left
+    operand, [b_t, b_r] (routed by `via_left`).  A route maps (p, q, r) to
+    the ((i, j, k), sign) pairs of the triples whose identity that double
+    product enters.
+    """
+    cells, zero = _narrowed_cells(algebra)
+    by_left: dict[int, list] = {}
+    by_right: dict[int, list] = {}
+    for (p, q), cell in cells.items():
+        by_left.setdefault(p, []).append((q, cell))
+        by_right.setdefault(q, []).append((p, cell))
+    routes = [(route, partners) for route, partners in
+              ((via_right, by_right), (via_left, by_left)) if route]
+    acc: dict[tuple[int, ...], dict] = {}
+    for (p, q), inner in cells.items():
+        for t, c1 in inner:
+            for route, partners in routes:
+                for r, outer in partners.get(t, ()):
+                    for where, sign in route(p, q, r):
+                        for l, c2 in outer:
+                            bucket = acc.setdefault(where + (l,), {})
+                            for e1, a in c1:
+                                for e2, b in c2:
+                                    e = e2 if e1 is zero else (
+                                        e1 if e2 is zero else tuple(map(add, e1, e2)))
+                                    v = a * b
+                                    bucket[e] = bucket.get(e, 0) + (v if sign > 0 else -v)
+    return _emit(algebra, identity, acc)
 
 
 def check_leibniz(algebra: SuperAlgebra) -> list[Residual]:
@@ -301,98 +355,44 @@ def check_leibniz(algebra: SuperAlgebra) -> list[Residual]:
 
     Works symbolically: the list is empty iff the identity holds identically
     in the parameters.  Residuals appear in lexicographic basis order of the
-    triple (x, y, z).
+    triple (x, y, z), then of the component.
     """
-    S = algebra.structure
-    dim = algebra.dim
-    parity = algebra.parity
-    residuals: list[Residual] = []
-    for i in range(dim):
-        for j in range(dim):
-            s_ij = S.get((i, j))
-            for k in range(dim):
-                s_jk = S.get((j, k))
-                s_ik = S.get((i, k))
-                if not (s_jk or s_ij or s_ik):
-                    continue
-                sign = -1 if (parity(j) and parity(k)) else 1
-                acc: dict[int, dict] = {}
-                if s_jk:
-                    for t, c1 in s_jk:
-                        s_it = S.get((i, t))
-                        if s_it:
-                            for l, c2 in s_it:
-                                _acc_terms(acc, l, c1.terms, c2.terms, 1)
-                if s_ij:
-                    for t, c1 in s_ij:
-                        s_tk = S.get((t, k))
-                        if s_tk:
-                            for l, c2 in s_tk:
-                                _acc_terms(acc, l, c1.terms, c2.terms, -1)
-                if s_ik:
-                    for t, c1 in s_ik:
-                        s_tj = S.get((t, j))
-                        if s_tj:
-                            for l, c2 in s_tj:
-                                _acc_terms(acc, l, c1.terms, c2.terms, sign)
-                for l in sorted(acc):
-                    terms = acc[l]
-                    if terms:
-                        residuals.append(Residual(
-                            "leibniz",
-                            (algebra.label(i), algebra.label(j), algebra.label(k)),
-                            algebra.label(l),
-                            Polynomial(algebra.parameters, terms)))
-    return residuals
+    n0 = algebra.n_even
+    return _scatter(
+        algebra, "leibniz",
+        # [b_r, [b_p, b_q]] is [x,[y,z]] at (r, p, q)
+        lambda p, q, r: (((r, p, q), 1),),
+        # [[b_p, b_q], b_r] is -[[x,y],z] at (p, q, r) and, with y = b_r and
+        # z = b_q, (-1)^{pq}[[x,z],y] at (p, r, q)
+        lambda p, q, r: (((p, q, r), -1),
+                         ((p, r, q), -1 if r >= n0 and q >= n0 else 1)))
 
 
 def check_lie(algebra: SuperAlgebra) -> list[Residual]:
-    """Residuals of graded antisymmetry and of the graded Jacobi identity."""
-    S = algebra.structure
-    dim = algebra.dim
-    parity = algebra.parity
-    residuals: list[Residual] = []
-    for i in range(dim):
-        for j in range(i, dim):
-            sign = -1 if (parity(i) and parity(j)) else 1
-            acc: dict[int, dict] = {}
-            for t, c in S.get((i, j), ()):
-                _acc_terms(acc, t, c.terms, {(0,) * len(algebra.parameters): Fraction(1)}, 1)
-            for t, c in S.get((j, i), ()):
-                _acc_terms(acc, t, c.terms, {(0,) * len(algebra.parameters): Fraction(1)}, sign)
-            for l in sorted(acc):
-                if acc[l]:
-                    residuals.append(Residual(
-                        "antisymmetry", (algebra.label(i), algebra.label(j)),
-                        algebra.label(l), Polynomial(algebra.parameters, acc[l])))
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                pi, pj, pk = parity(i), parity(j), parity(k)
-                s1 = -1 if (pi and pk) else 1
-                s2 = -1 if (pi and pj) else 1
-                s3 = -1 if (pj and pk) else 1
-                acc = {}
-                got = False
-                for (a, b, c_sign) in ((i, (j, k), s1), (j, (k, i), s2), (k, (i, j), s3)):
-                    inner = S.get(b)
-                    if not inner:
-                        continue
-                    for t, c1 in inner:
-                        outer = S.get((a, t))
-                        if outer:
-                            got = True
-                            for l, c2 in outer:
-                                _acc_terms(acc, l, c1.terms, c2.terms, c_sign)
-                if not got:
-                    continue
-                for l in sorted(acc):
-                    if acc[l]:
-                        residuals.append(Residual(
-                            "jacobi",
-                            (algebra.label(i), algebra.label(j), algebra.label(k)),
-                            algebra.label(l), Polynomial(algebra.parameters, acc[l])))
-    return residuals
+    """Residuals of graded antisymmetry and of the graded Jacobi identity.
+
+    Antisymmetry residuals come first, by pair (i <= j), then the Jacobi
+    residuals in lexicographic order of the triple; each by component.
+    """
+    n0 = algebra.n_even
+    acc: dict[tuple[int, ...], dict] = {}
+    for (i, j), terms in algebra.structure.items():
+        # [b_i, b_j] enters pair (i, j) with sign 1 and pair (j, i) with
+        # (-1)^{pq}; only pairs with i <= j are checked, so [b_i, b_i] twice.
+        for (a, b), sign in (((i, j), 1), ((j, i), -1 if i >= n0 and j >= n0 else 1)):
+            if a <= b:
+                for l, poly in terms:
+                    bucket = acc.setdefault((a, b, l), {})
+                    for e, c in poly.terms.items():
+                        bucket[e] = bucket.get(e, 0) + sign * c
+    # The Jacobi sum over the three cyclic slots of (-1)^{..}[b_i, [b_j, b_k]]:
+    # each [b_a, [b_p, b_q]] enters (a, p, q), (q, a, p) and (p, q, a), every
+    # time with the sign -1 iff b_a and b_q are both odd.
+    return _emit(algebra, "antisymmetry", acc) + _scatter(
+        algebra, "jacobi",
+        lambda p, q, a: ((w, -1 if a >= n0 and q >= n0 else 1)
+                         for w in ((a, p, q), (q, a, p), (p, q, a))),
+        None)
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +584,13 @@ def even_square(algebra: SuperAlgebra) -> GradedSubspace:
     return GradedSubspace._from_echelons(algebra, (square, {}))
 
 
+# Caps on char_sequence's arguments.  Each candidate costs two Jordan types,
+# so `samples` bounds the run time; `bound` only widens the box of integer
+# coordinates, which is never needed beyond a few units.
+MAX_SAMPLES = 1024
+MAX_BOUND = 1000
+
+
 def char_sequence(algebra: SuperAlgebra, samples: int = 64, seed: int = 0,
                   bound: int = 5) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Characteristic sequence: componentwise maxima of Jordan types of R_x.
@@ -596,11 +603,16 @@ def char_sequence(algebra: SuperAlgebra, samples: int = 64, seed: int = 0,
     random vectors are used, and `samples` = 0 still uses up to k.  The even
     and odd maxima are taken independently (each in lexicographic partition
     order).  The result is a sampled maximum, not a certified one.  A
-    negative `samples` or `bound` is an InputError.
+    negative `samples` or `bound`, or one above MAX_SAMPLES or MAX_BOUND, is
+    an InputError.
     """
-    for name, value in (("samples", samples), ("bound", bound)):
+    for name, value, cap_name, cap in (("samples", samples, "MAX_SAMPLES", MAX_SAMPLES),
+                                       ("bound", bound, "MAX_BOUND", MAX_BOUND)):
         if value < 0:
             raise InputError(f"char_sequence: {name} must be >= 0 (got {value})")
+        if value > cap:
+            raise InputError(f"char_sequence: {name} must be <= {cap_name} = "
+                             f"{cap} (got {value})")
     if not is_nilpotent(algebra):
         raise NotNilpotentError(
             f"characteristic sequence needs a nilpotent algebra, got {algebra.name!r}")

@@ -139,18 +139,32 @@ def jordan_type_by_powers(m: RatMatrix) -> tuple[int, ...] | None:
     return tuple(sorted(sizes, reverse=True))
 
 
-def brute_leibniz_residuals(algebra: SuperAlgebra):
-    """Evaluate the graded Leibniz identity triple by triple via products."""
-    out = []
+def _basis_products(algebra: SuperAlgebra):
+    """The basis vectors and every product [b_i, b_j], computed by `product`."""
     basis = [GradedVector.basis(algebra, lab) for lab in algebra.labels]
+    return basis, {(i, j): product(algebra, x, y)
+                   for i, x in enumerate(basis) for j, y in enumerate(basis)}
+
+
+def brute_leibniz_residuals(algebra: SuperAlgebra):
+    """Evaluate the graded Leibniz identity triple by triple via products.
+
+    A triple whose three inner products [y,z], [x,y], [x,z] all vanish has
+    all three terms zero by bilinearity, so it is skipped.
+    """
+    out = []
+    basis, prod = _basis_products(algebra)
     for i, x in enumerate(basis):
         for j, y in enumerate(basis):
             for k, z in enumerate(basis):
+                yz, xy, xz = prod[j, k], prod[i, j], prod[i, k]
+                if yz.is_zero() and xy.is_zero() and xz.is_zero():
+                    continue
                 sign = -1 if (algebra.parity(j) and algebra.parity(k)) else 1
-                lhs = product(algebra, x, product(algebra, y, z))
-                r1 = product(algebra, product(algebra, x, y), z)
-                r2 = product(algebra, product(algebra, x, z), y)
-                coords = [a - b + sign * c
+                lhs = product(algebra, x, yz)
+                r1 = product(algebra, xy, z)
+                r2 = product(algebra, xz, y)
+                coords = [a - b + sign * c if a or b or c else 0
                           for a, b, c in zip(lhs.coords, r1.coords, r2.coords)]
                 for comp, value in enumerate(coords):
                     if value:
@@ -162,10 +176,11 @@ def brute_leibniz_residuals(algebra: SuperAlgebra):
 
 def brute_lie_residuals(algebra: SuperAlgebra):
     """Evaluate graded antisymmetry (pairs i <= j), then the graded Jacobi
-    identity (all triples), via products of basis vectors."""
+    identity (all triples), via products of basis vectors.  A triple whose
+    inner products [y,z], [z,x], [x,y] all vanish is skipped."""
     out = []
     labels = algebra.labels
-    basis = [GradedVector.basis(algebra, lab) for lab in labels]
+    basis, prod = _basis_products(algebra)
     parity = algebra.parity
 
     def record(identity, where, coords):
@@ -173,25 +188,26 @@ def brute_lie_residuals(algebra: SuperAlgebra):
             if value:
                 out.append((identity, where, labels[comp], value))
 
-    for i, x in enumerate(basis):
+    for i in range(len(basis)):
         for j in range(i, len(basis)):
-            y = basis[j]
             sign = -1 if (parity(i) and parity(j)) else 1
-            xy = product(algebra, x, y)
-            yx = product(algebra, y, x)
             record("antisymmetry", (labels[i], labels[j]),
-                   [a + sign * b for a, b in zip(xy.coords, yx.coords)])
+                   [a + sign * b for a, b in zip(prod[i, j].coords,
+                                                 prod[j, i].coords)])
     for i, x in enumerate(basis):
         for j, y in enumerate(basis):
             for k, z in enumerate(basis):
+                yz, zx, xy = prod[j, k], prod[k, i], prod[i, j]
+                if yz.is_zero() and zx.is_zero() and xy.is_zero():
+                    continue
                 s1 = -1 if (parity(i) and parity(k)) else 1
                 s2 = -1 if (parity(j) and parity(i)) else 1
                 s3 = -1 if (parity(k) and parity(j)) else 1
-                t1 = product(algebra, x, product(algebra, y, z))
-                t2 = product(algebra, y, product(algebra, z, x))
-                t3 = product(algebra, z, product(algebra, x, y))
+                t1 = product(algebra, x, yz)
+                t2 = product(algebra, y, zx)
+                t3 = product(algebra, z, xy)
                 record("jacobi", (labels[i], labels[j], labels[k]),
-                       [s1 * a + s2 * b + s3 * c
+                       [s1 * a + s2 * b + s3 * c if a or b or c else 0
                         for a, b, c in zip(t1.coords, t2.coords, t3.coords)])
     return out
 
@@ -306,8 +322,14 @@ def dense_derived_series(algebra: SuperAlgebra) -> list[tuple[int, int]]:
 
 
 def random_graded_algebra(rng: random.Random, n0: int, n1: int,
-                          density: float = 0.3) -> SuperAlgebra:
-    """Random sparse structure constants respecting the grading (rarely Leibniz)."""
+                          density: float = 0.3, values: tuple | None = None,
+                          parameters: tuple[str, ...] = ()) -> SuperAlgebra:
+    """Random sparse structure constants respecting the grading (rarely Leibniz).
+
+    Each product has one term; its coefficient is drawn from `values` (numbers
+    or coefficient strings over `parameters`), or is an integer in [-3, 3]
+    (zero drops the product) when `values` is None.
+    """
     even = [f"a{i}" for i in range(1, n0 + 1)]
     odd = [f"b{i}" for i in range(1, n1 + 1)]
     labels = even + odd
@@ -322,10 +344,10 @@ def random_graded_algebra(rng: random.Random, n0: int, n1: int,
             if not targets:
                 continue
             k = rng.choice(targets)
-            value = Fraction(rng.randint(-3, 3))
+            value = rng.choice(values) if values else Fraction(rng.randint(-3, 3))
             if value:
                 products[(labels[i], labels[j])] = [(labels[k], value)]
-    return make_superalgebra("random", even, odd, [], products)
+    return make_superalgebra("random", even, odd, parameters, products)
 
 
 def random_nilpotent_matrix(rng: random.Random, dim: int) -> RatMatrix:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from superalg.cli import main
-from superalg.core import sdf_dumps, sdf_loads
+from superalg.core import MAX_BOUND, MAX_SAMPLES, sdf_dumps, sdf_loads
 from superalg.families import MAX_SIZE
 
 
@@ -127,6 +127,14 @@ class TestAnalysisCommands:
         assert code == 2 and stdout == ""
         assert f"{flag[2:]} must be >= 0 (got -1)" in err
 
+    @pytest.mark.parametrize("flag, cap_name, cap", [
+        ("--samples", "MAX_SAMPLES", MAX_SAMPLES), ("--bound", "MAX_BOUND", MAX_BOUND)])
+    def test_charseq_flag_above_the_cap_exits_2(self, n23, capsys, flag,
+                                                cap_name, cap):
+        code, stdout, err = run(["charseq", n23, flag, str(cap + 1)], capsys)
+        assert code == 2 and stdout == ""
+        assert f"{flag[2:]} must be <= {cap_name} = {cap} (got {cap + 1})" in err
+
     def test_derivations(self, n23, capsys):
         code, stdout, _ = run(["derivations", n23], capsys)
         assert code == 0
@@ -216,6 +224,11 @@ class TestCatalogAndErrata:
                                 capsys)
         assert code == 2 and stdout == ""
         assert f"errata sizes must be <= MAX_SIZE = {MAX_SIZE}" in err
+
+    def test_errata_unknown_family_exits_2(self, capsys):
+        code, stdout, err = run(["errata", "--family", "XYZ"], capsys)
+        assert code == 2 and stdout == ""
+        assert "unknown family id 'XYZ'" in err
 
     def test_errata_filtered(self, capsys):
         code, stdout, _ = run(["errata", "--family", "H5", "--sizes", "4..5"],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superalg import build, parameter_names
-from superalg.core import (EVEN, ODD, GradedSubspace, GradedVector,
-                           SuperAlgebra, change_basis, char_sequence,
+from superalg import (CORRECTED, FAMILY_IDS, VERBATIM, build, family_info,
+                      parameter_names)
+from superalg.core import (EVEN, MAX_BOUND, MAX_SAMPLES, ODD, GradedSubspace,
+                           GradedVector, SuperAlgebra, change_basis, char_sequence,
                            check_leibniz, check_lie, derived_series,
                            fingerprint, is_nilpotent, is_solvable,
                            lower_central_series, make_superalgebra, nilindex,
@@ -21,9 +23,11 @@ from superalg.core import (EVEN, ODD, GradedSubspace, GradedVector,
                            subspace_product)
 from superalg.errors import InputError, NotNilpotentError
 from superalg.exactmath import RatMatrix, nilpotent_jordan_type
+from superalg.families import sizes
 
-from oracles import (brute_leibniz_residuals, dense_derived_series,
-                     dense_lower_central_series, dense_rref, instance,
+from oracles import (brute_leibniz_residuals, brute_lie_residuals,
+                     dense_derived_series, dense_lower_central_series,
+                     dense_rref, instance,
                      random_graded_algebra, random_parity_change, span_dim)
 
 
@@ -231,6 +235,74 @@ class TestIdentityChecks:
         residuals = check_leibniz(algebra)
         order = [tuple(algebra.index(l) for l in r.where) for r in residuals]
         assert order == sorted(order)
+
+    @pytest.mark.parametrize("fid", FAMILY_IDS)
+    def test_symbolic_residuals_evaluate_to_the_oracles(self, fid):
+        # Evaluated at a seeded point of non-integral rationals, the symbolic
+        # residuals that do not vanish are the product-based oracles' residuals
+        # of the table instantiated there, in the same order.  A verbatim
+        # table equal to the corrected one would repeat the same check.
+        rng = random.Random(fid)
+        structural = dict(family_info(fid).structural)
+        for size in sizes(fid, 3, 6):
+            corrected = build(fid, size, structural, CORRECTED)
+            verbatim = build(fid, size, structural, VERBATIM)
+            for symbolic in [corrected] + [verbatim] * (verbatim != corrected):
+                point = {p: Fraction(3 * rng.randint(-4, 4) + 1, rng.choice((3, 6)))
+                         for p in symbolic.parameters}
+                table = symbolic.instantiate(point)
+                got = [(r.where, r.component, r.value.evaluate(point))
+                       for r in check_leibniz(symbolic)]
+                assert [t for t in got if t[2]] == brute_leibniz_residuals(table)
+                got = [(r.identity, r.where, r.component, r.value.evaluate(point))
+                       for r in check_lie(symbolic)]
+                assert [t for t in got if t[3]] == brute_lie_residuals(table)
+
+    def test_fraction_coefficients_agree_with_the_oracles(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            algebra = random_graded_algebra(
+                rng, rng.randint(1, 4), rng.randint(0, 4), density=0.4,
+                values=(Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), 1, -2))
+            assert [(r.where, r.component, r.value.as_constant())
+                    for r in check_leibniz(algebra)] == brute_leibniz_residuals(algebra)
+            assert [(r.identity, r.where, r.component, r.value.as_constant())
+                    for r in check_lie(algebra)] == brute_lie_residuals(algebra)
+
+    def test_random_symbolic_coefficients_agree_with_the_oracles(self):
+        # Products of two parameter-dependent coefficients (p*p, p*q, ...),
+        # which no catalog identity leaves uncancelled, evaluated at a point.
+        rng = random.Random(29)
+        point = {"p": Fraction(-5, 3), "q": Fraction(7, 2)}
+        values = ("p", "-q", "2*p - 1/2", "p*q", "q^2 + 1", Fraction(2, 3), -1)
+        for _ in range(40):
+            symbolic = random_graded_algebra(
+                rng, rng.randint(1, 4), rng.randint(0, 4), density=0.4,
+                values=values, parameters=("p", "q"))
+            table = symbolic.instantiate(point)
+            got = [(r.where, r.component, r.value.evaluate(point))
+                   for r in check_leibniz(symbolic)]
+            assert [t for t in got if t[2]] == brute_leibniz_residuals(table)
+            got = [(r.identity, r.where, r.component, r.value.evaluate(point))
+                   for r in check_lie(symbolic)]
+            assert [t for t in got if t[3]] == brute_lie_residuals(table)
+
+    def test_catalog_residuals_are_pinned(self):
+        # Every residual string, in order, of both identity checks on the
+        # symbolic corrected and verbatim builds of every family at sizes 3..8.
+        digest = hashlib.sha256()
+        count = 0
+        for fid in FAMILY_IDS:
+            info = family_info(fid)
+            for size in sizes(fid, 3, 8):
+                for mode in (CORRECTED, VERBATIM):
+                    a = build(fid, size, dict(info.structural), mode)
+                    for r in check_leibniz(a) + check_lie(a):
+                        digest.update(f"{fid} {size} {mode} {r}\n".encode())
+                        count += 1
+        assert count == 35185
+        assert digest.hexdigest() == (
+            "862596df890b4b5775fe1140077d68df0946ac6c9a64dd059f68ab2534d4b5db")
 
 
 class TestSubspaces:
@@ -500,6 +572,15 @@ class TestCharSequence:
     def test_not_nilpotent_raises(self):
         with pytest.raises(NotNilpotentError):
             char_sequence(build("SL", 4))
+
+    def test_samples_and_bound_just_over_their_caps_are_rejected(self):
+        a = build("N2M", 3)
+        with pytest.raises(InputError, match=f"samples must be <= MAX_SAMPLES = "
+                                             f"{MAX_SAMPLES} "):
+            char_sequence(a, samples=MAX_SAMPLES + 1)
+        with pytest.raises(InputError, match=f"bound must be <= MAX_BOUND = "
+                                             f"{MAX_BOUND} "):
+            char_sequence(a, bound=MAX_BOUND + 1)
 
     def test_every_nilpotent_claim_instance_over_three_seeds(self):
         # the NILP claim instances (sizes 3..7, every sample): each reaches
