@@ -28,9 +28,10 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (DegenerateSamplingError, InputError,
                      InternalInconsistencyError, NotNilpotentError)
-from .exactmath import (Polynomial, RatMatrix, SparseRow, _back_substitute,
-                        _in_row_space, _reduce_into, _subtract, format_rational,
-                        invert, nilpotent_jordan_type, parse_coefficient,
+from .exactmath import (RATIONAL_LITERAL, Polynomial, RatMatrix, SparseRow,
+                        _back_substitute, _in_row_space, _narrow, _reduce_into,
+                        _subtract, _widen, format_rational, invert,
+                        nilpotent_jordan_type, parse_coefficient, parse_rational,
                         sparse_kernel)
 
 EVEN = 0
@@ -38,6 +39,7 @@ ODD = 1
 
 Coefficient = Polynomial
 StructureMap = dict[tuple[int, int], tuple[tuple[int, Polynomial], ...]]
+ConstantMap = dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...]]
 
 
 class SuperAlgebra:
@@ -83,6 +85,7 @@ class SuperAlgebra:
                 table[(i, j)] = tuple(clean)
         self.structure = table
         self._constant: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] | None = None
+        self._narrowed: ConstantMap | None = None
 
     # -- basic queries -------------------------------------------------------
 
@@ -116,6 +119,16 @@ class SuperAlgebra:
                 for key, terms in self.structure.items()
             }
         return self._constant
+
+    def _narrowed_structure(self) -> ConstantMap:
+        """`constant_structure` with each integral constant held as an int,
+        the form the elimination engine works on fastest."""
+        if self._narrowed is None:
+            self._narrowed = {
+                key: tuple((k, _narrow(c)) for k, c in terms)
+                for key, terms in self.constant_structure().items()
+            }
+        return self._narrowed
 
     def instantiate(self, values: Mapping[str, Fraction | int | str]) -> SuperAlgebra:
         """Substitute parameter values; unlisted parameters stay free."""
@@ -173,7 +186,11 @@ def make_superalgebra(name: str, even_basis: Sequence[str], odd_basis: Sequence[
             if isinstance(coeff, Polynomial):
                 poly = coeff
             elif isinstance(coeff, str):
-                poly = parse_coefficient(coeff, parameters)
+                # Most SDF coefficients are plain rationals: skip the parser.
+                text = coeff.strip()
+                poly = (Polynomial.const(parse_rational(text), parameters)
+                        if RATIONAL_LITERAL.fullmatch(text)
+                        else parse_coefficient(coeff, parameters))
             else:
                 poly = Polynomial.const(Fraction(coeff), parameters)
             cell.append((index[target], poly))
@@ -295,8 +312,7 @@ def _narrowed_cells(algebra: SuperAlgebra) -> tuple[dict[tuple[int, int], tuple]
     """
     zero = (0,) * len(algebra.parameters)
     cells = {
-        key: tuple((k, tuple((e if any(e) else zero,
-                              c.numerator if c.denominator == 1 else c)
+        key: tuple((k, tuple((e if any(e) else zero, _narrow(c))
                              for e, c in poly.terms.items()))
                    for k, poly in terms)
         for key, terms in algebra.structure.items()
@@ -424,8 +440,9 @@ class GradedSubspace:
         parts = []
         for echelon in echelons:
             pivots, rows = _back_substitute(echelon)
-            parts.append(tuple((c, tuple(sorted(row.items())))
-                               for c, row in zip(pivots, rows)))
+            parts.append(tuple(
+                (c, tuple((col, _widen(x)) for col, x in sorted(row.items())))
+                for c, row in zip(pivots, rows)))
         return cls(algebra.n_even, algebra.n_odd, (parts[EVEN], parts[ODD]))
 
     @classmethod
@@ -487,15 +504,18 @@ def subspace_product(algebra: SuperAlgebra, u: GradedSubspace,
     Each product is reduced into its parity's echelon as soon as it is
     formed; products whose target part already has full rank are skipped.
     """
-    table = algebra.constant_structure()
+    table = algebra._narrowed_structure()
     sizes = (algebra.n_even, algebra.n_odd)
+    # The parts' integral entries, as ints, multiply without a Fraction.
+    rows_u, rows_v = ([[[(i, _narrow(a)) for i, a in row] for _, row in part]
+                       for part in s.parts] for s in (u, v))
     echelons: tuple[dict, dict] = ({}, {})
     for pu in (EVEN, ODD):
         for pv in (EVEN, ODD):
             target = pu ^ pv
             echelon = echelons[target]
-            for _, row_u in u.parts[pu]:
-                for _, row_v in v.parts[pv]:
+            for row_u in rows_u[pu]:
+                for row_v in rows_v[pv]:
                     if len(echelon) == sizes[target]:
                         break
                     out: SparseRow = {}
@@ -557,11 +577,11 @@ def is_solvable(algebra: SuperAlgebra) -> bool:
 
 def right_annihilator(algebra: SuperAlgebra) -> GradedSubspace:
     """Exact solution set of [b_i, z] = 0 for every basis vector b_i."""
-    table = algebra.constant_structure()
+    table = algebra._narrowed_structure()
     n0, n1 = algebra.n_even, algebra.n_odd
     parts: list[list[tuple[Fraction, ...]]] = []
     for size, offset in ((n0, 0), (n1, n0)):
-        rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+        rows: dict[tuple[int, int], SparseRow] = {}
         for i in range(algebra.dim):
             for j in range(size):
                 for k, c in table.get((i, offset + j), ()):
@@ -576,7 +596,7 @@ def right_annihilator(algebra: SuperAlgebra) -> GradedSubspace:
 
 def even_square(algebra: SuperAlgebra) -> GradedSubspace:
     """[L0, L0]: the span of the products of even basis vectors."""
-    table = algebra.constant_structure()
+    table = algebra._narrowed_structure()
     square: dict[int, SparseRow] = {}
     for i in range(algebra.n_even):
         for j in range(algebra.n_even):

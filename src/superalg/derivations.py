@@ -30,7 +30,8 @@ from typing import Mapping, Sequence
 
 from .core import EVEN, ODD, SuperAlgebra
 from .errors import InputError, InternalInconsistencyError, UnsupportedShapeError
-from .exactmath import RatMatrix, SparseRow, _reduce_into, _rref_rows, sparse_kernel
+from .exactmath import (RatMatrix, SparseRow, _narrow, _reduce_into, _rref_rows,
+                        sparse_kernel)
 
 
 def _positions(algebra: SuperAlgebra, degree: int) -> list[tuple[int, int]]:
@@ -56,19 +57,20 @@ class DerivationSpace:
 
 def is_derivation(algebra: SuperAlgebra, matrix: RatMatrix, degree: int) -> bool:
     """Direct check of the degree-s identity on every ordered basis pair, over
-    the nonzero products and the nonzero entries of D's columns only."""
+    the nonzero products and the nonzero entries of D's columns only, with
+    integral values held as ints."""
     if matrix.rows != algebra.dim or matrix.cols != algebra.dim:
         raise InputError("derivation matrix must act on the whole space")
-    table = algebra.constant_structure()
+    table = algebra._narrowed_structure()
     dim = algebra.dim
     # columns[k] = D b_k as its nonzero (l, D[l, k]) pairs.
-    columns = [[(l, row[k]) for l, row in enumerate(matrix.entries) if row[k]]
+    columns = [[(l, _narrow(row[k])) for l, row in enumerate(matrix.entries) if row[k]]
                for k in range(dim)]
     for i in range(dim):
         sign = -1 if (degree and algebra.parity(i)) else 1
         for j in range(dim):
             # D([b_i,b_j]) - [D b_i, b_j] - (-1)^{s p_i} [b_i, D b_j]
-            residual: dict[int, Fraction] = {}
+            residual: dict[int, int | Fraction] = {}
             for k, c in table.get((i, j), ()):
                 for l, d in columns[k]:
                     residual[l] = residual.get(l, 0) + c * d
@@ -87,7 +89,7 @@ def derivation_space(algebra: SuperAlgebra, degree: int) -> DerivationSpace:
     """Exact kernel of the derivation conditions over grading-compatible maps."""
     if degree not in (EVEN, ODD):
         raise InputError("degree must be 0 (even) or 1 (odd)")
-    table = algebra.constant_structure()
+    table = algebra._narrowed_structure()
     dim = algebra.dim
     parity = [algebra.parity(i) for i in range(dim)]
     of_parity = [[i for i in range(dim) if parity[i] == p] for p in (EVEN, ODD)]
@@ -95,11 +97,11 @@ def derivation_space(algebra: SuperAlgebra, degree: int) -> DerivationSpace:
     pos_index = {p: idx for idx, p in enumerate(positions)}
 
     # Row (i, j, l) is component l of the identity on the pair (b_i, b_j).
-    rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+    rows: dict[tuple[int, int, int], SparseRow] = {}
 
-    def bump(i: int, j: int, l: int, col: int, value: Fraction) -> None:
+    def bump(i: int, j: int, l: int, col: int, value: int | Fraction) -> None:
         r = rows.setdefault((i, j, l), {})
-        new = r.get(col, Fraction(0)) + value
+        new = r.get(col, 0) + value
         if new:
             r[col] = new
         else:
@@ -219,12 +221,11 @@ def _reduce_matrix_list(matrices: list[RatMatrix]) -> list[RatMatrix]:
     if not matrices:
         return []
     size = matrices[0].rows
-    _, basis = _rref_rows({i * size + j: x for i, row in enumerate(m.entries)
+    _, basis = _rref_rows({i * size + j: _narrow(x) for i, row in enumerate(m.entries)
                            for j, x in enumerate(row) if x} for m in matrices)
-    zero = Fraction(0)
-    return [RatMatrix(size, size, tuple(
-        tuple(row.get(i * size + j, zero) for j in range(size)) for i in range(size)))
-        for row in basis]
+    return [RatMatrix.from_rows([row.get(i * size + j, 0) for j in range(size)]
+                                for i in range(size))
+            for row in basis]
 
 
 @dataclass(frozen=True)

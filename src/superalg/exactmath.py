@@ -1,7 +1,11 @@
 """Exact rational arithmetic, sparse multivariate polynomials, exact linear algebra.
 
-Coefficients are `fractions.Fraction` throughout: every result in this package
-is exact, there is no floating-point mode.  A polynomial is a sparse map from
+Every result in this package is exact; there is no floating-point mode.  Every
+public value is a `fractions.Fraction`: polynomial coefficients, matrix
+entries, kernel vectors.  Inside the echelon engine integral values are held
+as plain `int` (most pivots are ±1 and most coefficients integers, and `int`
+arithmetic is far cheaper than `Fraction`'s); the engine converts them back
+to `Fraction` wherever a value leaves it.  A polynomial is a sparse map from
 exponent tuples to rational coefficients over a fixed, ordered tuple of
 variable names (the canonical order is fixed by whoever constructs the
 polynomial; algebras use lexicographic parameter order).
@@ -27,11 +31,14 @@ from .errors import InputError
 Exponent = tuple[int, ...]
 Terms = dict[Exponent, Fraction]
 
+# The text `parse_rational` accepts, once stripped: an optionally signed p or p/q.
+RATIONAL_LITERAL = re.compile(r"[+-]?\d+(/\d+)?")
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q" into an exact rational."""
     s = text.strip()
-    if not re.fullmatch(r"[+-]?\d+(/\d+)?", s):
+    if not RATIONAL_LITERAL.fullmatch(s):
         raise InputError(f"not a rational literal: {text!r}")
     try:
         return Fraction(s)
@@ -461,18 +468,32 @@ class RatMatrix:
 # are dicts col -> coeff without zeros (the derivation and annihilator
 # systems and the R_x blocks are very sparse).  An echelon basis keeps one
 # row per pivot column, keyed by it, monic there and zero to its left.
+# Entries may be int or Fraction; every entry the engine computes is
+# narrowed, so integer systems with ±1 pivots never build a Fraction, and
+# every value it returns is widened back to a Fraction.
 
-SparseRow = dict[int, Fraction]
+SparseRow = dict[int, int | Fraction]
 _ZERO = Fraction(0)
 
 
-def _subtract(row: SparseRow, f: Fraction, other: Iterable[tuple[int, Fraction]]) -> None:
-    """row -= f * other (given as (col, coeff) pairs), in place, dropping
-    entries that cancel."""
+def _narrow(x: int | Fraction) -> int | Fraction:
+    """x as an int when it is integral, else x itself."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _widen(x: int | Fraction) -> Fraction:
+    """x as a Fraction, for a value leaving the engine."""
+    return Fraction(x) if type(x) is int else x
+
+
+def _subtract(row: SparseRow, f: int | Fraction,
+              other: Iterable[tuple[int, int | Fraction]]) -> None:
+    """row -= f * other (given as (col, coeff) pairs), in place, narrowing
+    each new entry and dropping entries that cancel."""
     for c, v in other:
-        new = row.get(c, _ZERO) - f * v
+        new = row.get(c, 0) - f * v
         if new:
-            row[c] = new
+            row[c] = _narrow(new)
         else:
             del row[c]
 
@@ -484,8 +505,14 @@ def _reduce_into(pivots: dict[int, SparseRow], row: SparseRow) -> bool:
         c = min(row)
         prow = pivots.get(c)
         if prow is None:
-            inv = 1 / row[c]
-            pivots[c] = {cc: v * inv for cc, v in row.items()}
+            lead = row[c]
+            if lead == 1:
+                pivots[c] = row
+            elif lead == -1:
+                pivots[c] = {cc: -v for cc, v in row.items()}
+            else:
+                inv = Fraction(1, lead)  # never 1 / lead: for an int that is a float
+                pivots[c] = {cc: _narrow(v * inv) for cc, v in row.items()}
             return True
         _subtract(row, row[c], prow.items())
     return False
@@ -517,7 +544,7 @@ def _rref_rows(rows: Iterable[SparseRow]) -> tuple[tuple[int, ...], list[SparseR
     return _back_substitute(_echelon(rows))
 
 
-def _in_row_space(reduced: Iterable[tuple[int, Iterable[tuple[int, Fraction]]]],
+def _in_row_space(reduced: Iterable[tuple[int, Iterable[tuple[int, int | Fraction]]]],
                   row: SparseRow) -> bool:
     """Whether row (consumed) lies in the span of fully reduced rows, given
     as (pivot, pairs): it does iff subtracting row[pivot] times each pivot
@@ -531,22 +558,24 @@ def _in_row_space(reduced: Iterable[tuple[int, Iterable[tuple[int, Fraction]]]],
 
 def _kernel(pivots: tuple[int, ...], rows: Sequence[SparseRow],
             ncols: int) -> list[tuple[Fraction, ...]]:
-    """Kernel basis read off reduced rows: one vector per free column."""
+    """Kernel basis read off reduced rows: one vector per free column, of
+    Fractions."""
     basis = []
     for free in sorted(set(range(ncols)) - set(pivots)):
         vec = [_ZERO] * ncols
         vec[free] = Fraction(1)
         for pc, row in zip(pivots, rows):
             if free in row:
-                vec[pc] = -row[free]
+                vec[pc] = _widen(-row[free])
         basis.append(tuple(vec))
     return basis
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form and its (strictly increasing) pivot columns."""
-    pivots, rows = _rref_rows({j: x for j, x in enumerate(row) if x} for row in m.entries)
-    dense = [tuple(row.get(j, _ZERO) for j in range(m.cols)) for row in rows]
+    pivots, rows = _rref_rows({j: _narrow(x) for j, x in enumerate(row) if x}
+                              for row in m.entries)
+    dense = [tuple(_widen(row.get(j, _ZERO)) for j in range(m.cols)) for row in rows]
     dense += [(_ZERO,) * m.cols] * (m.rows - len(rows))
     return RatMatrix(m.rows, m.cols, tuple(dense)), pivots
 
@@ -589,7 +618,7 @@ def nilpotent_jordan_type(m: RatMatrix) -> tuple[int, ...] | None:
     """
     if m.rows != m.cols:
         raise InputError("Jordan type needs a square matrix")
-    columns = [{i: row[j] for i, row in enumerate(m.entries) if row[j]}
+    columns = [{i: _narrow(row[j]) for i, row in enumerate(m.entries) if row[j]}
                for j in range(m.cols)]
     ranks = [m.rows]
     image = _echelon(dict(col) for col in columns)

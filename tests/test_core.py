@@ -651,6 +651,26 @@ class TestSDF:
         with pytest.raises(InputError, match="duplicate"):
             sdf_load(doc)
 
+    def test_plain_rational_strings_skip_the_coefficient_parser(self, monkeypatch):
+        import superalg.core as core_module
+
+        def refuse(text, variables):
+            raise AssertionError(f"{text!r} went through parse_coefficient")
+
+        monkeypatch.setattr(core_module, "parse_coefficient", refuse)
+        a = make_superalgebra("q", ["e1", "e2"], [], ["a"], {
+            ("e1", "e1"): [("e2", " -3/6 "), ("e2", "+2")],
+            ("e2", "e1"): [("e2", "007")]})
+        b = make_superalgebra("q", ["e1", "e2"], [], ["a"], {
+            ("e1", "e1"): [("e2", Fraction(3, 2))], ("e2", "e1"): [("e2", 7)]})
+        assert a == b
+
+    def test_zero_denominator_is_input_error(self):
+        doc = {"name": "bad", "even_basis": ["e1", "e2"], "odd_basis": [],
+               "products": [{"left": "e1", "right": "e1", "value": [["e2", "1/0"]]}]}
+        with pytest.raises(InputError, match=r"^zero denominator in '1/0'$"):
+            sdf_load(doc)
+
     def test_undeclared_parameter_rejected(self):
         doc = {"name": "bad", "even_basis": ["e1", "e2"], "odd_basis": [],
                "parameters": [], "products": [

@@ -380,3 +380,151 @@ class TestJordanType:
                 power = power @ m
             assert not power.is_zero()
             assert (power @ m).is_zero()
+
+
+# -- the narrowed engine -------------------------------------------------------
+#
+# Inside the echelon engine integral values are ints; every public value is a
+# Fraction.  The oracles below are fed Fractions only.
+
+def fractions_only(values) -> bool:
+    return all(type(x) is Fraction for x in values)
+
+
+class TestFractionBoundary:
+    # L(5) has half-integral constants, H(5) and G(5) a non-integral
+    # parameter value, N2M(5) integral constants only.
+    CASES = [("L", 5, {}), ("H", 5, {"gamma": Fraction(1, 3)}),
+             ("G", 5, {"gamma": Fraction(-2, 5)}), ("N2M", 5, {})]
+
+    @pytest.mark.parametrize("fid,size,extra", CASES)
+    def test_no_int_leaves_the_engine(self, fid, size, extra):
+        from superalg import build
+        from superalg.core import (EVEN, ODD, GradedVector, derived_series,
+                                   lower_central_series, right_annihilator,
+                                   right_mul_matrix)
+        from superalg.derivations import derivation_space, max_nil_independent
+        from oracles import instance
+        algebra = build(fid, size, {**instance(fid, size), **extra})
+
+        # a system whose integral entries reach the engine as ints
+        system = [dict(terms) for terms in algebra._narrowed_structure().values()]
+        assert any(type(x) is int for row in system for x in row.values())
+        for vec in sparse_kernel(system, algebra.dim):
+            assert fractions_only(vec)
+
+        rx = right_mul_matrix(algebra, GradedVector.basis(algebra, algebra.labels[0]))
+        reduced, _ = rref(rx)
+        assert fractions_only(x for row in reduced.entries for x in row)
+        unipotent = invert(RatMatrix.identity(algebra.dim) + rx)
+        assert fractions_only(x for row in unipotent.entries for x in row)
+
+        for degree in (EVEN, ODD):
+            space = derivation_space(algebra, degree)
+            assert space.basis
+            for m in space.basis:
+                assert fractions_only(x for row in m.entries for x in row)
+        for m in max_nil_independent(derivation_space(algebra, EVEN)).witnesses:
+            assert fractions_only(x for row in m.entries for x in row)
+
+        subspaces = (lower_central_series(algebra) + derived_series(algebra)
+                     + [right_annihilator(algebra)])
+        for s in subspaces:
+            for part in s.parts:
+                assert fractions_only(x for _, row in part for _, x in row)
+            assert fractions_only(x for view in (s.even, s.odd)
+                                  for row in view.entries for x in row)
+
+    @pytest.mark.parametrize("fid,size,mode", [
+        ("M", 3, "verbatim"), ("SH4", 3, "verbatim"), ("M1", 3, "corrected")])
+    def test_residual_values_hold_fractions(self, fid, size, mode):
+        from superalg import build, family_info
+        from superalg.core import check_leibniz, check_lie
+        from oracles import instance
+        structural = {k: v for k, v in instance(fid, size).items()
+                      if k in family_info(fid).structural}
+        algebra = build(fid, size, structural, mode)
+        residuals = check_leibniz(algebra) + check_lie(algebra)
+        assert residuals
+        for r in residuals:
+            assert fractions_only(r.value.terms.values())
+
+
+# Integer-heavy entries, as the catalog's systems have them: ±1, other
+# integers, integral Fractions and proper fractions, mixed in one row.
+nonzero_ints = st.integers(-4, 4).filter(bool)
+engine_entries = st.one_of(
+    st.sampled_from([1, -1]), nonzero_ints, nonzero_ints.map(Fraction),
+    st.builds(Fraction, nonzero_ints, st.integers(2, 4)))
+
+
+@st.composite
+def integer_heavy_systems(draw):
+    """Sparse rows (col -> nonzero entry) over ncols columns; some rows are
+    integer multiples of earlier ones, as repeats in derivation systems are."""
+    ncols = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), engine_entries,
+                                         max_size=ncols), min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.sampled_from([1, -1, 2, -3]))
+        rows.append({c: k * v for c, v in draw(st.sampled_from(rows)).items()})
+    return rows, ncols
+
+
+def as_fraction_grid(rows, ncols):
+    return [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
+
+
+@st.composite
+def integer_heavy_square_matrices(draw):
+    """P^-1 (N + D) P with N strictly upper triangular, D zero or one nonzero
+    diagonal entry, and P = 1 + L unipotent; integral entries alternate
+    between int and Fraction.  Returns (mixed entries, Fraction matrix)."""
+    dim = draw(st.integers(1, 6))
+    zero_or_entry = st.one_of(st.just(0), st.just(0), engine_entries)
+    grid = [[draw(zero_or_entry) if j > i else 0 for j in range(dim)] for i in range(dim)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, dim - 1))
+        grid[i][i] = draw(engine_entries)
+    lower = RatMatrix.from_rows(
+        [[draw(st.integers(-2, 2)) if j < i else 0 for j in range(dim)] for i in range(dim)])
+    p = RatMatrix.identity(dim) + lower
+    p_inv, term = RatMatrix.identity(dim), RatMatrix.identity(dim)
+    for _ in range(dim):  # (1 + L)^-1 = sum of (-L)^i
+        term = term @ lower.scale(-1)
+        p_inv = p_inv + term
+    m = p_inv @ RatMatrix.from_rows(grid) @ p
+    mixed = tuple(tuple(x.numerator if x.denominator == 1 and (i + j) % 2 else x
+                        for j, x in enumerate(row)) for i, row in enumerate(m.entries))
+    return mixed, m
+
+
+class TestNarrowedEngine:
+    @settings(max_examples=200, deadline=None)
+    @given(integer_heavy_systems())
+    def test_sparse_kernel_matches_the_fraction_oracle(self, system):
+        rows, ncols = system
+        before = [dict(row) for row in rows]
+        got = sparse_kernel(rows, ncols)
+        assert rows == before  # the input is not consumed
+        assert got == dense_kernel(as_fraction_grid(rows, ncols), ncols)
+        assert all(fractions_only(vec) for vec in got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_heavy_systems())
+    def test_rref_of_mixed_entries_matches_the_fraction_oracle(self, system):
+        rows, ncols = system
+        grid = as_fraction_grid(rows, ncols)
+        mixed = tuple(tuple(row.get(j, 0) for j in range(ncols)) for row in rows)
+        reduced, pivots = rref(RatMatrix(len(rows), ncols, mixed))
+        want_rows, want_pivots = dense_rref(grid, ncols)
+        assert pivots == want_pivots
+        assert [list(r) for r in reduced.entries] == want_rows
+        assert all(fractions_only(r) for r in reduced.entries)
+
+    @settings(max_examples=150, deadline=None)
+    @given(integer_heavy_square_matrices())
+    def test_jordan_type_of_mixed_entries_matches_the_power_oracle(self, pair):
+        mixed, m = pair
+        assert nilpotent_jordan_type(RatMatrix(m.rows, m.cols, mixed)) \
+            == jordan_type_by_powers(m)
