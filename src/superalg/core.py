@@ -101,9 +101,6 @@ class SuperAlgebra:
     def label(self, i: int) -> str:
         return self.labels[i]
 
-    def is_instantiated(self) -> bool:
-        return not self.parameters
-
     def product_terms(self, i: int, j: int) -> tuple[tuple[int, Polynomial], ...]:
         return self.structure.get((i, j), ())
 

@@ -131,9 +131,6 @@ class Polynomial:
                     used.add(name)
         return tuple(n for n in self.variables if n in used)
 
-    def total_degree(self) -> int:
-        return max((sum(exp) for exp in self.terms), default=0)
-
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other) -> Polynomial:

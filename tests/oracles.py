@@ -383,6 +383,23 @@ def random_parity_change(rng: random.Random, n0: int, n1: int):
     return block(n0), block(n1)
 
 
+def support_torus_dim(algebra: SuperAlgebra) -> int:
+    """Dimension of the diagonal derivations d(b_i) = d_i b_i, read from the
+    nonzero structure cells only: each [b_i, b_j] with a nonzero b_k
+    coefficient forces d_k - d_i - d_j = 0; the torus is the solution space,
+    ranked by `dense_rref`."""
+    rows = []
+    for (i, j), terms in algebra.constant_structure().items():
+        for k, c in terms:
+            if c:
+                row = [Fraction(0)] * algebra.dim
+                row[k] += 1
+                row[i] -= 1
+                row[j] -= 1
+                rows.append(row)
+    return algebra.dim - len(dense_rref(rows, algebra.dim)[1])
+
+
 def span_dim(vectors: list[list[Fraction]]) -> int:
     if not vectors:
         return 0

@@ -1,4 +1,4 @@
-"""Derivation-space solving, nilpotency certification, extendability."""
+"""Derivation-space solving, nil-independence, extendability."""
 
 from __future__ import annotations
 
@@ -11,16 +11,16 @@ from superalg import (FAMILY_IDS, build, build_family, family_info,
                       nilradical_spec, parameter_names)
 from superalg.core import (EVEN, ODD, GradedVector, change_basis,
                            make_superalgebra, right_mul_matrix)
-from superalg.derivations import (derivation_space, extendability,
+from superalg.derivations import (EXTENDABLE, derivation_space, extendability,
                                   is_derivation, max_nil_independent,
                                   same_span, space_all_nilpotent)
-from superalg.families import sizes
+from superalg.families import CORRECTED, VERBATIM, sizes
 from superalg.errors import InputError, UnsupportedShapeError
 from superalg.exactmath import RatMatrix
 
 from oracles import (bareiss_rank, dense_derivation_kernel, dense_rref,
                      derivation_residuals, random_graded_algebra,
-                     random_parity_change)
+                     random_parity_change, support_torus_dim)
 
 
 def zeros(fid: str, size: int) -> dict[str, int]:
@@ -170,28 +170,17 @@ class TestNilpotencyCertificates:
     def test_single_strictly_triangular_matrix(self):
         from superalg.derivations import DerivationSpace
         m = RatMatrix.from_rows([[0, 1], [0, 0]])
-        space = DerivationSpace(EVEN, (m,), 2)
-        cert = space_all_nilpotent(space)
-        assert cert.all_nilpotent
+        assert space_all_nilpotent(DerivationSpace(EVEN, (m,), 2))
 
     def test_nonzero_parameter_instance_is_all_nilpotent(self):
         params = zeros("L", 6)
         params["alpha4"] = 1
         space = derivation_space(build("L", 6, params), EVEN)
-        assert space_all_nilpotent(space).all_nilpotent
+        assert space_all_nilpotent(space)
 
     def test_split_beta_family_is_not_all_nilpotent(self):
         space = derivation_space(build("H", 5, zeros("H", 5)), EVEN)
-        cert = space_all_nilpotent(space)
-        assert not cert.all_nilpotent
-        assert cert.witness is not None and any(cert.witness.diagonal())
-
-    def test_non_triangular_closure_path(self):
-        from superalg.derivations import DerivationSpace
-        # nilpotent but not triangular: closure certifies it
-        m = RatMatrix.from_rows([[1, -1], [1, -1]])
-        cert = space_all_nilpotent(DerivationSpace(EVEN, (m,), 2))
-        assert cert.all_nilpotent and cert.method == "associative-closure"
+        assert not space_all_nilpotent(space)
 
 
 class TestNilIndependence:
@@ -228,11 +217,14 @@ class TestNilIndependence:
             RatMatrix(dim, dim, tuple(tuple(r) for r in extra)),), dim)
         assert max_nil_independent(bigger).max_count == base
 
-    def test_non_triangular_input_is_unsupported(self):
+    # [[1, -1], [1, -1]] is nilpotent but not triangular.
+    @pytest.mark.parametrize("rows", [[[0, 1], [1, 0]], [[1, -1], [1, -1]]])
+    @pytest.mark.parametrize("decide", [max_nil_independent, space_all_nilpotent])
+    def test_non_triangular_input_is_unsupported(self, decide, rows):
         from superalg.derivations import DerivationSpace
-        m = RatMatrix.from_rows([[0, 1], [1, 0]])
+        m = RatMatrix.from_rows(rows)
         with pytest.raises(UnsupportedShapeError):
-            max_nil_independent(DerivationSpace(EVEN, (m,), 2))
+            decide(DerivationSpace(EVEN, (m,), 2))
 
 
 def _nilpotent_targets() -> dict[str, object]:
@@ -278,6 +270,7 @@ class TestNilIndependenceOracle:
         assert report.witnesses == tuple(witnesses)
         assert report.method == ("all-nilpotent" if not witnesses
                                  else "triangular-diagonal-rank")
+        assert report.max_count == support_torus_dim(algebra)
 
 
 def _dense_span(algebra, matrices) -> tuple:
@@ -402,3 +395,24 @@ class TestExtendability:
         a = extendability("H", 6, {"beta4": 1})
         b = extendability("H", 6, {"beta4": Fraction(-7, 3)})
         assert a.verdict == b.verdict == "extendable"
+
+    def test_non_triangular_corrected_space_is_unsupported(self):
+        with pytest.raises(UnsupportedShapeError):
+            extendability("M", 3, {"theta": 1}, mode=CORRECTED)
+
+    def test_verdict_matches_the_support_torus_on_the_pattern_lattice(self):
+        """Every zero/nonzero pattern of L, M, H and G at sizes 4..6:
+        extendable exactly when the diagonal torus read from the nonzero
+        cells is not zero."""
+        checked = 0
+        for fid in ("L", "M", "H", "G"):
+            for size in sizes(fid, 4, 6):
+                names = parameter_names(fid, size)
+                for mask in range(2 ** len(names)):
+                    values = {p: (mask >> i) & 1 for i, p in enumerate(names)}
+                    torus = support_torus_dim(
+                        build(fid, size, values, VERBATIM))
+                    verdict = extendability(fid, size, values).verdict
+                    assert (verdict == EXTENDABLE) == (torus > 0), (fid, size, values)
+                    checked += 1
+        assert checked == 168
