@@ -31,8 +31,8 @@ from .errors import (DegenerateSamplingError, InputError,
 from .exactmath import (RATIONAL_LITERAL, Polynomial, RatMatrix, SparseRow,
                         _back_substitute, _in_row_space, _narrow, _reduce_into,
                         _subtract, _widen, format_rational, invert,
-                        nilpotent_jordan_type, parse_coefficient, parse_rational,
-                        sparse_kernel)
+                        nilpotent_jordan_type, parameter_value, parse_coefficient,
+                        parse_rational, sparse_kernel)
 
 EVEN = 0
 ODD = 1
@@ -86,6 +86,7 @@ class SuperAlgebra:
         self.structure = table
         self._constant: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] | None = None
         self._narrowed: ConstantMap | None = None
+        self._leibniz: tuple[Residual, ...] | None = None
 
     # -- basic queries -------------------------------------------------------
 
@@ -133,7 +134,7 @@ class SuperAlgebra:
         for name, raw in values.items():
             if name not in self.parameters:
                 raise InputError(f"unknown parameter {name!r} for {self.name!r}")
-            assignment[name] = Fraction(raw)
+            assignment[name] = parameter_value(name, raw)
         structure = {
             key: tuple((k, c.substitute(assignment)) for k, c in terms)
             for key, terms in self.structure.items()
@@ -368,17 +369,20 @@ def check_leibniz(algebra: SuperAlgebra) -> list[Residual]:
 
     Works symbolically: the list is empty iff the identity holds identically
     in the parameters.  Residuals appear in lexicographic basis order of the
-    triple (x, y, z), then of the component.
+    triple (x, y, z), then of the component.  The residuals are computed once
+    per algebra; each call returns a new list of them.
     """
-    n0 = algebra.n_even
-    return _scatter(
-        algebra, "leibniz",
-        # [b_r, [b_p, b_q]] is [x,[y,z]] at (r, p, q)
-        lambda p, q, r: (((r, p, q), 1),),
-        # [[b_p, b_q], b_r] is -[[x,y],z] at (p, q, r) and, with y = b_r and
-        # z = b_q, (-1)^{pq}[[x,z],y] at (p, r, q)
-        lambda p, q, r: (((p, q, r), -1),
-                         ((p, r, q), -1 if r >= n0 and q >= n0 else 1)))
+    if algebra._leibniz is None:
+        n0 = algebra.n_even
+        algebra._leibniz = tuple(_scatter(
+            algebra, "leibniz",
+            # [b_r, [b_p, b_q]] is [x,[y,z]] at (r, p, q)
+            lambda p, q, r: (((r, p, q), 1),),
+            # [[b_p, b_q], b_r] is -[[x,y],z] at (p, q, r) and, with y = b_r
+            # and z = b_q, (-1)^{pq}[[x,z],y] at (p, r, q)
+            lambda p, q, r: (((p, q, r), -1),
+                             ((p, r, q), -1 if r >= n0 and q >= n0 else 1))))
+    return list(algebra._leibniz)
 
 
 def check_lie(algebra: SuperAlgebra) -> list[Residual]:

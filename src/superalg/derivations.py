@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 from .core import EVEN, ODD, SuperAlgebra
 from .errors import InputError, InternalInconsistencyError, UnsupportedShapeError
 from .exactmath import (RatMatrix, SparseRow, _narrow, _reduce_into, _rref_rows,
-                        sparse_kernel)
+                        parameter_value, sparse_kernel)
 
 
 def _positions(algebra: SuperAlgebra, degree: int) -> list[tuple[int, int]]:
@@ -297,7 +297,7 @@ def extendability(family_id: str, n: int,
     for name, raw in (params or {}).items():
         if name not in values:
             raise InputError(f"{family_id}: unknown parameter {name!r}")
-        values[name] = Fraction(raw)
+        values[name] = parameter_value(name, raw)
 
     if mode is None:
         mode = families.VERBATIM

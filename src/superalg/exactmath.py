@@ -46,6 +46,23 @@ def parse_rational(text: str) -> Fraction:
         raise InputError(f"zero denominator in {text!r}") from None
 
 
+def parameter_value(name: str, raw: object) -> Fraction:
+    """An exact value for parameter `name`: an int, a Fraction or a
+    `parse_rational` literal.  Anything else (a float, None, a bool, a
+    malformed string) is an InputError naming the parameter."""
+    if isinstance(raw, Fraction):
+        return raw
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return Fraction(raw)
+    if isinstance(raw, str):
+        try:
+            return parse_rational(raw)
+        except InputError as exc:
+            raise InputError(f"parameter {name}: {exc}") from None
+    raise InputError(f"parameter {name}: {raw!r} is not exact; give an int, a "
+                     f"Fraction or a string such as \"3/2\"")
+
+
 def format_rational(x: Fraction) -> str:
     """Render a rational as "p" (q = 1) or "p/q"."""
     if x.denominator == 1:

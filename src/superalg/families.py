@@ -28,13 +28,15 @@ derivation-space analysis rely on this order.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .core import SuperAlgebra, make_superalgebra
 from .errors import InputError
-from .exactmath import Polynomial
+from .exactmath import Polynomial, parameter_value
 
 VERBATIM = "verbatim"
 CORRECTED = "corrected"
@@ -872,13 +874,38 @@ def _validate_values(info: FamilyInfo, values: Mapping[str, Fraction]) -> None:
         raise InputError(f"{info.family_id}: {rule}")
 
 
+# The value-free builds of the open `shared_builds` scope, keyed by
+# (family, size, mode, structural values); None when no scope is open.
+_SHARED: ContextVar[dict | None] = ContextVar("superalg_shared_builds", default=None)
+
+
+@contextmanager
+def shared_builds() -> Iterator[dict]:
+    """A scope in which `build` returns one shared algebra per value-free key.
+
+    A value-free build gives no rational parameter value, at most the
+    structural ones.  Inside the scope equal value-free requests return the
+    same `SuperAlgebra` (which the package never mutates); valued builds,
+    and every build outside a scope, construct a new one.  Yields the shared
+    table map.
+    """
+    shared: dict = {}
+    token = _SHARED.set(shared)
+    try:
+        yield shared
+    finally:
+        _SHARED.reset(token)
+
+
 def build(family_id: str, size: int, params: Mapping[str, object] | None = None,
           mode: str = CORRECTED) -> SuperAlgebra:
     """Construct a catalog family, instantiating any given parameter values.
 
     Parameters not supplied stay symbolic.  Passing an unknown parameter, an
-    out-of-domain size, or a forbidden value raises InputError naming the
-    violated constraint.
+    out-of-domain size, an inexact value (see `exactmath.parameter_value`) or
+    a forbidden value raises InputError naming the violated constraint.
+    Inside `shared_builds`, a value-free request returns the scope's shared
+    algebra.
     """
     info = family_info(family_id)
     if mode not in (VERBATIM, CORRECTED):
@@ -887,6 +914,10 @@ def build(family_id: str, size: int, params: Mapping[str, object] | None = None,
     _validate_domain(info, size, params)
 
     structural = {k: params.pop(k) for k in info.structural}
+    shared = None if params else _SHARED.get()
+    request = (family_id, size, mode, tuple(structural.items()))
+    if shared is not None and request in shared:
+        return shared[request]
     names, prod, n_even, n_odd = info.table(size, mode, **structural)
     declared = tuple(sorted(names))
     values: dict[str, Fraction] = {}
@@ -894,7 +925,7 @@ def build(family_id: str, size: int, params: Mapping[str, object] | None = None,
         if key not in declared:
             raise InputError(f"{family_id}: unknown parameter {key!r} "
                              f"(expected one of: {', '.join(declared) or 'none'})")
-        values[key] = Fraction(raw)
+        values[key] = parameter_value(key, raw)
     _validate_values(info, values)
 
     even = [_e(i) for i in range(1, n_even + 1)]
@@ -912,6 +943,8 @@ def build(family_id: str, size: int, params: Mapping[str, object] | None = None,
     algebra = make_superalgebra(name, even, odd, declared, prod)
     if values:
         algebra = algebra.instantiate(values)
+    if shared is not None:
+        shared[request] = algebra
     return algebra
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import families
 from .core import (EVEN, GradedSubspace, GradedVector, SuperAlgebra,
@@ -34,7 +34,7 @@ from .core import (EVEN, GradedSubspace, GradedVector, SuperAlgebra,
 from .derivations import (CLASSIFIER_FAMILIES, derivation_space, extendability,
                           is_derivation, same_span)
 from .errors import InputError, SuperalgError, UnsupportedShapeError
-from .exactmath import RatMatrix, nilpotent_jordan_type
+from .exactmath import RatMatrix, nilpotent_jordan_type, parameter_value
 
 ENGINE_VERSION = "1.0.0"
 
@@ -428,7 +428,7 @@ def verify_derivation_proposition(pid: str, n: int,
     for sample in samples:
         values = {name: Fraction(0) for name in families.parameter_names(fid, n)}
         for k, v in sample.items():
-            values[k] = Fraction(v)
+            values[k] = parameter_value(k, v)
         label = _fmt_params(values)
         algebra = families.build(fid, n, values, families.VERBATIM)
         space = derivation_space(algebra, EVEN)
@@ -602,6 +602,49 @@ def claim_ids() -> list[str]:
     return ids
 
 
+def _claim_reports(cid: str, n_range: tuple[int, int] | None,
+                   seed: int) -> Iterator[ClaimReport]:
+    """The reports of one claim id, one per instance, as each is made."""
+    kind, _, fid = cid.partition("-")
+
+    def rng(default_lo: int, default_hi: int) -> tuple[int, int]:
+        return n_range if n_range else (default_lo, default_hi)
+
+    if kind == "NILP":
+        lo, hi = rng(3, 7)
+        for size in families.sizes(fid, lo, hi):
+            for sample in families.family_info(fid).samples(size):
+                params = _zeros(fid, size)
+                params.update(sample)
+                yield verify_nilpotent_family(fid, size, params, seed)
+    elif kind == "P":
+        lo, hi = rng(4, 6)
+        for size in families.sizes(fid, max(lo, 4), hi):
+            yield verify_derivation_proposition(cid, size)
+    elif kind == "COR":
+        lo, hi = rng(5, 7)
+        for size in families.sizes(fid, max(lo, 4), hi):
+            yield verify_corollary(cid, size)
+    elif kind == "SOLV":
+        lo, hi = rng(3, 6)
+        for size in families.sizes(fid, lo, hi):
+            for sample in families.family_info(fid).samples(size):
+                yield verify_solvable_family(fid, size, sample)
+    elif kind == "DIST":
+        lo, hi = rng(5, 5)
+        size = max(lo, 5) if hi >= 5 else lo
+        members = [(f, s, p) for f, s, p in _DIST_GROUPS[cid](size)
+                   if s in families.sizes(f, s, s)]
+        if len(members) >= 2:
+            yield pairwise_distinguish(members, cid, seed)
+    elif kind == "AUDIT":
+        lo, hi = rng(3, 8)
+        info = families.family_info(fid)
+        for size in families.sizes(fid, lo, hi):
+            params = dict(info.structural) or None
+            yield audit_errata(fid, size, params)
+
+
 def run_claims(selected: Sequence[str] | None = None,
                n_range: tuple[int, int] | None = None,
                seed: int = 0) -> RunReport:
@@ -611,7 +654,9 @@ def run_claims(selected: Sequence[str] | None = None,
     (2|m) family are the odd values), propositions 4..6, corollaries 5..7,
     solvable families 3..6, distinction groups at size 5, errata audits 3..8.
     A range that ends above `families.MAX_SIZE`, or in which no selected
-    claim has an instance, is an InputError.
+    claim has an instance, is an InputError.  Each claim id runs in its own
+    `families.shared_builds` scope, so a value-free table is built once per
+    claim and shared by its samples, errata notes and audit.
     """
     start = time.perf_counter()
     if n_range and n_range[1] > families.MAX_SIZE:
@@ -623,47 +668,13 @@ def run_claims(selected: Sequence[str] | None = None,
         if cid not in known:
             raise InputError(f"unknown claim id {cid!r}")
     reports: list[ClaimReport] = []
-
-    def rng(default_lo: int, default_hi: int) -> tuple[int, int]:
-        return n_range if n_range else (default_lo, default_hi)
-
     for cid in wanted:
-        kind, _, fid = cid.partition("-")
         try:
-            if kind == "NILP":
-                lo, hi = rng(3, 7)
-                for size in families.sizes(fid, lo, hi):
-                    for sample in families.family_info(fid).samples(size):
-                        params = _zeros(fid, size)
-                        params.update(sample)
-                        reports.append(
-                            verify_nilpotent_family(fid, size, params, seed))
-            elif kind == "P":
-                lo, hi = rng(4, 6)
-                for size in families.sizes(fid, max(lo, 4), hi):
-                    reports.append(verify_derivation_proposition(cid, size))
-            elif kind == "COR":
-                lo, hi = rng(5, 7)
-                for size in families.sizes(fid, max(lo, 4), hi):
-                    reports.append(verify_corollary(cid, size))
-            elif kind == "SOLV":
-                lo, hi = rng(3, 6)
-                for size in families.sizes(fid, lo, hi):
-                    for sample in families.family_info(fid).samples(size):
-                        reports.append(verify_solvable_family(fid, size, sample))
-            elif kind == "DIST":
-                lo, hi = rng(5, 5)
-                size = max(lo, 5) if hi >= 5 else lo
-                members = [(f, s, p) for f, s, p in _DIST_GROUPS[cid](size)
-                           if s in families.sizes(f, s, s)]
-                if len(members) >= 2:
-                    reports.append(pairwise_distinguish(members, cid, seed))
-            elif kind == "AUDIT":
-                lo, hi = rng(3, 8)
-                info = families.family_info(fid)
-                for size in families.sizes(fid, lo, hi):
-                    params = dict(info.structural) or None
-                    reports.append(audit_errata(fid, size, params))
+            # One scope per claim, not per run: a run-wide scope kept every
+            # table of the run alive at once.
+            with families.shared_builds():
+                for report in _claim_reports(cid, n_range, seed):
+                    reports.append(report)
         except UnsupportedShapeError as exc:
             partial = ClaimReport(cid, "unsupported computation")
             partial.checks.append(CheckResult("execution", UNSUPPORTED, str(exc)))

@@ -391,6 +391,11 @@ class TestExtendability:
         with pytest.raises(InputError):
             extendability("N2M", 5, {})
 
+    @pytest.mark.parametrize("raw", ["abc", "1/0", None, 0.1])
+    def test_inexact_or_malformed_values_are_input_errors(self, raw):
+        with pytest.raises(InputError, match="parameter delta: "):
+            extendability("H", 6, {"delta": raw})
+
     def test_value_magnitude_is_irrelevant(self):
         a = extendability("H", 6, {"beta4": 1})
         b = extendability("H", 6, {"beta4": Fraction(-7, 3)})

@@ -13,7 +13,7 @@ from superalg import (CORRECTED, FAMILY_IDS, VERBATIM, build, build_family,
 from superalg.core import (GradedVector, check_leibniz, check_lie, nilindex,
                            product, sdf_dumps)
 from superalg.errors import InputError
-from superalg.families import MAX_SIZE, FamilySpec, sizes
+from superalg.families import MAX_SIZE, FamilySpec, shared_builds, sizes
 
 
 def zeros(fid: str, size: int) -> dict[str, int]:
@@ -121,6 +121,24 @@ class TestDomains:
         with pytest.raises(InputError):
             build("XX", 4)
 
+    @pytest.mark.parametrize("raw, message", [
+        ("abc", "parameter gamma: not a rational literal: 'abc'"),
+        ("1/0", "parameter gamma: zero denominator in '1/0'"),
+        (None, "parameter gamma: None is not exact"),
+        (0.1, "parameter gamma: 0.1 is not exact"),
+        (True, "parameter gamma: True is not exact")])
+    def test_inexact_or_malformed_values_are_input_errors(self, raw, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            build("H", 5, {"gamma": raw})
+        with pytest.raises(InputError, match=re.escape(message)):
+            build("H", 5).instantiate({"gamma": raw})
+
+    def test_equal_values_of_each_exact_type_build_equal_tables(self):
+        values = (1, Fraction(1), "1", " 2/2 ")
+        assert len({sdf_dumps(build("H", 5, {"gamma": v})) for v in values}) == 1
+        assert len({sdf_dumps(build("H", 5).instantiate({"gamma": v}))
+                    for v in values}) == 1
+
     def test_sizes_keeps_the_domain(self):
         assert sizes("N2M", 3, 9) == [3, 5, 7, 9]
         assert sizes("SH3", 3, 8) == [5, 7]
@@ -186,6 +204,49 @@ class TestConstructionFacts:
         a = build("H", 5, {"beta4": 1})
         assert "beta4" not in a.parameters
         assert "delta" in a.parameters
+
+
+class TestSharedBuilds:
+    def test_value_free_builds_are_shared_only_inside_a_scope(self):
+        with shared_builds() as shared:
+            table = build("SH1", 5, {"t": 4})
+            assert build("SH1", 5, {"t": 4}) is table
+            assert build("SH1", 5, {"t": 5}) is not table
+            assert build("SH1", 5, {"t": 4}, VERBATIM) is not table
+            assert build("H", 5) is build("H", 5, {})
+            # A build with values, even all of them zero, is never shared.
+            valued = build("H", 5, {"gamma": 1})
+            assert build("H", 5, {"gamma": 1}) is not valued
+            assert build("H", 5, zeros("H", 5)) is not build("H", 5, zeros("H", 5))
+            assert len(shared) == 4
+        assert build("SH1", 5, {"t": 4}) is not table
+        assert build("SH1", 5, {"t": 4}) is not build("SH1", 5, {"t": 4})
+        assert build("SH1", 5, {"t": 4}) == table
+
+    def test_scopes_nest_and_close_on_error(self):
+        with shared_builds():
+            outer = build("L", 4)
+            with shared_builds():
+                assert build("L", 4) is not outer
+            assert build("L", 4) is outer
+        with pytest.raises(InputError):
+            with shared_builds():
+                build("L", 4)
+                build("L", 2)
+        assert build("L", 4) is not build("L", 4)
+
+    def test_leibniz_residuals_are_cached_and_handed_out_as_new_lists(self):
+        verbatim = build("M", 5, None, VERBATIM)
+        first = check_leibniz(verbatim)
+        assert first
+        expected = list(first)
+        first.clear()
+        assert check_leibniz(verbatim) == expected
+        second = check_leibniz(verbatim)
+        second.append(second[0])
+        second.reverse()
+        assert check_leibniz(verbatim) == expected
+        assert check_leibniz(verbatim) is not check_leibniz(verbatim)
 
 
 def _structural(fid):

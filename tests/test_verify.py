@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 import pytest
 
-from superalg.errors import InputError
+from superalg import families
+from superalg.core import check_leibniz, sdf_dumps
+from superalg.errors import InputError, SuperalgError
 from superalg.families import MAX_SIZE
 from superalg.verify import (audit_errata, claim_ids, pairwise_distinguish,
                              render_text, run_claims,
@@ -193,3 +196,79 @@ class TestRunner:
         ids = claim_ids()
         for prefix in ("NILP-", "P-", "COR-", "SOLV-", "DIST-", "AUDIT-"):
             assert any(cid.startswith(prefix) for cid in ids)
+
+
+def _strip(report):
+    data = report.as_dict()
+    data.pop("wall_time_s")
+    return data
+
+
+class TestSharedClaimBuilds:
+    def test_claims_report_as_direct_calls_outside_any_scope(self):
+        import superalg.verify as verify
+
+        selected = ["SOLV-M1", "SOLV-SH1", "AUDIT-M", "AUDIT-SH3", "DIST-M"]
+        direct = []
+        for fid in ("M1", "SH1"):
+            for size in families.sizes(fid, 3, 6):
+                for sample in families.family_info(fid).samples(size):
+                    direct.append(verify_solvable_family(fid, size, sample))
+        for fid in ("M", "SH3"):
+            for size in families.sizes(fid, 3, 8):
+                direct.append(audit_errata(fid, size))
+        direct.append(pairwise_distinguish(verify._DIST_GROUPS["DIST-M"](5), "DIST-M"))
+        report = run_claims(selected)
+        assert [_strip(c) for c in report.claims] == [_strip(c) for c in direct]
+        assert report.all_ok
+
+    def test_shared_tables_are_left_as_built(self, monkeypatch):
+        # Every table a SOLV and AUDIT pass shared, with its cached Leibniz
+        # residuals, still equals a fresh build of its key afterwards.
+        scopes = []
+        original = families.shared_builds
+
+        @contextmanager
+        def recording():
+            with original() as shared:
+                scopes.append(shared)
+                yield shared
+
+        monkeypatch.setattr(families, "shared_builds", recording)
+        report = run_claims(["SOLV-M5", "SOLV-SH1", "SOLV-H5", "AUDIT-M",
+                             "AUDIT-SG1"], (3, 6))
+        assert report.all_ok
+        assert len(scopes) == 5
+        shared = [(key, table) for scope in scopes for key, table in scope.items()]
+        assert len(shared) >= 20
+        for (fid, size, mode, structural), table in shared:
+            fresh = families.build(fid, size, dict(structural), mode)
+            assert fresh is not table
+            assert sdf_dumps(table) == sdf_dumps(fresh)
+            assert list(map(str, check_leibniz(table))) == \
+                list(map(str, check_leibniz(fresh)))
+
+    def _no_scope_is_open(self):
+        return families.build("M1", 3) is not families.build("M1", 3)
+
+    def test_no_scope_stays_open_after_a_run(self, monkeypatch):
+        import superalg.verify as verify
+
+        run_claims(["SOLV-M1"], (3, 3))
+        assert self._no_scope_is_open()
+
+        def broken(*args, **kwargs):
+            raise SuperalgError("broken claim")
+
+        monkeypatch.setattr(verify, "verify_solvable_family", broken)
+        report = run_claims(["SOLV-M1", "AUDIT-M1"], (3, 3))
+        assert [c.subject for c in report.claims][0] == "internal error"
+        assert self._no_scope_is_open()
+
+        def crashing(*args, **kwargs):
+            raise RuntimeError("not a SuperalgError")
+
+        monkeypatch.setattr(verify, "verify_solvable_family", crashing)
+        with pytest.raises(RuntimeError):
+            run_claims(["SOLV-M1"], (3, 3))
+        assert self._no_scope_is_open()
