@@ -20,9 +20,9 @@ from .exactmath import (Polynomial, RatMatrix, format_rational,
                         parse_rational)
 
 _FAMILIES_EXPORTS = frozenset({
-    "CORRECTED", "FAMILY_IDS", "VERBATIM", "ErrataEntry", "FamilySpec",
-    "build", "build_family", "errata_for", "errata_ledger", "family_info",
-    "list_families", "nilradical_spec", "parameter_names"})
+    "CORRECTED", "FAMILY_IDS", "VERBATIM", "ErrataEntry", "build",
+    "errata_for", "errata_ledger", "family_info", "list_families",
+    "nilradical_spec", "parameter_names"})
 
 __version__ = "1.0.0"
 

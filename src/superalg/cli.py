@@ -18,7 +18,6 @@ import importlib.util
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .core import (EVEN, MAX_BOUND, MAX_SAMPLES, ODD, char_sequence,
                    check_leibniz, check_lie, derived_series, fingerprint,
@@ -83,10 +82,8 @@ def _parse_params(pairs: list[str]) -> dict[str, object]:
             except ValueError:
                 raise InputError(f"t must be an integer, got {raw!r}") from None
         else:
-            try:
-                params[name] = Fraction(raw)
-            except (ValueError, ZeroDivisionError):
-                raise InputError(f"bad rational value {raw!r} for {name}") from None
+            # `build` reads the literal as it reads any parameter value.
+            params[name] = raw
     return params
 
 
@@ -102,7 +99,7 @@ def _cmd_family(args) -> int:
     params = _parse_params(args.param)
     if args.zeros:
         for name in families.parameter_names(args.family_id, size):
-            params.setdefault(name, Fraction(0))
+            params.setdefault(name, 0)
     mode = families.CORRECTED if args.errata is None else args.errata
     algebra = families.build(args.family_id, size, params, mode)
     text = sdf_dumps(algebra)

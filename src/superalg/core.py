@@ -23,8 +23,9 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (DegenerateSamplingError, InputError,
                      InternalInconsistencyError, NotNilpotentError)
@@ -86,7 +87,8 @@ class SuperAlgebra:
         self.structure = table
         self._constant: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] | None = None
         self._narrowed: ConstantMap | None = None
-        self._leibniz: tuple[Residual, ...] | None = None
+        # Residuals per identity check, by check name (`_once_per_algebra`).
+        self._residuals: dict[str, tuple[Residual, ...]] = {}
 
     # -- basic queries -------------------------------------------------------
 
@@ -364,6 +366,19 @@ def _scatter(algebra: SuperAlgebra, identity: str, via_right, via_left) -> list[
     return _emit(algebra, identity, acc)
 
 
+def _once_per_algebra(check: Callable[[SuperAlgebra], list[Residual]]):
+    """Run an identity check once per algebra, caching its residuals on the
+    algebra; every call returns a new list of them."""
+    @wraps(check)
+    def cached(algebra: SuperAlgebra) -> list[Residual]:
+        found = algebra._residuals.get(check.__name__)
+        if found is None:
+            found = algebra._residuals[check.__name__] = tuple(check(algebra))
+        return list(found)
+    return cached
+
+
+@_once_per_algebra
 def check_leibniz(algebra: SuperAlgebra) -> list[Residual]:
     """All residuals of [x,[y,z]] - [[x,y],z] + (-1)^{pq}[[x,z],y] on basis triples.
 
@@ -372,24 +387,24 @@ def check_leibniz(algebra: SuperAlgebra) -> list[Residual]:
     triple (x, y, z), then of the component.  The residuals are computed once
     per algebra; each call returns a new list of them.
     """
-    if algebra._leibniz is None:
-        n0 = algebra.n_even
-        algebra._leibniz = tuple(_scatter(
-            algebra, "leibniz",
-            # [b_r, [b_p, b_q]] is [x,[y,z]] at (r, p, q)
-            lambda p, q, r: (((r, p, q), 1),),
-            # [[b_p, b_q], b_r] is -[[x,y],z] at (p, q, r) and, with y = b_r
-            # and z = b_q, (-1)^{pq}[[x,z],y] at (p, r, q)
-            lambda p, q, r: (((p, q, r), -1),
-                             ((p, r, q), -1 if r >= n0 and q >= n0 else 1))))
-    return list(algebra._leibniz)
+    n0 = algebra.n_even
+    return _scatter(
+        algebra, "leibniz",
+        # [b_r, [b_p, b_q]] is [x,[y,z]] at (r, p, q)
+        lambda p, q, r: (((r, p, q), 1),),
+        # [[b_p, b_q], b_r] is -[[x,y],z] at (p, q, r) and, with y = b_r
+        # and z = b_q, (-1)^{pq}[[x,z],y] at (p, r, q)
+        lambda p, q, r: (((p, q, r), -1),
+                         ((p, r, q), -1 if r >= n0 and q >= n0 else 1)))
 
 
+@_once_per_algebra
 def check_lie(algebra: SuperAlgebra) -> list[Residual]:
     """Residuals of graded antisymmetry and of the graded Jacobi identity.
 
     Antisymmetry residuals come first, by pair (i <= j), then the Jacobi
-    residuals in lexicographic order of the triple; each by component.
+    residuals in lexicographic order of the triple; each by component.  Like
+    `check_leibniz`, computed once per algebra, a new list per call.
     """
     n0 = algebra.n_even
     acc: dict[tuple[int, ...], dict] = {}

@@ -24,6 +24,11 @@ Transcription conventions, applied uniformly:
 Basis naming is fixed: even part e1..en followed by the extension generators
 (x, or x1 then x2), odd part y1..ym.  The triangularity assumptions of the
 derivation-space analysis rely on this order.
+
+The four nilradicals L, M, H and G share their zero-parameter products: one
+builder, `_zero_rows`, keyed by `(n, n_odd, first)`, where `first` is the
+index at which the e1 chain starts.  Each H/G pair of extensions is one table
+body parameterised by `n_odd`.
 """
 
 from __future__ import annotations
@@ -163,15 +168,18 @@ def _n2m_rows(m: int, mode: str, lie_complete: bool) -> Products:
     return prod
 
 
-def _l_zero_rows(n: int) -> Products:
+def _zero_rows(n: int, n_odd: int, first: int) -> Products:
+    """The zero-parameter products of the (n|n_odd) nilradicals L, M, H and G,
+    whose e1 chain [e_i,e1] = e_{i+1} starts at e_first (2 for L and M, 3 for
+    H and G)."""
     prod: Products = {}
     _add(prod, _e(1), _e(1), _e(3), 1)
-    for i in range(2, n):
+    for i in range(first, n):
         _add(prod, _e(i), _e(1), _e(i + 1), 1)
-    for j in range(1, n - 1):
+    for j in range(1, n_odd):
         _add(prod, _y(j), _e(1), _y(j + 1), 1)
     _add(prod, _e(1), _y(1), _y(2), HALF)
-    for i in range(2, n):
+    for i in range(first, n_odd + 1):
         _add(prod, _e(i), _y(1), _y(i), HALF)
     _add(prod, _y(1), _y(1), _e(1), 1)
     for j in range(2, n):
@@ -179,52 +187,24 @@ def _l_zero_rows(n: int) -> Products:
     return prod
 
 
-def _m_zero_rows(n: int) -> Products:
-    prod: Products = {}
-    _add(prod, _e(1), _e(1), _e(3), 1)
-    for i in range(2, n):
-        _add(prod, _e(i), _e(1), _e(i + 1), 1)
-    for j in range(1, n):
-        _add(prod, _y(j), _e(1), _y(j + 1), 1)
-    _add(prod, _e(1), _y(1), _y(2), HALF)
-    for i in range(2, n + 1):
-        _add(prod, _e(i), _y(1), _y(i), HALF)
-    _add(prod, _y(1), _y(1), _e(1), 1)
-    for j in range(2, n):
-        _add(prod, _y(j), _y(1), _e(j + 1), 1)
-    return prod
+def _chain_rows(prod: Products, v: Callable[[int], str], top: int, first: int,
+                coeff: Callable[[int], object]) -> None:
+    """[v_j,e2] = sum of coeff(k) v_{j+k-2} over k >= 4, for j >= first and
+    every target up to v_top: the alpha/beta series of L, M, H and G."""
+    for j in range(first, top - 1):
+        for k in range(4, top + 3 - j):
+            _add(prod, v(j), _e(2), v(j + k - 2), coeff(k))
 
 
-def _h_zero_rows(n: int) -> Products:
-    prod: Products = {}
-    _add(prod, _e(1), _e(1), _e(3), 1)
-    for i in range(3, n):
-        _add(prod, _e(i), _e(1), _e(i + 1), 1)
-    for j in range(1, n):
-        _add(prod, _y(j), _e(1), _y(j + 1), 1)
-    _add(prod, _e(1), _y(1), _y(2), HALF)
+def _weight_rows(prod: Products, n: int, n_odd: int, x: str) -> None:
+    """The diagonal action of x on the H and G nilradicals, except on e2."""
+    for i in range(1, n_odd + 1):
+        _add(prod, _y(i), x, _y(i), 2 * i - 1)
+    _add(prod, _e(1), x, _e(1), 2)
     for i in range(3, n + 1):
-        _add(prod, _e(i), _y(1), _y(i), HALF)
-    _add(prod, _y(1), _y(1), _e(1), 1)
-    for j in range(2, n):
-        _add(prod, _y(j), _y(1), _e(j + 1), 1)
-    return prod
-
-
-def _g_zero_rows(n: int) -> Products:
-    prod: Products = {}
-    _add(prod, _e(1), _e(1), _e(3), 1)
-    for i in range(3, n):
-        _add(prod, _e(i), _e(1), _e(i + 1), 1)
-    for j in range(1, n - 1):
-        _add(prod, _y(j), _e(1), _y(j + 1), 1)
-    _add(prod, _e(1), _y(1), _y(2), HALF)
-    for i in range(3, n):
-        _add(prod, _e(i), _y(1), _y(i), HALF)
-    _add(prod, _y(1), _y(1), _e(1), 1)
-    for j in range(2, n):
-        _add(prod, _y(j), _y(1), _e(j + 1), 1)
-    return prod
+        _add(prod, _e(i), x, _e(i), 2 * (i - 1))
+    _add(prod, x, _e(1), _e(1), -2)
+    _add(prod, x, _y(1), _y(1), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -241,20 +221,17 @@ def _table_N2M(m: int, mode: str):
          samples=lambda n: [{}, {"theta": 1}])
 def _table_L(n: int, mode: str):
     params = [f"alpha{k}" for k in range(4, n + 1)] + ["theta"]
-    prod = _l_zero_rows(n)
+    prod = _zero_rows(n, n - 1, 2)
     P = lambda name: _var(name, sorted(params))
+    alpha = lambda k: P(f"alpha{k}")
     for k in range(4, n):
-        _add(prod, _e(1), _e(2), _e(k), P(f"alpha{k}"))
+        _add(prod, _e(1), _e(2), _e(k), alpha(k))
     _add(prod, _e(1), _e(2), _e(n), P("theta"))
-    for j in range(2, n - 1):
-        for k in range(4, n + 3 - j):
-            _add(prod, _e(j), _e(2), _e(j + k - 2), P(f"alpha{k}"))
+    _chain_rows(prod, _e, n, 2, alpha)
     for k in range(4, n):
-        _add(prod, _y(1), _e(2), _y(k - 1), P(f"alpha{k}"))
+        _add(prod, _y(1), _e(2), _y(k - 1), alpha(k))
     _add(prod, _y(1), _e(2), _y(n - 1), P("theta"))
-    for j in range(2, n - 2):
-        for k in range(4, n + 2 - j):
-            _add(prod, _y(j), _e(2), _y(j + k - 2), P(f"alpha{k}"))
+    _chain_rows(prod, _y, n - 1, 2, alpha)
     return params, prod, n, n - 1
 
 
@@ -263,17 +240,14 @@ def _table_L(n: int, mode: str):
          samples=lambda n: [{}, {"gamma": 1}])
 def _table_G(n: int, mode: str):
     params = [f"beta{k}" for k in range(4, n + 1)] + ["gamma"]
-    prod = _g_zero_rows(n)
+    prod = _zero_rows(n, n - 1, 3)
     P = lambda name: _var(name, sorted(params))
+    beta = lambda k: P(f"beta{k}")
     for k in range(4, n + 1):
-        _add(prod, _e(1), _e(2), _e(k), P(f"beta{k}"))
-    for j in range(3, n - 1):
-        for k in range(4, n + 3 - j):
-            _add(prod, _e(j), _e(2), _e(j + k - 2), P(f"beta{k}"))
+        _add(prod, _e(1), _e(2), _e(k), beta(k))
+    _chain_rows(prod, _e, n, 3, beta)
     _add(prod, _e(2), _e(2), _e(n), P("gamma"))
-    for j in range(1, n - 2):
-        for k in range(4, n + 2 - j):
-            _add(prod, _y(j), _e(2), _y(j + k - 2), P(f"beta{k}"))
+    _chain_rows(prod, _y, n - 1, 1, beta)
     return params, prod, n, n - 1
 
 
@@ -282,27 +256,25 @@ def _table_G(n: int, mode: str):
          samples=lambda n: [{}, {"tau": 1}])
 def _table_M(n: int, mode: str):
     params = [f"alpha{k}" for k in range(4, n + 1)] + ["theta", "tau"]
-    prod = _m_zero_rows(n)
+    prod = _zero_rows(n, n, 2)
     P = lambda name: _var(name, sorted(params))
+    alpha = lambda k: P(f"alpha{k}")
     for k in range(4, n):
-        _add(prod, _e(1), _e(2), _e(k), P(f"alpha{k}"))
+        _add(prod, _e(1), _e(2), _e(k), alpha(k))
     _add(prod, _e(1), _e(2), _e(n), P("theta"))
     # Row [e2, e2]: the verbatim table runs the alpha series to alpha_n e_n,
     # but the identity on (e2, e2, y1) forces the top coefficient to theta
     # (alpha_n is inert in corrected mode; it only ever acted here).
     if mode == VERBATIM:
-        if n >= 4:
-            for k in range(4, n + 1):
-                _add(prod, _e(2), _e(2), _e(k), P(f"alpha{k}"))
+        for k in range(4, n + 1):
+            _add(prod, _e(2), _e(2), _e(k), alpha(k))
     else:
         for k in range(4, n):
-            _add(prod, _e(2), _e(2), _e(k), P(f"alpha{k}"))
+            _add(prod, _e(2), _e(2), _e(k), alpha(k))
         _add(prod, _e(2), _e(2), _e(n), P("theta"))
-    for j in range(3, n - 1):
-        for k in range(4, n + 3 - j):
-            _add(prod, _e(j), _e(2), _e(j + k - 2), P(f"alpha{k}"))
+    _chain_rows(prod, _e, n, 3, alpha)
     for k in range(4, n):
-        _add(prod, _y(1), _e(2), _y(k - 1), P(f"alpha{k}"))
+        _add(prod, _y(1), _e(2), _y(k - 1), alpha(k))
     _add(prod, _y(1), _e(2), _y(n - 1), P("theta"))
     _add(prod, _y(1), _e(2), _y(n), P("tau"))
     # Row [y2, e2]: the verbatim table repeats the y4 component for alpha5
@@ -311,11 +283,9 @@ def _table_M(n: int, mode: str):
         if k == 5 and mode == VERBATIM:
             _add(prod, _y(2), _e(2), _y(4), P("alpha5"))
         else:
-            _add(prod, _y(2), _e(2), _y(k), P(f"alpha{k}"))
+            _add(prod, _y(2), _e(2), _y(k), alpha(k))
     _add(prod, _y(2), _e(2), _y(n), P("theta"))
-    for j in range(3, n - 1):
-        for k in range(4, n + 3 - j):
-            _add(prod, _y(j), _e(2), _y(j + k - 2), P(f"alpha{k}"))
+    _chain_rows(prod, _y, n, 3, alpha)
     return params, prod, n, n
 
 
@@ -324,24 +294,21 @@ def _table_M(n: int, mode: str):
          samples=lambda n: [{}, {"delta": 1}])
 def _table_H(n: int, mode: str):
     params = [f"beta{k}" for k in range(4, n + 1)] + ["delta", "gamma"]
-    prod = _h_zero_rows(n)
+    prod = _zero_rows(n, n, 3)
     P = lambda name: _var(name, sorted(params))
+    beta = lambda k: P(f"beta{k}")
     for k in range(4, n + 1):
-        _add(prod, _e(1), _e(2), _e(k), P(f"beta{k}"))
-    for j in range(3, n - 1):
-        for k in range(4, n + 3 - j):
-            _add(prod, _e(j), _e(2), _e(j + k - 2), P(f"beta{k}"))
+        _add(prod, _e(1), _e(2), _e(k), beta(k))
+    _chain_rows(prod, _e, n, 3, beta)
     # Row [e2, e2] = gamma e_n is incompatible with the identity: the odd
     # chain forces [e_n, y1] = 1/2 y_n, so (e2, e2, y1) requires gamma = 0.
     # It stays in verbatim mode; gamma is inert in corrected mode.
     if mode == VERBATIM:
         _add(prod, _e(2), _e(2), _e(n), P("gamma"))
     for k in range(4, n + 1):
-        _add(prod, _y(1), _e(2), _y(k - 1), P(f"beta{k}"))
+        _add(prod, _y(1), _e(2), _y(k - 1), beta(k))
     _add(prod, _y(1), _e(2), _y(n), P("delta"))
-    for j in range(2, n - 1):
-        for k in range(4, n + 3 - j):
-            _add(prod, _y(j), _e(2), _y(j + k - 2), P(f"beta{k}"))
+    _chain_rows(prod, _y, n, 2, beta)
     return params, prod, n, n
 
 
@@ -445,108 +412,109 @@ def _table_M5(m: int, mode: str):
 # Solvable extensions, split nilradicals
 # ---------------------------------------------------------------------------
 
-@_family("SL", "n", "solvable", 3, None, "(n+1|n-1)", nilradical="L", codim=1)
-def _table_SL(n: int, mode: str):
-    prod = _l_zero_rows(n)
+def _split_table(n: int, n_odd: int):
+    """SL over L and SM over M: x acts diagonally with weights 2(i-1) on e_i
+    (2 on e1) and 2j-1 on y_j."""
+    prod = _zero_rows(n, n_odd, 2)
     _add(prod, _e(1), "x", _e(1), 2)
     for i in range(2, n + 1):
         _add(prod, _e(i), "x", _e(i), 2 * (i - 1))
-    for i in range(1, n):
+    for i in range(1, n_odd + 1):
         _add(prod, _y(i), "x", _y(i), 2 * i - 1)
     _add(prod, "x", _e(1), _e(1), -2)
     _add(prod, "x", _y(1), _y(1), -1)
-    return [], prod, n + 1, n - 1
+    return [], prod, n + 1, n_odd
+
+
+@_family("SL", "n", "solvable", 3, None, "(n+1|n-1)", nilradical="L", codim=1)
+def _table_SL(n: int, mode: str):
+    return _split_table(n, n - 1)
 
 
 @_family("SM", "n", "solvable", 3, None, "(n+1|n)", nilradical="M", codim=1)
 def _table_SM(n: int, mode: str):
-    prod = _m_zero_rows(n)
-    _add(prod, _e(1), "x", _e(1), 2)
-    for i in range(2, n + 1):
-        _add(prod, _e(i), "x", _e(i), 2 * (i - 1))
-    for i in range(1, n + 1):
-        _add(prod, _y(i), "x", _y(i), 2 * i - 1)
-    _add(prod, "x", _e(1), _e(1), -2)
-    _add(prod, "x", _y(1), _y(1), -1)
-    return [], prod, n + 1, n
+    return _split_table(n, n)
 
 
-def _h_weight_rows(prod: Products, n: int, x: str) -> None:
-    for i in range(1, n + 1):
-        _add(prod, _y(i), x, _y(i), 2 * i - 1)
-    _add(prod, _e(1), x, _e(1), 2)
-    for i in range(3, n + 1):
-        _add(prod, _e(i), x, _e(i), 2 * (i - 1))
-    _add(prod, x, _e(1), _e(1), -2)
-    _add(prod, x, _y(1), _y(1), -1)
+def _codim_two_table(n: int, n_odd: int, antisymmetric: bool):
+    """MH1/MH2 over H and MG1/MG2 over G: x1 acts by weights and
+    [e2,x2] = e2; the second of each pair also has [x2,e2] = -e2."""
+    prod = _zero_rows(n, n_odd, 3)
+    _weight_rows(prod, n, n_odd, "x1")
+    _add(prod, _e(2), "x2", _e(2), 1)
+    if antisymmetric:
+        _add(prod, "x2", _e(2), _e(2), -1)
+    return [], prod, n + 2, n_odd
 
 
 @_family("MH1", "n", "solvable", 3, None, "(n+2|n)", nilradical="H", codim=2)
 def _table_MH1(n: int, mode: str):
-    prod = _h_zero_rows(n)
-    _h_weight_rows(prod, n, "x1")
-    _add(prod, _e(2), "x2", _e(2), 1)
-    return [], prod, n + 2, n
+    return _codim_two_table(n, n, antisymmetric=False)
 
 
 @_family("MH2", "n", "solvable", 3, None, "(n+2|n)", nilradical="H", codim=2)
 def _table_MH2(n: int, mode: str):
-    params, prod, n0, n1 = _table_MH1(n, mode)
-    _add(prod, "x2", _e(2), _e(2), -1)
-    return params, prod, n0, n1
+    return _codim_two_table(n, n, antisymmetric=True)
+
+
+def _b_table(n: int, n_odd: int, antisymmetric: bool):
+    """H1/H2 over H and G1/G2 over G: x acts by weights and [e2,x] = b e2;
+    H1 and G1 also have [x,e2] = -b e2."""
+    params = ["b"]
+    b = _var("b", params)
+    prod = _zero_rows(n, n_odd, 3)
+    _weight_rows(prod, n, n_odd, "x")
+    _add(prod, _e(2), "x", _e(2), b)
+    if antisymmetric:
+        _add(prod, "x", _e(2), _e(2), -b)
+    return params, prod, n + 1, n_odd
 
 
 @_family("H1", "n", "solvable", 3, None, "(n+1|n)", ("b (rational, b != 0)",),
          nilradical="H", codim=1, value_domain=_B_NONZERO,
          samples=lambda n: [{"b": 1}, {"b": 2}])
 def _table_H1(n: int, mode: str):
-    params = ["b"]
-    b = _var("b", params)
-    prod = _h_zero_rows(n)
-    _h_weight_rows(prod, n, "x")
-    _add(prod, _e(2), "x", _e(2), b)
-    _add(prod, "x", _e(2), _e(2), -b)
-    return params, prod, n + 1, n
+    return _b_table(n, n, antisymmetric=True)
 
 
 @_family("H2", "n", "solvable", 3, None, "(n+1|n)", ("b (rational)",),
          nilradical="H", codim=1, samples=lambda n: [{"b": 0}, {"b": 1}])
 def _table_H2(n: int, mode: str):
-    params = ["b"]
-    prod = _h_zero_rows(n)
-    _h_weight_rows(prod, n, "x")
-    _add(prod, _e(2), "x", _e(2), _var("b", params))
-    return params, prod, n + 1, n
+    return _b_table(n, n, antisymmetric=False)
 
 
 @_family("H3", "n", "solvable", 3, None, "(n+1|n)", nilradical="H", codim=1)
 def _table_H3(n: int, mode: str):
-    prod = _h_zero_rows(n)
-    _h_weight_rows(prod, n, "x")
+    prod = _zero_rows(n, n, 3)
+    _weight_rows(prod, n, n, "x")
     _add(prod, "x", "x", _e(2), 1)
     return [], prod, n + 1, n
 
 
-def _nil_rows_H4(prod: Products, n: int, params: list[str], odd_top: int) -> None:
+def _nil_rows(n: int, n_odd: int, params: list[str], odd_rows: bool) -> Products:
+    """The (n|n_odd) nilradical with [e2,x] = e2 and the rows
+    [e_i,x] = sum a_{k+1-i} e_k and, if `odd_rows`, [y_i,x] = sum a_{k+1-i} y_k
+    shared by H4, H5, G5 and G6."""
     P = lambda name: _var(name, sorted(params))
+    prod = _zero_rows(n, n_odd, 3)
     for k in range(3, n + 1):
         _add(prod, _e(1), "x", _e(k), P(f"a{k - 1}"))
     _add(prod, _e(2), "x", _e(2), 1)
     for i in range(3, n + 1):
         for k in range(i + 1, n + 1):
             _add(prod, _e(i), "x", _e(k), P(f"a{k + 1 - i}"))
-    for i in range(1, odd_top + 1):
-        for k in range(i + 1, n + 1):
-            _add(prod, _y(i), "x", _y(k), P(f"a{k + 1 - i}"))
+    if odd_rows:
+        for i in range(1, n_odd):
+            for k in range(i + 1, n_odd + 1):
+                _add(prod, _y(i), "x", _y(k), P(f"a{k + 1 - i}"))
+    return prod
 
 
 @_family("H4", "n", "solvable", 3, None, "(n+1|n)", ("a2..an (rational)",),
          nilradical="H", codim=1, samples=lambda n: [{}, {"a2": 1}])
 def _table_H4(n: int, mode: str):
     params = [f"a{k}" for k in range(2, n + 1)]
-    prod = _h_zero_rows(n)
-    _nil_rows_H4(prod, n, params, odd_top=n - 1)
-    return params, prod, n + 1, n
+    return params, _nil_rows(n, n, params, odd_rows=True), n + 1, n
 
 
 @_family("H5", "n", "solvable", 3, None, "(n+1|n)",
@@ -558,8 +526,7 @@ def _table_H4(n: int, mode: str):
          samples=lambda n: [{"gamma": 0}, {"gamma": 1}, {"a2": 1, "gamma": 0}])
 def _table_H5(n: int, mode: str):
     params = [f"a{k}" for k in range(2, n + 1)] + ["gamma"]
-    prod = _h_zero_rows(n)
-    _nil_rows_H4(prod, n, params, odd_top=n)
+    prod = _nil_rows(n, n, params, odd_rows=True)
     _add(prod, "x", _e(2), _e(2), -1)
     if mode == VERBATIM:
         # Fails the Leibniz identity on (x, x, x) whenever gamma != 0:
@@ -568,37 +535,64 @@ def _table_H5(n: int, mode: str):
     return params, prod, n + 1, n
 
 
+def _single_beta_table(n: int, n_odd: int, t: int, y1_row: bool):
+    """SH1 over H and SG1 over G: the nilradical with beta_t = 1 and x acting
+    by weights; `y1_row` keeps [y1,e2] = y_{t-1}."""
+    prod = _zero_rows(n, n_odd, 3)
+    _add(prod, _e(1), _e(2), _e(t), 1)
+    for j in range(3, n - 1):
+        if j + t - 2 <= n:
+            _add(prod, _e(j), _e(2), _e(j + t - 2), 1)
+    for j in range(1 if y1_row else 2, n_odd - 1):
+        if j + t - 2 <= n_odd:
+            _add(prod, _y(j), _e(2), _y(j + t - 2), 1)
+    _weight_rows(prod, n, n_odd, "x")
+    _add(prod, _e(2), "x", _e(2), 2 * (t - 2))
+    _add(prod, "x", _e(2), _e(2), -2 * (t - 2))
+    _add(prod, "x", _e(2), _e(t - 1), -2)
+    return [], prod, n + 1, n_odd
+
+
 @_family("SH1", "n", "solvable", 4, None, "(n+1|n)", structural={"t": 4},
          nilradical="H", codim=1,
          nilradical_params=lambda n, params: {f"beta{params['t']}": 1},
          samples=lambda n: [{"t": t} for t in range(4, n + 1)])
 def _table_SH1(n: int, mode: str, *, t: int):
-    prod = _h_zero_rows(n)
-    _add(prod, _e(1), _e(2), _e(t), 1)
-    for j in range(3, n - 1):
-        if j + t - 2 <= n:
-            _add(prod, _e(j), _e(2), _e(j + t - 2), 1)
-    _add(prod, _y(1), _e(2), _y(t - 1), 1)
-    for j in range(2, n - 1):
-        if j + t - 2 <= n:
-            _add(prod, _y(j), _e(2), _y(j + t - 2), 1)
-    _h_weight_rows(prod, n, "x")
-    _add(prod, _e(2), "x", _e(2), 2 * (t - 2))
-    _add(prod, "x", _e(2), _e(2), -2 * (t - 2))
-    _add(prod, "x", _e(2), _e(t - 1), -2)
-    return [], prod, n + 1, n
+    return _single_beta_table(n, n, t, y1_row=True)
 
 
 @_family("SH2", "n", "solvable", 3, None, "(n+1|n)", nilradical="H", codim=1,
          nilradical_params=lambda n, params: {"delta": 1})
 def _table_SH2(n: int, mode: str):
-    prod = _h_zero_rows(n)
+    prod = _zero_rows(n, n, 3)
     _add(prod, _y(1), _e(2), _y(n), 1)
-    _h_weight_rows(prod, n, "x")
+    _weight_rows(prod, n, n, "x")
     _add(prod, _e(2), "x", _e(2), 2 * (n - 1))
     _add(prod, "x", _e(2), _e(2), -2 * (n - 1))
     _add(prod, "x", _e(2), _e(n), -2)
     return [], prod, n + 1, n
+
+
+def _middle_beta_table(n: int, n_odd: int, gamma_row: bool):
+    """SH3 over H and SG2 over G (n odd): the nilradical with
+    beta_{(n+3)/2} = 1, and [e2,e2] = gamma e_n where `gamma_row`."""
+    params = ["gamma"]
+    step = (n - 1) // 2
+    prod = _zero_rows(n, n_odd, 3)
+    _add(prod, _e(1), _e(2), _e(step + 2), 1)
+    for j in range(3, n - 1):
+        if j + step <= n:
+            _add(prod, _e(j), _e(2), _e(j + step), 1)
+    for j in range(1, n_odd - 1):
+        if j + step <= n_odd:
+            _add(prod, _y(j), _e(2), _y(j + step), 1)
+    if gamma_row:
+        _add(prod, _e(2), _e(2), _e(n), _var("gamma", params))
+    _weight_rows(prod, n, n_odd, "x")
+    _add(prod, _e(2), "x", _e(2), n - 1)
+    _add(prod, "x", _e(2), _e(2), -(n - 1))
+    _add(prod, "x", _e(2), _e(step + 1), -2)
+    return params, prod, n + 1, n_odd
 
 
 @_family("SH3", "n", "solvable", 5, 1, "(n+1|n)", ("gamma (rational, != 0)",),
@@ -607,99 +601,61 @@ def _table_SH2(n: int, mode: str):
          nilradical_params=lambda n, params: {f"beta{(n + 3) // 2}": 1,
                                               "gamma": params.get("gamma", 1)})
 def _table_SH3(n: int, mode: str):
-    params = ["gamma"]
-    gamma = _var("gamma", params)
-    h = (n + 3) // 2
-    step = (n - 1) // 2
-    prod = _h_zero_rows(n)
-    _add(prod, _e(1), _e(2), _e(h), 1)
-    for j in range(3, n - 1):
-        if j + step <= n:
-            _add(prod, _e(j), _e(2), _e(j + step), 1)
-    _add(prod, _y(1), _e(2), _y((n + 1) // 2), 1)
-    for j in range(2, n - 1):
-        if j + step <= n:
-            _add(prod, _y(j), _e(2), _y(j + step), 1)
-    if mode == VERBATIM:
-        # Same inconsistency as the base (n|n) family: gamma e_n fails the
-        # identity on (e2, e2, y1) and is dropped in corrected mode.
-        _add(prod, _e(2), _e(2), _e(n), gamma)
-    _h_weight_rows(prod, n, "x")
+    # Same inconsistency as the base (n|n) family: gamma e_n fails the
+    # identity on (e2, e2, y1) and is dropped in corrected mode.
+    return _middle_beta_table(n, n, gamma_row=mode == VERBATIM)
+
+
+def _top_square_table(n: int, n_odd: int, top_row: bool):
+    """SH4 over H and SG3 over G: x acts by weights and [e2,x] = (n-1) e2,
+    with [e2,e2] = e_n where `top_row`."""
+    prod = _zero_rows(n, n_odd, 3)
+    if top_row:
+        _add(prod, _e(2), _e(2), _e(n), 1)
+    _weight_rows(prod, n, n_odd, "x")
     _add(prod, _e(2), "x", _e(2), n - 1)
     _add(prod, "x", _e(2), _e(2), -(n - 1))
-    _add(prod, "x", _e(2), _e((n + 1) // 2), -2)
-    return params, prod, n + 1, n
+    return [], prod, n + 1, n_odd
 
 
 @_family("SH4", "n", "solvable", 3, None, "(n+1|n)", nilradical="H", codim=1,
          nilradical_params=lambda n, params: {"gamma": 1})
 def _table_SH4(n: int, mode: str):
-    prod = _h_zero_rows(n)
-    if mode == VERBATIM:
-        # Dropped in corrected mode for the same reason as in SH3.
-        _add(prod, _e(2), _e(2), _e(n), 1)
-    _h_weight_rows(prod, n, "x")
-    _add(prod, _e(2), "x", _e(2), n - 1)
-    _add(prod, "x", _e(2), _e(2), -(n - 1))
-    return [], prod, n + 1, n
+    # Dropped in corrected mode for the same reason as in SH3.
+    return _top_square_table(n, n, top_row=mode == VERBATIM)
 
 
 # ---------------------------------------------------------------------------
 # Solvable extensions of the (n|n-1) split and non-split nilradicals
 # ---------------------------------------------------------------------------
 
-def _g_weight_rows(prod: Products, n: int, x: str) -> None:
-    for i in range(1, n):
-        _add(prod, _y(i), x, _y(i), 2 * i - 1)
-    _add(prod, _e(1), x, _e(1), 2)
-    for i in range(3, n + 1):
-        _add(prod, _e(i), x, _e(i), 2 * (i - 1))
-    _add(prod, x, _e(1), _e(1), -2)
-    _add(prod, x, _y(1), _y(1), -1)
-
-
 @_family("MG1", "n", "solvable", 3, None, "(n+2|n-1)", nilradical="G", codim=2)
 def _table_MG1(n: int, mode: str):
-    prod = _g_zero_rows(n)
-    _g_weight_rows(prod, n, "x1")
-    _add(prod, _e(2), "x2", _e(2), 1)
-    return [], prod, n + 2, n - 1
+    return _codim_two_table(n, n - 1, antisymmetric=False)
 
 
 @_family("MG2", "n", "solvable", 3, None, "(n+2|n-1)", nilradical="G", codim=2)
 def _table_MG2(n: int, mode: str):
-    params, prod, n0, n1 = _table_MG1(n, mode)
-    _add(prod, "x2", _e(2), _e(2), -1)
-    return params, prod, n0, n1
+    return _codim_two_table(n, n - 1, antisymmetric=True)
 
 
 @_family("G1", "n", "solvable", 3, None, "(n+1|n-1)", ("b (rational, b != 0)",),
          nilradical="G", codim=1, value_domain=_B_NONZERO,
          samples=lambda n: [{"b": 1}])
 def _table_G1(n: int, mode: str):
-    params = ["b"]
-    b = _var("b", params)
-    prod = _g_zero_rows(n)
-    _g_weight_rows(prod, n, "x")
-    _add(prod, _e(2), "x", _e(2), b)
-    _add(prod, "x", _e(2), _e(2), -b)
-    return params, prod, n + 1, n - 1
+    return _b_table(n, n - 1, antisymmetric=True)
 
 
 @_family("G2", "n", "solvable", 3, None, "(n+1|n-1)", ("b (rational)",),
          nilradical="G", codim=1, samples=lambda n: [{"b": 0}, {"b": 1}])
 def _table_G2(n: int, mode: str):
-    params = ["b"]
-    prod = _g_zero_rows(n)
-    _g_weight_rows(prod, n, "x")
-    _add(prod, _e(2), "x", _e(2), _var("b", params))
-    return params, prod, n + 1, n - 1
+    return _b_table(n, n - 1, antisymmetric=False)
 
 
 @_family("G3", "n", "solvable", 3, None, "(n+1|n-1)", nilradical="G", codim=1)
 def _table_G3(n: int, mode: str):
-    prod = _g_zero_rows(n)
-    _g_weight_rows(prod, n, "x")
+    prod = _zero_rows(n, n - 1, 3)
+    _weight_rows(prod, n, n - 1, "x")
     _add(prod, _e(2), "x", _e(2), 2 * (n - 1))
     _add(prod, _e(2), "x", _e(n), 1)
     return [], prod, n + 1, n - 1
@@ -714,28 +670,11 @@ def _table_G3(n: int, mode: str):
                             {"gamma": 1, "b": 1}])
 def _table_G4(n: int, mode: str):
     params = ["b", "gamma"]
-    prod = _g_zero_rows(n)
-    _g_weight_rows(prod, n, "x")
+    prod = _zero_rows(n, n - 1, 3)
+    _weight_rows(prod, n, n - 1, "x")
     _add(prod, _e(2), "x", _e(n), _var("b", params))
     _add(prod, "x", "x", _e(2), _var("gamma", params))
     return params, prod, n + 1, n - 1
-
-
-def _nil_rows_G5(prod: Products, n: int, params: list[str], mode: str) -> None:
-    P = lambda name: _var(name, sorted(params))
-    for k in range(3, n + 1):
-        _add(prod, _e(1), "x", _e(k), P(f"a{k - 1}"))
-    _add(prod, _e(2), "x", _e(2), 1)
-    for i in range(3, n + 1):
-        for k in range(i + 1, n + 1):
-            _add(prod, _e(i), "x", _e(k), P(f"a{k + 1 - i}"))
-    if mode == CORRECTED:
-        # The odd rows' image components carry no subscript in the source
-        # table; the identity on (y_i, y1, x) forces the diagonal reading.
-        for i in range(1, n):
-            for k in range(i + 1, n):
-                _add(prod, _y(i), "x", _y(k), P(f"a{k + 1 - i}"))
-    _add(prod, "x", "x", _e(n), P("gamma"))
 
 
 @_family("G5", "n", "solvable", 3, None, "(n+1|n-1)",
@@ -745,8 +684,10 @@ def _nil_rows_G5(prod: Products, n: int, params: list[str], mode: str) -> None:
          samples=lambda n: [{}, {"a2": 1}, {"gamma": 1}])
 def _table_G5(n: int, mode: str):
     params = [f"a{k}" for k in range(2, n)] + ["gamma"]
-    prod = _g_zero_rows(n)
-    _nil_rows_G5(prod, n, params, mode)
+    # The odd rows' image components carry no subscript in the source
+    # table; the identity on (y_i, y1, x) forces the diagonal reading.
+    prod = _nil_rows(n, n - 1, params, odd_rows=mode == CORRECTED)
+    _add(prod, "x", "x", _e(n), _var("gamma", sorted(params)))
     return params, prod, n + 1, n - 1
 
 
@@ -755,11 +696,9 @@ def _table_G5(n: int, mode: str):
          notes=("gamma exposed as an explicit parameter (as for G5)",),
          samples=lambda n: [{}, {"a2": 1}, {"gamma": 1}])
 def _table_G6(n: int, mode: str):
-    params = [f"a{k}" for k in range(2, n)] + ["gamma"]
-    prod = _g_zero_rows(n)
-    _nil_rows_G5(prod, n, params, mode)
+    params, prod, n0, n1 = _table_G5(n, mode)
     _add(prod, "x", _e(2), _e(2), -1)
-    return params, prod, n + 1, n - 1
+    return params, prod, n0, n1
 
 
 @_family("SG1", "n", "solvable", 4, None, "(n+1|n-1)", structural={"t": 4},
@@ -767,23 +706,8 @@ def _table_G6(n: int, mode: str):
          nilradical_params=lambda n, params: {f"beta{params['t']}": 1},
          samples=lambda n: [{"t": t} for t in range(4, n + 1)])
 def _table_SG1(n: int, mode: str, *, t: int):
-    prod = _g_zero_rows(n)
-    _add(prod, _e(1), _e(2), _e(t), 1)
-    for j in range(3, n - 1):
-        if j + t - 2 <= n:
-            _add(prod, _e(j), _e(2), _e(j + t - 2), 1)
-    if mode == CORRECTED:
-        # Omitted row: the identity on (y1, y1, e2) forces [y1,e2] = y_{t-1}.
-        if t - 1 <= n - 1:
-            _add(prod, _y(1), _e(2), _y(t - 1), 1)
-    for j in range(2, n - 2):
-        if j + t - 2 <= n - 1:
-            _add(prod, _y(j), _e(2), _y(j + t - 2), 1)
-    _g_weight_rows(prod, n, "x")
-    _add(prod, _e(2), "x", _e(2), 2 * (t - 2))
-    _add(prod, "x", _e(2), _e(2), -2 * (t - 2))
-    _add(prod, "x", _e(2), _e(t - 1), -2)
-    return [], prod, n + 1, n - 1
+    # Omitted row: the identity on (y1, y1, e2) forces [y1,e2] = y_{t-1}.
+    return _single_beta_table(n, n - 1, t, y1_row=mode == CORRECTED)
 
 
 @_family("SG2", "n", "solvable", 5, 1, "(n+1|n-1)", ("gamma (rational, != 0)",),
@@ -792,34 +716,13 @@ def _table_SG1(n: int, mode: str, *, t: int):
          nilradical_params=lambda n, params: {f"beta{(n + 3) // 2}": 1,
                                               "gamma": params.get("gamma", 1)})
 def _table_SG2(n: int, mode: str):
-    params = ["gamma"]
-    h = (n + 3) // 2
-    step = (n - 1) // 2
-    prod = _g_zero_rows(n)
-    _add(prod, _e(1), _e(2), _e(h), 1)
-    for j in range(3, n - 1):
-        if j + step <= n:
-            _add(prod, _e(j), _e(2), _e(j + step), 1)
-    for j in range(1, n - 2):
-        if j + step <= n - 1:
-            _add(prod, _y(j), _e(2), _y(j + step), 1)
-    _add(prod, _e(2), _e(2), _e(n), _var("gamma", params))
-    _g_weight_rows(prod, n, "x")
-    _add(prod, _e(2), "x", _e(2), n - 1)
-    _add(prod, "x", _e(2), _e(2), -(n - 1))
-    _add(prod, "x", _e(2), _e((n + 1) // 2), -2)
-    return params, prod, n + 1, n - 1
+    return _middle_beta_table(n, n - 1, gamma_row=True)
 
 
 @_family("SG3", "n", "solvable", 3, None, "(n+1|n-1)", nilradical="G", codim=1,
          nilradical_params=lambda n, params: {"gamma": 1})
 def _table_SG3(n: int, mode: str):
-    prod = _g_zero_rows(n)
-    _add(prod, _e(2), _e(2), _e(n), 1)
-    _g_weight_rows(prod, n, "x")
-    _add(prod, _e(2), "x", _e(2), n - 1)
-    _add(prod, "x", _e(2), _e(2), -(n - 1))
-    return [], prod, n + 1, n - 1
+    return _top_square_table(n, n - 1, top_row=True)
 
 
 FAMILY_IDS: tuple[str, ...] = tuple(_REGISTRY)
@@ -828,16 +731,6 @@ FAMILY_IDS: tuple[str, ...] = tuple(_REGISTRY)
 # ---------------------------------------------------------------------------
 # Building
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A build request: family id, size, parameter values, transcription mode."""
-
-    family_id: str
-    size: int
-    params: Mapping[str, object] = field(default_factory=dict)
-    errata_mode: str = CORRECTED
-
 
 def _validate_domain(info: FamilyInfo, size: int, params: Mapping[str, object]) -> None:
     s = info.size_name
@@ -948,10 +841,6 @@ def build(family_id: str, size: int, params: Mapping[str, object] | None = None,
     return algebra
 
 
-def build_family(spec: FamilySpec) -> SuperAlgebra:
-    return build(spec.family_id, spec.size, spec.params, spec.errata_mode)
-
-
 def list_families() -> list[dict]:
     """Deterministic catalog of every family id with domains and schemas."""
     catalog = []
@@ -997,14 +886,15 @@ def parameter_names(fid: str, size: int) -> tuple[str, ...]:
 
 
 def nilradical_spec(fid: str, size: int, params: Mapping[str, object] | None = None,
-                    ) -> FamilySpec:
-    """The claimed nilradical of a solvable family as a buildable spec."""
+                    ) -> tuple[str, dict[str, object]]:
+    """The claimed nilradical of a solvable family as `(family_id, values)`,
+    ready for `build(family_id, size, values)`."""
     info = family_info(fid)
     if info.kind != "solvable":
         raise InputError(f"{fid} is not a solvable-extension family")
     values: dict[str, object] = {p: 0 for p in parameter_names(info.nilradical, size)}
     values.update(info.nilradical_params(size, params or {}))
-    return FamilySpec(info.nilradical, size, values)
+    return info.nilradical, values
 
 
 # ---------------------------------------------------------------------------

@@ -266,8 +266,8 @@ def verify_solvable_family(fid: str, size: int,
     else:
         report.ensure("nilradical-candidate-nilpotent", is_nilpotent(sub),
                       "the candidate is nilpotent", "the candidate is not nilpotent")
-        spec = families.nilradical_spec(fid, size, full_params)
-        claimed = families.build_family(spec)
+        nil_id, nil_values = families.nilradical_spec(fid, size, full_params)
+        claimed = families.build(nil_id, size, nil_values)
         report.ensure(
             "nilradical-structure-match", sub == claimed,
             f"structure constants equal {claimed.name}",

@@ -74,6 +74,17 @@ class TestFamilyCommand:
         assert code == 2
         assert f"L: n must be <= MAX_SIZE = {MAX_SIZE} (got {MAX_SIZE + 1})" in err
 
+    @pytest.mark.parametrize("raw", ["1e3", "1.5"])
+    def test_param_takes_only_rational_literals(self, raw, capsys):
+        code, _, err = run(["family", "H", "--n", "5", "--param",
+                            f"gamma={raw}", "-o", "-"], capsys)
+        assert code == 2 and "parameter gamma" in err
+
+    def test_param_fraction_literal_builds(self, capsys):
+        code, out, _ = run(["family", "H", "--n", "5", "--param", "gamma=3/2",
+                            "-o", "-"], capsys)
+        assert code == 0 and json.loads(out)["name"] == "H(n=5, gamma=3/2)"
+
     def test_verbatim_mode(self, tmp_path, capsys):
         out = tmp_path / "m5.json"
         code, _, _ = run(["family", "M5", "--m", "5", "--errata", "verbatim",

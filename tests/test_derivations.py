@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from superalg import (FAMILY_IDS, build, build_family, family_info,
-                      nilradical_spec, parameter_names)
+from superalg import (FAMILY_IDS, build, family_info, nilradical_spec,
+                      parameter_names)
 from superalg.core import (EVEN, ODD, GradedVector, change_basis,
                            make_superalgebra, right_mul_matrix)
 from superalg.derivations import (EXTENDABLE, derivation_space, extendability,
@@ -240,7 +240,8 @@ def _nilpotent_targets() -> dict[str, object]:
             except InputError:
                 continue   # H1, G1, G4, SH3 and SG2 need nonzero values
             if info.kind == "solvable":
-                algebra = build_family(nilradical_spec(fid, size, params))
+                nil_id, values = nilradical_spec(fid, size, params)
+                algebra = build(nil_id, size, values)
             targets.setdefault(algebra.name, algebra)
     return targets
 

@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
 from fractions import Fraction
 
 import pytest
 
-from superalg import (CORRECTED, FAMILY_IDS, VERBATIM, build, build_family,
-                      errata_for, errata_ledger, family_info, list_families,
+from superalg import (CORRECTED, FAMILY_IDS, VERBATIM, build, errata_for,
+                      errata_ledger, family_info, list_families,
                       nilradical_spec, parameter_names)
 from superalg.core import (GradedVector, check_leibniz, check_lie, nilindex,
                            product, sdf_dumps)
 from superalg.errors import InputError
-from superalg.families import MAX_SIZE, FamilySpec, shared_builds, sizes
+from superalg.families import MAX_SIZE, shared_builds, sizes
 
 
 def zeros(fid: str, size: int) -> dict[str, int]:
@@ -205,6 +206,24 @@ class TestConstructionFacts:
         assert "beta4" not in a.parameters
         assert "delta" in a.parameters
 
+    def test_every_catalog_table_is_pinned(self):
+        # Every family at sizes 3..12, every structural t, both modes: the
+        # symbolic tables themselves, byte for byte.
+        digest = hashlib.sha256()
+        count = 0
+        for fid in FAMILY_IDS:
+            for size in sizes(fid, 3, 12):
+                structurals = ([{"t": t} for t in range(4, size + 1)]
+                               if "t" in family_info(fid).structural else [{}])
+                for structural in structurals:
+                    for mode in (CORRECTED, VERBATIM):
+                        algebra = build(fid, size, structural, mode)
+                        digest.update(sdf_dumps(algebra).encode())
+                        count += 1
+        assert count == 736
+        assert digest.hexdigest() == \
+            "80c553368c33cee92eb5e92c5b8bb26b55d902a6b075f74ed4350d8436dd968d"
+
 
 class TestSharedBuilds:
     def test_value_free_builds_are_shared_only_inside_a_scope(self):
@@ -235,18 +254,20 @@ class TestSharedBuilds:
                 build("L", 2)
         assert build("L", 4) is not build("L", 4)
 
-    def test_leibniz_residuals_are_cached_and_handed_out_as_new_lists(self):
+    @pytest.mark.parametrize("check", [check_leibniz, check_lie],
+                             ids=["leibniz", "lie"])
+    def test_leibniz_residuals_are_cached_and_handed_out_as_new_lists(self, check):
         verbatim = build("M", 5, None, VERBATIM)
-        first = check_leibniz(verbatim)
+        first = check(verbatim)
         assert first
         expected = list(first)
         first.clear()
-        assert check_leibniz(verbatim) == expected
-        second = check_leibniz(verbatim)
+        assert check(verbatim) == expected
+        second = check(verbatim)
         second.append(second[0])
         second.reverse()
-        assert check_leibniz(verbatim) == expected
-        assert check_leibniz(verbatim) is not check_leibniz(verbatim)
+        assert check(verbatim) == expected
+        assert check(verbatim) is not check(verbatim)
 
 
 def _structural(fid):
@@ -350,20 +371,16 @@ class TestErrata:
 
 class TestNilradicalSpecs:
     def test_split_nilradicals(self):
-        spec = nilradical_spec("SL", 5)
-        assert spec.family_id == "L" and all(v == 0 for v in spec.params.values())
-        spec = nilradical_spec("MH2", 4)
-        assert spec.family_id == "H"
+        fid, values = nilradical_spec("SL", 5)
+        assert fid == "L" and all(v == 0 for v in values.values())
+        fid, _ = nilradical_spec("MH2", 4)
+        assert fid == "H"
 
     def test_single_beta_nilradical(self):
-        spec = nilradical_spec("SH1", 6, {"t": 5})
-        assert spec.params["beta5"] == 1
-        assert spec.params["beta4"] == 0
+        _, values = nilradical_spec("SH1", 6, {"t": 5})
+        assert values["beta5"] == 1
+        assert values["beta4"] == 0
 
     def test_middle_beta_with_gamma(self):
-        spec = nilradical_spec("SH3", 7, {"gamma": Fraction(2)})
-        assert spec.params["beta5"] == 1 and spec.params["gamma"] == Fraction(2)
-
-    def test_build_family_accepts_spec(self):
-        algebra = build_family(FamilySpec("N2M", 5))
-        assert algebra.dim == 7
+        _, values = nilradical_spec("SH3", 7, {"gamma": Fraction(2)})
+        assert values["beta5"] == 1 and values["gamma"] == Fraction(2)
