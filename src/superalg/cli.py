@@ -20,9 +20,9 @@ import os
 import sys
 
 from .core import (EVEN, MAX_BOUND, MAX_SAMPLES, ODD, char_sequence,
-                   check_leibniz, check_lie, derived_series, fingerprint,
-                   lower_central_series, right_annihilator, sdf_dumps,
-                   sdf_loads)
+                   charseq_note, check_leibniz, check_lie, derived_series,
+                   fingerprint, lower_central_series, right_annihilator,
+                   sdf_dumps, sdf_loads)
 from .errors import (DegenerateSamplingError, InputError, NotNilpotentError,
                      SuperalgError)
 from .exactmath import format_rational
@@ -142,7 +142,8 @@ def _cmd_charseq(args) -> int:
     algebra = _load_algebra(args.file)
     even, odd = char_sequence(algebra, samples=args.samples, seed=args.seed,
                               bound=args.bound)
-    print(f"characteristic sequence (sampled max, seed={args.seed}, "
+    note = charseq_note(algebra, (even, odd))
+    print(f"characteristic sequence ({note}, seed={args.seed}, "
           f"samples={args.samples}): "
           f"({', '.join(map(str, even))} | {', '.join(map(str, odd))})")
     return 0
@@ -263,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="lower-central")
     p.set_defaults(func=_cmd_series)
 
-    p = sub.add_parser("charseq", help="sampled characteristic sequence")
+    p = sub.add_parser("charseq", help="characteristic sequence, certified or sampled")
     p.add_argument("file")
     p.add_argument("--samples", type=int, default=64,
                    help="after the even basis vectors outside L0^2, draw "

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
+from itertools import chain
 from operator import add
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import (DegenerateSamplingError, InputError,
                      InternalInconsistencyError, NotNilpotentError)
@@ -41,6 +42,7 @@ ODD = 1
 Coefficient = Polynomial
 StructureMap = dict[tuple[int, int], tuple[tuple[int, Polynomial], ...]]
 ConstantMap = dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...]]
+T = TypeVar("T")
 
 
 class SuperAlgebra:
@@ -87,8 +89,8 @@ class SuperAlgebra:
         self.structure = table
         self._constant: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] | None = None
         self._narrowed: ConstantMap | None = None
-        # Residuals per identity check, by check name (`_once_per_algebra`).
-        self._residuals: dict[str, tuple[Residual, ...]] = {}
+        # Results of functions of the algebra, by function name (`_once_per_algebra`).
+        self._memo: dict[str, object] = {}
 
     # -- basic queries -------------------------------------------------------
 
@@ -366,15 +368,17 @@ def _scatter(algebra: SuperAlgebra, identity: str, via_right, via_left) -> list[
     return _emit(algebra, identity, acc)
 
 
-def _once_per_algebra(check: Callable[[SuperAlgebra], list[Residual]]):
-    """Run an identity check once per algebra, caching its residuals on the
-    algebra; every call returns a new list of them."""
-    @wraps(check)
-    def cached(algebra: SuperAlgebra) -> list[Residual]:
-        found = algebra._residuals.get(check.__name__)
-        if found is None:
-            found = algebra._residuals[check.__name__] = tuple(check(algebra))
-        return list(found)
+def _once_per_algebra(compute: Callable[[SuperAlgebra], T]) -> Callable[[SuperAlgebra], T]:
+    """Compute a function of an algebra once, memoised on the algebra by the
+    function's name.  A list result is handed out as a new list on every
+    call, so no caller can change the memo; any other result is immutable."""
+    @wraps(compute)
+    def cached(algebra: SuperAlgebra) -> T:
+        memo = algebra._memo
+        if compute.__name__ not in memo:
+            memo[compute.__name__] = compute(algebra)
+        found = memo[compute.__name__]
+        return list(found) if isinstance(found, list) else found
     return cached
 
 
@@ -558,8 +562,10 @@ def _series(full: GradedSubspace, step) -> list[GradedSubspace]:
     return series
 
 
+@_once_per_algebra
 def lower_central_series(algebra: SuperAlgebra) -> list[GradedSubspace]:
-    """L^1 = L, L^{k+1} = [L^k, L], computed until the first repeat or zero."""
+    """L^1 = L, L^{k+1} = [L^k, L], computed until the first repeat or zero,
+    once per algebra; each call returns a new list of the terms."""
     full = GradedSubspace.full(algebra)
     return _series(full, lambda s: subspace_product(algebra, s, full))
 
@@ -620,9 +626,48 @@ def even_square(algebra: SuperAlgebra) -> GradedSubspace:
     return GradedSubspace._from_echelons(algebra, (square, {}))
 
 
+@_once_per_algebra
+def charseq_bound(algebra: SuperAlgebra) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Lex-largest Jordan types that any even R_x can have, per parity block.
+
+    The word filtration F_0 = L, F_{j+1} = [F_j, L0] is the span of the
+    right-normed products with j even factors, and R_x maps F_j into
+    F_{j+1} for every even x.  F_j lies in L^{j+1}, so on a nilpotent
+    algebra it reaches zero.  If the parity-p part of F_j is zero from
+    j = s_p on, then R_x^{s_p} = 0 on that block for every even x: each
+    Jordan block has size at most s_p, and the lex-largest partition of the
+    block's dimension allowed is (s_p, ..., s_p, r).  Computed once per
+    algebra; a non-nilpotent algebra is a NotNilpotentError.
+    """
+    if not is_nilpotent(algebra):
+        raise NotNilpotentError(
+            f"characteristic sequence needs a nilpotent algebra, got {algebra.name!r}")
+    full = GradedSubspace.full(algebra)
+    even = GradedSubspace(algebra.n_even, algebra.n_odd, (full.parts[EVEN], ()))
+    words = _series(full, lambda term: subspace_product(algebra, term, even))
+    bounds = []
+    for parity, size in ((EVEN, algebra.n_even), (ODD, algebra.n_odd)):
+        s = sum(1 for term in words if term.parts[parity])
+        q, r = divmod(size, s) if s else (0, 0)
+        bounds.append((s,) * q + ((r,) if r else ()))
+    return bounds[EVEN], bounds[ODD]
+
+
+def charseq_note(algebra: SuperAlgebra,
+                 charseq: tuple[tuple[int, ...], tuple[int, ...]]) -> str:
+    """"certified" when a characteristic sequence equals `charseq_bound` in
+    both blocks, else "sampled max (bound s)", s the bound's largest part:
+    R_x^s = 0 for every even x."""
+    bound = charseq_bound(algebra)
+    if charseq == bound:
+        return "certified"
+    return f"sampled max (bound {max(bound[EVEN] + bound[ODD])})"
+
+
 # Caps on char_sequence's arguments.  Each candidate costs two Jordan types,
-# so `samples` bounds the run time; `bound` only widens the box of integer
-# coordinates, which is never needed beyond a few units.
+# so `samples` bounds the run time of a search that never reaches
+# `charseq_bound`; `bound` only widens the box of integer coordinates, which
+# is never needed beyond a few units.
 MAX_SAMPLES = 1024
 MAX_BOUND = 1000
 
@@ -638,9 +683,12 @@ def char_sequence(algebra: SuperAlgebra, samples: int = 64, seed: int = 0,
     been made.  So when k even basis vectors lie in L0^2, up to `samples` + k
     random vectors are used, and `samples` = 0 still uses up to k.  The even
     and odd maxima are taken independently (each in lexicographic partition
-    order).  The result is a sampled maximum, not a certified one.  A
-    negative `samples` or `bound`, or one above MAX_SAMPLES or MAX_BOUND, is
-    an InputError.
+    order).  Candidates are taken in that order, and the search stops as
+    soon as both maxima equal `charseq_bound`, which no R_x can exceed: the
+    result is then the exact maximum over L0 \\ L0^2, and the same as with
+    the whole sample.  Otherwise it is a sampled maximum; `charseq_note`
+    tells the two apart.  A negative `samples` or `bound`, or one above
+    MAX_SAMPLES or MAX_BOUND, is an InputError.
     """
     for name, value, cap_name, cap in (("samples", samples, "MAX_SAMPLES", MAX_SAMPLES),
                                        ("bound", bound, "MAX_BOUND", MAX_BOUND)):
@@ -649,47 +697,50 @@ def char_sequence(algebra: SuperAlgebra, samples: int = 64, seed: int = 0,
         if value > cap:
             raise InputError(f"char_sequence: {name} must be <= {cap_name} = "
                              f"{cap} (got {value})")
-    if not is_nilpotent(algebra):
-        raise NotNilpotentError(
-            f"characteristic sequence needs a nilpotent algebra, got {algebra.name!r}")
+    ceiling = charseq_bound(algebra)
     n0 = algebra.n_even
     square = even_square(algebra)
 
     def admissible(coords: Sequence[Fraction]) -> bool:
         return any(coords) and not square.contains_part_vector(EVEN, coords)
 
-    candidates: list[tuple[Fraction, ...]] = []
+    basis: list[tuple[Fraction, ...]] = []
     for i in range(n0):
         coords = tuple(Fraction(1 if j == i else 0) for j in range(n0))
         if admissible(coords):
-            candidates.append(coords)
-    if not candidates:
+            basis.append(coords)
+    if not basis:
         raise DegenerateSamplingError(
             f"every even basis vector of {algebra.name!r} lies in L0^2")
-    rng = random.Random(seed)
-    attempts = 0
-    while len(candidates) < n0 + samples and attempts < 50 * (samples + 1):
-        attempts += 1
-        coords = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(n0))
-        if admissible(coords):
-            candidates.append(coords)
 
-    best_even: tuple[int, ...] | None = None
-    best_odd: tuple[int, ...] | None = None
+    def drawn() -> Iterator[tuple[Fraction, ...]]:
+        rng = random.Random(seed)
+        kept = len(basis)
+        for _ in range(50 * (samples + 1)):
+            if kept >= n0 + samples:
+                return
+            coords = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(n0))
+            if admissible(coords):
+                kept += 1
+                yield coords
+
+    best: tuple[tuple[int, ...], ...] = ()
     odd_zeros = (Fraction(0),) * algebra.n_odd
-    for coords in candidates:
+    for coords in chain(basis, drawn()):
         rx = right_mul_matrix(algebra, GradedVector(coords + odd_zeros))
-        jt_even = nilpotent_jordan_type(rx.principal(range(n0)))
-        jt_odd = nilpotent_jordan_type(rx.principal(range(n0, algebra.dim)))
-        if jt_even is None or jt_odd is None:
+        types = (nilpotent_jordan_type(rx.principal(range(n0))),
+                 nilpotent_jordan_type(rx.principal(range(n0, algebra.dim))))
+        if None in types:
             raise InternalInconsistencyError(
                 "right multiplication non-nilpotent on a nilpotent algebra")
-        if best_even is None or jt_even > best_even:
-            best_even = jt_even
-        if best_odd is None or jt_odd > best_odd:
-            best_odd = jt_odd
-    assert best_even is not None and best_odd is not None
-    return best_even, best_odd
+        if any(t > top for t, top in zip(types, ceiling)):
+            raise InternalInconsistencyError(
+                f"a Jordan type of R_x in {algebra.name!r} exceeds the "
+                f"word-filtration bound {ceiling}")
+        best = tuple(map(max, best, types)) if best else types
+        if best == ceiling:
+            break
+    return best[EVEN], best[ODD]
 
 
 # ---------------------------------------------------------------------------
@@ -700,9 +751,10 @@ def char_sequence(algebra: SuperAlgebra, samples: int = 64, seed: int = 0,
 class Fingerprint:
     """Isomorphism-invariant summary used to tell algebras apart.
 
-    charseq is None for non-nilpotent algebras; when present it is a sampled
-    maximum (see char_sequence).  Equality of fingerprints never proves
-    isomorphism; inequality disproves it.
+    charseq is None for non-nilpotent algebras; when present, charseq_note
+    says whether it is certified or a sampled maximum (see char_sequence and
+    charseq_note).  The note takes no part in comparisons.  Equality of
+    fingerprints never proves isomorphism; inequality disproves it.
     """
 
     dims: tuple[int, int]
@@ -713,6 +765,7 @@ class Fingerprint:
     annihilator: tuple[int, int]
     derivation_dims: tuple[int, int]
     charseq: tuple[tuple[int, ...], tuple[int, ...]] | None
+    charseq_note: str | None = field(default=None, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -725,7 +778,7 @@ class Fingerprint:
             "derivation_dims": list(self.derivation_dims),
             "charseq": None if self.charseq is None
             else [list(self.charseq[0]), list(self.charseq[1])],
-            "charseq_note": None if self.charseq is None else "sampled max",
+            "charseq_note": self.charseq_note,
         }
 
 
@@ -749,6 +802,7 @@ def fingerprint(algebra: SuperAlgebra, samples: int = 64, seed: int = 0,
         annihilator=ann.dims(),
         derivation_dims=(even_dim, odd_dim),
         charseq=cs,
+        charseq_note=None if cs is None else charseq_note(algebra, cs),
     )
 
 

@@ -28,9 +28,9 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from . import families
 from .core import (EVEN, GradedSubspace, GradedVector, SuperAlgebra,
-                   char_sequence, check_leibniz, check_lie, fingerprint,
-                   is_nilpotent, is_solvable, nilindex, right_mul_matrix,
-                   subspace_product)
+                   char_sequence, charseq_note, check_leibniz, check_lie,
+                   fingerprint, is_nilpotent, is_solvable, nilindex,
+                   right_mul_matrix, subspace_product)
 from .derivations import (CLASSIFIER_FAMILIES, derivation_space, extendability,
                           is_derivation, same_span)
 from .errors import InputError, SuperalgError, UnsupportedShapeError
@@ -189,7 +189,7 @@ def verify_nilpotent_family(fid: str, size: int,
     expected = ((algebra.n_even - 1, 1), (algebra.n_odd,))
     cs = char_sequence(algebra, seed=seed)
     report.ensure("charseq", cs == expected,
-                  f"characteristic sequence {cs} (sampled max)",
+                  f"characteristic sequence {cs} ({charseq_note(algebra, cs)})",
                   f"got {cs}, expected {expected}")
     report.wall_time_s = time.perf_counter() - start
     return report

@@ -7,6 +7,7 @@ than tautology.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -137,6 +138,35 @@ def jordan_type_by_powers(m: RatMatrix) -> tuple[int, ...] | None:
                  if k + 1 < len(kernel_dims) else 0)
         sizes.extend([k] * (ge_k - ge_k1))
     return tuple(sorted(sizes, reverse=True))
+
+
+def charseq_by_enumeration(algebra: SuperAlgebra, box: int = 2
+                           ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Componentwise lex maxima of the Jordan types of R_x on each parity
+    block, over every x in {-box..box}^n0 outside L0^2.
+
+    R_x(b_j) = [b_j, x] for even x is computed by `product`, membership of
+    L0^2 by `bareiss_rank`, and the types by `jordan_type_by_powers`.
+    """
+    n0 = algebra.n_even
+    basis = [GradedVector.basis(algebra, lab) for lab in algebra.labels]
+    square = [list(product(algebra, x, y).coords[:n0])
+              for x in basis[:n0] for y in basis[:n0]]
+    square_rank = span_dim(square)
+    best: list = [(), ()]
+    for coords in itertools.product(range(-box, box + 1), repeat=n0):
+        # R_{-x} = -R_x has the type of R_x: keep x leading with a positive entry.
+        if not any(coords) or next(c for c in coords if c) < 0:
+            continue
+        if span_dim(square + [list(coords)]) == square_rank:
+            continue  # in L0^2
+        x = GradedVector.from_coords(list(coords) + [0] * algebra.n_odd)
+        images = [product(algebra, b, x).coords for b in basis]
+        for parity, (lo, hi) in enumerate(((0, n0), (n0, algebra.dim))):
+            block = RatMatrix.from_rows([[images[j][i] for j in range(lo, hi)]
+                                         for i in range(lo, hi)])
+            best[parity] = max(best[parity], jordan_type_by_powers(block))
+    return best[0], best[1]
 
 
 def _basis_products(algebra: SuperAlgebra):

@@ -118,7 +118,8 @@ class TestAnalysisCommands:
 
     def test_charseq(self, n23, capsys):
         code, stdout, _ = run(["charseq", n23], capsys)
-        assert code == 0 and "(1, 1 | 3)" in stdout
+        assert code == 0 and "(certified, seed=" in stdout
+        assert stdout.rstrip().endswith(": (1, 1 | 3)")
 
     def test_charseq_seed_env(self, n23, capsys, monkeypatch):
         monkeypatch.setenv("SUPERALG_SEED", "2")
@@ -164,6 +165,7 @@ class TestAnalysisCommands:
         payload = json.loads(stdout)
         assert payload["nilindex"] == 5
         assert payload["charseq"] == [[1, 1], [3]]
+        assert payload["charseq_note"] == "certified"
 
     def test_malformed_sdf_names_the_product(self, tmp_path, capsys):
         doc = {"name": "bad", "even_basis": ["e1"], "odd_basis": ["y1"],

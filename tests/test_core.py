@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -15,8 +16,8 @@ from superalg import (CORRECTED, FAMILY_IDS, VERBATIM, build, family_info,
                       parameter_names)
 from superalg.core import (EVEN, MAX_BOUND, MAX_SAMPLES, ODD, GradedSubspace,
                            GradedVector, SuperAlgebra, change_basis, char_sequence,
-                           check_leibniz, check_lie, derived_series,
-                           fingerprint, is_nilpotent, is_solvable,
+                           charseq_bound, charseq_note, check_leibniz, check_lie,
+                           derived_series, fingerprint, is_nilpotent, is_solvable,
                            lower_central_series, make_superalgebra, nilindex,
                            product, right_annihilator, right_mul_matrix,
                            sdf_dump, sdf_dumps, sdf_load, sdf_loads,
@@ -26,8 +27,8 @@ from superalg.exactmath import RatMatrix, nilpotent_jordan_type
 from superalg.families import sizes
 
 from oracles import (brute_leibniz_residuals, brute_lie_residuals,
-                     dense_derived_series, dense_lower_central_series,
-                     dense_rref, instance,
+                     charseq_by_enumeration, dense_derived_series,
+                     dense_lower_central_series, dense_rref, instance,
                      random_graded_algebra, random_parity_change, span_dim)
 
 
@@ -600,10 +601,97 @@ class TestCharSequence:
         assert count == 43
 
 
+def heisenberg_plus_line() -> SuperAlgebra:
+    """h3 + C with one odd vector: [e1, e2] = e3 = -[e2, e1], y1 central.
+    Every even R_x has rank at most 1, so its type is at most (2, 1, 1),
+    while the word filtration only bounds the blocks by 2."""
+    return make_superalgebra("h3+C", ["e1", "e2", "e3", "e4"], ["y1"], [],
+                             {("e1", "e2"): [("e3", 1)], ("e2", "e1"): [("e3", -1)]})
+
+
+class TestCharseqBound:
+    @pytest.mark.parametrize("make", [
+        lambda: build("N2M", 3), lambda: build("L", 4, zeros("L", 4)),
+        lambda: build("M", 4, zeros("M", 4)), lambda: build("H", 4, zeros("H", 4)),
+        lambda: build("G", 4, zeros("G", 4)), heisenberg_plus_line],
+        ids=["N2M3", "L4", "M4", "H4", "G4", "h3+C"])
+    def test_matches_exhaustive_enumeration(self, make):
+        a = make()
+        oracle = charseq_by_enumeration(a)
+        assert char_sequence(a) == oracle
+        bound = charseq_bound(a)
+        assert bound[EVEN] >= oracle[EVEN] and bound[ODD] >= oracle[ODD]
+        assert tuple(map(sum, bound)) == (a.n_even, a.n_odd)
+
+    @pytest.fixture
+    def jordan_calls(self, monkeypatch):
+        import superalg.core as core
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return nilpotent_jordan_type(m)
+
+        monkeypatch.setattr(core, "nilpotent_jordan_type", counted)
+        return calls
+
+    def test_certified_search_stops_at_the_first_candidate(self, jordan_calls):
+        a = build("L", 5, zeros("L", 5))
+        cs = char_sequence(a)
+        assert cs == charseq_bound(a) == ((4, 1), (4,))
+        assert charseq_note(a, cs) == "certified"
+        assert len(jordan_calls) == 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_unreached_bound_falls_back_to_the_whole_sample(self, seed, jordan_calls):
+        a = heisenberg_plus_line()
+        assert charseq_bound(a) == ((2, 2), (1,))
+        cs = char_sequence(a, seed=seed)
+        assert cs == ((2, 1, 1), (1,))
+        # dim L0 + 64 candidates, two types each: the search never stopped
+        assert len(jordan_calls) == 2 * (4 + 64)
+        assert charseq_note(a, cs) == "sampled max (bound 2)"
+        assert fingerprint(a, seed=seed).as_dict()["charseq_note"] == \
+            "sampled max (bound 2)"
+
+    def test_abelian_blocks_are_bounded_by_one(self):
+        a = abelian(3, 0)
+        assert charseq_bound(a) == ((1, 1, 1), ())
+        assert char_sequence(a) == ((1, 1, 1), ())
+
+    def test_not_nilpotent_raises(self):
+        with pytest.raises(NotNilpotentError):
+            charseq_bound(build("SL", 4))
+
+
+class TestOncePerAlgebra:
+    def test_lower_central_series_is_computed_once(self, monkeypatch):
+        import superalg.core as core
+        a = build("H", 5, zeros("H", 5))
+        first = lower_central_series(a)
+        monkeypatch.setattr(core, "subspace_product", None)  # any recompute fails
+        assert nilindex(a) == a.dim and is_nilpotent(a)
+        second = lower_central_series(a)
+        assert second == first and second is not first
+        second.clear()
+        assert lower_central_series(a) == first
+
+    def test_each_algebra_has_its_own_memo(self):
+        a, b = abelian(1, 0), build("N2M", 3)
+        assert len(lower_central_series(a)) == 2
+        assert len(lower_central_series(b)) == b.dim
+
+
 class TestFingerprint:
     def test_deterministic(self):
         a = build("MH1", 4)
         assert fingerprint(a) == fingerprint(a)
+
+    def test_charseq_note_takes_no_part_in_comparisons(self):
+        fp = fingerprint(build("N2M", 3))
+        assert fp.charseq_note == "certified"
+        assert dataclasses.replace(fp, charseq_note="sampled max (bound 9)") == fp
+        assert fingerprint(build("MH1", 4)).charseq_note is None
 
     def test_distinguishes_the_codim_two_pair(self):
         assert fingerprint(build("MH1", 5)) != fingerprint(build("MH2", 5))

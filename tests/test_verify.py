@@ -39,6 +39,12 @@ class TestNilpotentClaims:
         report = verify_nilpotent_family("H", 5, params)
         assert report.status == "pass", failing(report)
 
+    def test_every_default_charseq_is_certified(self):
+        reports = run_claims([c for c in claim_ids() if c.startswith("NILP-")]).claims
+        details = [c.detail for r in reports for c in r.checks if c.name == "charseq"]
+        assert len(details) == 43
+        assert all(d.endswith("(certified)") for d in details), details
+
 
 class TestSolvableClaims:
     def test_split_alpha_extension(self):
