@@ -39,7 +39,6 @@ from .exactmath import (RATIONAL_LITERAL, Polynomial, RatMatrix, SparseRow,
 EVEN = 0
 ODD = 1
 
-Coefficient = Polynomial
 StructureMap = dict[tuple[int, int], tuple[tuple[int, Polynomial], ...]]
 ConstantMap = dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...]]
 T = TypeVar("T")
@@ -66,28 +65,34 @@ class SuperAlgebra:
         self.dim = self.n_even + self.n_odd
         self._index = {lab: i for i, lab in enumerate(labels)}
 
+        # The one place cells are made canonical: terms with one target are
+        # merged, zero sums dropped and targets sorted; grading is checked on
+        # the merged cell, so a wrong-parity pair that cancels is accepted.
+        n0, dim = self.n_even, self.dim
         table: StructureMap = {}
         for (i, j), terms in structure.items():
-            if not (0 <= i < self.dim and 0 <= j < self.dim):
+            if not (0 <= i < dim and 0 <= j < dim):
                 raise InputError(f"basis index out of range in product ({i},{j})")
-            clean = []
-            expected = (self.parity(i) + self.parity(j)) % 2
+            acc: dict[int, Polynomial] = {}
             for k, coeff in terms:
                 if coeff.variables != self.parameters:
-                    coeff = coeff.rebase(self.parameters)
-                if coeff.is_zero():
-                    continue
-                if self.parity(k) != expected:
+                    raise InputError(
+                        f"coefficient {coeff} in product [{labels[i]}, {labels[j]}] is "
+                        f"over the variables {coeff.variables}, not {self.parameters}")
+                acc[k] = acc[k] + coeff if k in acc else coeff
+            cell = tuple(sorted([item for item in acc.items() if item[1].terms]))
+            expected = (i >= n0) != (j >= n0)
+            for k, _ in cell:
+                if not 0 <= k < dim:
+                    raise InputError(f"basis index out of range in product ({i},{j})")
+                if (k >= n0) != expected:
                     raise InputError(
                         f"grading violation in product [{labels[i]}, {labels[j]}]: "
                         f"component {labels[k]} has parity {self.parity(k)}, "
-                        f"expected {expected}")
-                clean.append((k, coeff))
-            if clean:
-                clean.sort(key=lambda t: t[0])
-                table[(i, j)] = tuple(clean)
+                        f"expected {int(expected)}")
+            if cell:
+                table[(i, j)] = cell
         self.structure = table
-        self._constant: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] | None = None
         self._narrowed: ConstantMap | None = None
         # Results of functions of the algebra, by function name (`_once_per_algebra`).
         self._memo: dict[str, object] = {}
@@ -111,24 +116,20 @@ class SuperAlgebra:
 
     def constant_structure(self) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
         """Structure constants as plain rationals; requires instantiation."""
-        if self.parameters:
-            raise InputError(
-                f"algebra {self.name!r} has free parameters "
-                f"({', '.join(self.parameters)}); instantiate them first")
-        if self._constant is None:
-            self._constant = {
-                key: tuple((k, c.as_constant()) for k, c in terms)
-                for key, terms in self.structure.items()
-            }
-        return self._constant
+        return {key: tuple((k, Fraction(c)) for k, c in terms)
+                for key, terms in self._narrowed_structure().items()}
 
     def _narrowed_structure(self) -> ConstantMap:
-        """`constant_structure` with each integral constant held as an int,
-        the form the elimination engine works on fastest."""
+        """The constant table with integral constants as ints, the engine's
+        fastest form; built once per algebra, and requires instantiation."""
         if self._narrowed is None:
+            if self.parameters:
+                raise InputError(
+                    f"algebra {self.name!r} has free parameters "
+                    f"({', '.join(self.parameters)}); instantiate them first")
             self._narrowed = {
-                key: tuple((k, _narrow(c)) for k, c in terms)
-                for key, terms in self.constant_structure().items()
+                key: tuple((k, _narrow(c.as_constant())) for k, c in terms)
+                for key, terms in self.structure.items()
             }
         return self._narrowed
 
@@ -196,13 +197,7 @@ def make_superalgebra(name: str, even_basis: Sequence[str], odd_basis: Sequence[
             else:
                 poly = Polynomial.const(Fraction(coeff), parameters)
             cell.append((index[target], poly))
-    merged: dict[tuple[int, int], list[tuple[int, Polynomial]]] = {}
-    for key, cell in structure.items():
-        acc: dict[int, Polynomial] = {}
-        for k, poly in cell:
-            acc[k] = acc[k] + poly if k in acc else poly
-        merged[key] = [(k, p) for k, p in sorted(acc.items()) if not p.is_zero()]
-    return SuperAlgebra(name, even_basis, odd_basis, parameters, merged)
+    return SuperAlgebra(name, even_basis, odd_basis, parameters, structure)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +241,7 @@ class GradedVector:
 
 def product(algebra: SuperAlgebra, x: GradedVector, y: GradedVector) -> GradedVector:
     """Bilinear extension of the structure constants (instantiated algebras only)."""
-    table = algebra.constant_structure()
+    table = algebra._narrowed_structure()
     out = [Fraction(0)] * algebra.dim
     for i, xi in enumerate(x.coords):
         if not xi:
@@ -267,7 +262,7 @@ def right_mul_matrix(algebra: SuperAlgebra, x: GradedVector) -> RatMatrix:
     px = x.parity_of(algebra)
     if px is None:
         raise InputError("right multiplication needs a homogeneous element")
-    table = algebra.constant_structure()
+    table = algebra._narrowed_structure()
     dim, n0 = algebra.dim, algebra.n_even
     rows = [[Fraction(0)] * dim for _ in range(dim)]
     for i, xi in enumerate(x.coords):
@@ -570,8 +565,10 @@ def lower_central_series(algebra: SuperAlgebra) -> list[GradedSubspace]:
     return _series(full, lambda s: subspace_product(algebra, s, full))
 
 
+@_once_per_algebra
 def derived_series(algebra: SuperAlgebra) -> list[GradedSubspace]:
-    """L^(1) = L, L^(k+1) = [L^(k), L^(k)], until the first repeat or zero."""
+    """L^(1) = L, L^(k+1) = [L^(k), L^(k)], until the first repeat or zero,
+    once per algebra; each call returns a new list of the terms."""
     return _series(GradedSubspace.full(algebra),
                    lambda s: subspace_product(algebra, s, s))
 
@@ -788,7 +785,7 @@ def fingerprint(algebra: SuperAlgebra, samples: int = 64, seed: int = 0,
 
     lcs = lower_central_series(algebra)
     ds = derived_series(algebra)
-    nil = len(lcs) if lcs[-1].is_zero() else None
+    nil = nilindex(algebra)
     ann = right_annihilator(algebra)
     even_dim = derivation_space(algebra, EVEN).dim
     odd_dim = derivation_space(algebra, ODD).dim
@@ -833,27 +830,14 @@ def change_basis(algebra: SuperAlgebra, p_even: RatMatrix, p_odd: RatMatrix) -> 
                     for k, c in algebra.product_terms(i, j):
                         scaled = c * (pi * pj)
                         acc[k] = acc[k] + scaled if k in acc else scaled
-            if not acc:
-                continue
-            out: dict[int, Polynomial] = {}
+            # The constructor merges the terms by target and drops zero sums.
+            cell = structure[(a, b)] = []
             for k, coeff in acc.items():
-                if coeff.is_zero():
-                    continue
-                if k < n0:
-                    back, offset = q_even, 0
-                    krel = k
-                else:
-                    back, offset = q_odd, n0
-                    krel = k - n0
+                back, offset = (q_even, 0) if k < n0 else (q_odd, n0)
                 for t in range(back.rows):
-                    w = back.entries[t][krel]
+                    w = back.entries[t][k - offset]
                     if w:
-                        scaled = coeff * w
-                        key = offset + t
-                        out[key] = out[key] + scaled if key in out else scaled
-            cell = [(k, p) for k, p in sorted(out.items()) if not p.is_zero()]
-            if cell:
-                structure[(a, b)] = cell
+                        cell.append((offset + t, coeff * w))
     return SuperAlgebra(f"{algebra.name}~", algebra.even_basis, algebra.odd_basis,
                         algebra.parameters, structure)
 

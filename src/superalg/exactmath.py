@@ -232,23 +232,6 @@ class Polynomial:
                 out[new_exp] = out.get(new_exp, Fraction(0)) + c
         return Polynomial(remaining, out)
 
-    def rebase(self, variables: Sequence[str]) -> Polynomial:
-        """Re-express over a superset variable tuple (used when merging tables)."""
-        variables = tuple(variables)
-        pos = {v: i for i, v in enumerate(variables)}
-        for v in self.used_variables():
-            if v not in pos:
-                raise InputError(f"variable {v!r} absent from target tuple")
-        out: Terms = {}
-        for exp, coeff in self.terms.items():
-            new = [0] * len(variables)
-            for name, e in zip(self.variables, exp):
-                if e:
-                    new[pos[name]] = e
-            key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return Polynomial(variables, out)
-
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:

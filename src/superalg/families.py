@@ -37,6 +37,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .core import SuperAlgebra, make_superalgebra
@@ -872,11 +873,12 @@ def sizes(fid: str, lo: int, hi: int) -> list[int]:
     return [s for s in range(lo, hi + 1) if info.admits(s)]
 
 
+@cache
 def parameter_names(fid: str, size: int) -> tuple[str, ...]:
     """Sorted rational parameter names at one size, as the table declares them.
 
     No family declares a parameter that depends on its structural t, so the
-    table is read at the structural defaults.
+    table is read at the structural defaults, once per (fid, size).
     """
     info = family_info(fid)
     structural = dict(info.structural)

@@ -23,7 +23,7 @@ from superalg.core import (EVEN, MAX_BOUND, MAX_SAMPLES, ODD, GradedSubspace,
                            sdf_dump, sdf_dumps, sdf_load, sdf_loads,
                            subspace_product)
 from superalg.errors import InputError, NotNilpotentError
-from superalg.exactmath import RatMatrix, nilpotent_jordan_type
+from superalg.exactmath import Polynomial, RatMatrix, invert, nilpotent_jordan_type
 from superalg.families import sizes
 
 from oracles import (brute_leibniz_residuals, brute_lie_residuals,
@@ -68,6 +68,43 @@ class TestConstruction:
         a = make_superalgebra("a", ["e1", "e2"], [], [],
                               {("e1", "e1"): [("e2", 0)]})
         assert a.structure == {}
+
+    # Cells [e1, e1] in (e1, e2 | y1) given as (target, coefficient) terms,
+    # and the canonical cell stored: merged by target, zero sums dropped,
+    # grading checked after the merge (the y1 pair cancels).
+    @pytest.mark.parametrize("terms, cell", [
+        ([(1, 1), (1, 1)], ((1, 2),)),
+        ([(1, 1), (1, -1)], ()),
+        ([(2, 1), (1, 1), (2, -1), (1, 1)], ((1, 2),)),
+    ], ids=["merged", "cancelled", "wrong-parity-cancelled"])
+    def test_cells_are_stored_canonically(self, terms, cell):
+        def cells(pairs):
+            return tuple((k, Polynomial.const(c)) for k, c in pairs)
+        a = SuperAlgebra("a", ["e1", "e2"], ["y1"], [], {(0, 0): cells(terms)})
+        assert a.structure == ({(0, 0): cells(cell)} if cell else {})
+        assert a == make_superalgebra("a", ["e1", "e2"], ["y1"], [], {
+            ("e1", "e1"): [(a.labels[k], c) for k, c in terms]})
+
+    def test_coefficient_over_other_variables_rejected(self):
+        with pytest.raises(InputError, match=r"\[e1, e1\].*variables \(\)"):
+            SuperAlgebra("a", ["e1", "e2"], [], ["p"],
+                         {(0, 0): [(1, Polynomial.const(1))]})
+
+    # A negative target would read as even to `parity` and pass the grading.
+    @pytest.mark.parametrize("key, target", [((0, 3), 0), ((0, 0), 3), ((0, 0), -1)],
+                             ids=["operand", "target", "negative-target"])
+    def test_indices_out_of_range_rejected(self, key, target):
+        with pytest.raises(InputError, match=r"out of range in product \(0,"):
+            SuperAlgebra("a", ["e1", "e2"], ["y1"], [],
+                         {key: [(target, Polynomial.const(1))]})
+
+    @pytest.mark.parametrize("fid, size, values", [
+        ("N2M", 5, {}), ("L", 4, None), ("H", 4, {}), ("SH1", 4, {"t": 4})])
+    def test_change_of_basis_round_trip_is_exact(self, fid, size, values):
+        a = build(fid, size, zeros(fid, size) if values is None else values)
+        p_even, p_odd = random_parity_change(random.Random(size), a.n_even, a.n_odd)
+        there = change_basis(a, p_even, p_odd)
+        assert change_basis(there, invert(p_even), invert(p_odd)).structure == a.structure
 
 
 class TestProduct:
