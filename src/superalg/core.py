@@ -3,8 +3,10 @@
 A `SuperAlgebra` is a Z2-graded vector space with an ordered homogeneous basis
 (even labels first, then odd) and a sparse structure-constant table
 ``[b_i, b_j] = sum_k c_ij^k b_k`` whose coefficients are polynomials in the
-algebra's free parameters.  Grading is validated at construction: a product of
-parities (p, q) may only produce components of parity p+q mod 2.
+algebra's free parameters.  An algebra with no parameters holds its constants
+as narrowed rationals instead (an int when integral, else a Fraction): that
+table is the one the engine reads.  Grading is validated at construction: a
+product of parities (p, q) may only produce components of parity p+q mod 2.
 
 Identity checking (`check_leibniz`, `check_lie`) runs symbolically over the
 parameters, on one kernel that scatters each nonzero product pair into the
@@ -39,17 +41,21 @@ from .exactmath import (RATIONAL_LITERAL, Polynomial, RatMatrix, SparseRow,
 EVEN = 0
 ODD = 1
 
-StructureMap = dict[tuple[int, int], tuple[tuple[int, Polynomial], ...]]
-ConstantMap = dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...]]
+Coefficient = Polynomial | int | Fraction   # see `SuperAlgebra.structure`
+StructureMap = dict[tuple[int, int], tuple[tuple[int, Coefficient], ...]]
 T = TypeVar("T")
 
 
 class SuperAlgebra:
-    """Immutable graded algebra given by basis labels and structure constants."""
+    """Immutable graded algebra given by basis labels and structure constants.
+
+    `structure` maps each nonzero product (i, j) to its canonical terms
+    ((k, c), ...): c is a Polynomial over `parameters` or, with none, a
+    narrowed rational (constant Polynomials given are unwrapped)."""
 
     def __init__(self, name: str, even_basis: Sequence[str], odd_basis: Sequence[str],
                  parameters: Sequence[str],
-                 structure: Mapping[tuple[int, int], Iterable[tuple[int, Polynomial]]]):
+                 structure: Mapping[tuple[int, int], Iterable[tuple[int, Coefficient]]]):
         self.name = name
         self.even_basis = tuple(even_basis)
         self.odd_basis = tuple(odd_basis)
@@ -68,19 +74,24 @@ class SuperAlgebra:
         # The one place cells are made canonical: terms with one target are
         # merged, zero sums dropped and targets sorted; grading is checked on
         # the merged cell, so a wrong-parity pair that cancels is accepted.
-        n0, dim = self.n_even, self.dim
+        n0, dim, constant = self.n_even, self.dim, not self.parameters
         table: StructureMap = {}
         for (i, j), terms in structure.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise InputError(f"basis index out of range in product ({i},{j})")
-            acc: dict[int, Polynomial] = {}
+            acc: dict[int, Coefficient] = {}
             for k, coeff in terms:
-                if coeff.variables != self.parameters:
+                variables = ()   # a plain number's
+                if isinstance(coeff, Polynomial):
+                    variables = coeff.variables
+                    coeff = coeff.as_constant() if constant and not variables else coeff
+                if variables != self.parameters:
                     raise InputError(
                         f"coefficient {coeff} in product [{labels[i]}, {labels[j]}] is "
-                        f"over the variables {coeff.variables}, not {self.parameters}")
+                        f"over the variables {variables}, not {self.parameters}")
                 acc[k] = acc[k] + coeff if k in acc else coeff
-            cell = tuple(sorted([item for item in acc.items() if item[1].terms]))
+            cell = tuple(sorted((k, _narrow(c)) for k, c in acc.items() if c) if constant
+                         else sorted(item for item in acc.items() if item[1].terms))
             expected = (i >= n0) != (j >= n0)
             for k, _ in cell:
                 if not 0 <= k < dim:
@@ -93,7 +104,6 @@ class SuperAlgebra:
             if cell:
                 table[(i, j)] = cell
         self.structure = table
-        self._narrowed: ConstantMap | None = None
         # Results of functions of the algebra, by function name (`_once_per_algebra`).
         self._memo: dict[str, object] = {}
 
@@ -111,27 +121,20 @@ class SuperAlgebra:
     def label(self, i: int) -> str:
         return self.labels[i]
 
-    def product_terms(self, i: int, j: int) -> tuple[tuple[int, Polynomial], ...]:
-        return self.structure.get((i, j), ())
-
     def constant_structure(self) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
-        """Structure constants as plain rationals; requires instantiation."""
+        """Structure constants widened to Fractions, the public constant form of
+        `structure`; requires instantiation."""
         return {key: tuple((k, Fraction(c)) for k, c in terms)
                 for key, terms in self._narrowed_structure().items()}
 
-    def _narrowed_structure(self) -> ConstantMap:
-        """The constant table with integral constants as ints, the engine's
-        fastest form; built once per algebra, and requires instantiation."""
-        if self._narrowed is None:
-            if self.parameters:
-                raise InputError(
-                    f"algebra {self.name!r} has free parameters "
-                    f"({', '.join(self.parameters)}); instantiate them first")
-            self._narrowed = {
-                key: tuple((k, _narrow(c.as_constant())) for k, c in terms)
-                for key, terms in self.structure.items()
-            }
-        return self._narrowed
+    def _narrowed_structure(self) -> StructureMap:
+        """`structure` itself, whose parameter-free cells hold integral
+        constants as ints, the engine's fastest form; requires instantiation."""
+        if self.parameters:
+            raise InputError(
+                f"algebra {self.name!r} has free parameters "
+                f"({', '.join(self.parameters)}); instantiate them first")
+        return self.structure
 
     def instantiate(self, values: Mapping[str, Fraction | int | str]) -> SuperAlgebra:
         """Substitute parameter values; unlisted parameters stay free."""
@@ -140,11 +143,12 @@ class SuperAlgebra:
             if name not in self.parameters:
                 raise InputError(f"unknown parameter {name!r} for {self.name!r}")
             assignment[name] = parameter_value(name, raw)
-        structure = {
-            key: tuple((k, c.substitute(assignment)) for k, c in terms)
-            for key, terms in self.structure.items()
-        }
+        if not self.parameters:
+            return self
         remaining = tuple(p for p in self.parameters if p not in assignment)
+        at = Polynomial.substitute if remaining else Polynomial.evaluate
+        structure = {key: tuple((k, at(c, assignment)) for k, c in terms)
+                     for key, terms in self.structure.items()}
         return SuperAlgebra(self.name, self.even_basis, self.odd_basis, remaining, structure)
 
     def even_part(self) -> SuperAlgebra:
@@ -177,7 +181,7 @@ def make_superalgebra(name: str, even_basis: Sequence[str], odd_basis: Sequence[
     parameters = tuple(parameters)
     labels = tuple(even_basis) + tuple(odd_basis)
     index = {lab: i for i, lab in enumerate(labels)}
-    structure: dict[tuple[int, int], list[tuple[int, Polynomial]]] = {}
+    structure: dict[tuple[int, int], list[tuple[int, Coefficient]]] = {}
     for (left, right), terms in products.items():
         if left not in index or right not in index:
             raise InputError(f"unknown basis label in product [{left}, {right}]")
@@ -186,17 +190,15 @@ def make_superalgebra(name: str, even_basis: Sequence[str], odd_basis: Sequence[
             if target not in index:
                 raise InputError(
                     f"unknown component {target!r} in product [{left}, {right}]")
-            if isinstance(coeff, Polynomial):
-                poly = coeff
-            elif isinstance(coeff, str):
+            if isinstance(coeff, str):
                 # Most SDF coefficients are plain rationals: skip the parser.
                 text = coeff.strip()
-                poly = (Polynomial.const(parse_rational(text), parameters)
-                        if RATIONAL_LITERAL.fullmatch(text)
-                        else parse_coefficient(coeff, parameters))
-            else:
-                poly = Polynomial.const(Fraction(coeff), parameters)
-            cell.append((index[target], poly))
+                coeff = (parse_rational(text) if RATIONAL_LITERAL.fullmatch(text)
+                         else parse_coefficient(coeff, parameters))
+            if not isinstance(coeff, Polynomial):
+                coeff = (Polynomial.const(coeff, parameters) if parameters
+                         else coeff if type(coeff) in (int, Fraction) else Fraction(coeff))
+            cell.append((index[target], coeff))
     return SuperAlgebra(name, even_basis, odd_basis, parameters, structure)
 
 
@@ -305,12 +307,14 @@ def _narrowed_cells(algebra: SuperAlgebra) -> tuple[dict[tuple[int, int], tuple]
 
     Integral coefficients become ints and every constant term carries the one
     returned zero exponent, so the kernel multiplies ints where it can and
-    spots a constant factor by identity.
+    spots a constant factor by identity.  A parameter-free cell is already
+    narrowed: each coefficient is one constant term.
     """
     zero = (0,) * len(algebra.parameters)
     cells = {
         key: tuple((k, tuple((e if any(e) else zero, _narrow(c))
-                             for e, c in poly.terms.items()))
+                             for e, c in poly.terms.items()) if algebra.parameters
+                    else ((zero, poly),))
                    for k, poly in terms)
         for key, terms in algebra.structure.items()
     }
@@ -329,16 +333,16 @@ def _emit(algebra: SuperAlgebra, identity: str,
             for key in sorted(nonzero)]
 
 
-def _scatter(algebra: SuperAlgebra, identity: str, via_right, via_left) -> list[Residual]:
+def _scatter(algebra: SuperAlgebra, cells: dict[tuple[int, int], tuple], zero: tuple,
+             identity: str, via_right, via_left) -> list[Residual]:
     """Residuals of a signed sum of double products, from the nonzero pairs only.
 
     Each product [b_p, b_q] ∋ c1·b_t meets every nonzero cell that has b_t as
     its right operand, [b_r, b_t] (routed by `via_right`), or as its left
     operand, [b_t, b_r] (routed by `via_left`).  A route maps (p, q, r) to
     the ((i, j, k), sign) pairs of the triples whose identity that double
-    product enters.
+    product enters.  `cells` and `zero` are `_narrowed_cells(algebra)`.
     """
-    cells, zero = _narrowed_cells(algebra)
     by_left: dict[int, list] = {}
     by_right: dict[int, list] = {}
     for (p, q), cell in cells.items():
@@ -388,7 +392,7 @@ def check_leibniz(algebra: SuperAlgebra) -> list[Residual]:
     """
     n0 = algebra.n_even
     return _scatter(
-        algebra, "leibniz",
+        algebra, *_narrowed_cells(algebra), "leibniz",
         # [b_r, [b_p, b_q]] is [x,[y,z]] at (r, p, q)
         lambda p, q, r: (((r, p, q), 1),),
         # [[b_p, b_q], b_r] is -[[x,y],z] at (p, q, r) and, with y = b_r
@@ -406,21 +410,22 @@ def check_lie(algebra: SuperAlgebra) -> list[Residual]:
     `check_leibniz`, computed once per algebra, a new list per call.
     """
     n0 = algebra.n_even
+    cells, zero = _narrowed_cells(algebra)
     acc: dict[tuple[int, ...], dict] = {}
-    for (i, j), terms in algebra.structure.items():
+    for (i, j), terms in cells.items():
         # [b_i, b_j] enters pair (i, j) with sign 1 and pair (j, i) with
         # (-1)^{pq}; only pairs with i <= j are checked, so [b_i, b_i] twice.
         for (a, b), sign in (((i, j), 1), ((j, i), -1 if i >= n0 and j >= n0 else 1)):
             if a <= b:
-                for l, poly in terms:
+                for l, monomials in terms:
                     bucket = acc.setdefault((a, b, l), {})
-                    for e, c in poly.terms.items():
+                    for e, c in monomials:
                         bucket[e] = bucket.get(e, 0) + sign * c
     # The Jacobi sum over the three cyclic slots of (-1)^{..}[b_i, [b_j, b_k]]:
     # each [b_a, [b_p, b_q]] enters (a, p, q), (q, a, p) and (p, q, a), every
     # time with the sign -1 iff b_a and b_q are both odd.
     return _emit(algebra, "antisymmetry", acc) + _scatter(
-        algebra, "jacobi",
+        algebra, cells, zero, "jacobi",
         lambda p, q, a: ((w, -1 if a >= n0 and q >= n0 else 1)
                          for w in ((a, p, q), (q, a, p), (p, q, a))),
         None)
@@ -811,33 +816,21 @@ def change_basis(algebra: SuperAlgebra, p_even: RatMatrix, p_odd: RatMatrix) -> 
     """Structure constants in the basis f_a = sum_i P[i,a] b_i (parity-preserving)."""
     if p_even.rows != algebra.n_even or p_odd.rows != algebra.n_odd:
         raise InputError("change-of-basis blocks must match the part dimensions")
-    q_even = invert(p_even)
-    q_odd = invert(p_odd)
     n0 = algebra.n_even
 
-    def col(parity_matrix: RatMatrix, offset: int, a: int) -> list[tuple[int, Fraction]]:
-        return [(offset + i, parity_matrix.entries[i][a])
-                for i in range(parity_matrix.rows) if parity_matrix.entries[i][a]]
+    def columns(m: RatMatrix, offset: int) -> list[list[tuple[int, Fraction]]]:
+        return [[(offset + i, m.entries[i][a]) for i in range(m.rows) if m.entries[i][a]]
+                for a in range(m.cols)]
 
-    new_cols = [col(p_even, 0, a) for a in range(algebra.n_even)] + \
-               [col(p_odd, n0, a) for a in range(algebra.n_odd)]
-    structure: dict[tuple[int, int], list[tuple[int, Polynomial]]] = {}
-    for a in range(algebra.dim):
-        for b in range(algebra.dim):
-            acc: dict[int, Polynomial] = {}
-            for i, pi in new_cols[a]:
-                for j, pj in new_cols[b]:
-                    for k, c in algebra.product_terms(i, j):
-                        scaled = c * (pi * pj)
-                        acc[k] = acc[k] + scaled if k in acc else scaled
-            # The constructor merges the terms by target and drops zero sums.
-            cell = structure[(a, b)] = []
-            for k, coeff in acc.items():
-                back, offset = (q_even, 0) if k < n0 else (q_odd, n0)
-                for t in range(back.rows):
-                    w = back.entries[t][k - offset]
-                    if w:
-                        cell.append((offset + t, coeff * w))
+    # f_a = sum_i P[i,a] b_i and b_k = sum_t Q[t,k] f_t, with Q = P^-1; the
+    # constructor merges the terms by target and drops zero sums.
+    new_cols = columns(p_even, 0) + columns(p_odd, n0)
+    back_cols = columns(invert(p_even), 0) + columns(invert(p_odd), n0)
+    structure = {(a, b): [(t, c * (pi * pj * w))
+                          for i, pi in new_cols[a] for j, pj in new_cols[b]
+                          for k, c in algebra.structure.get((i, j), ())
+                          for t, w in back_cols[k]]
+                 for a in range(algebra.dim) for b in range(algebra.dim)}
     return SuperAlgebra(f"{algebra.name}~", algebra.even_basis, algebra.odd_basis,
                         algebra.parameters, structure)
 
@@ -854,8 +847,8 @@ def sdf_dump(algebra: SuperAlgebra) -> dict:
         products.append({
             "left": algebra.label(i),
             "right": algebra.label(j),
-            "value": [[algebra.label(k), str(c) if not c.is_constant()
-                       else format_rational(c.as_constant())] for k, c in terms],
+            "value": [[algebra.label(k), str(c) if algebra.parameters
+                       else format_rational(c)] for k, c in terms],
         })
     return {
         "name": algebra.name,
@@ -885,9 +878,17 @@ def _sdf_term(where: str, term) -> tuple[str, str | int]:
     return term[0], coeff
 
 
+# Caps on an SDF's size.  `superalg family` emits at most 130 basis vectors
+# and 64 parameters at MAX_SIZE (MH1 and H5 at n = 64); every invariant costs
+# at least dim^3 and each parameter widens every symbolic coefficient.
+MAX_BASIS = 256
+MAX_PARAMETERS = 128
+
+
 def sdf_load(data: dict) -> SuperAlgebra:
-    """Parse an SDF dict.  Malformed shapes, float coefficients and grading
-    violations are rejected as InputError naming the product."""
+    """Parse an SDF dict.  Malformed shapes, float coefficients, grading
+    violations and a basis or parameter list over MAX_BASIS or
+    MAX_PARAMETERS are rejected as InputError naming the product or cap."""
     if not isinstance(data, dict):
         raise InputError("malformed SDF: expected a JSON object")
     try:
@@ -904,6 +905,12 @@ def sdf_load(data: dict) -> SuperAlgebra:
                          ("parameters", parameters)):
         if not (isinstance(names, list) and all(isinstance(x, str) for x in names)):
             raise InputError(f"malformed SDF: {field} must be a list of strings")
+    for what, count, cap_name, cap in (
+            ("basis vectors", len(even) + len(odd), "MAX_BASIS", MAX_BASIS),
+            ("parameters", len(parameters), "MAX_PARAMETERS", MAX_PARAMETERS)):
+        if count > cap:
+            raise InputError(f"SDF has {count} {what}; at most {cap_name} = {cap} "
+                             f"are allowed")
     if not isinstance(raw_products, list):
         raise InputError("malformed SDF: products must be a list of objects")
     products: dict[tuple[str, str], list[tuple[str, object]]] = {}

@@ -834,8 +834,13 @@ def build(family_id: str, size: int, params: Mapping[str, object] | None = None,
         bits.append(f"t={structural['t']}")
     bits += [f"{k}={values[k]}" for k in sorted(values)]
     name = f"{family_id}({', '.join(bits)})"
+    if values and len(values) == len(declared):
+        # Fully valued: evaluate each coefficient once, into a constant table.
+        prod = {cell: [(target, c.evaluate(values) if isinstance(c, Polynomial) else c)
+                       for target, c in terms] for cell, terms in prod.items()}
+        declared = ()
     algebra = make_superalgebra(name, even, odd, declared, prod)
-    if values:
+    if values and declared:   # partly valued
         algebra = algebra.instantiate(values)
     if shared is not None:
         shared[request] = algebra

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 from superalg.core import (EVEN, ODD, GradedVector, SuperAlgebra,
@@ -428,6 +429,32 @@ def support_torus_dim(algebra: SuperAlgebra) -> int:
                 row[j] -= 1
                 rows.append(row)
     return algebra.dim - len(dense_rref(rows, algebra.dim)[1])
+
+
+def _value_of_text(text: str, values: dict) -> Fraction:
+    """A coefficient as `sdf_dump` writes it: signed terms, each a product of
+    rationals p or p/q and names with an optional ^k, evaluated at `values`."""
+    total = Fraction(0)
+    for sign, term in re.findall(r"([+-]?)([^+-]+)", text.replace(" ", "")):
+        value = Fraction(-1 if sign == "-" else 1)
+        for factor in term.split("*"):
+            base, _, power = factor.partition("^")
+            x = Fraction(base) if base[0].isdigit() else Fraction(values[base])
+            value *= x ** int(power or 1)
+        total += value
+    return total
+
+
+def valued_table_by_text(doc: dict, values: dict) -> dict:
+    """The table of a symbolic SDF document at `values`, read off its
+    coefficient text: {(left, right): {target: Fraction}}, zeros dropped."""
+    table = {}
+    for entry in doc["products"]:
+        cell = {target: x for target, text in entry["value"]
+                if (x := _value_of_text(text, values))}
+        if cell:
+            table[(entry["left"], entry["right"])] = cell
+    return table
 
 
 def span_dim(vectors: list[list[Fraction]]) -> int:

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from superalg import (CORRECTED, FAMILY_IDS, VERBATIM, build, family_info,
                       parameter_names)
-from superalg.core import (EVEN, MAX_BOUND, MAX_SAMPLES, ODD, GradedSubspace,
-                           GradedVector, SuperAlgebra, change_basis, char_sequence,
+from superalg.core import (EVEN, MAX_BASIS, MAX_BOUND, MAX_PARAMETERS, MAX_SAMPLES,
+                           ODD, GradedSubspace, GradedVector, SuperAlgebra,
+                           change_basis, char_sequence,
                            charseq_bound, charseq_note, check_leibniz, check_lie,
                            derived_series, fingerprint, is_nilpotent, is_solvable,
                            lower_central_series, make_superalgebra, nilindex,
@@ -24,7 +25,7 @@ from superalg.core import (EVEN, MAX_BOUND, MAX_SAMPLES, ODD, GradedSubspace,
                            subspace_product)
 from superalg.errors import InputError, NotNilpotentError
 from superalg.exactmath import Polynomial, RatMatrix, invert, nilpotent_jordan_type
-from superalg.families import sizes
+from superalg.families import MAX_SIZE, sizes
 
 from oracles import (brute_leibniz_residuals, brute_lie_residuals,
                      charseq_by_enumeration, dense_derived_series,
@@ -89,6 +90,30 @@ class TestConstruction:
         with pytest.raises(InputError, match=r"\[e1, e1\].*variables \(\)"):
             SuperAlgebra("a", ["e1", "e2"], [], ["p"],
                          {(0, 0): [(1, Polynomial.const(1))]})
+
+    def test_plain_number_in_a_parametric_algebra_rejected(self):
+        with pytest.raises(InputError, match=r"coefficient 1 in product \[e1, e1\]"):
+            SuperAlgebra("a", ["e1", "e2"], [], ["p"], {(0, 0): [(1, 1)]})
+
+    def test_parameter_free_cells_are_merged_sorted_and_narrowed(self):
+        # Numbers and constant Polynomials mix; a sum that is integral is
+        # stored as an int, any other as a Fraction, and a zero sum is gone.
+        a = SuperAlgebra("a", ["e1", "e2", "e3"], ["y1"], [], {
+            (0, 0): [(2, Fraction(1, 2)), (1, Polynomial.const(3)),
+                     (2, Fraction(1, 2)), (1, Fraction(1, 3)), (0, 5), (0, -5)],
+            (3, 3): [(1, Polynomial.const(Fraction(-2, 4)))],
+            (1, 1): [(2, Polynomial.const(0))]})
+        assert a.structure == {(0, 0): ((1, Fraction(10, 3)), (2, 1)),
+                               (3, 3): ((1, Fraction(-1, 2)),)}
+        assert [type(c) for terms in a.structure.values() for _, c in terms] == [
+            Fraction, int, Fraction]
+        assert a.constant_structure() == a.structure
+
+    def test_instantiating_nothing_keeps_a_parameter_free_algebra(self):
+        a = build("L", 5, zeros("L", 5))
+        assert a.instantiate({}) == a
+        with pytest.raises(InputError, match="unknown parameter 'theta'"):
+            a.instantiate({"theta": 1})
 
     # A negative target would read as even to `parity` and pass the grading.
     @pytest.mark.parametrize("key, target", [((0, 3), 0), ((0, 0), 3), ((0, 0), -1)],
@@ -219,9 +244,8 @@ class TestIdentityChecks:
     def _perturbed_n23(self, extra):
         a = build("N2M", 3)
         products = {}
-        for (i, j), terms in a.structure.items():
-            products[(a.label(i), a.label(j))] = [
-                (a.label(k), c.as_constant()) for k, c in terms]
+        for (i, j), terms in a.constant_structure().items():
+            products[(a.label(i), a.label(j))] = [(a.label(k), c) for k, c in terms]
         products.update(extra)
         return make_superalgebra("perturbed", a.even_basis, a.odd_basis, [],
                                  products)
@@ -795,6 +819,34 @@ class TestSDF:
                "products": [{"left": "e1", "right": "e1", "value": [["e2", "1/0"]]}]}
         with pytest.raises(InputError, match=r"^zero denominator in '1/0'$"):
             sdf_load(doc)
+
+    def test_basis_cap_names_the_limit(self):
+        doc = {"name": "big", "even_basis": [f"e{i}" for i in range(MAX_BASIS)],
+               "odd_basis": ["y1"], "products": []}
+        with pytest.raises(InputError, match="257 basis vectors; at most MAX_BASIS = 256"):
+            sdf_load(doc)
+        doc["odd_basis"] = []
+        assert sdf_load(doc).dim == MAX_BASIS
+
+    def test_parameter_cap_names_the_limit(self):
+        doc = {"name": "many", "even_basis": ["e1"], "odd_basis": [], "products": [],
+               "parameters": [f"p{i}" for i in range(MAX_PARAMETERS + 1)]}
+        with pytest.raises(InputError,
+                           match="129 parameters; at most MAX_PARAMETERS = 128"):
+            sdf_load(doc)
+        doc["parameters"].pop()
+        assert len(sdf_load(doc).parameters) == MAX_PARAMETERS
+
+    def test_caps_admit_every_family_at_the_size_cap(self):
+        largest_basis = largest_parameters = 0
+        for fid in FAMILY_IDS:
+            info = family_info(fid)
+            size = sizes(fid, MAX_SIZE - 1, MAX_SIZE)[-1]
+            names, _, n_even, n_odd = info.table(size, CORRECTED, **info.structural)
+            largest_basis = max(largest_basis, n_even + n_odd)
+            largest_parameters = max(largest_parameters, len(names))
+        assert (largest_basis, largest_parameters) == (130, 64)
+        assert largest_basis <= MAX_BASIS and largest_parameters <= MAX_PARAMETERS
 
     def test_undeclared_parameter_rejected(self):
         doc = {"name": "bad", "even_basis": ["e1", "e2"], "odd_basis": [],

@@ -408,7 +408,7 @@ class TestFractionBoundary:
         algebra = build(fid, size, {**instance(fid, size), **extra})
 
         # a system whose integral entries reach the engine as ints
-        system = [dict(terms) for terms in algebra._narrowed_structure().values()]
+        system = [dict(terms) for terms in algebra.structure.values()]
         assert any(type(x) is int for row in system for x in row.values())
         for vec in sparse_kernel(system, algebra.dim):
             assert fractions_only(vec)

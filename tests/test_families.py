@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 import re
 from fractions import Fraction
 
@@ -12,9 +13,11 @@ from superalg import (CORRECTED, FAMILY_IDS, VERBATIM, build, errata_for,
                       errata_ledger, family_info, list_families,
                       nilradical_spec, parameter_names)
 from superalg.core import (GradedVector, check_leibniz, check_lie, nilindex,
-                           product, sdf_dumps)
+                           product, sdf_dump, sdf_dumps)
 from superalg.errors import InputError
 from superalg.families import MAX_SIZE, shared_builds, sizes
+
+from oracles import valued_table_by_text
 
 
 def zeros(fid: str, size: int) -> dict[str, int]:
@@ -223,6 +226,62 @@ class TestConstructionFacts:
         assert count == 736
         assert digest.hexdigest() == \
             "80c553368c33cee92eb5e92c5b8bb26b55d902a6b075f74ed4350d8436dd968d"
+
+
+def _valued_points(fid: str, size: int, rng: random.Random):
+    """Full, domain-valid value sets: each `samples` entry over zeros, then
+    one seeded point of non-integral rationals, with a sample's values for
+    a value domain that no such point admits."""
+    info = family_info(fid)
+    for sample in info.samples(size):
+        yield {**zeros(fid, size), **info.structural, **sample}
+    point = {p: Fraction(3 * rng.randint(-4, 4) + 1, rng.choice((3, 6)))
+             for p in parameter_names(fid, size)}
+    if info.value_domain:
+        names, admits, _ = info.value_domain
+        if not admits(*(point[name] for name in names)):
+            sample = next(s for s in info.samples(size) if set(names) <= set(s))
+            point.update({name: sample[name] for name in names})
+    yield {**point, **info.structural}
+
+
+class TestValuedBuilds:
+    """A fully valued `build` makes its constant table directly."""
+
+    @pytest.mark.parametrize("fid", FAMILY_IDS)
+    def test_valued_tables_match_the_text_oracle_and_instantiate(self, fid):
+        rng = random.Random(fid)
+        info = family_info(fid)
+        for size in sizes(fid, 3, 8):
+            for values in _valued_points(fid, size, rng):
+                structural = {k: values.pop(k) for k in info.structural}
+                symbolic = build(fid, size, structural)
+                valued = build(fid, size, {**structural, **values})
+                lab = valued.labels
+                assert not valued.parameters
+                assert all(type(c) is int or c.denominator != 1
+                           for terms in valued.structure.values() for _, c in terms)
+                table = {(lab[i], lab[j]): {lab[k]: c for k, c in terms}
+                         for (i, j), terms in valued.constant_structure().items()}
+                assert table == valued_table_by_text(sdf_dump(symbolic), values)
+                instantiated = symbolic.instantiate(values)
+                assert valued == instantiated
+                # The names differ by design: a valued build names its values.
+                assert ({**sdf_dump(valued), "name": None}
+                        == {**sdf_dump(instantiated), "name": None})
+
+    def test_the_text_oracle_reads_symbolic_coefficients(self):
+        # Guards the oracle test above against a table with no parameter text.
+        doc = sdf_dump(build("M2", 5))
+        values = {"alpha": Fraction(2, 3)}
+        assert any("alpha" in text for entry in doc["products"]
+                   for _, text in entry["value"])
+        assert valued_table_by_text(doc, values)[("y1", "x")] == {
+            "y1": Fraction(1, 3) - 2}
+        assert valued_table_by_text(
+            {"products": [{"left": "a", "right": "b",
+                           "value": [["c", "-1/2*p^2 + 3*p*q - 1"], ["d", "p - p"]]}]},
+            {"p": Fraction(2), "q": Fraction(1, 3)}) == {("a", "b"): {"c": -1}}
 
 
 class TestSharedBuilds:
