@@ -128,8 +128,9 @@ class SuperAlgebra:
                 for key, terms in self._narrowed_structure().items()}
 
     def _narrowed_structure(self) -> StructureMap:
-        """`structure` itself, whose parameter-free cells hold integral
-        constants as ints, the engine's fastest form; requires instantiation."""
+        """A guard that returns `structure` itself (whose parameter-free cells
+        hold integral constants as ints, the engine's fastest form) and raises
+        InputError while any parameter is free."""
         if self.parameters:
             raise InputError(
                 f"algebra {self.name!r} has free parameters "
@@ -218,9 +219,8 @@ class GradedVector:
 
     @classmethod
     def basis(cls, algebra: SuperAlgebra, label: str) -> GradedVector:
-        coords = [Fraction(0)] * algebra.dim
-        coords[algebra.index(label)] = Fraction(1)
-        return cls(tuple(coords))
+        k = algebra.index(label)
+        return cls.from_coords([int(i == k) for i in range(algebra.dim)])
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -244,7 +244,7 @@ class GradedVector:
 def product(algebra: SuperAlgebra, x: GradedVector, y: GradedVector) -> GradedVector:
     """Bilinear extension of the structure constants (instantiated algebras only)."""
     table = algebra._narrowed_structure()
-    out = [Fraction(0)] * algebra.dim
+    out: dict[int, Fraction] = {}
     for i, xi in enumerate(x.coords):
         if not xi:
             continue
@@ -255,8 +255,8 @@ def product(algebra: SuperAlgebra, x: GradedVector, y: GradedVector) -> GradedVe
             if terms:
                 f = xi * yj
                 for k, c in terms:
-                    out[k] += f * c
-    return GradedVector(tuple(out))
+                    out[k] = out.get(k, 0) + f * c
+    return GradedVector.from_coords([out.get(k, 0) for k in range(algebra.dim)])
 
 
 def right_mul_matrix(algebra: SuperAlgebra, x: GradedVector) -> RatMatrix:
@@ -266,7 +266,7 @@ def right_mul_matrix(algebra: SuperAlgebra, x: GradedVector) -> RatMatrix:
         raise InputError("right multiplication needs a homogeneous element")
     table = algebra._narrowed_structure()
     dim, n0 = algebra.dim, algebra.n_even
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
+    cells: dict[tuple[int, int], Fraction] = {}
     for i, xi in enumerate(x.coords):
         if not xi:
             continue
@@ -274,8 +274,8 @@ def right_mul_matrix(algebra: SuperAlgebra, x: GradedVector) -> RatMatrix:
         for j in range(dim):
             f = -xi if px and j >= n0 else xi
             for k, c in table.get((j, i), ()):
-                rows[k][j] += f * c
-    return RatMatrix(dim, dim, tuple(map(tuple, rows)))
+                cells[k, j] = cells.get((k, j), 0) + f * c
+    return RatMatrix.from_cells(dim, dim, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -491,13 +491,9 @@ class GradedSubspace:
 
     def _dense(self, parity: int) -> RatMatrix:
         offset, width = (0, self.n_even) if parity == EVEN else (self.n_even, self.n_odd)
-        rows = []
-        for _, row in self.parts[parity]:
-            dense = [Fraction(0)] * width
-            for c, x in row:
-                dense[c - offset] = x
-            rows.append(tuple(dense))
-        return RatMatrix(len(rows), width, tuple(rows))
+        part = self.parts[parity]
+        return RatMatrix.from_cells(len(part), width, {
+            (r, c - offset): x for r, (_, row) in enumerate(part) for c, x in row})
 
     even = property(lambda self: self._dense(EVEN))
     odd = property(lambda self: self._dense(ODD))
@@ -784,8 +780,7 @@ class Fingerprint:
         }
 
 
-def fingerprint(algebra: SuperAlgebra, samples: int = 64, seed: int = 0,
-                bound: int = 5) -> Fingerprint:
+def fingerprint(algebra: SuperAlgebra, seed: int = 0) -> Fingerprint:
     from .derivations import derivation_space  # local import to avoid a cycle
 
     lcs = lower_central_series(algebra)
@@ -794,7 +789,7 @@ def fingerprint(algebra: SuperAlgebra, samples: int = 64, seed: int = 0,
     ann = right_annihilator(algebra)
     even_dim = derivation_space(algebra, EVEN).dim
     odd_dim = derivation_space(algebra, ODD).dim
-    cs = char_sequence(algebra, samples, seed, bound) if nil is not None else None
+    cs = char_sequence(algebra, seed=seed) if nil is not None else None
     return Fingerprint(
         dims=(algebra.n_even, algebra.n_odd),
         lower_central=tuple(t.dims() for t in lcs),

@@ -50,7 +50,6 @@ class DerivationSpace:
 
     degree: int
     basis: tuple[RatMatrix, ...]
-    space_dim: int
 
     @property
     def dim(self) -> int:
@@ -124,13 +123,9 @@ def derivation_space(algebra: SuperAlgebra, degree: int) -> DerivationSpace:
                 bump(a, j, k, pos_index[(b, j)], -sign * c)
 
     kernel = sparse_kernel((r for r in rows.values() if r), len(positions))
-    basis = []
-    for vec in kernel:
-        grid = [[Fraction(0)] * dim for _ in range(dim)]
-        for (l, k), value in zip(positions, vec):
-            grid[l][k] = value
-        basis.append(RatMatrix(dim, dim, tuple(tuple(r) for r in grid)))
-    space = DerivationSpace(degree, tuple(basis), dim)
+    space = DerivationSpace(degree, tuple(
+        RatMatrix.from_cells(dim, dim, {p: x for p, x in zip(positions, vec) if x})
+        for vec in kernel))
     for matrix in space.basis:
         if not is_derivation(algebra, matrix, degree):
             raise InternalInconsistencyError(

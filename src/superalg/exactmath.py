@@ -1,14 +1,17 @@
 """Exact rational arithmetic, sparse multivariate polynomials, exact linear algebra.
 
 Every result in this package is exact; there is no floating-point mode.  Every
-public value is a `fractions.Fraction`: polynomial coefficients, matrix
+computed value is a `fractions.Fraction`: polynomial coefficients, matrix
 entries, kernel vectors.  Inside the echelon engine integral values are held
 as plain `int` (most pivots are ±1 and most coefficients integers, and `int`
 arithmetic is far cheaper than `Fraction`'s); the engine converts them back
-to `Fraction` wherever a value leaves it.  A polynomial is a sparse map from
-exponent tuples to rational coefficients over a fixed, ordered tuple of
-variable names (the canonical order is fixed by whoever constructs the
-polynomial; algebras use lexicographic parameter order).
+to `Fraction` wherever a value leaves it, as `RatMatrix.from_cells` does for
+the cells it is given.  The one public table that keeps such narrowed values
+is the structure table of a parameter-free `SuperAlgebra`, whose `Fraction`
+view is `constant_structure()`.  A polynomial is a sparse map from exponent
+tuples to rational coefficients over a fixed, ordered tuple of variable names
+(the canonical order is fixed by whoever constructs the polynomial; algebras
+use lexicographic parameter order).
 
 The linear algebra is deliberately small and dependency-free, and all of it
 runs on one sparse echelon engine: reduced row echelon form with strictly
@@ -365,6 +368,14 @@ def parse_coefficient(text: str, variables: Sequence[str]) -> Polynomial:
 # Exact matrices
 # ---------------------------------------------------------------------------
 
+_ZERO = Fraction(0)
+
+
+def _widen(x: int | Fraction) -> Fraction:
+    """x as a Fraction, for a value leaving the engine."""
+    return Fraction(x) if type(x) is int else x
+
+
 @dataclass(frozen=True)
 class RatMatrix:
     """Immutable dense matrix over the rationals."""
@@ -385,14 +396,22 @@ class RatMatrix:
         return cls(len(data), width, data)
 
     @classmethod
+    def from_cells(cls, rows: int, cols: int,
+                   cells: Mapping[tuple[int, int], Fraction | int]) -> RatMatrix:
+        """The rows x cols matrix with the given (i, j) entries, each widened
+        to a Fraction, and zero everywhere else."""
+        grid = [[_ZERO] * cols for _ in range(rows)]
+        for (i, j), x in cells.items():
+            grid[i][j] = _widen(x)
+        return cls(rows, cols, tuple(map(tuple, grid)))
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> RatMatrix:
-        zero = Fraction(0)
-        return cls(rows, cols, tuple(tuple(zero for _ in range(cols)) for _ in range(rows)))
+        return cls.from_cells(rows, cols, {})
 
     @classmethod
     def identity(cls, n: int) -> RatMatrix:
-        return cls(n, n, tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)))
+        return cls.from_cells(n, n, {(i, i): 1 for i in range(n)})
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
@@ -470,17 +489,11 @@ class RatMatrix:
 # every value it returns is widened back to a Fraction.
 
 SparseRow = dict[int, int | Fraction]
-_ZERO = Fraction(0)
 
 
 def _narrow(x: int | Fraction) -> int | Fraction:
     """x as an int when it is integral, else x itself."""
     return x.numerator if x.denominator == 1 else x
-
-
-def _widen(x: int | Fraction) -> Fraction:
-    """x as a Fraction, for a value leaving the engine."""
-    return Fraction(x) if type(x) is int else x
 
 
 def _subtract(row: SparseRow, f: int | Fraction,
@@ -572,9 +585,8 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form and its (strictly increasing) pivot columns."""
     pivots, rows = _rref_rows({j: _narrow(x) for j, x in enumerate(row) if x}
                               for row in m.entries)
-    dense = [tuple(_widen(row.get(j, _ZERO)) for j in range(m.cols)) for row in rows]
-    dense += [(_ZERO,) * m.cols] * (m.rows - len(rows))
-    return RatMatrix(m.rows, m.cols, tuple(dense)), pivots
+    return RatMatrix.from_cells(m.rows, m.cols, {
+        (i, j): x for i, row in enumerate(rows) for j, x in row.items()}), pivots
 
 
 def sparse_kernel(rows: Iterable[SparseRow], ncols: int) -> list[tuple[Fraction, ...]]:
@@ -590,8 +602,7 @@ def invert(m: RatMatrix) -> RatMatrix:
         raise InputError("only square matrices can be inverted")
     n = m.rows
     augmented = RatMatrix(n, 2 * n, tuple(
-        row + tuple(Fraction(1 if i == j else 0) for j in range(n))
-        for i, row in enumerate(m.entries)))
+        row + one for row, one in zip(m.entries, RatMatrix.identity(n).entries)))
     reduced, pivots = rref(augmented)
     if tuple(pivots) != tuple(range(n)):
         raise InputError("matrix is singular")

@@ -33,7 +33,8 @@ from .core import (EVEN, GradedVector, SuperAlgebra, char_sequence, charseq_note
 from .derivations import (CLASSIFIER_FAMILIES, derivation_space, extendability,
                           is_derivation, same_span)
 from .errors import InputError, SuperalgError, UnsupportedShapeError
-from .exactmath import RatMatrix, nilpotent_jordan_type, parameter_value
+from .exactmath import (RatMatrix, nilpotent_jordan_type, parameter_value,
+                        sparse_kernel)
 
 ENGINE_VERSION = "1.0.0"
 
@@ -294,15 +295,13 @@ def verify_solvable_family(fid: str, size: int,
 # Derivation proposition claims
 # ---------------------------------------------------------------------------
 
-def _unit(dim: int, entries: Mapping[tuple[int, int], Fraction]) -> RatMatrix:
-    grid = [[Fraction(0)] * dim for _ in range(dim)]
-    for (l, k), v in entries.items():
-        grid[l][k] = Fraction(v)
-    return RatMatrix(dim, dim, tuple(tuple(r) for r in grid))
+Cells = dict[tuple[int, int], int]
 
 
-def proposition_directions(fid: str, n: int) -> tuple[list[str], dict[str, RatMatrix]]:
-    """Template direction matrices for the even-derivation propositions.
+def proposition_directions(fid: str, n: int) -> tuple[int, dict[str, Cells]]:
+    """Template directions for the even-derivation propositions: the matrix
+    size and, per symbol in template order, the nonzero (l, k) cells of its
+    direction matrix.
 
     Symbols follow the displayed templates (a-series plus the e2 weights),
     except that for the (n|n) alpha-family the displayed free top coefficient
@@ -313,49 +312,42 @@ def proposition_directions(fid: str, n: int) -> tuple[list[str], dict[str, RatMa
         raise InputError(f"no derivation proposition for family {fid!r}")
     n_even = n
     n_odd = n - 1 if fid in ("L", "G") else n
-    dim = n_even + n_odd
     e = lambda i: i - 1
     y = lambda i: n_even + i - 1
-    directions: dict[str, RatMatrix] = {}
-    symbols: list[str] = []
 
-    def put(name: str, cells: dict) -> None:
-        symbols.append(name)
-        directions[name] = _unit(dim, cells)
-
-    diag: dict[tuple[int, int], Fraction] = {(e(1), e(1)): Fraction(2)}
+    diag: Cells = {(e(1), e(1)): 2}
     if fid in ("L", "M"):
-        diag[(e(2), e(2))] = Fraction(2)
+        diag[(e(2), e(2))] = 2
     for i in range(3, n + 1):
-        diag[(e(i), e(i))] = Fraction(2 * (i - 1))
+        diag[(e(i), e(i))] = 2 * (i - 1)
     for i in range(1, n_odd + 1):
-        diag[(y(i), y(i))] = Fraction(2 * i - 1)
-    put("a1", diag)
+        diag[(y(i), y(i))] = 2 * i - 1
+    directions = {"a1": diag}
 
     a_top = n if fid in ("M", "H") else n - 1
     for k in range(2, a_top + 1):
-        cells: dict[tuple[int, int], Fraction] = {}
+        cells: Cells = {}
         if k + 1 <= n:
-            cells[(e(k + 1), e(1))] = Fraction(1)
+            cells[(e(k + 1), e(1))] = 1
         if fid in ("L", "M"):
             # d(e2) continues the a-run; for the (n|n) family it runs to
             # a_{n-1} e_n (the tie), for the (n|n-1) family it stops at e_{n-1}.
             stop = n - 1 if fid == "M" else n - 2
             if 2 <= k <= stop and k + 1 <= n:
-                cells[(e(k + 1), e(2))] = Fraction(1)
+                cells[(e(k + 1), e(2))] = 1
         for i in range(3, n + 1):
             if i + k - 1 <= n:
-                cells[(e(i + k - 1), e(i))] = Fraction(1)
+                cells[(e(i + k - 1), e(i))] = 1
         for i in range(1, n_odd + 1):
             if i + k - 1 <= n_odd:
-                cells[(y(i + k - 1), y(i))] = Fraction(1)
+                cells[(y(i + k - 1), y(i))] = 1
         if cells:
-            put(f"a{k}", cells)
+            directions[f"a{k}"] = cells
     if fid in ("H", "G"):
-        put("b2", {(e(2), e(2)): Fraction(1)})
+        directions["b2"] = {(e(2), e(2)): 1}
     if fid in ("L", "G"):
-        put(f"b{n}", {(e(n), e(2)): Fraction(1)})
-    return symbols, directions
+        directions[f"b{n}"] = {(e(n), e(2)): 1}
+    return n_even + n_odd, directions
 
 
 def proposition_constraints(fid: str, n: int, values: Mapping[str, Fraction],
@@ -386,23 +378,18 @@ def proposition_constraints(fid: str, n: int, values: Mapping[str, Fraction],
 def proposition_template_space(fid: str, n: int,
                                values: Mapping[str, Fraction]) -> list[RatMatrix]:
     """Span of the proposition's template maps at instantiated parameters."""
-    symbols, directions = proposition_directions(fid, n)
-    index = {s: i for i, s in enumerate(symbols)}
-    rows = []
-    for row in proposition_constraints(fid, n, values):
-        vec = {index[s]: c for s, c in row.items() if c}
-        if vec:
-            rows.append(vec)
-    from .exactmath import sparse_kernel
-    kernel = sparse_kernel(rows, len(symbols))
+    dim, directions = proposition_directions(fid, n)
+    index = {s: i for i, s in enumerate(directions)}
+    rows = [{index[s]: c for s, c in row.items() if c}
+            for row in proposition_constraints(fid, n, values)]
     matrices = []
-    dim = next(iter(directions.values())).rows
-    for vec in kernel:
-        total = RatMatrix.zeros(dim, dim)
-        for idx, coeff in enumerate(vec):
+    for vec in sparse_kernel(rows, len(directions)):
+        total: dict[tuple[int, int], Fraction] = {}
+        for coeff, cells in zip(vec, directions.values()):
             if coeff:
-                total = total + directions[symbols[idx]].scale(coeff)
-        matrices.append(total)
+                for p, x in cells.items():
+                    total[p] = total.get(p, 0) + coeff * x
+        matrices.append(RatMatrix.from_cells(dim, dim, total))
     return matrices
 
 

@@ -170,7 +170,7 @@ class TestNilpotencyCertificates:
     def test_single_strictly_triangular_matrix(self):
         from superalg.derivations import DerivationSpace
         m = RatMatrix.from_rows([[0, 1], [0, 0]])
-        assert space_all_nilpotent(DerivationSpace(EVEN, (m,), 2))
+        assert space_all_nilpotent(DerivationSpace(EVEN, (m,)))
 
     def test_nonzero_parameter_instance_is_all_nilpotent(self):
         params = zeros("L", 6)
@@ -211,10 +211,8 @@ class TestNilIndependence:
         space = derivation_space(build("H", 5, zeros("H", 5)), EVEN)
         base = max_nil_independent(space).max_count
         dim = space.basis[0].rows
-        extra = [[Fraction(0)] * dim for _ in range(dim)]
-        extra[3][1] = Fraction(7)  # strictly lower triangular, nilpotent
-        bigger = DerivationSpace(EVEN, space.basis + (
-            RatMatrix(dim, dim, tuple(tuple(r) for r in extra)),), dim)
+        extra = RatMatrix.from_cells(dim, dim, {(3, 1): 7})  # strictly lower, nilpotent
+        bigger = DerivationSpace(EVEN, space.basis + (extra,))
         assert max_nil_independent(bigger).max_count == base
 
     # [[1, -1], [1, -1]] is nilpotent but not triangular.
@@ -224,7 +222,7 @@ class TestNilIndependence:
         from superalg.derivations import DerivationSpace
         m = RatMatrix.from_rows(rows)
         with pytest.raises(UnsupportedShapeError):
-            decide(DerivationSpace(EVEN, (m,), 2))
+            decide(DerivationSpace(EVEN, (m,)))
 
 
 def _nilpotent_targets() -> dict[str, object]:

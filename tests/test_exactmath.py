@@ -161,6 +161,14 @@ class TestRref:
         assert all(type(x) is Fraction for row in m.entries for x in row)
         assert m.entries == ((half, Fraction(3)), (Fraction(-1), Fraction(0)))
 
+    def test_from_cells_widens_and_fills_zeros(self):
+        half = Fraction(1, 2)
+        m = RatMatrix.from_cells(2, 3, {(0, 2): 3, (1, 0): half})
+        assert all(type(x) is Fraction for row in m.entries for x in row)
+        assert m.entries == ((0, 0, 3), (half, 0, 0))
+        assert m.entries[1][0] is half
+        assert RatMatrix.from_cells(2, 3, {}) == RatMatrix.zeros(2, 3)
+
     def test_zero_matrix(self):
         r, kernel = rank_and_kernel(RatMatrix.zeros(3, 3))
         assert r == 0 and len(kernel) == 3
@@ -403,7 +411,9 @@ class TestFractionBoundary:
         from superalg.core import (EVEN, ODD, GradedVector, derived_series,
                                    lower_central_series, right_annihilator,
                                    right_mul_matrix)
-        from superalg.derivations import derivation_space, max_nil_independent
+        from superalg.derivations import (CLASSIFIER_FAMILIES, derivation_space,
+                                          max_nil_independent)
+        from superalg.verify import proposition_template_space
         from oracles import instance
         algebra = build(fid, size, {**instance(fid, size), **extra})
 
@@ -414,6 +424,7 @@ class TestFractionBoundary:
             assert fractions_only(vec)
 
         rx = right_mul_matrix(algebra, GradedVector.basis(algebra, algebra.labels[0]))
+        assert fractions_only(x for row in rx.entries for x in row)
         reduced, _ = rref(rx)
         assert fractions_only(x for row in reduced.entries for x in row)
         unipotent = invert(RatMatrix.identity(algebra.dim) + rx)
@@ -434,6 +445,13 @@ class TestFractionBoundary:
                 assert fractions_only(x for _, row in part for _, x in row)
             assert fractions_only(x for view in (s.even, s.odd)
                                   for row in view.entries for x in row)
+
+        if fid in CLASSIFIER_FAMILIES:
+            templates = proposition_template_space(
+                fid, size, {**instance(fid, size), **extra})
+            assert templates
+            for m in templates:
+                assert fractions_only(x for row in m.entries for x in row)
 
     @pytest.mark.parametrize("fid,size,mode", [
         ("M", 3, "verbatim"), ("SH4", 3, "verbatim"), ("M1", 3, "corrected")])
