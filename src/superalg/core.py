@@ -438,32 +438,26 @@ def check_lie(algebra: SuperAlgebra) -> list[Residual]:
 Echelon = tuple[tuple[int, tuple[tuple[int, Fraction], ...]], ...]
 
 
-@dataclass(frozen=True)
 class GradedSubspace:
-    """A graded subspace: the canonical reduced echelon basis of each part.
+    """A graded subspace: one echelon basis per part, held in engine form.
 
-    `parts[p]` holds the rows of parity p as sorted ``(pivot, ((col, coeff),
-    ...))`` pairs, sparse over the whole basis (odd columns start at n_even),
-    each monic at its pivot and zero in every other row's pivot column.  The
-    form is canonical, so equality of subspaces is literal equality.  Every
-    constructor reduces its vectors into the parts with the `exactmath`
-    engine; `even` and `odd` are dense read-only views in part coordinates.
+    Each part is stored as the `exactmath` engine leaves it: a dict from
+    pivot column to sparse row (over the whole basis, odd columns from
+    n_even on), monic at its pivot and zero to its left, with narrowed
+    entries.  `dims()` and `is_zero()` read that stored form directly.  The
+    canonical form, `parts[p]`, holds the rows of parity p as sorted
+    ``(pivot, ((col, coeff), ...))`` pairs of Fractions, each also zero in
+    every other row's pivot column; it is back-substituted from a copy of
+    the stored rows on first read and cached, so the stored rows never
+    change.  Equality is literal equality of the canonical forms; `even`,
+    `odd` and the `contains_*` tests read them too.
     """
 
-    n_even: int
-    n_odd: int
-    parts: tuple[Echelon, Echelon]
-
-    @classmethod
-    def _from_echelons(cls, algebra: SuperAlgebra,
-                       echelons: Sequence[dict[int, SparseRow]]) -> GradedSubspace:
-        parts = []
-        for echelon in echelons:
-            pivots, rows = _back_substitute(echelon)
-            parts.append(tuple(
-                (c, tuple((col, _widen(x)) for col, x in sorted(row.items())))
-                for c, row in zip(pivots, rows)))
-        return cls(algebra.n_even, algebra.n_odd, (parts[EVEN], parts[ODD]))
+    def __init__(self, algebra: SuperAlgebra,
+                 echelons: tuple[dict[int, SparseRow], dict[int, SparseRow]]):
+        self.n_even, self.n_odd = algebra.n_even, algebra.n_odd
+        self._echelons = echelons
+        self._parts: tuple[Echelon, Echelon] | None = None
 
     @classmethod
     def from_parity_vectors(cls, algebra: SuperAlgebra,
@@ -474,20 +468,45 @@ class GradedSubspace:
                                         (ODD, algebra.n_even, odd_vectors)):
             for vec in vectors:
                 _reduce_into(echelons[parity],
-                             {offset + j: Fraction(x) for j, x in enumerate(vec) if x})
-        return cls._from_echelons(algebra, echelons)
+                             {offset + j: _narrow(Fraction(x)) for j, x in enumerate(vec) if x})
+        return cls(algebra, echelons)
 
     @classmethod
     def full(cls, algebra: SuperAlgebra) -> GradedSubspace:
-        n0, one = algebra.n_even, Fraction(1)
-        return cls._from_echelons(algebra, ({i: {i: one} for i in range(n0)},
-                                            {i: {i: one} for i in range(n0, algebra.dim)}))
+        n0 = algebra.n_even
+        return cls(algebra, ({i: {i: 1} for i in range(n0)},
+                             {i: {i: 1} for i in range(n0, algebra.dim)}))
+
+    @property
+    def parts(self) -> tuple[Echelon, Echelon]:
+        if self._parts is None:
+            parts = []
+            for echelon in self._echelons:
+                pivots, rows = _back_substitute({c: dict(row) for c, row in echelon.items()})
+                parts.append(tuple(
+                    (c, tuple((col, _widen(x)) for col, x in sorted(row.items())))
+                    for c, row in zip(pivots, rows)))
+            self._parts = (parts[EVEN], parts[ODD])
+        return self._parts
 
     def dims(self) -> tuple[int, int]:
-        return (len(self.parts[EVEN]), len(self.parts[ODD]))
+        return (len(self._echelons[EVEN]), len(self._echelons[ODD]))
 
     def is_zero(self) -> bool:
-        return not self.parts[EVEN] and not self.parts[ODD]
+        return not self._echelons[EVEN] and not self._echelons[ODD]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GradedSubspace):
+            return NotImplemented
+        return ((self.n_even, self.n_odd, self.parts)
+                == (other.n_even, other.n_odd, other.parts))
+
+    def __hash__(self) -> int:
+        return hash((self.n_even, self.n_odd, self.parts))
+
+    def __repr__(self) -> str:
+        return (f"GradedSubspace(n_even={self.n_even}, n_odd={self.n_odd}, "
+                f"parts={self.parts!r})")
 
     def _dense(self, parity: int) -> RatMatrix:
         offset, width = (0, self.n_even) if parity == EVEN else (self.n_even, self.n_odd)
@@ -513,44 +532,63 @@ class GradedSubspace:
                    for p in (EVEN, ODD) for _, row in other.parts[p])
 
 
+@_once_per_algebra
+def _cells_by_left(algebra: SuperAlgebra) -> tuple[tuple[tuple[int, tuple], ...], ...]:
+    """The nonzero cells [b_i, b_j] as (j, terms) pairs, indexed by i, once
+    per algebra."""
+    by_left: list[list] = [[] for _ in range(algebra.dim)]
+    for (i, j), terms in algebra._narrowed_structure().items():
+        by_left[i].append((j, terms))
+    return tuple(map(tuple, by_left))
+
+
 def subspace_product(algebra: SuperAlgebra, u: GradedSubspace,
                      v: GradedSubspace) -> GradedSubspace:
-    """Span of [a, b] over basis vectors a of u and b of v, in canonical form.
+    """Span of [a, b] over basis vectors a of u and b of v.
 
-    Each product is reduced into its parity's echelon as soon as it is
-    formed; products whose target part already has full rank are skipped.
+    Reads the stored echelon rows of u and v.  The entries of v's rows are
+    indexed by column, so each row a of u meets, through the nonzero cells
+    [b_i, b_j] of its columns i, only the rows b of v with an entry at j.
+    The products [a, b] so formed are reduced into their parity's echelon;
+    products whose target part already has full rank are skipped.
     """
-    table = algebra._narrowed_structure()
+    by_left = _cells_by_left(algebra)
     sizes = (algebra.n_even, algebra.n_odd)
-    # The parts' integral entries, as ints, multiply without a Fraction.
-    rows_u, rows_v = ([[[(i, _narrow(a)) for i, a in row] for _, row in part]
-                       for part in s.parts] for s in (u, v))
+    # v's rows are numbered even part first: row r is odd iff r >= n_v_even.
+    n_v_even = len(v._echelons[EVEN])
+    v_by_col: dict[int, list[tuple[int, int | Fraction]]] = {}
+    for r, row in enumerate(chain(v._echelons[EVEN].values(), v._echelons[ODD].values())):
+        for j, b in row.items():
+            v_by_col.setdefault(j, []).append((r, b))
     echelons: tuple[dict, dict] = ({}, {})
     for pu in (EVEN, ODD):
-        for pv in (EVEN, ODD):
-            target = pu ^ pv
-            echelon = echelons[target]
-            for row_u in rows_u[pu]:
-                for row_v in rows_v[pv]:
-                    if len(echelon) == sizes[target]:
-                        break
-                    out: SparseRow = {}
-                    for i, a in row_u:
-                        for j, b in row_v:
-                            terms = table.get((i, j))
-                            if terms:
-                                _subtract(out, -a * b, terms)  # out += a*b*[b_i, b_j]
-                    if out:
-                        _reduce_into(echelon, out)
-    return GradedSubspace._from_echelons(algebra, echelons)
+        for row_u in u._echelons[pu].values():
+            products: dict[int, SparseRow] = {}   # r -> [row_u, row r of v]
+            for i, a in row_u.items():
+                for j, terms in by_left[i]:
+                    for r, b in v_by_col.get(j, ()):
+                        _subtract(products.setdefault(r, {}), -a * b, terms)
+            for r, out in products.items():
+                target = pu ^ (r >= n_v_even)
+                if out and len(echelons[target]) < sizes[target]:
+                    _reduce_into(echelons[target], out)
+    return GradedSubspace(algebra, echelons)
 
 
 def _series(full: GradedSubspace, step) -> list[GradedSubspace]:
-    """full, step(full), step(step(full)), ... until the first repeat or zero."""
+    """full, step(full), step(step(full)), ... until a term keeps the dims
+    of the one before it, or is zero.
+
+    Every series here is nested, T_{k+1} ⊆ T_k, for any bilinear product:
+    [L, L] ⊆ L starts it, and then L^{k+1} = [L^k, L] ⊆ [L^{k-1}, L] = L^k,
+    L^(k+1) = [L^(k), L^(k)] ⊆ [L^(k-1), L^(k-1)] = L^(k) and F_{j+1} =
+    [F_j, L0] ⊆ [F_{j-1}, L0] = F_j by induction.  So equal dims mean equal
+    terms, and the series has reached its last one.
+    """
     series = [full]
     while True:
         nxt = step(series[-1])
-        if nxt == series[-1]:
+        if nxt.dims() == series[-1].dims():
             break
         series.append(nxt)
         if nxt.is_zero():
@@ -621,7 +659,7 @@ def even_square(algebra: SuperAlgebra) -> GradedSubspace:
     for i in range(algebra.n_even):
         for j in range(algebra.n_even):
             _reduce_into(square, dict(table.get((i, j), ())))
-    return GradedSubspace._from_echelons(algebra, (square, {}))
+    return GradedSubspace(algebra, (square, {}))
 
 
 @_once_per_algebra
@@ -641,11 +679,11 @@ def charseq_bound(algebra: SuperAlgebra) -> tuple[tuple[int, ...], tuple[int, ..
         raise NotNilpotentError(
             f"characteristic sequence needs a nilpotent algebra, got {algebra.name!r}")
     full = GradedSubspace.full(algebra)
-    even = GradedSubspace(algebra.n_even, algebra.n_odd, (full.parts[EVEN], ()))
+    even = GradedSubspace(algebra, (full._echelons[EVEN], {}))
     words = _series(full, lambda term: subspace_product(algebra, term, even))
     bounds = []
     for parity, size in ((EVEN, algebra.n_even), (ODD, algebra.n_odd)):
-        s = sum(1 for term in words if term.parts[parity])
+        s = sum(1 for term in words if term.dims()[parity])
         q, r = divmod(size, s) if s else (0, 0)
         bounds.append((s,) * q + ((r,) if r else ()))
     return bounds[EVEN], bounds[ODD]

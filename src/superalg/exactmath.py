@@ -208,17 +208,19 @@ class Polynomial:
 
     def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
         """Exact value at a full assignment; every variable must be covered."""
-        missing = [v for v in self.used_variables() if v not in assignment]
-        if missing:
-            raise InputError(f"assignment missing variables: {', '.join(missing)}")
-        total = Fraction(0)
-        for exp, coeff in self.terms.items():
-            term = coeff
-            for name, e in zip(self.variables, exp):
-                if e:
-                    term *= Fraction(assignment[name]) ** e
-            total += term
-        return total
+        total = 0   # a Fraction from the first term on: every coefficient is one
+        try:
+            for exp, coeff in self.terms.items():
+                term = coeff
+                for name, e in zip(self.variables, exp):
+                    if e:
+                        x = assignment[name]
+                        term = term * x if e == 1 else term * Fraction(x) ** e
+                total = total + term if total else term
+        except KeyError:
+            missing = [v for v in self.used_variables() if v not in assignment]
+            raise InputError(f"assignment missing variables: {', '.join(missing)}") from None
+        return total if self.terms else Fraction(0)
 
     def substitute(self, values: Mapping[str, Fraction]) -> Polynomial:
         """Substitute some variables; the result ranges over the remaining ones."""
@@ -267,6 +269,9 @@ class Polynomial:
 
 # Largest exponent after "^": no short coefficient can take long to expand.
 MAX_EXPONENT = 64
+# Largest total degree of a coefficient.  The catalog's coefficients have
+# degree at most 1; each product and power is checked before it is expanded.
+MAX_DEGREE = 64
 
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|-|\(|\))")
 
@@ -276,7 +281,8 @@ def parse_coefficient(text: str, variables: Sequence[str]) -> Polynomial:
 
     Grammar: sums/differences of products of rational literals and declared
     variable names with optional integer powers (at most MAX_EXPONENT);
-    parentheses allowed.  Names outside `variables` are rejected.
+    parentheses allowed.  Names outside `variables` are rejected, and so is
+    a product or power of total degree above MAX_DEGREE.
     """
     variables = tuple(variables)
     tokens: list[str] = []
@@ -309,11 +315,21 @@ def parse_coefficient(text: str, variables: Sequence[str]) -> Polynomial:
             node = node + rhs if op == "+" else node - rhs
         return node
 
+    def degree(node: Polynomial) -> int:
+        return max(map(sum, node.terms), default=0)
+
+    def check_degree(d: int) -> None:
+        if d > MAX_DEGREE:
+            raise InputError(f"coefficient {text!r} has total degree {d}, over "
+                             f"the limit MAX_DEGREE = {MAX_DEGREE}")
+
     def parse_term() -> Polynomial:
         node = parse_factor()
         while peek() == "*":
             take()
-            node = node * parse_factor()
+            rhs = parse_factor()
+            check_degree(degree(node) + degree(rhs))
+            node = node * rhs
         return node
 
     def parse_factor() -> Polynomial:
@@ -345,6 +361,7 @@ def parse_coefficient(text: str, variables: Sequence[str]) -> Polynomial:
             if e > MAX_EXPONENT:
                 raise InputError(f"exponent {e} in coefficient {text!r} exceeds "
                                  f"the limit of {MAX_EXPONENT}")
+            check_degree(degree(base) * e)
             out = Polynomial.const(1, variables)
             while e:  # square-and-multiply
                 if e & 1:
@@ -428,35 +445,6 @@ class RatMatrix:
     def transpose(self) -> RatMatrix:
         return RatMatrix(self.cols, self.rows,
                          tuple(zip(*self.entries)) if self.entries else ())
-
-    def __add__(self, other: RatMatrix) -> RatMatrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise InputError("matrix shape mismatch in addition")
-        return RatMatrix(self.rows, self.cols, tuple(
-            tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: RatMatrix) -> RatMatrix:
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c: Fraction | int) -> RatMatrix:
-        c = Fraction(c)
-        return RatMatrix(self.rows, self.cols,
-                         tuple(tuple(c * x for x in row) for row in self.entries))
-
-    def __matmul__(self, other: RatMatrix) -> RatMatrix:
-        if self.cols != other.rows:
-            raise InputError("matrix shape mismatch in product")
-        cols = other.transpose().entries
-        return RatMatrix(self.rows, other.cols, tuple(
-            tuple(sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols)
-            for row in self.entries))
-
-    def apply(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if len(vec) != self.cols:
-            raise InputError("vector length mismatch")
-        return tuple(sum((a * b for a, b in zip(row, vec)), Fraction(0))
-                     for row in self.entries)
 
     def is_zero(self) -> bool:
         return all(not x for row in self.entries for x in row)

@@ -17,6 +17,35 @@ from superalg.core import (EVEN, ODD, GradedVector, SuperAlgebra,
 from superalg.exactmath import RatMatrix
 
 
+# -- dense matrix arithmetic, entry by entry ----------------------------------
+
+def mat_add(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("matrix shape mismatch in addition")
+    return RatMatrix(a.rows, a.cols, tuple(
+        tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(a.entries, b.entries)))
+
+
+def mat_scale(m: RatMatrix, c: Fraction | int) -> RatMatrix:
+    c = Fraction(c)
+    return RatMatrix(m.rows, m.cols, tuple(tuple(c * x for x in row) for row in m.entries))
+
+
+def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    if a.cols != b.rows:
+        raise ValueError("matrix shape mismatch in product")
+    cols = list(zip(*b.entries))
+    return RatMatrix(a.rows, b.cols, tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols)
+        for row in a.entries))
+
+
+def mat_apply(m: RatMatrix, vec) -> tuple[Fraction, ...]:
+    if len(vec) != m.cols:
+        raise ValueError("vector length mismatch")
+    return tuple(sum((x * y for x, y in zip(row, vec)), Fraction(0)) for row in m.entries)
+
+
 def bareiss_rank(rows: list[list[Fraction]]) -> int:
     """Rank via fraction-free (Bareiss) elimination on a scaled integer copy."""
     if not rows or not rows[0]:
@@ -125,7 +154,7 @@ def jordan_type_by_powers(m: RatMatrix) -> tuple[int, ...] | None:
     kernel_dims = [0]
     power = RatMatrix.identity(dim)
     for _ in range(dim):
-        power = power @ m
+        power = mat_mul(power, m)
         kernel_dims.append(dim - bareiss_rank([list(r) for r in power.entries]))
         if kernel_dims[-1] == dim:
             break
@@ -245,16 +274,16 @@ def brute_lie_residuals(algebra: SuperAlgebra):
 
 def derivation_residuals(algebra: SuperAlgebra, matrix: RatMatrix, degree: int):
     """Evaluate D([x,y]) - [D x, y] - (-1)^{s p_x} [x, D y] on every ordered
-    pair of basis vectors via products and `RatMatrix.apply`, listing the
+    pair of basis vectors via products and `mat_apply`, listing the
     nonzero components."""
     out = []
     labels = algebra.labels
     basis = [GradedVector.basis(algebra, lab) for lab in labels]
-    images = [GradedVector(matrix.apply(x.coords)) for x in basis]
+    images = [GradedVector(mat_apply(matrix, x.coords)) for x in basis]
     for i, x in enumerate(basis):
         sign = (-1) ** (degree * algebra.parity(i))
         for j, y in enumerate(basis):
-            lhs = matrix.apply(product(algebra, x, y).coords)
+            lhs = mat_apply(matrix, product(algebra, x, y).coords)
             first = product(algebra, images[i], y).coords
             second = product(algebra, x, images[j]).coords
             for comp, (a, b, c) in enumerate(zip(lhs, first, second)):
@@ -321,6 +350,15 @@ def _dense_graded_basis(algebra: SuperAlgebra, spanning: list[GradedVector],
             basis.append(GradedVector(tuple(coords)))
         dims.append(len(pivots))
     return basis, (dims[0], dims[1])
+
+
+def dense_subspace_product(algebra: SuperAlgebra, u: list[GradedVector],
+                           v: list[GradedVector],
+                           ) -> tuple[list[GradedVector], tuple[int, int]]:
+    """The graded span of [a, b] over the spanning vectors a of u and b of
+    v: every `product` of the two, reduced per parity by `dense_rref`, as
+    the reduced rows over the whole basis (even part first) and the dims."""
+    return _dense_graded_basis(algebra, [product(algebra, a, b) for a in u for b in v])
 
 
 def _dense_series(algebra: SuperAlgebra, step) -> list[tuple[int, int]]:
@@ -391,7 +429,7 @@ def random_nilpotent_matrix(rng: random.Random, dim: int) -> RatMatrix:
     n = RatMatrix.from_rows(strict)
     p = RatMatrix.from_rows(lower)
     from superalg.exactmath import invert
-    return invert(p) @ n @ p
+    return mat_mul(mat_mul(invert(p), n), p)
 
 
 def random_parity_change(rng: random.Random, n0: int, n1: int):

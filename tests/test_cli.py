@@ -206,6 +206,15 @@ class TestAnalysisCommands:
         code, _, err = run(["check", str(path)], capsys)
         assert code == 2 and "limit of 64" in err
 
+    def test_coefficient_over_the_degree_cap_exits_2(self, tmp_path, capsys):
+        doc = {"name": "hostile", "even_basis": ["e1", "e2"], "odd_basis": [],
+               "parameters": ["a", "b"], "products": [
+                   {"left": "e1", "right": "e1", "value": [["e2", "a^64*b"]]}]}
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(["check", str(path)], capsys)
+        assert code == 2 and "total degree 65, over the limit MAX_DEGREE = 64" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(["check", "/nonexistent.json"], capsys)
         assert code == 2

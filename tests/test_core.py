@@ -29,8 +29,9 @@ from superalg.families import MAX_SIZE, sizes
 
 from oracles import (brute_leibniz_residuals, brute_lie_residuals,
                      charseq_by_enumeration, dense_derived_series,
-                     dense_lower_central_series, dense_rref, instance,
-                     random_graded_algebra, random_parity_change, span_dim)
+                     dense_lower_central_series, dense_rref, dense_subspace_product,
+                     instance, mat_apply, random_graded_algebra, random_parity_change,
+                     span_dim)
 
 
 def abelian(n0: int, n1: int) -> SuperAlgebra:
@@ -440,6 +441,72 @@ class TestSubspaces:
             assert sub.contains_subspace(sub)
         assert verdicts == {True, False}
 
+    def test_product_matches_the_dense_oracle_on_general_rows(self):
+        # Every catalog series term is a coordinate subspace; only random
+        # rows reach the general case.
+        rng = random.Random(43)
+        seen = set()
+        for _ in range(60):
+            a = random_graded_algebra(rng, rng.randint(1, 4), rng.randint(0, 4),
+                                      density=rng.choice([0.3, 0.6, 0.9]))
+            full = [GradedVector.basis(a, lab) for lab in a.labels]
+            u, v = _random_graded_vectors(rng, a), _random_graded_vectors(rng, a)
+            if any(sum(1 for x in w.coords if x) > 1 for w in u + v):
+                seen.add("non-coordinate")
+            for case, left, right in (("u != v", u, v), ("u = v", u, u),
+                                      ("v = full", u, full), ("both full", full, full)):
+                got = subspace_product(a, _span(a, left), _span(a, right))
+                basis, dims = dense_subspace_product(a, left, right)
+                assert got.dims() == dims, case
+                assert _rows_over_the_basis(got) == [w.coords for w in basis], case
+                seen.add(case)
+                if any(d and d == size for d, size in zip(dims, (a.n_even, a.n_odd))):
+                    seen.add("a part at full rank")
+        assert seen == {"non-coordinate", "u != v", "u = v", "v = full", "both full",
+                        "a part at full rank"}
+
+    def test_reading_the_canonical_form_leaves_the_stored_rows(self):
+        rng = random.Random(47)
+        reduced_some = False
+        for _ in range(40):
+            a, even, odd = _random_spanning_sets(rng)
+            sub = GradedSubspace.from_parity_vectors(a, even, odd)
+            stored = [{c: dict(row) for c, row in part.items()} for part in sub._echelons]
+            parts = sub.parts
+            assert [{c: dict(row) for c, row in part.items()}
+                    for part in sub._echelons] == stored
+            assert sub.parts is parts
+            reduced_some |= any(dict(row) != stored[p][c]
+                                for p in (EVEN, ODD) for c, row in parts[p])
+        assert reduced_some
+
+
+def _random_graded_vectors(rng, a):
+    """One to four random homogeneous vectors, often with several nonzero
+    entries, often dependent."""
+    vectors = []
+    for _ in range(rng.randint(1, 4)):
+        lo, hi = rng.choice([(0, a.n_even), (a.n_even, a.dim)] if a.n_odd else [(0, a.n_even)])
+        coords = [Fraction(0)] * a.dim
+        for k in range(lo, hi):
+            if rng.random() < 0.7:
+                coords[k] = Fraction(rng.randint(-3, 3))
+        vectors.append(GradedVector(tuple(coords)))
+    return vectors
+
+
+def _span(a, vectors):
+    n0 = a.n_even
+    return GradedSubspace.from_parity_vectors(a, [w.coords[:n0] for w in vectors],
+                                              [w.coords[n0:] for w in vectors])
+
+
+def _rows_over_the_basis(sub):
+    """The canonical rows of both parts, as dense vectors over the whole basis."""
+    zero = Fraction(0)
+    return ([tuple(row) + (zero,) * sub.n_odd for row in sub.even.entries]
+            + [(zero,) * sub.n_even + tuple(row) for row in sub.odd.entries])
+
 
 def _random_spanning_sets(rng):
     """An abelian algebra with random dims and random, often dependent,
@@ -471,9 +538,16 @@ class TestSeries:
                 cases.append(build(fid, size, instance(fid, size)))
         nilindices = set()
         for a in cases:
+            dense_lcs, dense_ds = dense_lower_central_series(a), dense_derived_series(a)
             lcs = [t.dims() for t in lower_central_series(a)]
-            assert lcs == dense_lower_central_series(a), a.name
-            assert [t.dims() for t in derived_series(a)] == dense_derived_series(a), a.name
+            assert lcs == dense_lcs, a.name
+            assert [t.dims() for t in derived_series(a)] == dense_ds, a.name
+            # fingerprint's is_solvable cross-checks the even part, which
+            # holds for Leibniz superalgebras: the catalog cases only.
+            if a.name != "random":
+                fp = fingerprint(a)
+                assert list(fp.lower_central) == dense_lcs, a.name
+                assert list(fp.derived) == dense_ds, a.name
             expected = len(lcs) if lcs[-1] == (0, 0) else None
             assert nilindex(a) == expected, a.name
             nilindices.add(expected is None)
@@ -528,7 +602,7 @@ class TestSeries:
             imaged = []
             for m in mats:
                 for v in current:
-                    w = m.apply(v)
+                    w = mat_apply(m, v)
                     if any(w):
                         imaged.append(list(w))
             if not imaged:
@@ -736,6 +810,17 @@ class TestOncePerAlgebra:
         assert second == first and second is not first
         second.clear()
         assert lower_central_series(a) == first
+
+    def test_dims_only_callers_never_build_the_canonical_form(self, monkeypatch):
+        import superalg.core as core
+
+        def refuse(echelon):
+            raise AssertionError("the canonical form was built")
+
+        monkeypatch.setattr(core, "_back_substitute", refuse)
+        a = build("H", 5, zeros("H", 5))
+        assert nilindex(a) == a.dim and is_nilpotent(a) and is_solvable(a)
+        assert charseq_bound(a) == ((4, 1), (5,))
 
     def test_each_algebra_has_its_own_memo(self):
         a, b = abelian(1, 0), build("N2M", 3)

@@ -19,7 +19,7 @@ from superalg.errors import InputError, UnsupportedShapeError
 from superalg.exactmath import RatMatrix
 
 from oracles import (bareiss_rank, dense_derivation_kernel, dense_rref,
-                     derivation_residuals, random_graded_algebra,
+                     derivation_residuals, mat_add, mat_scale, random_graded_algebra,
                      random_parity_change, support_torus_dim)
 
 
@@ -309,7 +309,7 @@ class TestSameSpanOracle:
                 dim = algebra.dim
                 last = max((l, k) for l in range(dim) for k in range(dim)
                            if algebra.parity(l) == (algebra.parity(k) + degree) % 2)
-                right = left[:-1] + [left[-1] + _unit(dim, {last: 1})]
+                right = left[:-1] + [mat_add(left[-1], _unit(dim, {last: 1}))]
             want = _dense_span(algebra, left) == _dense_span(algebra, right)
             assert same_span(algebra, degree, left, right) == want
             outcomes.add(want)
@@ -322,10 +322,10 @@ class TestSameSpanOracle:
             degree = trial % 2
             left = [_random_graded_matrix(rng, algebra, degree)
                     for _ in range(rng.randint(1, 4))]
-            right = [m.scale(Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3)))
+            right = [mat_scale(m, Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3)))
                      for m in left]
             rng.shuffle(right)
-            right.append(left[0] + left[-1].scale(rng.randint(-2, 2)))
+            right.append(mat_add(left[0], mat_scale(left[-1], rng.randint(-2, 2))))
             assert _dense_span(algebra, left) == _dense_span(algebra, right)
             assert same_span(algebra, degree, left, right)
             # adding a matrix changes the span unless it already lies in it
@@ -341,8 +341,8 @@ class TestSameSpanOracle:
         assert not same_span(algebra, EVEN, [a], [a, b])
         # one pivot each, in the same column, but different lines
         c = _unit(algebra.dim, {(1, 1): 1})
-        assert not same_span(algebra, EVEN, [a + c], [a + c.scale(2)])
-        assert same_span(algebra, EVEN, [a, b], [b, a + b])
+        assert not same_span(algebra, EVEN, [mat_add(a, c)], [mat_add(a, mat_scale(c, 2))])
+        assert same_span(algebra, EVEN, [a, b], [b, mat_add(a, b)])
 
     def test_empty_families(self):
         algebra = abelian(2, 1)

@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superalg.errors import InputError
-from superalg.exactmath import (MAX_EXPONENT, Polynomial, RatMatrix,
+from superalg.exactmath import (MAX_DEGREE, MAX_EXPONENT, Polynomial, RatMatrix,
                                 format_rational, invert, nilpotent_jordan_type,
                                 parse_coefficient, parse_rational,
                                 rref, sparse_kernel)
 
 from oracles import (bareiss_rank, dense_kernel, dense_rref, echelon_kernel,
-                     jordan_type_by_powers)
+                     jordan_type_by_powers, mat_add, mat_apply, mat_mul, mat_scale)
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
 
@@ -70,6 +70,30 @@ class TestPolynomial:
         with pytest.raises(InputError):
             p.evaluate({})
 
+    def test_missing_variables_are_all_named(self):
+        p = parse_coefficient("a*b^2 + d - 3", ("a", "b", "c", "d"))
+        with pytest.raises(InputError) as err:
+            p.evaluate({"b": Fraction(1), "c": Fraction(2)})
+        assert str(err.value) == "assignment missing variables: a, d"
+
+    def test_evaluate_matches_a_term_by_term_oracle(self):
+        rng = random.Random(41)
+        variables = ("a", "b", "c", "d")
+        for _ in range(300):
+            terms = {tuple(rng.choice((0, 0, 1, 1, 2, 3)) for _ in variables):
+                     Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                     for _ in range(rng.randint(0, 4))}
+            point = {v: rng.choice((Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                                    rng.randint(-3, 3))) for v in variables}
+            want = Fraction(0)
+            for exp, coeff in terms.items():
+                for name, e in zip(variables, exp):
+                    for _ in range(e):
+                        coeff *= point[name]
+                want += coeff
+            got = Polynomial(variables, terms).evaluate(point)
+            assert type(got) is Fraction and got == want
+
     @settings(max_examples=60, deadline=None)
     @given(polys, polys, assignments)
     def test_evaluation_is_a_ring_homomorphism(self, p, q, point):
@@ -112,6 +136,16 @@ class TestPolynomial:
         with pytest.raises(InputError, match=f"limit of {MAX_EXPONENT}"):
             parse_coefficient(f"2^{MAX_EXPONENT + 1}", ())
         assert time.perf_counter() - start < 1.0
+
+    def test_total_degree_just_over_the_cap_is_input_error(self):
+        variables = ("a", "b")
+        at_cap = parse_coefficient(f"a^{MAX_DEGREE - 1}*b", variables)
+        assert at_cap == Polynomial(variables, {(MAX_DEGREE - 1, 1): Fraction(1)})
+        assert parse_coefficient("(a^5*b^7)^5 + 1", variables).terms[(25, 35)] == 1
+        for text in (f"a^{MAX_DEGREE}*b", "(a^5*b^8)^5", f"b*(1 + a^{MAX_DEGREE})"):
+            with pytest.raises(InputError, match=f"total degree {MAX_DEGREE + 1}, "
+                                                 f"over the limit MAX_DEGREE = {MAX_DEGREE}"):
+                parse_coefficient(text, variables)
 
     def test_every_catalog_sdf_reparses_under_the_exponent_cap(self):
         from superalg import CORRECTED, FAMILY_IDS, VERBATIM, build, family_info
@@ -199,7 +233,7 @@ class TestRref:
             r, kernel = rank_and_kernel(m)
             assert r + len(kernel) == m.cols
             for vec in kernel:
-                assert not any(m.apply(vec))
+                assert not any(mat_apply(m, vec))
 
     def test_kernel_agrees_with_echelon_oracle(self):
         rng = random.Random(17)
@@ -306,7 +340,7 @@ class TestRref:
             except InputError:
                 assert len(rref(m)[1]) < size
                 continue
-            assert inv @ m == RatMatrix.identity(size)
+            assert mat_mul(inv, m) == RatMatrix.identity(size)
 
 
 class TestJordanType:
@@ -356,13 +390,13 @@ class TestJordanType:
                       for j in range(dim)] for i in range(dim)]
             # P = 1 + N with N strictly lower, so P^-1 = sum of (-N)^i.
             n = RatMatrix.from_rows(lower)
-            p = RatMatrix.identity(dim) + n
+            p = mat_add(RatMatrix.identity(dim), n)
             p_inv, term = RatMatrix.identity(dim), RatMatrix.identity(dim)
             for _ in range(dim):
-                term = term @ n.scale(-1)
-                p_inv = p_inv + term
-            assert p_inv @ p == RatMatrix.identity(dim)
-            m = p_inv @ RatMatrix.from_rows(grid) @ p
+                term = mat_mul(term, mat_scale(n, -1))
+                p_inv = mat_add(p_inv, term)
+            assert mat_mul(p_inv, p) == RatMatrix.identity(dim)
+            m = mat_mul(mat_mul(p_inv, RatMatrix.from_rows(grid)), p)
             assert nilpotent_jordan_type(m) is None
             assert jordan_type_by_powers(m) is None
 
@@ -385,9 +419,9 @@ class TestJordanType:
             # the largest part is the nilpotency index
             power = RatMatrix.identity(dim)
             for _ in range(got[0] - 1):
-                power = power @ m
+                power = mat_mul(power, m)
             assert not power.is_zero()
-            assert (power @ m).is_zero()
+            assert mat_mul(power, m).is_zero()
 
 
 # -- the narrowed engine -------------------------------------------------------
@@ -427,7 +461,7 @@ class TestFractionBoundary:
         assert fractions_only(x for row in rx.entries for x in row)
         reduced, _ = rref(rx)
         assert fractions_only(x for row in reduced.entries for x in row)
-        unipotent = invert(RatMatrix.identity(algebra.dim) + rx)
+        unipotent = invert(mat_add(RatMatrix.identity(algebra.dim), rx))
         assert fractions_only(x for row in unipotent.entries for x in row)
 
         for degree in (EVEN, ODD):
@@ -506,12 +540,12 @@ def integer_heavy_square_matrices(draw):
         grid[i][i] = draw(engine_entries)
     lower = RatMatrix.from_rows(
         [[draw(st.integers(-2, 2)) if j < i else 0 for j in range(dim)] for i in range(dim)])
-    p = RatMatrix.identity(dim) + lower
+    p = mat_add(RatMatrix.identity(dim), lower)
     p_inv, term = RatMatrix.identity(dim), RatMatrix.identity(dim)
     for _ in range(dim):  # (1 + L)^-1 = sum of (-L)^i
-        term = term @ lower.scale(-1)
-        p_inv = p_inv + term
-    m = p_inv @ RatMatrix.from_rows(grid) @ p
+        term = mat_mul(term, mat_scale(lower, -1))
+        p_inv = mat_add(p_inv, term)
+    m = mat_mul(mat_mul(p_inv, RatMatrix.from_rows(grid)), p)
     mixed = tuple(tuple(x.numerator if x.denominator == 1 and (i + j) % 2 else x
                         for j, x in enumerate(row)) for i, row in enumerate(m.entries))
     return mixed, m
