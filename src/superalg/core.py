@@ -5,7 +5,9 @@ A `SuperAlgebra` is a Z2-graded vector space with an ordered homogeneous basis
 ``[b_i, b_j] = sum_k c_ij^k b_k`` whose coefficients are polynomials in the
 algebra's free parameters.  An algebra with no parameters holds its constants
 as narrowed rationals instead (an int when integral, else a Fraction): that
-table is the one the engine reads.  Grading is validated at construction: a
+table is the one products and R_x read, and the engine's scale-invariant
+readers (kernels and spans) read it times the lcm of its denominators,
+`SuperAlgebra._integral_structure`.  Grading is validated at construction: a
 product of parities (p, q) may only produce components of parity p+q mod 2.
 
 Identity checking (`check_leibniz`, `check_lie`) runs symbolically over the
@@ -27,6 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
 from itertools import chain
+from math import lcm
 from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -136,6 +139,23 @@ class SuperAlgebra:
                 f"algebra {self.name!r} has free parameters "
                 f"({', '.join(self.parameters)}); instantiate them first")
         return self.structure
+
+    def _integral_structure(self) -> StructureMap:
+        """The constant table times the lcm of its denominators, so every
+        coefficient is an int; computed once per algebra (the table itself
+        when it is integral already).  Kernels, spans and derivation spaces
+        do not change when the bracket is scaled by a nonzero constant, so
+        the engine's readers of those use this table; every public value
+        (`product`, `right_mul_matrix`, `constant_structure`, `sdf_dump`)
+        keeps the unscaled constants.  Requires instantiation."""
+        memo = self._memo
+        if "_integral_structure" not in memo:
+            table = self._narrowed_structure()
+            scale = lcm(*[c.denominator for terms in table.values() for _, c in terms])
+            memo["_integral_structure"] = table if scale == 1 else {
+                key: tuple((k, c.numerator * (scale // c.denominator)) for k, c in terms)
+                for key, terms in table.items()}
+        return memo["_integral_structure"]
 
     def instantiate(self, values: Mapping[str, Fraction | int | str]) -> SuperAlgebra:
         """Substitute parameter values; unlisted parameters stay free."""
@@ -443,14 +463,15 @@ class GradedSubspace:
 
     Each part is stored as the `exactmath` engine leaves it: a dict from
     pivot column to sparse row (over the whole basis, odd columns from
-    n_even on), monic at its pivot and zero to its left, with narrowed
-    entries.  `dims()` and `is_zero()` read that stored form directly.  The
-    canonical form, `parts[p]`, holds the rows of parity p as sorted
-    ``(pivot, ((col, coeff), ...))`` pairs of Fractions, each also zero in
-    every other row's pivot column; it is back-substituted from a copy of
-    the stored rows on first read and cached, so the stored rows never
-    change.  Equality is literal equality of the canonical forms; `even`,
-    `odd` and the `contains_*` tests read them too.
+    n_even on), zero to the left of its pivot, a primitive row of ints with
+    a positive lead.  `dims()` and `is_zero()` read that stored form
+    directly.  The canonical form, `parts[p]`, holds the rows of parity p as
+    sorted ``(pivot, ((col, coeff), ...))`` pairs of Fractions, each monic
+    at its pivot and zero in every other row's pivot column; it is made
+    monic and back-substituted from a copy of the stored rows on first read
+    and cached, so the stored rows never change.  Equality is literal
+    equality of the canonical forms; `even`, `odd` and the `contains_*`
+    tests read them too.
     """
 
     def __init__(self, algebra: SuperAlgebra,
@@ -468,7 +489,7 @@ class GradedSubspace:
                                         (ODD, algebra.n_even, odd_vectors)):
             for vec in vectors:
                 _reduce_into(echelons[parity],
-                             {offset + j: _narrow(Fraction(x)) for j, x in enumerate(vec) if x})
+                             {offset + j: Fraction(x) for j, x in enumerate(vec) if x})
         return cls(algebra, echelons)
 
     @classmethod
@@ -534,10 +555,10 @@ class GradedSubspace:
 
 @_once_per_algebra
 def _cells_by_left(algebra: SuperAlgebra) -> tuple[tuple[tuple[int, tuple], ...], ...]:
-    """The nonzero cells [b_i, b_j] as (j, terms) pairs, indexed by i, once
-    per algebra."""
+    """The nonzero cells [b_i, b_j] of the integral table as (j, terms)
+    pairs, indexed by i, once per algebra."""
     by_left: list[list] = [[] for _ in range(algebra.dim)]
-    for (i, j), terms in algebra._narrowed_structure().items():
+    for (i, j), terms in algebra._integral_structure().items():
         by_left[i].append((j, terms))
     return tuple(map(tuple, by_left))
 
@@ -546,9 +567,11 @@ def subspace_product(algebra: SuperAlgebra, u: GradedSubspace,
                      v: GradedSubspace) -> GradedSubspace:
     """Span of [a, b] over basis vectors a of u and b of v.
 
-    Reads the stored echelon rows of u and v.  The entries of v's rows are
-    indexed by column, so each row a of u meets, through the nonzero cells
-    [b_i, b_j] of its columns i, only the rows b of v with an entry at j.
+    Reads the stored echelon rows of u and v and the integral table (the
+    span does not change when the bracket is scaled).  The entries of v's
+    rows are indexed by column, so each row a of u meets, through the
+    nonzero cells [b_i, b_j] of its columns i, only the rows b of v with an
+    entry at j.
     The products [a, b] so formed are reduced into their parity's echelon;
     products whose target part already has full rank are skipped.
     """
@@ -634,8 +657,9 @@ def is_solvable(algebra: SuperAlgebra) -> bool:
 
 
 def right_annihilator(algebra: SuperAlgebra) -> GradedSubspace:
-    """Exact solution set of [b_i, z] = 0 for every basis vector b_i."""
-    table = algebra._narrowed_structure()
+    """Exact solution set of [b_i, z] = 0 for every basis vector b_i, read
+    off the integral table (a scaled bracket has the same kernel)."""
+    table = algebra._integral_structure()
     n0, n1 = algebra.n_even, algebra.n_odd
     parts: list[list[tuple[Fraction, ...]]] = []
     for size, offset in ((n0, 0), (n1, n0)):
@@ -653,8 +677,9 @@ def right_annihilator(algebra: SuperAlgebra) -> GradedSubspace:
 # ---------------------------------------------------------------------------
 
 def even_square(algebra: SuperAlgebra) -> GradedSubspace:
-    """[L0, L0]: the span of the products of even basis vectors."""
-    table = algebra._narrowed_structure()
+    """[L0, L0]: the span of the products of even basis vectors, read off
+    the integral table (a scaled bracket has the same span)."""
+    table = algebra._integral_structure()
     square: dict[int, SparseRow] = {}
     for i in range(algebra.n_even):
         for j in range(algebra.n_even):

@@ -4,7 +4,8 @@ A degree-s derivation is a linear map D with
 ``D([x,y]) = [D x, y] + (-1)^{s p} [x, D y]`` for x of parity p; even
 derivations (s = 0) preserve parity, odd ones (s = 1) swap it.  The space is
 computed as the exact kernel of the linear system over the grading-compatible
-matrix entries, scattered from the nonzero structure constants.  Every
+matrix entries, scattered from the nonzero constants of the algebra's integral
+table (the kernel does not change when the bracket is scaled).  Every
 returned basis matrix is re-verified by `is_derivation`, a sparse evaluation
 of the identity on every ordered basis pair that shares no code with the
 assembler (the two are separate code paths on purpose).
@@ -28,11 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .core import EVEN, ODD, SuperAlgebra
 from .errors import InputError, InternalInconsistencyError, UnsupportedShapeError
-from .exactmath import (RatMatrix, SparseRow, _narrow, _reduce_into, _rref_rows,
+from .exactmath import (RatMatrix, SparseRow, _reduce_into, _rref_rows,
                         parameter_value, sparse_kernel)
 
 
@@ -58,20 +60,25 @@ class DerivationSpace:
 
 def is_derivation(algebra: SuperAlgebra, matrix: RatMatrix, degree: int) -> bool:
     """Direct check of the degree-s identity on every ordered basis pair, over
-    the nonzero products and the nonzero entries of D's columns only, with
-    integral values held as ints."""
+    the nonzero products and the nonzero entries of D's columns only, in
+    ints: the identity is linear in the bracket and in D, so it holds for
+    them iff it holds for the integral table and for D times the lcm of its
+    denominators."""
     if matrix.rows != algebra.dim or matrix.cols != algebra.dim:
         raise InputError("derivation matrix must act on the whole space")
-    table = algebra._narrowed_structure()
+    table = algebra._integral_structure()
     dim = algebra.dim
-    # columns[k] = D b_k as its nonzero (l, D[l, k]) pairs.
-    columns = [[(l, _narrow(row[k])) for l, row in enumerate(matrix.entries) if row[k]]
+    # columns[k] = D b_k as its nonzero (l, D[l, k]) pairs, then scaled to ints.
+    columns = [[(l, row[k]) for l, row in enumerate(matrix.entries) if row[k]]
                for k in range(dim)]
+    scale = lcm(*[x.denominator for column in columns for _, x in column])
+    columns = [[(l, x.numerator * (scale // x.denominator)) for l, x in column]
+               for column in columns]
     for i in range(dim):
         sign = -1 if (degree and algebra.parity(i)) else 1
         for j in range(dim):
             # D([b_i,b_j]) - [D b_i, b_j] - (-1)^{s p_i} [b_i, D b_j]
-            residual: dict[int, int | Fraction] = {}
+            residual: dict[int, int] = {}
             for k, c in table.get((i, j), ()):
                 for l, d in columns[k]:
                     residual[l] = residual.get(l, 0) + c * d
@@ -87,10 +94,12 @@ def is_derivation(algebra: SuperAlgebra, matrix: RatMatrix, degree: int) -> bool
 
 
 def derivation_space(algebra: SuperAlgebra, degree: int) -> DerivationSpace:
-    """Exact kernel of the derivation conditions over grading-compatible maps."""
+    """Exact kernel of the derivation conditions over grading-compatible
+    maps, assembled from the integral table (scaling the bracket by a
+    nonzero constant scales every condition, so the kernel is the same)."""
     if degree not in (EVEN, ODD):
         raise InputError("degree must be 0 (even) or 1 (odd)")
-    table = algebra._narrowed_structure()
+    table = algebra._integral_structure()
     dim = algebra.dim
     parity = [algebra.parity(i) for i in range(dim)]
     of_parity = [[i for i in range(dim) if parity[i] == p] for p in (EVEN, ODD)]
@@ -100,7 +109,7 @@ def derivation_space(algebra: SuperAlgebra, degree: int) -> DerivationSpace:
     # Row (i, j, l) is component l of the identity on the pair (b_i, b_j).
     rows: dict[tuple[int, int, int], SparseRow] = {}
 
-    def bump(i: int, j: int, l: int, col: int, value: int | Fraction) -> None:
+    def bump(i: int, j: int, l: int, col: int, value: int) -> None:
         r = rows.setdefault((i, j, l), {})
         new = r.get(col, 0) + value
         if new:

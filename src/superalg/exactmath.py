@@ -2,10 +2,10 @@
 
 Every result in this package is exact; there is no floating-point mode.  Every
 computed value is a `fractions.Fraction`: polynomial coefficients, matrix
-entries, kernel vectors.  Inside the echelon engine integral values are held
-as plain `int` (most pivots are ±1 and most coefficients integers, and `int`
-arithmetic is far cheaper than `Fraction`'s); the engine converts them back
-to `Fraction` wherever a value leaves it, as `RatMatrix.from_cells` does for
+entries, kernel vectors.  Inside the echelon engine the rows are plain `int`
+rows (a row's denominators are cleared once, as it enters, and `int`
+arithmetic is far cheaper than `Fraction`'s); the engine converts values back
+to `Fraction` wherever they leave it, as `RatMatrix.from_cells` does for
 the cells it is given.  The one public table that keeps such narrowed values
 is the structure table of a parameter-free `SuperAlgebra`, whose `Fraction`
 view is `constant_structure()`.  A polynomial is a sparse map from exponent
@@ -26,6 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -272,6 +273,12 @@ MAX_EXPONENT = 64
 # Largest total degree of a coefficient.  The catalog's coefficients have
 # degree at most 1; each product and power is checked before it is expanded.
 MAX_DEGREE = 64
+# Largest number of terms a product or power may expand to, checked before
+# it is expanded against an upper bound on the result's term count (no more
+# products of terms, or multisets of the base's terms, than monomials of its
+# degree in the variables it uses).  (a+b+c+d)^23 has 2,600 terms and takes
+# about 0.8 s on a 2-vCPU guest; the catalog's coefficients have at most 2.
+MAX_TERMS = 2600
 
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|-|\(|\))")
 
@@ -282,7 +289,8 @@ def parse_coefficient(text: str, variables: Sequence[str]) -> Polynomial:
     Grammar: sums/differences of products of rational literals and declared
     variable names with optional integer powers (at most MAX_EXPONENT);
     parentheses allowed.  Names outside `variables` are rejected, and so is
-    a product or power of total degree above MAX_DEGREE.
+    a product or power of total degree above MAX_DEGREE or one that may
+    expand to more than MAX_TERMS terms.
     """
     variables = tuple(variables)
     tokens: list[str] = []
@@ -323,12 +331,24 @@ def parse_coefficient(text: str, variables: Sequence[str]) -> Polynomial:
             raise InputError(f"coefficient {text!r} has total degree {d}, over "
                              f"the limit MAX_DEGREE = {MAX_DEGREE}")
 
+    def check_terms(products: int, d: int, *nodes: Polynomial) -> None:
+        """`products` bounds the result's terms, and so does the number of
+        monomials of degree at most d in the variables the nodes use."""
+        used = sum(1 for column in zip(*(e for node in nodes for e in node.terms))
+                   if any(column))
+        bound = min(products, comb(used + d, d))
+        if bound > MAX_TERMS:
+            raise InputError(f"coefficient {text!r} may expand to {bound} terms, "
+                             f"over the limit MAX_TERMS = {MAX_TERMS}")
+
     def parse_term() -> Polynomial:
         node = parse_factor()
         while peek() == "*":
             take()
             rhs = parse_factor()
-            check_degree(degree(node) + degree(rhs))
+            d = degree(node) + degree(rhs)
+            check_degree(d)
+            check_terms(len(node.terms) * len(rhs.terms), d, node, rhs)
             node = node * rhs
         return node
 
@@ -361,7 +381,10 @@ def parse_coefficient(text: str, variables: Sequence[str]) -> Polynomial:
             if e > MAX_EXPONENT:
                 raise InputError(f"exponent {e} in coefficient {text!r} exceeds "
                                  f"the limit of {MAX_EXPONENT}")
-            check_degree(degree(base) * e)
+            d = degree(base) * e
+            check_degree(d)
+            m = len(base.terms)
+            check_terms(comb(m + e - 1, e) if m else 1, d, base)
             out = Polynomial.const(1, variables)
             while e:  # square-and-multiply
                 if e & 1:
@@ -471,10 +494,14 @@ class RatMatrix:
 # nil-independence counts in `derivations` run on one reduction step.  Rows
 # are dicts col -> coeff without zeros (the derivation and annihilator
 # systems and the R_x blocks are very sparse).  An echelon basis keeps one
-# row per pivot column, keyed by it, monic there and zero to its left.
-# Entries may be int or Fraction; every entry the engine computes is
-# narrowed, so integer systems with ±1 pivots never build a Fraction, and
-# every value it returns is widened back to a Fraction.
+# row per pivot column, keyed by it, zero to its left: primitive integer
+# rows, monic only when back-substituted.  A row entering `_reduce_into`
+# has its denominators cleared once (int or Fraction entries in, ints
+# after); it is then reduced fraction-free and, if it is new, stored with
+# its content removed and a positive lead, so the forward pass never builds
+# a Fraction.  `_back_substitute` makes the rows monic, then clears every
+# pivot column above its pivot, which gives the canonical reduced rows;
+# every value the engine returns is widened back to a Fraction.
 
 SparseRow = dict[int, int | Fraction]
 
@@ -497,22 +524,32 @@ def _subtract(row: SparseRow, f: int | Fraction,
 
 
 def _reduce_into(pivots: dict[int, SparseRow], row: SparseRow) -> bool:
-    """Reduce row (consumed) against the pivot rows by its leading entry; keep
-    a nonzero remainder, made monic, as a new pivot row.  True iff it was new."""
+    """Reduce row (consumed) against the primitive pivot rows by its leading
+    entry, fraction-free; keep a nonzero remainder, primitive with a positive
+    lead, as a new pivot row.  True iff it was new."""
+    if not {int}.issuperset(map(type, row.values())):   # a Fraction, even 2/1
+        den = lcm(*[v.denominator for v in row.values()])
+        row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
     while row:
         c = min(row)
+        a = row[c]
         prow = pivots.get(c)
         if prow is None:
-            lead = row[c]
-            if lead == 1:
-                pivots[c] = row
-            elif lead == -1:
-                pivots[c] = {cc: -v for cc, v in row.items()}
-            else:
-                inv = Fraction(1, lead)  # never 1 / lead: for an int that is a float
-                pivots[c] = {cc: _narrow(v * inv) for cc, v in row.items()}
+            if a != 1:   # a lead of 1 is primitive already
+                g = gcd(*row.values()) if a > 0 else -gcd(*row.values())
+                if g != 1:
+                    row = {cc: v // g for cc, v in row.items()}
+            pivots[c] = row
             return True
-        _subtract(row, row[c], prow.items())
+        b = prow[c]
+        if b != 1:   # row = (b/g)·row − (a/g)·prow, with g = gcd(a, b)
+            g = gcd(a, b)
+            if g != b:
+                s = b // g
+                for cc in row:
+                    row[cc] *= s
+            a //= g
+        _subtract(row, a, prow.items())
     return False
 
 
@@ -525,9 +562,16 @@ def _echelon(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
 
 
 def _back_substitute(echelon: dict[int, SparseRow]) -> tuple[tuple[int, ...], list[SparseRow]]:
-    """Clear every pivot column above its pivot, from the right (so each pivot
-    row is already reduced when used): pivot columns and canonical rows."""
+    """Make every row monic at its pivot, then clear every pivot column above
+    its pivot, from the right (so each pivot row is already reduced when
+    used): pivot columns and canonical rows.  The rows of `echelon` are
+    replaced or changed in place."""
     pivots = tuple(sorted(echelon))
+    for c in pivots:
+        row = echelon[c]
+        lead = row[c]
+        if lead != 1:
+            echelon[c] = {cc: _narrow(Fraction(v, lead)) for cc, v in row.items()}
     for i in range(len(pivots) - 1, 0, -1):
         c, prow = pivots[i], echelon[pivots[i]].items()
         for c2 in pivots[:i]:

@@ -334,6 +334,23 @@ def dense_derivation_kernel(algebra: SuperAlgebra,
     return kernel
 
 
+def dense_right_annihilator(algebra: SuperAlgebra,
+                            ) -> tuple[list[tuple[Fraction, ...]], list[tuple[Fraction, ...]]]:
+    """Kernel bases over the even and the odd part of [b_i, z] = 0 for every
+    basis vector b_i: `dense_kernel` of the system written out densely, one
+    row per (b_i, component l), with coefficients from products of basis
+    vectors."""
+    n0 = algebra.n_even
+    basis = [GradedVector.basis(algebra, lab) for lab in algebra.labels]
+    prods = [[product(algebra, x, y).coords for y in basis] for x in basis]
+    kernels = []
+    for lo, hi in ((0, n0), (n0, algebra.dim)):
+        rows = [[prods[i][j][l] for j in range(lo, hi)]
+                for i in range(algebra.dim) for l in range(algebra.dim)]
+        kernels.append(dense_kernel([row for row in rows if any(row)], hi - lo))
+    return kernels[0], kernels[1]
+
+
 def _dense_graded_basis(algebra: SuperAlgebra, spanning: list[GradedVector],
                         ) -> tuple[list[GradedVector], tuple[int, int]]:
     """Basis of the graded span of `spanning`: the even and the odd

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -28,8 +29,9 @@ from superalg.exactmath import Polynomial, RatMatrix, invert, nilpotent_jordan_t
 from superalg.families import MAX_SIZE, sizes
 
 from oracles import (brute_leibniz_residuals, brute_lie_residuals,
-                     charseq_by_enumeration, dense_derived_series,
-                     dense_lower_central_series, dense_rref, dense_subspace_product,
+                     charseq_by_enumeration, dense_derivation_kernel,
+                     dense_derived_series, dense_lower_central_series,
+                     dense_right_annihilator, dense_rref, dense_subspace_product,
                      instance, mat_apply, random_graded_algebra, random_parity_change,
                      span_dim)
 
@@ -479,6 +481,33 @@ class TestSubspaces:
             reduced_some |= any(dict(row) != stored[p][c]
                                 for p in (EVEN, ODD) for c, row in parts[p])
         assert reduced_some
+
+    def test_stored_rows_are_primitive_int_rows_with_positive_leads(self):
+        rng = random.Random(53)
+        cleared = set()
+        for _ in range(40):
+            a = abelian(rng.randint(1, 5), rng.randint(0, 5))
+            vectors = []
+            for width in (a.n_even, a.n_odd):
+                vectors.append([[Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5, 7)))
+                                 if rng.random() < 0.6 else Fraction(0)
+                                 for _ in range(width)] for _ in range(rng.randint(0, 4))])
+            vectors[EVEN] += vectors[EVEN][:1]   # a repeated row
+            sub = GradedSubspace.from_parity_vectors(a, *vectors)
+            stored = [{c: dict(row) for c, row in part.items()} for part in sub._echelons]
+            for part in stored:
+                for c, row in part.items():
+                    assert min(row) == c and row[c] > 0, row
+                    assert all(type(x) is int for x in row.values()), row
+                    assert math.gcd(*row.values()) == 1, row
+                    cleared.add(row[c] != 1)
+            for parity, (width, view) in enumerate(((a.n_even, sub.even),
+                                                    (a.n_odd, sub.odd))):
+                reduced, pivots = dense_rref(vectors[parity], width)
+                assert [list(r) for r in view.entries] == reduced[:len(pivots)]
+            assert [{c: dict(row) for c, row in part.items()}
+                    for part in sub._echelons] == stored
+        assert cleared == {True, False}
 
 
 def _random_graded_vectors(rng, a):
@@ -1042,3 +1071,72 @@ class TestSDF:
 
     def test_dump_is_json_serializable(self):
         json.dumps(sdf_dump(build("G", 4)))
+
+
+def _thirds_and_sevenths(seed: int) -> SuperAlgebra:
+    rng = random.Random(seed)
+    return random_graded_algebra(
+        rng, rng.randint(2, 4), rng.randint(1, 3), density=0.45,
+        values=(Fraction(1, 3), Fraction(-2, 7), Fraction(5, 21), 1, -2))
+
+
+def _scaled_cases() -> list[SuperAlgebra]:
+    """The half-integral catalog tables (L, M, H and G carry families.HALF)
+    and random tables with thirds and sevenths."""
+    return ([build(fid, size, instance(fid, size))
+             for fid in ("L", "M", "H", "G") for size in (4, 5)]
+            + [_thirds_and_sevenths(seed) for seed in range(8)])
+
+
+class TestIntegralTable:
+    def test_the_integral_table_is_the_constant_table_scaled_once(self):
+        for a in _scaled_cases():
+            table = a._integral_structure()
+            scale = math.lcm(*[Fraction(c).denominator
+                               for terms in a.structure.values() for _, c in terms])
+            assert scale > 1, a.name
+            assert table == {key: tuple((k, scale * c) for k, c in terms)
+                             for key, terms in a.structure.items()}, a.name
+            assert all(type(c) is int for terms in table.values() for _, c in terms)
+            assert a._integral_structure() is table
+
+    def test_scale_invariant_readers_match_the_unscaled_oracles(self):
+        from superalg.derivations import derivation_space, is_derivation
+        for a in _scaled_cases():
+            for degree in (EVEN, ODD):
+                space = derivation_space(a, degree)
+                assert [tuple(x for row in m.entries for x in row) for m in space.basis] \
+                    == dense_derivation_kernel(a, degree), (a.name, degree)
+                for m in space.basis:
+                    assert is_derivation(a, RatMatrix.from_rows(
+                        [[x / 7 for x in row] for row in m.entries]), degree)
+            assert [t.dims() for t in lower_central_series(a)] \
+                == dense_lower_central_series(a), a.name
+            assert [t.dims() for t in derived_series(a)] == dense_derived_series(a), a.name
+            ann = right_annihilator(a)
+            for kernel, width, view in zip(dense_right_annihilator(a),
+                                           (a.n_even, a.n_odd), (ann.even, ann.odd)):
+                reduced, pivots = dense_rref([list(v) for v in kernel], width)
+                assert [list(r) for r in view.entries] == reduced[:len(pivots)], a.name
+
+    def test_public_values_keep_the_unscaled_constants(self):
+        from superalg.derivations import derivation_space
+        for a in _scaled_cases():
+            twin = sdf_loads(sdf_dumps(a))   # never reads the integral table
+            assert a._integral_structure() != a.structure
+            derivation_space(a, EVEN)
+            right_annihilator(a)
+            lower_central_series(a)
+            assert "_integral_structure" not in twin._memo
+            assert a.constant_structure() == twin.constant_structure()
+            assert sdf_dump(a) == sdf_dump(twin)
+            assert a.structure == twin.structure
+            basis = [GradedVector.basis(a, lab) for lab in a.labels]
+            for i, x in enumerate(basis):
+                assert right_mul_matrix(a, x) == right_mul_matrix(twin, x)
+                for j, y in enumerate(basis):
+                    want = dict(a.constant_structure().get((i, j), ()))
+                    assert product(a, x, y).coords == tuple(
+                        want.get(k, Fraction(0)) for k in range(a.dim))
+            assert any(c.denominator > 1 for terms in a.constant_structure().values()
+                       for _, c in terms), a.name

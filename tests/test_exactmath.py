@@ -5,13 +5,15 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superalg.errors import InputError
-from superalg.exactmath import (MAX_DEGREE, MAX_EXPONENT, Polynomial, RatMatrix,
+from superalg.exactmath import (MAX_DEGREE, MAX_EXPONENT, MAX_TERMS, Polynomial,
+                                RatMatrix, _back_substitute, _echelon,
                                 format_rational, invert, nilpotent_jordan_type,
                                 parse_coefficient, parse_rational,
                                 rref, sparse_kernel)
@@ -146,6 +148,35 @@ class TestPolynomial:
             with pytest.raises(InputError, match=f"total degree {MAX_DEGREE + 1}, "
                                                  f"over the limit MAX_DEGREE = {MAX_DEGREE}"):
                 parse_coefficient(text, variables)
+
+    def test_expansion_just_over_the_term_cap_is_input_error_without_expanding(self):
+        four = ("a", "b", "c", "d")
+        at_cap = parse_coefficient("(a+b+c+d)^23", four)   # C(26, 3) terms
+        assert len(at_cap.terms) == MAX_TERMS
+        start = time.perf_counter()
+        # C(27, 3) = 2,925 terms; the product's bound is C(28, 4) = 20,475
+        for text in ("(a+b+c+d)^24", "(a+b+c+d)^12*(a+b+c+d)^12",
+                     "2*(a+b+c+d+a*b)^24 - 1"):
+            with pytest.raises(InputError, match=f"over the limit MAX_TERMS = {MAX_TERMS}"):
+                parse_coefficient(text, four)
+        assert time.perf_counter() - start < 0.5
+        # 91 x 91 products of terms, but at most C(26, 2) = 325 monomials of
+        # degree <= 24 in a and b: the smaller bound admits it
+        assert len(parse_coefficient("(a+b+1)^12*(a+b+1)^12", four).terms) == 325
+        assert parse_coefficient("0^0", four) == 1
+
+    def test_every_catalog_coefficient_is_far_under_the_term_cap(self):
+        from superalg import CORRECTED, FAMILY_IDS, VERBATIM, build, family_info
+        from superalg.families import sizes
+        widest = 0
+        for fid in FAMILY_IDS:
+            structural = dict(family_info(fid).structural) or None
+            for size in sizes(fid, 3, 9):
+                for mode in (CORRECTED, VERBATIM):
+                    for terms in build(fid, size, structural, mode).structure.values():
+                        widest = max([widest] + [len(c.terms) for _, c in terms
+                                                 if isinstance(c, Polynomial)])
+        assert 1 <= widest <= MAX_TERMS // 1000
 
     def test_every_catalog_sdf_reparses_under_the_exponent_cap(self):
         from superalg import CORRECTED, FAMILY_IDS, VERBATIM, build, family_info
@@ -503,22 +534,24 @@ class TestFractionBoundary:
 
 
 # Integer-heavy entries, as the catalog's systems have them: ±1, other
-# integers, integral Fractions and proper fractions, mixed in one row.
-nonzero_ints = st.integers(-4, 4).filter(bool)
+# integers (negative and non-unit leads), integral Fractions such as
+# Fraction(2, 1), which the engine clears like any other Fraction, and
+# proper fractions over 2, 3, 4, 5 and 7, mixed in one row.
+nonzero_ints = st.integers(-6, 6).filter(bool)
 engine_entries = st.one_of(
     st.sampled_from([1, -1]), nonzero_ints, nonzero_ints.map(Fraction),
-    st.builds(Fraction, nonzero_ints, st.integers(2, 4)))
+    st.builds(Fraction, nonzero_ints, st.sampled_from([2, 3, 4, 5, 7])))
 
 
 @st.composite
 def integer_heavy_systems(draw):
-    """Sparse rows (col -> nonzero entry) over ncols columns; some rows are
-    integer multiples of earlier ones, as repeats in derivation systems are."""
+    """Sparse rows (col -> nonzero entry) over ncols columns; some rows repeat
+    earlier ones exactly or as a multiple, as rows in derivation systems do."""
     ncols = draw(st.integers(1, 7))
     rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), engine_entries,
                                          max_size=ncols), min_size=1, max_size=8))
     for _ in range(draw(st.integers(0, 3))):
-        k = draw(st.sampled_from([1, -1, 2, -3]))
+        k = draw(st.sampled_from([1, 1, -1, 2, -3, Fraction(-5, 7)]))
         rows.append({c: k * v for c, v in draw(st.sampled_from(rows)).items()})
     return rows, ncols
 
@@ -580,3 +613,44 @@ class TestNarrowedEngine:
         mixed, m = pair
         assert nilpotent_jordan_type(RatMatrix(m.rows, m.cols, mixed)) \
             == jordan_type_by_powers(m)
+
+
+def assert_primitive_echelon(echelon):
+    """Every stored row: keyed by its leading column, ints only, content 1,
+    positive lead."""
+    for c, row in echelon.items():
+        assert min(row) == c
+        assert all(type(x) is int for x in row.values()), row
+        assert gcd(*row.values()) == 1 and row[c] > 0, row
+
+
+class TestIntegerEngine:
+    @settings(max_examples=200, deadline=None)
+    @given(integer_heavy_systems())
+    def test_forward_rows_are_primitive_and_monic_only_when_back_substituted(self, system):
+        rows, ncols = system
+        echelon = _echelon(dict(row) for row in rows)
+        assert_primitive_echelon(echelon)
+        pivots, reduced = _back_substitute(echelon)
+        want_rows, want_pivots = dense_rref(as_fraction_grid(rows, ncols), ncols)
+        assert pivots == want_pivots
+        assert [[row.get(j, 0) for j in range(ncols)] for row in reduced] \
+            == want_rows[:len(pivots)]
+
+    def test_an_integral_fraction_row_is_cleared_like_an_int_row(self):
+        # Fraction(2, 1) is integral but not an int: clearing it on entry
+        # hands ints, never a Fraction, to gcd.
+        echelon = _echelon([{0: Fraction(2), 1: Fraction(4)}, {0: Fraction(-6), 2: 3}])
+        assert echelon == {0: {0: 1, 1: 2}, 1: {1: 4, 2: 1}}
+        assert_primitive_echelon(echelon)
+        rows = [{0: Fraction(2)}, {0: Fraction(2), 1: Fraction(-4, 1)}]
+        assert sparse_kernel(rows, 3) == dense_kernel(as_fraction_grid(rows, 3), 3)
+
+    def test_negative_non_unit_leads_and_denominators_are_stored_primitive(self):
+        echelon = _echelon([{1: -4, 2: 6}, {0: Fraction(-3, 5), 2: Fraction(6, 7)},
+                            {1: Fraction(2, 3), 2: -1}, {1: -4, 2: 6}])
+        # -4, 6 -> 2, -3; -3/5, 6/7 -> -21, 30 -> 7, -10; the repeat reduces to zero
+        assert echelon == {0: {0: 7, 2: -10}, 1: {1: 2, 2: -3}}
+        pivots, reduced = _back_substitute(echelon)
+        assert pivots == (0, 1)
+        assert reduced == [{0: 1, 2: Fraction(-10, 7)}, {1: 1, 2: Fraction(-3, 2)}]
