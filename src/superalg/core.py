@@ -470,8 +470,8 @@ class GradedSubspace:
     at its pivot and zero in every other row's pivot column; it is made
     monic and back-substituted from a copy of the stored rows on first read
     and cached, so the stored rows never change.  Equality is literal
-    equality of the canonical forms; `even`, `odd` and the `contains_*`
-    tests read them too.
+    equality of the canonical forms; `even`, `odd` and
+    `contains_part_vector` read them too.
     """
 
     def __init__(self, algebra: SuperAlgebra,
@@ -479,18 +479,6 @@ class GradedSubspace:
         self.n_even, self.n_odd = algebra.n_even, algebra.n_odd
         self._echelons = echelons
         self._parts: tuple[Echelon, Echelon] | None = None
-
-    @classmethod
-    def from_parity_vectors(cls, algebra: SuperAlgebra,
-                            even_vectors: Iterable[Sequence[Fraction]],
-                            odd_vectors: Iterable[Sequence[Fraction]]) -> GradedSubspace:
-        echelons: tuple[dict, dict] = ({}, {})
-        for parity, offset, vectors in ((EVEN, 0, even_vectors),
-                                        (ODD, algebra.n_even, odd_vectors)):
-            for vec in vectors:
-                _reduce_into(echelons[parity],
-                             {offset + j: Fraction(x) for j, x in enumerate(vec) if x})
-        return cls(algebra, echelons)
 
     @classmethod
     def full(cls, algebra: SuperAlgebra) -> GradedSubspace:
@@ -543,24 +531,17 @@ class GradedSubspace:
         return _in_row_space(self.parts[parity],
                              {offset + j: x for j, x in enumerate(coords) if x})
 
-    def contains_vector(self, algebra: SuperAlgebra, v: GradedVector) -> bool:
-        n0 = algebra.n_even
-        return (self.contains_part_vector(EVEN, v.coords[:n0])
-                and self.contains_part_vector(ODD, v.coords[n0:]))
-
-    def contains_subspace(self, other: GradedSubspace) -> bool:
-        return all(_in_row_space(self.parts[p], dict(row))
-                   for p in (EVEN, ODD) for _, row in other.parts[p])
-
 
 @_once_per_algebra
-def _cells_by_left(algebra: SuperAlgebra) -> tuple[tuple[tuple[int, tuple], ...], ...]:
-    """The nonzero cells [b_i, b_j] of the integral table as (j, terms)
-    pairs, indexed by i, once per algebra."""
+def _cells_by_operand(algebra: SuperAlgebra) -> tuple[tuple[tuple[tuple[int, tuple], ...], ...], ...]:
+    """The nonzero cells [b_i, b_j] of the integral table, once per algebra,
+    indexed two ways: by i as (j, terms) pairs, and by j as (i, terms)."""
     by_left: list[list] = [[] for _ in range(algebra.dim)]
+    by_right: list[list] = [[] for _ in range(algebra.dim)]
     for (i, j), terms in algebra._integral_structure().items():
         by_left[i].append((j, terms))
-    return tuple(map(tuple, by_left))
+        by_right[j].append((i, terms))
+    return tuple(map(tuple, by_left)), tuple(map(tuple, by_right))
 
 
 def subspace_product(algebra: SuperAlgebra, u: GradedSubspace,
@@ -575,7 +556,7 @@ def subspace_product(algebra: SuperAlgebra, u: GradedSubspace,
     The products [a, b] so formed are reduced into their parity's echelon;
     products whose target part already has full rank are skipped.
     """
-    by_left = _cells_by_left(algebra)
+    by_left = _cells_by_operand(algebra)[0]
     sizes = (algebra.n_even, algebra.n_odd)
     # v's rows are numbered even part first: row r is odd iff r >= n_v_even.
     n_v_even = len(v._echelons[EVEN])
@@ -661,15 +642,16 @@ def right_annihilator(algebra: SuperAlgebra) -> GradedSubspace:
     off the integral table (a scaled bracket has the same kernel)."""
     table = algebra._integral_structure()
     n0, n1 = algebra.n_even, algebra.n_odd
-    parts: list[list[tuple[Fraction, ...]]] = []
-    for size, offset in ((n0, 0), (n1, n0)):
+    echelons: tuple[dict, dict] = ({}, {})
+    for echelon, size, offset in zip(echelons, (n0, n1), (0, n0)):
         rows: dict[tuple[int, int], SparseRow] = {}
         for i in range(algebra.dim):
             for j in range(size):
                 for k, c in table.get((i, offset + j), ()):
                     rows.setdefault((i, k), {})[j] = c
-        parts.append(sparse_kernel(rows.values(), size))
-    return GradedSubspace.from_parity_vectors(algebra, parts[0], parts[1])
+        for vec in sparse_kernel(rows.values(), size):
+            _reduce_into(echelon, {offset + j: x for j, x in vec.items()})
+    return GradedSubspace(algebra, echelons)
 
 
 # ---------------------------------------------------------------------------

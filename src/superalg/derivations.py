@@ -5,10 +5,14 @@ A degree-s derivation is a linear map D with
 derivations (s = 0) preserve parity, odd ones (s = 1) swap it.  The space is
 computed as the exact kernel of the linear system over the grading-compatible
 matrix entries, scattered from the nonzero constants of the algebra's integral
-table (the kernel does not change when the bracket is scaled).  Every
-returned basis matrix is re-verified by `is_derivation`, a sparse evaluation
-of the identity on every ordered basis pair that shares no code with the
-assembler (the two are separate code paths on purpose).
+table (the kernel does not change when the bracket is scaled).  Each basis
+element is held, from the kernel to the verdict, as its nonzero (l, k) cells;
+a dense `RatMatrix` is built only where one is printed or returned (`.basis`,
+the nil-independence witnesses).  Every basis element is re-verified by
+`is_derivation`, which scatters the identity over the nonzero product cells
+and the nonzero entries of D, so its work grows with them rather than with
+the basis pairs, and shares no code with the assembler (the two are separate
+code paths on purpose).
 
 Nil-independence counting is implemented for simultaneously triangular
 families only, where "some combination is nilpotent" is equivalent to "its
@@ -27,12 +31,13 @@ beta-family) act at all; see the errata ledger.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
 
-from .core import EVEN, ODD, SuperAlgebra
+from .core import EVEN, ODD, SuperAlgebra, _cells_by_operand
 from .errors import InputError, InternalInconsistencyError, UnsupportedShapeError
 from .exactmath import (RatMatrix, SparseRow, _reduce_into, _rref_rows,
                         parameter_value, sparse_kernel)
@@ -46,51 +51,72 @@ def _positions(algebra: SuperAlgebra, degree: int) -> list[tuple[int, int]]:
             if algebra.parity(l) == (algebra.parity(k) + degree) % 2]
 
 
+# A linear map as its nonzero entries: (l, k) -> D[l, k], so D b_k ∋ D[l, k] b_l.
+Cells = Mapping[tuple[int, int], Fraction | int]
+
+
 @dataclass(frozen=True)
 class DerivationSpace:
-    """Exact basis of the degree-s derivation space of an algebra."""
+    """Exact basis of the degree-s derivation space of an algebra of
+    dimension `algebra_dim`, each element held as its nonzero Fraction cells."""
 
     degree: int
-    basis: tuple[RatMatrix, ...]
+    algebra_dim: int
+    cells: tuple[dict[tuple[int, int], Fraction], ...]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.cells)
+
+    @property
+    def basis(self) -> tuple[RatMatrix, ...]:
+        """The basis elements as dense matrices, built on each read."""
+        n = self.algebra_dim
+        return tuple(RatMatrix.from_cells(n, n, c) for c in self.cells)
 
 
-def is_derivation(algebra: SuperAlgebra, matrix: RatMatrix, degree: int) -> bool:
-    """Direct check of the degree-s identity on every ordered basis pair, over
-    the nonzero products and the nonzero entries of D's columns only, in
-    ints: the identity is linear in the bracket and in D, so it holds for
-    them iff it holds for the integral table and for D times the lcm of its
-    denominators."""
-    if matrix.rows != algebra.dim or matrix.cols != algebra.dim:
-        raise InputError("derivation matrix must act on the whole space")
-    table = algebra._integral_structure()
+def _check_cells(algebra: SuperAlgebra, cells: Cells) -> None:
     dim = algebra.dim
-    # columns[k] = D b_k as its nonzero (l, D[l, k]) pairs, then scaled to ints.
-    columns = [[(l, row[k]) for l, row in enumerate(matrix.entries) if row[k]]
-               for k in range(dim)]
-    scale = lcm(*[x.denominator for column in columns for _, x in column])
-    columns = [[(l, x.numerator * (scale // x.denominator)) for l, x in column]
-               for column in columns]
-    for i in range(dim):
-        sign = -1 if (degree and algebra.parity(i)) else 1
-        for j in range(dim):
-            # D([b_i,b_j]) - [D b_i, b_j] - (-1)^{s p_i} [b_i, D b_j]
-            residual: dict[int, int] = {}
-            for k, c in table.get((i, j), ()):
-                for l, d in columns[k]:
-                    residual[l] = residual.get(l, 0) + c * d
-            for k, d in columns[i]:
-                for l, c in table.get((k, j), ()):
-                    residual[l] = residual.get(l, 0) - d * c
-            for k, d in columns[j]:
-                for l, c in table.get((i, k), ()):
-                    residual[l] = residual.get(l, 0) - sign * d * c
-            if any(residual.values()):
-                return False
-    return True
+    for l, k in cells:
+        if not (0 <= l < dim and 0 <= k < dim):
+            raise InputError(f"matrix must act on the whole space: cell {(l, k)} "
+                             f"is outside the basis of dimension {dim}")
+
+
+def is_derivation(algebra: SuperAlgebra, cells: Cells, degree: int) -> bool:
+    """Direct check of D([b_i,b_j]) - [D b_i, b_j] - (-1)^{s p_i} [b_i, D b_j]
+    = 0 for the map D given by its cells, scattered so that only terms that
+    can be nonzero are formed: each nonzero product cell meets the nonzero
+    entries of D's columns, and each nonzero entry D[m, i] meets the cells
+    with b_m as left or as right operand; the residuals accumulate by
+    (i, j, l), with no loop over the basis pairs.  In ints: the identity is
+    linear in the bracket and in D, so it holds for them iff it holds for the
+    integral table and for D times the lcm of its denominators.  A cell
+    outside the basis is an InputError."""
+    _check_cells(algebra, cells)
+    scale = lcm(*[x.denominator for x in cells.values()])
+    entries = [(l, k, x.numerator * (scale // x.denominator))
+               for (l, k), x in cells.items() if x]
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for l, k, d in entries:
+        columns.setdefault(k, []).append((l, d))
+    by_left, by_right = _cells_by_operand(algebra)
+    odd_sign = degree == ODD
+    n_even = algebra.n_even
+    residual: defaultdict[tuple[int, int, int], int] = defaultdict(int)
+    for (i, j), terms in algebra._integral_structure().items():
+        for k, c in terms:   # D([b_i, b_j]) ∋ c D b_k
+            for l, d in columns.get(k, ()):
+                residual[i, j, l] += c * d
+    for m, i, d in entries:
+        for j, terms in by_left[m]:   # [D b_i, b_j] ∋ d [b_m, b_j]
+            for l, c in terms:
+                residual[i, j, l] -= d * c
+        for a, terms in by_right[m]:   # (-1)^{s p_a} [b_a, D b_i] ∋ ±d [b_a, b_m]
+            f = -d if odd_sign and a >= n_even else d
+            for l, c in terms:
+                residual[a, i, l] -= f * c
+    return not any(residual.values())
 
 
 def derivation_space(algebra: SuperAlgebra, degree: int) -> DerivationSpace:
@@ -132,44 +158,34 @@ def derivation_space(algebra: SuperAlgebra, degree: int) -> DerivationSpace:
                 bump(a, j, k, pos_index[(b, j)], -sign * c)
 
     kernel = sparse_kernel((r for r in rows.values() if r), len(positions))
-    space = DerivationSpace(degree, tuple(
-        RatMatrix.from_cells(dim, dim, {p: x for p, x in zip(positions, vec) if x})
-        for vec in kernel))
-    for matrix in space.basis:
-        if not is_derivation(algebra, matrix, degree):
+    space = DerivationSpace(degree, dim, tuple(
+        {positions[col]: x for col, x in vec.items()} for vec in kernel))
+    for cells in space.cells:
+        if not is_derivation(algebra, cells, degree):
             raise InternalInconsistencyError(
                 f"solver output fails the degree-{degree} derivation identity "
                 f"on {algebra.name!r}")
     return space
 
 
-def vectorize_matrices(algebra: SuperAlgebra, degree: int,
-                       matrices: Sequence[RatMatrix]) -> list[SparseRow]:
-    """Each matrix as a sparse row over the grading-compatible entries, in
-    solver order; a matrix of another size, or with a nonzero entry
-    anywhere else, is an InputError."""
-    index = {p: idx for idx, p in enumerate(_positions(algebra, degree))}
-    rows = []
-    for m in matrices:
-        if m.rows != algebra.dim or m.cols != algebra.dim:
-            raise InputError("matrix must act on the whole space")
-        row: SparseRow = {}
-        for l, entries in enumerate(m.entries):
-            for k, x in enumerate(entries):
-                if x:
-                    if (l, k) not in index:
-                        raise InputError("matrix is not grading-compatible")
-                    row[index[(l, k)]] = x
-        rows.append(row)
-    return rows
-
-
 def same_span(algebra: SuperAlgebra, degree: int,
-              left: Sequence[RatMatrix], right: Sequence[RatMatrix]) -> bool:
-    """Exact subspace equality of two matrix families: their canonical
-    reduced rows agree."""
-    return (_rref_rows(vectorize_matrices(algebra, degree, left))
-            == _rref_rows(vectorize_matrices(algebra, degree, right)))
+              left: Sequence[Cells], right: Sequence[Cells]) -> bool:
+    """Exact subspace equality of two families of maps, given by their cells:
+    their canonical reduced rows over the grading-compatible entries agree.
+    A cell outside the basis, or a nonzero one anywhere the grading forbids,
+    is an InputError."""
+    index = {p: idx for idx, p in enumerate(_positions(algebra, degree))}
+
+    def vectorize(family: Sequence[Cells]) -> list[SparseRow]:
+        rows = []
+        for cells in family:
+            _check_cells(algebra, cells)
+            if any(x and p not in index for p, x in cells.items()):
+                raise InputError("matrix is not grading-compatible")
+            rows.append({index[p]: x for p, x in cells.items() if x})
+        return rows
+
+    return _rref_rows(vectorize(left)) == _rref_rows(vectorize(right))
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +201,11 @@ class NilIndependenceReport:
     method: str
 
 
-def _simultaneously_triangular(matrices: Sequence[RatMatrix]) -> bool:
+def _simultaneously_triangular(family: Sequence[Cells]) -> bool:
     # One shared orientation; raising operators in the standard basis order
     # sit below the diagonal, so catalog spaces are lower triangular.
-    return (all(m.is_lower_triangular() for m in matrices)
-            or all(m.is_upper_triangular() for m in matrices))
+    nonzero = [p for cells in family for p, x in cells.items() if x]
+    return all(l >= k for l, k in nonzero) or all(l <= k for l, k in nonzero)
 
 
 def max_nil_independent(space: DerivationSpace) -> NilIndependenceReport:
@@ -202,13 +218,15 @@ def max_nil_independent(space: DerivationSpace) -> NilIndependenceReport:
     exactly that rank of them.  Non-triangular input raises
     UnsupportedShapeError (never approximated).
     """
-    if not _simultaneously_triangular(space.basis):
+    if not _simultaneously_triangular(space.cells):
         raise UnsupportedShapeError(
             "nil-independence is only decided for simultaneously triangular "
             "derivation families")
     echelon: dict[int, SparseRow] = {}
-    witnesses = tuple(m for m in space.basis if _reduce_into(
-        echelon, {i: x for i, x in enumerate(m.diagonal()) if x}))
+    n = space.algebra_dim
+    witnesses = tuple(
+        RatMatrix.from_cells(n, n, cells) for cells in space.cells
+        if _reduce_into(echelon, {l: x for (l, k), x in cells.items() if l == k and x}))
     if not witnesses:
         return NilIndependenceReport(0, (), "all-nilpotent")
     return NilIndependenceReport(len(witnesses), witnesses, "triangular-diagonal-rank")

@@ -2,16 +2,17 @@
 
 Every result in this package is exact; there is no floating-point mode.  Every
 computed value is a `fractions.Fraction`: polynomial coefficients, matrix
-entries, kernel vectors.  Inside the echelon engine the rows are plain `int`
-rows (a row's denominators are cleared once, as it enters, and `int`
-arithmetic is far cheaper than `Fraction`'s); the engine converts values back
-to `Fraction` wherever they leave it, as `RatMatrix.from_cells` does for
-the cells it is given.  The one public table that keeps such narrowed values
-is the structure table of a parameter-free `SuperAlgebra`, whose `Fraction`
-view is `constant_structure()`.  A polynomial is a sparse map from exponent
-tuples to rational coefficients over a fixed, ordered tuple of variable names
-(the canonical order is fixed by whoever constructs the polynomial; algebras
-use lexicographic parameter order).
+entries, the entries of sparse kernel vectors.  Inside the echelon engine the
+rows are plain `int` rows (a row's denominators are cleared once, as it
+enters, and `int` arithmetic is far cheaper than `Fraction`'s); the engine
+converts values back to `Fraction` wherever they leave it, as
+`RatMatrix.from_cells` does for the cells it is given.  The one public table
+that keeps such narrowed values is the structure table of a parameter-free
+`SuperAlgebra`, whose `Fraction` view is `constant_structure()`.  A
+polynomial is a sparse map from exponent tuples to rational coefficients over
+a fixed, ordered tuple of variable names (the canonical order is fixed by
+whoever constructs the polynomial; algebras use lexicographic parameter
+order).
 
 The linear algebra is deliberately small and dependency-free, and all of it
 runs on one sparse echelon engine: reduced row echelon form with strictly
@@ -425,17 +426,6 @@ class RatMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[Fraction | int]]) -> RatMatrix:
-        data = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
-                     for row in rows)
-        if not data:
-            return cls(0, 0, ())
-        width = len(data[0])
-        if any(len(r) != width for r in data):
-            raise InputError("ragged rows in matrix literal")
-        return cls(len(data), width, data)
-
-    @classmethod
     def from_cells(cls, rows: int, cols: int,
                    cells: Mapping[tuple[int, int], Fraction | int]) -> RatMatrix:
         """The rows x cols matrix with the given (i, j) entries, each widened
@@ -465,23 +455,8 @@ class RatMatrix:
         pick = itemgetter(*keep)
         return RatMatrix(len(keep), len(keep), tuple(map(pick, pick(self.entries))))
 
-    def transpose(self) -> RatMatrix:
-        return RatMatrix(self.cols, self.rows,
-                         tuple(zip(*self.entries)) if self.entries else ())
-
     def is_zero(self) -> bool:
         return all(not x for row in self.entries for x in row)
-
-    def is_upper_triangular(self) -> bool:
-        return all(not self.entries[i][j]
-                   for i in range(self.rows) for j in range(min(i, self.cols)))
-
-    def is_lower_triangular(self) -> bool:
-        return all(not self.entries[i][j]
-                   for i in range(self.rows) for j in range(i + 1, self.cols))
-
-    def diagonal(self) -> tuple[Fraction, ...]:
-        return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
     def __str__(self) -> str:
         return "\n".join("[" + "  ".join(format_rational(x) for x in row) + "]"
@@ -501,7 +476,9 @@ class RatMatrix:
 # its content removed and a positive lead, so the forward pass never builds
 # a Fraction.  `_back_substitute` makes the rows monic, then clears every
 # pivot column above its pivot, which gives the canonical reduced rows;
-# every value the engine returns is widened back to a Fraction.
+# every value the engine returns is widened back to a Fraction.  Kernel
+# vectors leave sparse, as their nonzero {column: Fraction} entries, so a
+# sparse system's kernel reaches its readers without a dense round trip.
 
 SparseRow = dict[int, int | Fraction]
 
@@ -599,17 +576,14 @@ def _in_row_space(reduced: Iterable[tuple[int, Iterable[tuple[int, int | Fractio
 
 
 def _kernel(pivots: tuple[int, ...], rows: Sequence[SparseRow],
-            ncols: int) -> list[tuple[Fraction, ...]]:
-    """Kernel basis read off reduced rows: one vector per free column, of
-    Fractions."""
+            ncols: int) -> list[dict[int, Fraction]]:
+    """Kernel basis read off reduced rows: one vector per free column, as
+    its nonzero {column: Fraction} entries."""
     basis = []
     for free in sorted(set(range(ncols)) - set(pivots)):
-        vec = [_ZERO] * ncols
+        vec = {pc: _widen(-row[free]) for pc, row in zip(pivots, rows) if free in row}
         vec[free] = Fraction(1)
-        for pc, row in zip(pivots, rows):
-            if free in row:
-                vec[pc] = _widen(-row[free])
-        basis.append(tuple(vec))
+        basis.append(vec)
     return basis
 
 
@@ -621,8 +595,9 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
         (i, j): x for i, row in enumerate(rows) for j, x in row.items()}), pivots
 
 
-def sparse_kernel(rows: Iterable[SparseRow], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Kernel basis of a sparse linear system, identical to the dense result.
+def sparse_kernel(rows: Iterable[SparseRow], ncols: int) -> list[dict[int, Fraction]]:
+    """Kernel basis of a sparse linear system, each vector as its nonzero
+    {column: Fraction} entries (widened with zeros, the dense result).
     Shortest rows pivot first; the rref, hence the kernel, is order-free."""
     pivots, reduced = _rref_rows(sorted((dict(row) for row in rows), key=len))
     return _kernel(pivots, reduced, ncols)

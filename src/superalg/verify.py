@@ -33,8 +33,7 @@ from .core import (EVEN, GradedVector, SuperAlgebra, char_sequence, charseq_note
 from .derivations import (CLASSIFIER_FAMILIES, derivation_space, extendability,
                           is_derivation, same_span)
 from .errors import InputError, SuperalgError, UnsupportedShapeError
-from .exactmath import (RatMatrix, nilpotent_jordan_type, parameter_value,
-                        sparse_kernel)
+from .exactmath import nilpotent_jordan_type, parameter_value, sparse_kernel
 
 ENGINE_VERSION = "1.0.0"
 
@@ -276,7 +275,9 @@ def verify_solvable_family(fid: str, size: int,
         for x_label in algebra.even_basis[base_even:]:
             rx = right_mul_matrix(algebra, GradedVector.basis(algebra, x_label))
             restricted = rx.principal(keep)
-            ok_der = is_derivation(sub, restricted, EVEN)
+            ok_der = is_derivation(sub, {
+                (i, j): x for i, row in enumerate(restricted.entries)
+                for j, x in enumerate(row) if x}, EVEN)
             report.ensure(f"right-mul-{x_label}-derivation", ok_der,
                           f"R_{x_label} restricted to the candidate is an even "
                           f"derivation", f"R_{x_label}|N fails the derivation identity")
@@ -298,10 +299,9 @@ def verify_solvable_family(fid: str, size: int,
 Cells = dict[tuple[int, int], int]
 
 
-def proposition_directions(fid: str, n: int) -> tuple[int, dict[str, Cells]]:
-    """Template directions for the even-derivation propositions: the matrix
-    size and, per symbol in template order, the nonzero (l, k) cells of its
-    direction matrix.
+def proposition_directions(fid: str, n: int) -> dict[str, Cells]:
+    """Template directions for the even-derivation propositions: per symbol
+    in template order, the nonzero (l, k) cells of its direction matrix.
 
     Symbols follow the displayed templates (a-series plus the e2 weights),
     except that for the (n|n) alpha-family the displayed free top coefficient
@@ -347,7 +347,7 @@ def proposition_directions(fid: str, n: int) -> tuple[int, dict[str, Cells]]:
         directions["b2"] = {(e(2), e(2)): 1}
     if fid in ("L", "G"):
         directions[f"b{n}"] = {(e(n), e(2)): 1}
-    return n_even + n_odd, directions
+    return directions
 
 
 def proposition_constraints(fid: str, n: int, values: Mapping[str, Fraction],
@@ -375,22 +375,23 @@ def proposition_constraints(fid: str, n: int, values: Mapping[str, Fraction],
     return [r for r in rows if any(r.values())]
 
 
-def proposition_template_space(fid: str, n: int,
-                               values: Mapping[str, Fraction]) -> list[RatMatrix]:
-    """Span of the proposition's template maps at instantiated parameters."""
-    dim, directions = proposition_directions(fid, n)
+def proposition_template_space(fid: str, n: int, values: Mapping[str, Fraction],
+                               ) -> list[dict[tuple[int, int], Fraction]]:
+    """Span of the proposition's template maps at instantiated parameters,
+    each map as its (l, k) cells."""
+    directions = proposition_directions(fid, n)
     index = {s: i for i, s in enumerate(directions)}
     rows = [{index[s]: c for s, c in row.items() if c}
             for row in proposition_constraints(fid, n, values)]
-    matrices = []
+    cells_of = list(directions.values())
+    templates = []
     for vec in sparse_kernel(rows, len(directions)):
         total: dict[tuple[int, int], Fraction] = {}
-        for coeff, cells in zip(vec, directions.values()):
-            if coeff:
-                for p, x in cells.items():
-                    total[p] = total.get(p, 0) + coeff * x
-        matrices.append(RatMatrix.from_cells(dim, dim, total))
-    return matrices
+        for s, coeff in vec.items():
+            for p, x in cells_of[s].items():
+                total[p] = total.get(p, 0) + coeff * x
+        templates.append(total)
+    return templates
 
 
 def verify_derivation_proposition(pid: str, n: int,
@@ -416,7 +417,7 @@ def verify_derivation_proposition(pid: str, n: int,
         algebra = families.build(fid, n, values, families.VERBATIM)
         space = derivation_space(algebra, EVEN)
         template = proposition_template_space(fid, n, values)
-        equal = same_span(algebra, EVEN, list(space.basis), template)
+        equal = same_span(algebra, EVEN, space.cells, template)
         report.ensure(
             f"template-equality[{label}]",
             equal and len(template) == space.dim,

@@ -12,9 +12,10 @@ import random
 import re
 from fractions import Fraction
 
-from superalg.core import (EVEN, ODD, GradedVector, SuperAlgebra,
+from superalg.core import (EVEN, ODD, GradedSubspace, GradedVector, SuperAlgebra,
                            make_superalgebra, product)
-from superalg.exactmath import RatMatrix
+from superalg.errors import InputError
+from superalg.exactmath import RatMatrix, _reduce_into
 
 
 # -- dense matrix arithmetic, entry by entry ----------------------------------
@@ -44,6 +45,59 @@ def mat_apply(m: RatMatrix, vec) -> tuple[Fraction, ...]:
     if len(vec) != m.cols:
         raise ValueError("vector length mismatch")
     return tuple(sum((x * y for x, y in zip(row, vec)), Fraction(0)) for row in m.entries)
+
+
+def from_rows(rows) -> RatMatrix:
+    """A dense matrix from its rows; Fraction entries are kept as they are,
+    the rest converted.  Ragged rows are an InputError."""
+    data = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
+                 for row in rows)
+    if not data:
+        return RatMatrix(0, 0, ())
+    width = len(data[0])
+    if any(len(r) != width for r in data):
+        raise InputError("ragged rows in matrix literal")
+    return RatMatrix(len(data), width, data)
+
+
+def cells_of(m: RatMatrix) -> dict[tuple[int, int], Fraction]:
+    """The nonzero entries of m as {(i, j): value}."""
+    return {(i, j): x for i, row in enumerate(m.entries) for j, x in enumerate(row) if x}
+
+
+def diagonal(m: RatMatrix) -> tuple[Fraction, ...]:
+    return tuple(m.entries[i][i] for i in range(min(m.rows, m.cols)))
+
+
+def widen(vectors, ncols: int) -> list[tuple[Fraction, ...]]:
+    """Sparse {column: value} vectors as dense tuples of length ncols."""
+    return [tuple(vec.get(j, Fraction(0)) for j in range(ncols)) for vec in vectors]
+
+
+def subspace_from_vectors(algebra: SuperAlgebra, even_vectors,
+                          odd_vectors) -> GradedSubspace:
+    """The graded subspace spanned by coordinate vectors of each part."""
+    echelons: tuple[dict, dict] = ({}, {})
+    for parity, offset, vectors in ((EVEN, 0, even_vectors),
+                                    (ODD, algebra.n_even, odd_vectors)):
+        for vec in vectors:
+            _reduce_into(echelons[parity],
+                         {offset + j: Fraction(x) for j, x in enumerate(vec) if x})
+    return GradedSubspace(algebra, echelons)
+
+
+def contains_vector(sub: GradedSubspace, algebra: SuperAlgebra, v: GradedVector) -> bool:
+    """Whether v lies in the graded subspace, one parity part at a time."""
+    n0 = algebra.n_even
+    return (sub.contains_part_vector(EVEN, v.coords[:n0])
+            and sub.contains_part_vector(ODD, v.coords[n0:]))
+
+
+def contains_subspace(sub: GradedSubspace, other: GradedSubspace) -> bool:
+    """Whether every row of other's dense views lies in sub's matching part."""
+    return all(sub.contains_part_vector(parity, row)
+               for parity, view in ((EVEN, other.even), (ODD, other.odd))
+               for row in view.entries)
 
 
 def bareiss_rank(rows: list[list[Fraction]]) -> int:
@@ -193,8 +247,8 @@ def charseq_by_enumeration(algebra: SuperAlgebra, box: int = 2
         x = GradedVector.from_coords(list(coords) + [0] * algebra.n_odd)
         images = [product(algebra, b, x).coords for b in basis]
         for parity, (lo, hi) in enumerate(((0, n0), (n0, algebra.dim))):
-            block = RatMatrix.from_rows([[images[j][i] for j in range(lo, hi)]
-                                         for i in range(lo, hi)])
+            block = from_rows([[images[j][i] for j in range(lo, hi)]
+                               for i in range(lo, hi)])
             best[parity] = max(best[parity], jordan_type_by_powers(block))
     return best[0], best[1]
 
@@ -443,8 +497,8 @@ def random_nilpotent_matrix(rng: random.Random, dim: int) -> RatMatrix:
     lower = [[Fraction(1) if i == j
               else (Fraction(rng.randint(-2, 2)) if j < i else Fraction(0))
               for j in range(dim)] for i in range(dim)]
-    n = RatMatrix.from_rows(strict)
-    p = RatMatrix.from_rows(lower)
+    n = from_rows(strict)
+    p = from_rows(lower)
     from superalg.exactmath import invert
     return mat_mul(mat_mul(invert(p), n), p)
 
@@ -459,7 +513,7 @@ def random_parity_change(rng: random.Random, n0: int, n1: int):
                     for _ in range(size)]
             for i in range(size):
                 grid[i][i] += 1
-            m = RatMatrix.from_rows(grid)
+            m = from_rows(grid)
             try:
                 invert(m)
                 return m

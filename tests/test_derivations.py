@@ -18,9 +18,9 @@ from superalg.families import CORRECTED, VERBATIM, sizes
 from superalg.errors import InputError, UnsupportedShapeError
 from superalg.exactmath import RatMatrix
 
-from oracles import (bareiss_rank, dense_derivation_kernel, dense_rref,
-                     derivation_residuals, mat_add, mat_scale, random_graded_algebra,
-                     random_parity_change, support_torus_dim)
+from oracles import (bareiss_rank, cells_of, dense_derivation_kernel, dense_rref,
+                     derivation_residuals, diagonal, from_rows, mat_add, mat_scale,
+                     random_graded_algebra, random_parity_change, support_torus_dim)
 
 
 def zeros(fid: str, size: int) -> dict[str, int]:
@@ -50,7 +50,7 @@ class TestSolver:
         for label, w in diag:
             grid[a.index(label)][a.index(label)] = Fraction(w)
         weight = RatMatrix(a.dim, a.dim, tuple(tuple(r) for r in grid))
-        assert is_derivation(a, weight, EVEN)
+        assert is_derivation(a, cells_of(weight), EVEN)
 
     def test_nonzero_parameter_kills_the_weight_direction(self):
         params = zeros("L", 6)
@@ -59,15 +59,15 @@ class TestSolver:
         space = derivation_space(a, EVEN)
         assert space.dim == 5
         for m in space.basis:
-            assert not any(m.diagonal())
+            assert not any(diagonal(m))
 
     def test_every_solution_satisfies_the_identity(self):
         for fid, size, degree in (("N2M", 5, EVEN), ("N2M", 5, ODD),
                                   ("H", 4, EVEN), ("SL", 4, EVEN),
                                   ("G", 5, ODD)):
             a = build(fid, size, zeros(fid, size))
-            for m in derivation_space(a, degree).basis:
-                assert is_derivation(a, m, degree)
+            for cells in derivation_space(a, degree).cells:
+                assert is_derivation(a, cells, degree)
 
     def test_dimension_invariant_under_basis_change(self):
         rng = random.Random(31)
@@ -86,17 +86,24 @@ class TestSolver:
             a = build(fid, size, params)
             for label in a.even_basis:
                 rx = right_mul_matrix(a, GradedVector.basis(a, label))
-                assert is_derivation(a, rx, EVEN), (fid, label)
+                assert is_derivation(a, cells_of(rx), EVEN), (fid, label)
 
     def test_right_multiplication_by_odd_elements_is_an_odd_derivation(self):
         a = build("N2M", 5)
         for label in a.odd_basis:
             rx = right_mul_matrix(a, GradedVector.basis(a, label))
-            assert is_derivation(a, rx, ODD), label
+            assert is_derivation(a, cells_of(rx), ODD), label
 
     def test_bad_degree_rejected(self):
         with pytest.raises(InputError):
             derivation_space(abelian(1, 1), 2)
+
+    def test_cells_outside_the_basis_are_input_errors(self):
+        a = build("N2M", 3)
+        for cell in ((-1, 0), (0, -1), (a.dim, 0), (0, a.dim), (a.dim, a.dim)):
+            for degree in (EVEN, ODD):
+                with pytest.raises(InputError, match="whole space"):
+                    is_derivation(a, {(0, 0): 1, cell: 1}, degree)
 
 
 def random_algebras(seed: int):
@@ -133,12 +140,49 @@ class TestAgainstOracles:
                     grid = [list(r) for r in m.entries]
                     l, k = rng.choice(allowed)
                     grid[l][k] += rng.choice((-2, -1, 1, Fraction(1, 2)))
-                    for matrix in (m, RatMatrix.from_rows(grid)):
-                        verdict = is_derivation(a, matrix, degree)
+                    for matrix in (m, from_rows(grid)):
+                        verdict = is_derivation(a, cells_of(matrix), degree)
                         residuals = derivation_residuals(a, matrix, degree)
                         assert verdict == (not residuals), (a.name, degree, grid)
                         verdicts.add(verdict)
         assert verdicts == {True, False}
+
+    def test_cell_recheck_agrees_with_the_product_oracle_where_a_scatter_can_miss(self):
+        """Perturbations placed (a) in a column whose basis vector no product
+        cell produces, so D([b_i, b_j]) never reads it, (b) in an odd basis
+        column at degree 1, where the sign of [b_i, D b_j] acts, and (c)
+        anywhere on the random tables: the cell re-check says yes exactly
+        when the product-based evaluation finds no residual."""
+        rng = random.Random(83)
+        catalog = [build("N2M", 5), build("L", 5, zeros("L", 5)),
+                   build("H", 5, {**zeros("H", 5), "delta": 1}),
+                   build("G", 4, zeros("G", 4))]
+        randoms = random_algebras(61)
+        verdicts = set()
+        placed = {"a": 0, "b": 0, "c": 0}
+        for a in catalog + randoms:
+            produced = {k for terms in a.constant_structure().values() for k, _ in terms}
+            for degree in (EVEN, ODD):
+                allowed = [(l, k) for l in range(a.dim) for k in range(a.dim)
+                           if a.parity(l) == (a.parity(k) + degree) % 2]
+                sites = {"a": [p for p in allowed if p[1] not in produced],
+                         "b": [p for p in allowed if degree and a.parity(p[1]) == ODD],
+                         "c": allowed if a in randoms else []}
+                for base in ({},) + derivation_space(a, degree).cells[:3]:
+                    assert is_derivation(a, base, degree)
+                    for kind, positions in sites.items():
+                        for p in rng.sample(positions, min(2, len(positions))):
+                            d = dict(base)
+                            d[p] = d.get(p, 0) + rng.choice((-2, -1, 1, Fraction(1, 3)))
+                            d = {q: x for q, x in d.items() if x}
+                            verdict = is_derivation(a, d, degree)
+                            residuals = derivation_residuals(
+                                a, RatMatrix.from_cells(a.dim, a.dim, d), degree)
+                            assert verdict == (not residuals), (a.name, degree, kind, d)
+                            verdicts.add(verdict)
+                            placed[kind] += 1
+        assert verdicts == {True, False}
+        assert all(placed.values()), placed
 
     @staticmethod
     def assert_spans_oracle_kernel(a, degree):
@@ -169,8 +213,8 @@ class TestAgainstOracles:
 class TestNilpotencyCertificates:
     def test_single_strictly_triangular_matrix(self):
         from superalg.derivations import DerivationSpace
-        m = RatMatrix.from_rows([[0, 1], [0, 0]])
-        assert space_all_nilpotent(DerivationSpace(EVEN, (m,)))
+        m = from_rows([[0, 1], [0, 0]])
+        assert space_all_nilpotent(DerivationSpace(EVEN, 2, (cells_of(m),)))
 
     def test_nonzero_parameter_instance_is_all_nilpotent(self):
         params = zeros("L", 6)
@@ -195,7 +239,7 @@ class TestNilIndependence:
         report = max_nil_independent(space)
         assert report.max_count == expected
         assert len(report.witnesses) == expected
-        diag_rows = [list(w.diagonal()) for w in report.witnesses]
+        diag_rows = [list(diagonal(w)) for w in report.witnesses]
         assert bareiss_rank(diag_rows) == expected
 
     @pytest.mark.parametrize("size", [4, 5, 6])
@@ -210,9 +254,8 @@ class TestNilIndependence:
         from superalg.derivations import DerivationSpace
         space = derivation_space(build("H", 5, zeros("H", 5)), EVEN)
         base = max_nil_independent(space).max_count
-        dim = space.basis[0].rows
-        extra = RatMatrix.from_cells(dim, dim, {(3, 1): 7})  # strictly lower, nilpotent
-        bigger = DerivationSpace(EVEN, space.basis + (extra,))
+        extra = {(3, 1): Fraction(7)}  # strictly lower, nilpotent
+        bigger = DerivationSpace(EVEN, space.algebra_dim, space.cells + (extra,))
         assert max_nil_independent(bigger).max_count == base
 
     # [[1, -1], [1, -1]] is nilpotent but not triangular.
@@ -220,9 +263,9 @@ class TestNilIndependence:
     @pytest.mark.parametrize("decide", [max_nil_independent, space_all_nilpotent])
     def test_non_triangular_input_is_unsupported(self, decide, rows):
         from superalg.derivations import DerivationSpace
-        m = RatMatrix.from_rows(rows)
+        m = from_rows(rows)
         with pytest.raises(UnsupportedShapeError):
-            decide(DerivationSpace(EVEN, (m,)))
+            decide(DerivationSpace(EVEN, m.rows, (cells_of(m),)))
 
 
 def _nilpotent_targets() -> dict[str, object]:
@@ -262,7 +305,7 @@ class TestNilIndependenceOracle:
         picked: list[list[Fraction]] = []
         witnesses = []
         for m in derivation_space(algebra, EVEN).basis:
-            trial = picked + [list(m.diagonal())]
+            trial = picked + [list(diagonal(m))]
             if len(dense_rref(trial, dim)[1]) > len(picked):
                 picked = trial
                 witnesses.append(m)
@@ -281,9 +324,15 @@ def _dense_span(algebra, matrices) -> tuple:
     return reduced[:len(pivots)], pivots
 
 
+def _same_span(algebra, degree, left, right) -> bool:
+    """`same_span` of two families of dense matrices, handed over as cells."""
+    return same_span(algebra, degree, [cells_of(m) for m in left],
+                     [cells_of(m) for m in right])
+
+
 def _random_graded_matrix(rng, algebra, degree) -> RatMatrix:
     dim = algebra.dim
-    return RatMatrix.from_rows([
+    return from_rows([
         [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
          if algebra.parity(l) == (algebra.parity(k) + degree) % 2
          and rng.random() < 0.5 else 0 for k in range(dim)]
@@ -311,7 +360,7 @@ class TestSameSpanOracle:
                            if algebra.parity(l) == (algebra.parity(k) + degree) % 2)
                 right = left[:-1] + [mat_add(left[-1], _unit(dim, {last: 1}))]
             want = _dense_span(algebra, left) == _dense_span(algebra, right)
-            assert same_span(algebra, degree, left, right) == want
+            assert _same_span(algebra, degree, left, right) == want
             outcomes.add(want)
         assert outcomes == {True, False}
 
@@ -327,45 +376,45 @@ class TestSameSpanOracle:
             rng.shuffle(right)
             right.append(mat_add(left[0], mat_scale(left[-1], rng.randint(-2, 2))))
             assert _dense_span(algebra, left) == _dense_span(algebra, right)
-            assert same_span(algebra, degree, left, right)
+            assert _same_span(algebra, degree, left, right)
             # adding a matrix changes the span unless it already lies in it
             extra = _random_graded_matrix(rng, algebra, degree)
             want = _dense_span(algebra, left) == _dense_span(algebra, left + [extra])
-            assert same_span(algebra, degree, left, left + [extra]) == want
+            assert _same_span(algebra, degree, left, left + [extra]) == want
 
     def test_unequal_spans(self):
         algebra = abelian(2, 1)
         a = _unit(algebra.dim, {(0, 0): 1})
         b = _unit(algebra.dim, {(1, 0): 1})
-        assert not same_span(algebra, EVEN, [a], [b])
-        assert not same_span(algebra, EVEN, [a], [a, b])
+        assert not _same_span(algebra, EVEN, [a], [b])
+        assert not _same_span(algebra, EVEN, [a], [a, b])
         # one pivot each, in the same column, but different lines
         c = _unit(algebra.dim, {(1, 1): 1})
-        assert not same_span(algebra, EVEN, [mat_add(a, c)], [mat_add(a, mat_scale(c, 2))])
-        assert same_span(algebra, EVEN, [a, b], [b, mat_add(a, b)])
+        assert not _same_span(algebra, EVEN, [mat_add(a, c)], [mat_add(a, mat_scale(c, 2))])
+        assert _same_span(algebra, EVEN, [a, b], [b, mat_add(a, b)])
 
     def test_empty_families(self):
         algebra = abelian(2, 1)
         zero = RatMatrix.zeros(algebra.dim, algebra.dim)
-        assert same_span(algebra, EVEN, [], [])
-        assert same_span(algebra, EVEN, [], [zero, zero])
-        assert not same_span(algebra, EVEN, [], [_unit(algebra.dim, {(2, 2): 1})])
+        assert _same_span(algebra, EVEN, [], [])
+        assert _same_span(algebra, EVEN, [], [zero, zero])
+        assert not _same_span(algebra, EVEN, [], [_unit(algebra.dim, {(2, 2): 1})])
 
     def test_grading_incompatible_matrix_rejected(self):
         algebra = abelian(2, 1)
         even_map = _unit(algebra.dim, {(0, 0): 1})
         odd_map = _unit(algebra.dim, {(2, 0): 1})
         with pytest.raises(InputError, match="grading-compatible"):
-            same_span(algebra, EVEN, [even_map], [odd_map])
+            _same_span(algebra, EVEN, [even_map], [odd_map])
         with pytest.raises(InputError, match="grading-compatible"):
-            same_span(algebra, ODD, [odd_map], [even_map])
+            _same_span(algebra, ODD, [odd_map], [even_map])
         with pytest.raises(InputError, match="whole space"):
-            same_span(algebra, EVEN, [even_map], [RatMatrix.identity(2)])
+            _same_span(algebra, EVEN, [even_map], [RatMatrix.identity(4)])
 
 
 def _unit(dim: int, entries: dict) -> RatMatrix:
-    return RatMatrix.from_rows([[entries.get((i, j), 0) for j in range(dim)]
-                                for i in range(dim)])
+    return from_rows([[entries.get((i, j), 0) for j in range(dim)]
+                      for i in range(dim)])
 
 
 class TestExtendability:

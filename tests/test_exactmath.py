@@ -18,8 +18,9 @@ from superalg.exactmath import (MAX_DEGREE, MAX_EXPONENT, MAX_TERMS, Polynomial,
                                 parse_coefficient, parse_rational,
                                 rref, sparse_kernel)
 
-from oracles import (bareiss_rank, dense_kernel, dense_rref, echelon_kernel,
-                     jordan_type_by_powers, mat_add, mat_apply, mat_mul, mat_scale)
+from oracles import (bareiss_rank, dense_kernel, dense_rref, echelon_kernel, from_rows,
+                     jordan_type_by_powers, mat_add, mat_apply, mat_mul, mat_scale,
+                     widen)
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
 
@@ -205,7 +206,7 @@ class TestPolynomial:
 
 
 def random_matrix(rng, rows, cols, lo=-5, hi=5):
-    return RatMatrix.from_rows(
+    return from_rows(
         [[Fraction(rng.randint(lo, hi)) for _ in range(cols)] for _ in range(rows)])
 
 
@@ -215,13 +216,13 @@ def sparse_rows(m):
 
 def rank_and_kernel(m):
     """Rank as the number of rref pivots, kernel from the sparse engine."""
-    return len(rref(m)[1]), sparse_kernel(sparse_rows(m), m.cols)
+    return len(rref(m)[1]), widen(sparse_kernel(sparse_rows(m), m.cols), m.cols)
 
 
 class TestRref:
     def test_from_rows_keeps_fractions_and_converts_the_rest(self):
         half = Fraction(1, 2)
-        m = RatMatrix.from_rows([[half, 3], [-1, 0]])
+        m = from_rows([[half, 3], [-1, 0]])
         assert m.entries[0][0] is half
         assert all(type(x) is Fraction for row in m.entries for x in row)
         assert m.entries == ((half, Fraction(3)), (Fraction(-1), Fraction(0)))
@@ -283,7 +284,7 @@ class TestRref:
             cols = rng.randint(1, 8)
             m = random_matrix(rng, rows, cols, -3, 3)
             got = sparse_kernel(sparse_rows(m), cols)
-            assert got == dense_kernel([list(r) for r in m.entries], cols)
+            assert widen(got, cols) == dense_kernel([list(r) for r in m.entries], cols)
             # the rref keeps the row space, so its kernel is the same
             assert got == sparse_kernel(sparse_rows(rref(m)[0]), cols)
 
@@ -301,7 +302,8 @@ class TestRref:
             want = sparse_kernel(rows, cols)
             shuffled = list(rows)
             rng.shuffle(shuffled)
-            assert sparse_kernel(shuffled, cols) == want == dense_kernel(grid, cols)
+            assert sparse_kernel(shuffled, cols) == want
+            assert widen(want, cols) == dense_kernel(grid, cols)
 
     def test_rref_matches_dense_oracle(self):
         rng = random.Random(37)
@@ -317,7 +319,7 @@ class TestRref:
                 zero_col = rng.randrange(cols)
                 for row in grid:
                     row[zero_col] = Fraction(0)
-            m = RatMatrix.from_rows(grid)
+            m = from_rows(grid)
             want_rows, want_pivots = dense_rref(grid, cols)
             reduced, pivots = rref(m)
             assert pivots == want_pivots
@@ -341,7 +343,7 @@ class TestRref:
                             hit = True
                 if hit:
                     rows.append(row)
-        system = RatMatrix.from_rows(rows)
+        system = from_rows(rows)
         r, kernel = rank_and_kernel(system)
         assert len(kernel) == 1
         assert r == system.cols - 1
@@ -356,7 +358,7 @@ class TestRref:
             size = rng.randint(0, 7)
             m = random_matrix(rng, size, size)
             keep = sorted(rng.sample(range(size), rng.randint(0, size)))
-            want = RatMatrix.from_rows([[m.entries[i][j] for j in keep] for i in keep])
+            want = from_rows([[m.entries[i][j] for j in keep] for i in keep])
             got = m.principal(keep)
             assert (got.rows, got.cols, got.entries) == (len(keep), len(keep), want.entries)
             assert m.principal(range(size)) == m
@@ -379,7 +381,7 @@ class TestJordanType:
         assert nilpotent_jordan_type(RatMatrix.zeros(3, 3)) == (1, 1, 1)
 
     def test_single_block(self):
-        shift = RatMatrix.from_rows(
+        shift = from_rows(
             [[1 if j == i + 1 else 0 for j in range(4)] for i in range(4)])
         assert nilpotent_jordan_type(shift) == (4,)
 
@@ -399,7 +401,7 @@ class TestJordanType:
         assert nilpotent_jordan_type(RatMatrix.zeros(0, 0)) == ()
         assert nilpotent_jordan_type(RatMatrix.zeros(1, 1)) == (1,)
         for value in (1, -2, Fraction(1, 3)):
-            m = RatMatrix.from_rows([[value]])
+            m = from_rows([[value]])
             assert nilpotent_jordan_type(m) is None
             assert jordan_type_by_powers(m) is None
 
@@ -420,14 +422,14 @@ class TestJordanType:
             lower = [[Fraction(rng.randint(-2, 2)) if j < i else Fraction(0)
                       for j in range(dim)] for i in range(dim)]
             # P = 1 + N with N strictly lower, so P^-1 = sum of (-N)^i.
-            n = RatMatrix.from_rows(lower)
+            n = from_rows(lower)
             p = mat_add(RatMatrix.identity(dim), n)
             p_inv, term = RatMatrix.identity(dim), RatMatrix.identity(dim)
             for _ in range(dim):
                 term = mat_mul(term, mat_scale(n, -1))
                 p_inv = mat_add(p_inv, term)
             assert mat_mul(p_inv, p) == RatMatrix.identity(dim)
-            m = mat_mul(mat_mul(p_inv, RatMatrix.from_rows(grid)), p)
+            m = mat_mul(mat_mul(p_inv, from_rows(grid)), p)
             assert nilpotent_jordan_type(m) is None
             assert jordan_type_by_powers(m) is None
 
@@ -486,7 +488,7 @@ class TestFractionBoundary:
         system = [dict(terms) for terms in algebra.structure.values()]
         assert any(type(x) is int for row in system for x in row.values())
         for vec in sparse_kernel(system, algebra.dim):
-            assert fractions_only(vec)
+            assert fractions_only(vec.values())
 
         rx = right_mul_matrix(algebra, GradedVector.basis(algebra, algebra.labels[0]))
         assert fractions_only(x for row in rx.entries for x in row)
@@ -500,6 +502,15 @@ class TestFractionBoundary:
             assert space.basis
             for m in space.basis:
                 assert fractions_only(x for row in m.entries for x in row)
+            # the cell basis: nonzero Fractions at grading-compatible
+            # positions only, and the dense basis is built from it
+            for cells in space.cells:
+                assert cells and fractions_only(cells.values())
+                assert all(cells.values())
+                assert all(algebra.parity(l) == (algebra.parity(k) + degree) % 2
+                           for l, k in cells)
+            assert space.basis == tuple(RatMatrix.from_cells(algebra.dim, algebra.dim, c)
+                                        for c in space.cells)
         for m in max_nil_independent(derivation_space(algebra, EVEN)).witnesses:
             assert fractions_only(x for row in m.entries for x in row)
 
@@ -515,8 +526,8 @@ class TestFractionBoundary:
             templates = proposition_template_space(
                 fid, size, {**instance(fid, size), **extra})
             assert templates
-            for m in templates:
-                assert fractions_only(x for row in m.entries for x in row)
+            for cells in templates:
+                assert fractions_only(cells.values())
 
     @pytest.mark.parametrize("fid,size,mode", [
         ("M", 3, "verbatim"), ("SH4", 3, "verbatim"), ("M1", 3, "corrected")])
@@ -571,14 +582,14 @@ def integer_heavy_square_matrices(draw):
     if draw(st.booleans()):
         i = draw(st.integers(0, dim - 1))
         grid[i][i] = draw(engine_entries)
-    lower = RatMatrix.from_rows(
+    lower = from_rows(
         [[draw(st.integers(-2, 2)) if j < i else 0 for j in range(dim)] for i in range(dim)])
     p = mat_add(RatMatrix.identity(dim), lower)
     p_inv, term = RatMatrix.identity(dim), RatMatrix.identity(dim)
     for _ in range(dim):  # (1 + L)^-1 = sum of (-L)^i
         term = mat_mul(term, mat_scale(lower, -1))
         p_inv = mat_add(p_inv, term)
-    m = mat_mul(mat_mul(p_inv, RatMatrix.from_rows(grid)), p)
+    m = mat_mul(mat_mul(p_inv, from_rows(grid)), p)
     mixed = tuple(tuple(x.numerator if x.denominator == 1 and (i + j) % 2 else x
                         for j, x in enumerate(row)) for i, row in enumerate(m.entries))
     return mixed, m
@@ -592,8 +603,8 @@ class TestNarrowedEngine:
         before = [dict(row) for row in rows]
         got = sparse_kernel(rows, ncols)
         assert rows == before  # the input is not consumed
-        assert got == dense_kernel(as_fraction_grid(rows, ncols), ncols)
-        assert all(fractions_only(vec) for vec in got)
+        assert widen(got, ncols) == dense_kernel(as_fraction_grid(rows, ncols), ncols)
+        assert all(fractions_only(vec.values()) for vec in got)
 
     @settings(max_examples=200, deadline=None)
     @given(integer_heavy_systems())
@@ -644,7 +655,7 @@ class TestIntegerEngine:
         assert echelon == {0: {0: 1, 1: 2}, 1: {1: 4, 2: 1}}
         assert_primitive_echelon(echelon)
         rows = [{0: Fraction(2)}, {0: Fraction(2), 1: Fraction(-4, 1)}]
-        assert sparse_kernel(rows, 3) == dense_kernel(as_fraction_grid(rows, 3), 3)
+        assert widen(sparse_kernel(rows, 3), 3) == dense_kernel(as_fraction_grid(rows, 3), 3)
 
     def test_negative_non_unit_leads_and_denominators_are_stored_primitive(self):
         echelon = _echelon([{1: -4, 2: 6}, {0: Fraction(-3, 5), 2: Fraction(6, 7)},
