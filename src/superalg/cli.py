@@ -3,8 +3,8 @@
 Subcommands: family (emit an SDF file), check (identity residuals), series,
 charseq, derivations, annihilator, invariants, catalog, errata, verify.
 Exit codes: 0 success / all claims pass, 1 verification failure, 2 input
-error.  SDF (a JSON document) is the single interchange format; every
-subcommand that analyses an algebra consumes one.
+error, 141 stdout closed early.  SDF (a JSON document) is the single
+interchange format; every subcommand that analyses an algebra consumes one.
 
 Each run is a fresh process, so importing this module loads only `core`,
 `exactmath` and `errors`; `families`, `derivations` and `verify` execute on
@@ -316,7 +316,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()   # so a closed pipe raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout: end quietly, as if killed by SIGPIPE, with
+        # stdout on the null device so that the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (InputError, NotNilpotentError, DegenerateSamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,8 +13,12 @@ product of parities (p, q) may only produce components of parity p+q mod 2.
 Identity checking (`check_leibniz`, `check_lie`) runs symbolically over the
 parameters, on one kernel that scatters each nonzero product pair into the
 triples it feeds, so its cost grows with the number of nonzero product pairs,
-not with dim³.  Every rank-based computation (series, annihilators, Jordan
-data) requires an instantiated algebra, i.e. one whose parameter list is empty.
+not with dim³, in ints: coefficients times L, the lcm of the table's
+denominators, and exponent tuples packed w bits per variable into one int,
+with 2·m < 2^w for the table's own largest exponent m.  Only the nonzero sums
+are unpacked and divided by L² (L for antisymmetry).  Every rank-based
+computation (series, annihilators, Jordan data) requires an instantiated
+algebra, i.e. one whose parameter list is empty.
 
 Products are right-normed throughout: the lower central series is
 ``L^1 = L, L^{k+1} = [L^k, L]`` and the right multiplication operator is
@@ -30,7 +34,6 @@ from fractions import Fraction
 from functools import wraps
 from itertools import chain
 from math import lcm
-from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import (DegenerateSamplingError, InputError,
@@ -203,6 +206,7 @@ def make_superalgebra(name: str, even_basis: Sequence[str], odd_basis: Sequence[
     labels = tuple(even_basis) + tuple(odd_basis)
     index = {lab: i for i, lab in enumerate(labels)}
     structure: dict[tuple[int, int], list[tuple[int, Coefficient]]] = {}
+    constants: dict[int | Fraction, Polynomial] = {}   # one (immutable) per number
     for (left, right), terms in products.items():
         if left not in index or right not in index:
             raise InputError(f"unknown basis label in product [{left}, {right}]")
@@ -217,7 +221,8 @@ def make_superalgebra(name: str, even_basis: Sequence[str], odd_basis: Sequence[
                 coeff = (parse_rational(text) if RATIONAL_LITERAL.fullmatch(text)
                          else parse_coefficient(coeff, parameters))
             if not isinstance(coeff, Polynomial):
-                coeff = (Polynomial.const(coeff, parameters) if parameters
+                coeff = ((constants.get(coeff) or constants.setdefault(
+                              coeff, Polynomial.const(coeff, parameters))) if parameters
                          else coeff if type(coeff) in (int, Fraction) else Fraction(coeff))
             cell.append((index[target], coeff))
     return SuperAlgebra(name, even_basis, odd_basis, parameters, structure)
@@ -322,46 +327,50 @@ class Residual:
         return f"{self.identity} residual at ({spot}) on {self.component}: {self.value}"
 
 
-def _narrowed_cells(algebra: SuperAlgebra) -> tuple[dict[tuple[int, int], tuple], tuple]:
-    """Each nonzero cell as ((k, ((exponent, coeff), ...)), ...), and the zero exponent.
-
-    Integral coefficients become ints and every constant term carries the one
-    returned zero exponent, so the kernel multiplies ints where it can and
-    spots a constant factor by identity.  A parameter-free cell is already
-    narrowed: each coefficient is one constant term.
-    """
-    zero = (0,) * len(algebra.parameters)
-    cells = {
-        key: tuple((k, tuple((e if any(e) else zero, _narrow(c))
-                             for e, c in poly.terms.items()) if algebra.parameters
-                    else ((zero, poly),))
-                   for k, poly in terms)
-        for key, terms in algebra.structure.items()
-    }
-    return cells, zero
+def _integral_cells(algebra: SuperAlgebra) -> tuple[dict[tuple[int, int], tuple], int, int]:
+    """The structure table in ints, as `_scatter` reads it: each nonzero cell as
+    ((k, ((packed exponent, coeff), ...)), ...), then the width w and scale L."""
+    raw = {key: [(k, c.terms.items() if algebra.parameters else [((), c)]) for k, c in cell]
+           for key, cell in algebra.structure.items()}
+    flat = [term for cell in raw.values() for _, terms in cell for term in terms]
+    scale = lcm(*[c.denominator for _, c in flat])
+    width = (2 * max((x for e, _ in flat for x in e), default=0)).bit_length()
+    packed = {e: sum(x << v * width for v, x in enumerate(e)) for e, _ in flat}
+    cells = {key: tuple((k, tuple((packed[e], c.numerator * (scale // c.denominator))
+                                  for e, c in terms)) for k, terms in cell)
+             for key, cell in raw.items()}
+    return cells, width, scale
 
 
-def _emit(algebra: SuperAlgebra, identity: str,
-          acc: dict[tuple[int, ...], dict]) -> list[Residual]:
-    """The nonzero buckets, keyed (basis indices..., component), in key order."""
-    labels = algebra.labels
+def _emit(algebra: SuperAlgebra, identity: str, acc: dict[tuple[int, ...], dict],
+          width: int, divisor: int) -> list[Residual]:
+    """The nonzero buckets, keyed (basis indices..., component), in key order,
+    exponents unpacked and int sums divided by `divisor`, the L-power they carry."""
+    labels, variables = algebra.labels, algebra.parameters
+    mask, shifts = (1 << width) - 1, [v * width for v in range(len(variables))]
+    exponents = {e: tuple(e >> s & mask for s in shifts) for e in set().union(*acc.values())}
     # Most buckets cancel; only the rest are sorted and made Polynomials.
     nonzero = {key: terms for key, bucket in acc.items()
-               if (terms := {e: c for e, c in bucket.items() if c})}
+               if (terms := {exponents[e]: Fraction(c, divisor)
+                             for e, c in bucket.items() if c})}
     return [Residual(identity, tuple(labels[i] for i in key[:-1]), labels[key[-1]],
-                     Polynomial(algebra.parameters, nonzero[key]))
+                     Polynomial(variables, nonzero[key]))
             for key in sorted(nonzero)]
 
 
-def _scatter(algebra: SuperAlgebra, cells: dict[tuple[int, int], tuple], zero: tuple,
-             identity: str, via_right, via_left) -> list[Residual]:
+def _scatter(algebra: SuperAlgebra, cells: dict[tuple[int, int], tuple], width: int,
+             scale: int, identity: str, via_right, via_left) -> list[Residual]:
     """Residuals of a signed sum of double products, from the nonzero pairs only.
 
     Each product [b_p, b_q] ∋ c1·b_t meets every nonzero cell that has b_t as
     its right operand, [b_r, b_t] (routed by `via_right`), or as its left
     operand, [b_t, b_r] (routed by `via_left`).  A route maps (p, q, r) to
     the ((i, j, k), sign) pairs of the triples whose identity that double
-    product enters.  `cells` and `zero` are `_narrowed_cells(algebra)`.
+    product enters.  `cells`, `width` and `scale` are `_integral_cells(algebra)`:
+    coefficients times L (the lcm of the denominators), exponent tuples packed
+    w bits per variable, first lowest, with 2·m < 2^w for the largest exponent
+    m, so a monomial product is one int add with no carry.  Each sum carries
+    L², being quadratic in the bracket; `_emit` divides it out of nonzero ones.
     """
     by_left: dict[int, list] = {}
     by_right: dict[int, list] = {}
@@ -373,18 +382,17 @@ def _scatter(algebra: SuperAlgebra, cells: dict[tuple[int, int], tuple], zero: t
     acc: dict[tuple[int, ...], dict] = {}
     for (p, q), inner in cells.items():
         for t, c1 in inner:
+            signed = {1: c1, -1: tuple((e, -a) for e, a in c1)}
             for route, partners in routes:
                 for r, outer in partners.get(t, ()):
                     for where, sign in route(p, q, r):
                         for l, c2 in outer:
                             bucket = acc.setdefault(where + (l,), {})
-                            for e1, a in c1:
+                            for e1, a in signed[sign]:
                                 for e2, b in c2:
-                                    e = e2 if e1 is zero else (
-                                        e1 if e2 is zero else tuple(map(add, e1, e2)))
-                                    v = a * b
-                                    bucket[e] = bucket.get(e, 0) + (v if sign > 0 else -v)
-    return _emit(algebra, identity, acc)
+                                    e = e1 + e2
+                                    bucket[e] = bucket.get(e, 0) + a * b
+    return _emit(algebra, identity, acc, width, scale * scale)
 
 
 def _once_per_algebra(compute: Callable[[SuperAlgebra], T]) -> Callable[[SuperAlgebra], T]:
@@ -412,7 +420,7 @@ def check_leibniz(algebra: SuperAlgebra) -> list[Residual]:
     """
     n0 = algebra.n_even
     return _scatter(
-        algebra, *_narrowed_cells(algebra), "leibniz",
+        algebra, *_integral_cells(algebra), "leibniz",
         # [b_r, [b_p, b_q]] is [x,[y,z]] at (r, p, q)
         lambda p, q, r: (((r, p, q), 1),),
         # [[b_p, b_q], b_r] is -[[x,y],z] at (p, q, r) and, with y = b_r
@@ -430,11 +438,11 @@ def check_lie(algebra: SuperAlgebra) -> list[Residual]:
     `check_leibniz`, computed once per algebra, a new list per call.
     """
     n0 = algebra.n_even
-    cells, zero = _narrowed_cells(algebra)
+    cells, width, scale = _integral_cells(algebra)
     acc: dict[tuple[int, ...], dict] = {}
     for (i, j), terms in cells.items():
-        # [b_i, b_j] enters pair (i, j) with sign 1 and pair (j, i) with
-        # (-1)^{pq}; only pairs with i <= j are checked, so [b_i, b_i] twice.
+        # [b_i, b_j] enters pair (i, j) with sign 1 and pair (j, i) with (-1)^{pq}
+        # (linear sums: they carry L once); pairs i <= j only, so [b_i, b_i] twice.
         for (a, b), sign in (((i, j), 1), ((j, i), -1 if i >= n0 and j >= n0 else 1)):
             if a <= b:
                 for l, monomials in terms:
@@ -444,8 +452,8 @@ def check_lie(algebra: SuperAlgebra) -> list[Residual]:
     # The Jacobi sum over the three cyclic slots of (-1)^{..}[b_i, [b_j, b_k]]:
     # each [b_a, [b_p, b_q]] enters (a, p, q), (q, a, p) and (p, q, a), every
     # time with the sign -1 iff b_a and b_q are both odd.
-    return _emit(algebra, "antisymmetry", acc) + _scatter(
-        algebra, cells, zero, "jacobi",
+    return _emit(algebra, "antisymmetry", acc, width, scale) + _scatter(
+        algebra, cells, width, scale, "jacobi",
         lambda p, q, a: ((w, -1 if a >= n0 and q >= n0 else 1)
                          for w in ((a, p, q), (q, a, p), (p, q, a))),
         None)

@@ -99,7 +99,7 @@ class Polynomial:
                 if len(exp) != nvars:
                     raise InputError(
                         f"exponent {exp} has length {len(exp)}, expected {nvars}")
-                c = Fraction(coeff)
+                c = coeff if type(coeff) is Fraction else Fraction(coeff)
                 if c:
                     clean[tuple(exp)] = c
         object.__setattr__(self, "terms", clean)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from superalg.core import (EVEN, ODD, GradedSubspace, GradedVector, SuperAlgebra,
                            make_superalgebra, product)
 from superalg.errors import InputError
-from superalg.exactmath import RatMatrix, _reduce_into
+from superalg.exactmath import Polynomial, RatMatrix, _reduce_into
 
 
 # -- dense matrix arithmetic, entry by entry ----------------------------------
@@ -323,6 +323,75 @@ def brute_lie_residuals(algebra: SuperAlgebra):
                 record("jacobi", (labels[i], labels[j], labels[k]),
                        [s1 * a + s2 * b + s3 * c if a or b or c else 0
                         for a, b, c in zip(t1.coords, t2.coords, t3.coords)])
+    return out
+
+
+def _polynomial_bracket(algebra: SuperAlgebra):
+    """[x, y] of vectors held as {basis index: Polynomial}, from the raw
+    structure table with every coefficient made a Polynomial (no scaling,
+    no exponent packing); components that sum to zero are dropped."""
+    variables = algebra.parameters
+    table = {key: [(k, c if isinstance(c, Polynomial) else Polynomial.const(c, variables))
+                   for k, c in terms] for key, terms in algebra.structure.items()}
+
+    def bracket(x: dict, y: dict) -> dict:
+        out: dict[int, Polynomial] = {}
+        for i, xi in x.items():
+            for j, yj in y.items():
+                for k, c in table.get((i, j), ()):
+                    out[k] = out.get(k, Polynomial.zero(variables)) + xi * yj * c
+        return {k: v for k, v in out.items() if not v.is_zero()}
+
+    one = Polynomial.const(1, variables)
+    return bracket, [{i: one} for i in range(algebra.dim)], Polynomial.zero(variables)
+
+
+def polynomial_leibniz_residuals(algebra: SuperAlgebra):
+    """The graded Leibniz identity evaluated triple by triple in `Polynomial`
+    arithmetic over the algebra's parameters: every residual as (where,
+    component, Polynomial), in the order of `check_leibniz`."""
+    out = []
+    labels, parity = algebra.labels, algebra.parity
+    bracket, basis, zero = _polynomial_bracket(algebra)
+    for i, j, k in itertools.product(range(algebra.dim), repeat=3):
+        x, y, z = basis[i], basis[j], basis[k]
+        sign = -1 if (parity(j) and parity(k)) else 1
+        lhs = bracket(x, bracket(y, z))
+        r1 = bracket(bracket(x, y), z)
+        r2 = bracket(bracket(x, z), y)
+        for comp in range(algebra.dim):
+            value = lhs.get(comp, zero) - r1.get(comp, zero) + r2.get(comp, zero) * sign
+            if not value.is_zero():
+                out.append(((labels[i], labels[j], labels[k]), labels[comp], value))
+    return out
+
+
+def polynomial_lie_residuals(algebra: SuperAlgebra):
+    """Graded antisymmetry (pairs i <= j), then the graded Jacobi identity
+    (all triples), in `Polynomial` arithmetic like
+    `polynomial_leibniz_residuals`: (identity, where, component, Polynomial)
+    in the order of `check_lie`."""
+    out = []
+    labels, parity, dim = algebra.labels, algebra.parity, algebra.dim
+    bracket, basis, zero = _polynomial_bracket(algebra)
+
+    def record(identity, where, terms):
+        for comp in range(dim):
+            value = sum((s * t.get(comp, zero) for s, t in terms), zero)
+            if not value.is_zero():
+                out.append((identity, tuple(labels[w] for w in where), labels[comp], value))
+
+    for i in range(dim):
+        for j in range(i, dim):
+            record("antisymmetry", (i, j),
+                   [(1, bracket(basis[i], basis[j])),
+                    (-1 if (parity(i) and parity(j)) else 1, bracket(basis[j], basis[i]))])
+    for i, j, k in itertools.product(range(dim), repeat=3):
+        x, y, z = basis[i], basis[j], basis[k]
+        record("jacobi", (i, j, k),
+               [(-1 if (parity(i) and parity(k)) else 1, bracket(x, bracket(y, z))),
+                (-1 if (parity(j) and parity(i)) else 1, bracket(y, bracket(z, x))),
+                (-1 if (parity(k) and parity(j)) else 1, bracket(z, bracket(x, y)))])
     return out
 
 

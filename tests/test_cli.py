@@ -369,3 +369,26 @@ class TestColdStart:
             "    print('ok')\n", cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "ok\n"
+
+
+class TestClosedStdout:
+    def test_reader_closing_the_pipe_ends_quietly_with_status_141(self, tmp_path):
+        # `superalg derivations l30.json | head -c 20`: the 1.4 MB of output
+        # overflows the pipe, so the write after the reader has gone fails.
+        assert main(["family", "L", "--n", "30", "--zeros",
+                     "-o", str(tmp_path / "l30.json")]) == 0
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "superalg.cli", "derivations", "l30.json"],
+            cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            head = proc.stdout.read(20)
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert head.startswith(b"{")
+        assert stderr == b""
+        assert code == 141

@@ -25,7 +25,8 @@ from superalg.core import (EVEN, MAX_BASIS, MAX_BOUND, MAX_PARAMETERS, MAX_SAMPL
                            sdf_dump, sdf_dumps, sdf_load, sdf_loads,
                            subspace_product)
 from superalg.errors import InputError, NotNilpotentError
-from superalg.exactmath import Polynomial, RatMatrix, invert, nilpotent_jordan_type
+from superalg.exactmath import (MAX_DEGREE, Polynomial, RatMatrix, invert,
+                                nilpotent_jordan_type)
 from superalg.families import MAX_SIZE, sizes
 
 from oracles import (brute_leibniz_residuals, brute_lie_residuals,
@@ -33,6 +34,7 @@ from oracles import (brute_leibniz_residuals, brute_lie_residuals,
                      dense_derivation_kernel, dense_derived_series,
                      dense_lower_central_series, dense_right_annihilator, dense_rref,
                      dense_subspace_product, from_rows, instance, mat_apply,
+                     polynomial_leibniz_residuals, polynomial_lie_residuals,
                      random_graded_algebra, random_parity_change, span_dim,
                      subspace_from_vectors)
 
@@ -369,6 +371,78 @@ class TestIdentityChecks:
         assert count == 35185
         assert digest.hexdigest() == (
             "862596df890b4b5775fe1140077d68df0946ac6c9a64dd059f68ab2534d4b5db")
+
+
+class TestIntegralIdentityKernel:
+    """The identity kernel scales a table by the lcm L of its denominators and
+    packs each exponent tuple into one int; its residuals must still equal,
+    coefficient for coefficient, those of Polynomial arithmetic on the raw
+    table (and of the product-based oracles at a point)."""
+
+    def assert_kernel_matches_the_oracles(self, algebra, point=None):
+        leibniz = [(r.where, r.component, r.value) for r in check_leibniz(algebra)]
+        lie = [(r.identity, r.where, r.component, r.value) for r in check_lie(algebra)]
+        assert leibniz == polynomial_leibniz_residuals(algebra)
+        assert lie == polynomial_lie_residuals(algebra)
+        point = point or {}
+        table = algebra.instantiate(point)
+        at_point = [(w, c, v.evaluate(point)) for w, c, v in leibniz]
+        assert [t for t in at_point if t[2]] == brute_leibniz_residuals(table)
+        at_point = [(i, w, c, v.evaluate(point)) for i, w, c, v in lie]
+        assert [t for t in at_point if t[3]] == brute_lie_residuals(table)
+        return leibniz, lie
+
+    def test_random_tables_with_denominators_3_5_7_and_6(self):
+        rng = random.Random(31)
+        constants = (Fraction(1, 3), Fraction(-2, 5), Fraction(3, 7), Fraction(5, 6),
+                     Fraction(-7, 6), 2)
+        symbolic = ("1/3*p", "-2/5*q^2", "3/7*p*q + 1/6", "5/6*q - 1/7*p^3",
+                    Fraction(-1, 5), 1)
+        point = {"p": Fraction(-5, 3), "q": Fraction(7, 2)}
+        counts = {"leibniz": 0, "antisymmetry": 0, "jacobi": 0}
+        for values, parameters in ((constants, ()), (symbolic, ("p", "q"))):
+            for _ in range(25):
+                algebra = random_graded_algebra(
+                    rng, rng.randint(1, 4), rng.randint(0, 3), density=0.4,
+                    values=values, parameters=parameters)
+                leibniz, lie = self.assert_kernel_matches_the_oracles(
+                    algebra, point if parameters else None)
+                counts["leibniz"] += len(leibniz)
+                for identity, *_ in lie:
+                    counts[identity] += 1
+        # Not vacuous: every kind of residual occurs, on non-integral tables.
+        assert min(counts.values()) > 20
+
+    def test_residuals_reach_twice_max_degree_in_the_last_of_128_parameters(self):
+        parameters = [f"p{i}" for i in range(1, MAX_PARAMETERS + 1)]
+        last = parameters[-1]
+        doc = {"name": "wide", "even_basis": ["e1", "e2"], "odd_basis": ["y1"],
+               "parameters": parameters, "products": [
+                   {"left": "e1", "right": "e1",
+                    "value": [["e1", f"1/3*{last}^{MAX_DEGREE} + p1"]]},
+                   {"left": "e1", "right": "y1", "value": [["y1", f"2/5*{last}"]]},
+                   {"left": "y1", "right": "y1", "value": [["e2", f"-3/7*{last}^2"]]}]}
+        algebra = sdf_loads(json.dumps(doc))
+        point = {p: Fraction(i % 5 - 2, 3) for i, p in enumerate(parameters)}
+        leibniz, lie = self.assert_kernel_matches_the_oracles(algebra, point)
+        top = (0,) * (MAX_PARAMETERS - 1) + (2 * MAX_DEGREE,)
+        value = dict(((w, c), v) for w, c, v in leibniz)[("e1", "e1", "e1"), "e1"]
+        assert value.terms[top] == Fraction(1, 9)
+        assert any(top in v.terms for *_, v in lie)
+
+    def test_table_built_directly_above_max_degree(self):
+        variables = ("a", "b")
+        poly = lambda terms: Polynomial(variables, terms)
+        degree = 3 * MAX_DEGREE + 7   # no parser cap applies to a direct build
+        algebra = SuperAlgebra("direct", ["e1", "e2"], ["y1"], variables, {
+            (0, 0): [(0, poly({(degree, 1): Fraction(1, 3)})),
+                     (1, poly({(0, 0): Fraction(5, 6)}))],
+            (0, 2): [(2, poly({(1, 2): Fraction(-2, 7)}))],
+            (2, 2): [(1, poly({(0, MAX_DEGREE + 1): Fraction(3, 5)}))]})
+        leibniz, lie = self.assert_kernel_matches_the_oracles(
+            algebra, {"a": Fraction(-1, 2), "b": Fraction(4, 3)})
+        assert any((2 * degree, 2) in v.terms for *_, v in leibniz)
+        assert any((2 * degree, 2) in v.terms for *_, v in lie)
 
 
 class TestSubspaces:
