@@ -11,7 +11,7 @@ from .core import (Fingerprint, GradedSubspace, GradedVector, Residual,
                    charseq_note, check_leibniz, check_lie, derived_series,
                    fingerprint, is_nilpotent, is_solvable,
                    lower_central_series, make_superalgebra, nilindex, product,
-                   right_annihilator, right_mul_matrix, sdf_dump, sdf_dumps,
+                   right_annihilator, right_mul_cells, sdf_dump, sdf_dumps,
                    sdf_load, sdf_loads, subspace_product)
 from .errors import (DegenerateSamplingError, InputError,
                      InternalInconsistencyError, NotNilpotentError,

@@ -149,7 +149,7 @@ class SuperAlgebra:
         when it is integral already).  Kernels, spans and derivation spaces
         do not change when the bracket is scaled by a nonzero constant, so
         the engine's readers of those use this table; every public value
-        (`product`, `right_mul_matrix`, `constant_structure`, `sdf_dump`)
+        (`product`, `right_mul_cells`, `constant_structure`, `sdf_dump`)
         keeps the unscaled constants.  Requires instantiation."""
         memo = self._memo
         if "_integral_structure" not in memo:
@@ -284,23 +284,28 @@ def product(algebra: SuperAlgebra, x: GradedVector, y: GradedVector) -> GradedVe
     return GradedVector.from_coords([out.get(k, 0) for k in range(algebra.dim)])
 
 
-def right_mul_matrix(algebra: SuperAlgebra, x: GradedVector) -> RatMatrix:
-    """Matrix of R_x(y) = (-1)^{pq} [y, x] on the whole space, x homogeneous."""
+def right_mul_cells(algebra: SuperAlgebra, x: GradedVector,
+                    keep: Sequence[int]) -> dict[tuple[int, int], Fraction]:
+    """The nonzero cells of R_x(y) = (-1)^{pq} [y, x], x homogeneous, on its
+    principal block on the basis vectors `keep`, indexed by position in
+    `keep`: cell (l, k) is the coefficient of b_keep[l] in R_x(b_keep[k])."""
     px = x.parity_of(algebra)
     if px is None:
         raise InputError("right multiplication needs a homogeneous element")
     table = algebra._narrowed_structure()
-    dim, n0 = algebra.dim, algebra.n_even
+    n0 = algebra.n_even
+    at = {b: pos for pos, b in enumerate(keep)}
     cells: dict[tuple[int, int], Fraction] = {}
     for i, xi in enumerate(x.coords):
         if not xi:
             continue
-        # Column j holds R_x(b_j); the sign (-1)^{pq} rides on the factor.
-        for j in range(dim):
+        # Column k holds R_x(b_j), j = keep[k]; the sign (-1)^{pq} rides on the factor.
+        for k, j in enumerate(keep):
             f = -xi if px and j >= n0 else xi
-            for k, c in table.get((j, i), ()):
-                cells[k, j] = cells.get((k, j), 0) + f * c
-    return RatMatrix.from_cells(dim, dim, cells)
+            for t, c in table.get((j, i), ()):
+                if t in at:
+                    cells[at[t], k] = cells.get((at[t], k), 0) + f * c
+    return {lk: v for lk, v in cells.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -777,10 +782,11 @@ def char_sequence(algebra: SuperAlgebra, samples: int = 64, seed: int = 0,
 
     best: tuple[tuple[int, ...], ...] = ()
     odd_zeros = (Fraction(0),) * algebra.n_odd
+    blocks = (range(n0), range(n0, algebra.dim))
     for coords in chain(basis, drawn()):
-        rx = right_mul_matrix(algebra, GradedVector(coords + odd_zeros))
-        types = (nilpotent_jordan_type(rx.principal(range(n0))),
-                 nilpotent_jordan_type(rx.principal(range(n0, algebra.dim))))
+        x = GradedVector(coords + odd_zeros)
+        types = tuple(nilpotent_jordan_type(len(block), right_mul_cells(algebra, x, block))
+                      for block in blocks)
         if None in types:
             raise InternalInconsistencyError(
                 "right multiplication non-nilpotent on a nilpotent algebra")

@@ -39,8 +39,8 @@ from typing import Mapping, Sequence
 
 from .core import EVEN, ODD, SuperAlgebra, _cells_by_operand
 from .errors import InputError, InternalInconsistencyError, UnsupportedShapeError
-from .exactmath import (RatMatrix, SparseRow, _reduce_into, _rref_rows,
-                        parameter_value, sparse_kernel)
+from .exactmath import (Cells, RatMatrix, SparseRow, _reduce_into, _rref_rows,
+                        check_cells, parameter_value, sparse_kernel)
 
 
 def _positions(algebra: SuperAlgebra, degree: int) -> list[tuple[int, int]]:
@@ -49,10 +49,6 @@ def _positions(algebra: SuperAlgebra, degree: int) -> list[tuple[int, int]]:
             for l in range(algebra.dim)
             for k in range(algebra.dim)
             if algebra.parity(l) == (algebra.parity(k) + degree) % 2]
-
-
-# A linear map as its nonzero entries: (l, k) -> D[l, k], so D b_k ∋ D[l, k] b_l.
-Cells = Mapping[tuple[int, int], Fraction | int]
 
 
 @dataclass(frozen=True)
@@ -75,14 +71,6 @@ class DerivationSpace:
         return tuple(RatMatrix.from_cells(n, n, c) for c in self.cells)
 
 
-def _check_cells(algebra: SuperAlgebra, cells: Cells) -> None:
-    dim = algebra.dim
-    for l, k in cells:
-        if not (0 <= l < dim and 0 <= k < dim):
-            raise InputError(f"matrix must act on the whole space: cell {(l, k)} "
-                             f"is outside the basis of dimension {dim}")
-
-
 def is_derivation(algebra: SuperAlgebra, cells: Cells, degree: int) -> bool:
     """Direct check of D([b_i,b_j]) - [D b_i, b_j] - (-1)^{s p_i} [b_i, D b_j]
     = 0 for the map D given by its cells, scattered so that only terms that
@@ -93,7 +81,7 @@ def is_derivation(algebra: SuperAlgebra, cells: Cells, degree: int) -> bool:
     linear in the bracket and in D, so it holds for them iff it holds for the
     integral table and for D times the lcm of its denominators.  A cell
     outside the basis is an InputError."""
-    _check_cells(algebra, cells)
+    check_cells(algebra.dim, cells)
     scale = lcm(*[x.denominator for x in cells.values()])
     entries = [(l, k, x.numerator * (scale // x.denominator))
                for (l, k), x in cells.items() if x]
@@ -179,7 +167,7 @@ def same_span(algebra: SuperAlgebra, degree: int,
     def vectorize(family: Sequence[Cells]) -> list[SparseRow]:
         rows = []
         for cells in family:
-            _check_cells(algebra, cells)
+            check_cells(algebra.dim, cells)
             if any(x and p not in index for p, x in cells.items()):
                 raise InputError("matrix is not grading-compatible")
             rows.append({index[p]: x for p, x in cells.items() if x})

@@ -18,8 +18,10 @@ The linear algebra is deliberately small and dependency-free, and all of it
 runs on one sparse echelon engine: reduced row echelon form with strictly
 increasing pivot columns (a canonical form, so row spaces compare by
 equality), inverses and kernel bases read off it, and the Jordan type
-of a nilpotent matrix from the ranks along its image chain
+of a nilpotent map, given by its cells, from the ranks along its image chain
 Im(m) ⊇ Im(m^2) ⊇ ..., which stops with None as soon as a rank stalls.
+A linear map travels as its nonzero cells, `Cells`; a dense `RatMatrix` is
+built only where one is printed or returned.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
-from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
@@ -49,6 +50,10 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(s)
     except ZeroDivisionError:
         raise InputError(f"zero denominator in {text!r}") from None
+    except ValueError:   # an integer over the interpreter's int-string digit limit
+        digits = max(len(part.lstrip("+-")) for part in s.split("/"))
+        raise InputError(f"rational literal with a {digits}-digit integer is over "
+                         f"the integer-string digit limit") from None
 
 
 def parameter_value(name: str, raw: object) -> Fraction:
@@ -411,6 +416,17 @@ def parse_coefficient(text: str, variables: Sequence[str]) -> Polynomial:
 
 _ZERO = Fraction(0)
 
+# A linear map as its nonzero cells: (l, k) -> m[l, k], so m b_k ∋ m[l, k] b_l.
+Cells = Mapping[tuple[int, int], Fraction | int]
+
+
+def check_cells(size: int, cells: Cells) -> None:
+    """A cell outside the size x size space is an InputError."""
+    for l, k in cells:
+        if not (0 <= l < size and 0 <= k < size):
+            raise InputError(f"matrix must act on the whole space: cell {(l, k)} "
+                             f"is outside the basis of dimension {size}")
+
 
 def _widen(x: int | Fraction) -> Fraction:
     """x as a Fraction, for a value leaving the engine."""
@@ -426,8 +442,7 @@ class RatMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
 
     @classmethod
-    def from_cells(cls, rows: int, cols: int,
-                   cells: Mapping[tuple[int, int], Fraction | int]) -> RatMatrix:
+    def from_cells(cls, rows: int, cols: int, cells: Cells) -> RatMatrix:
         """The rows x cols matrix with the given (i, j) entries, each widened
         to a Fraction, and zero everywhere else."""
         grid = [[_ZERO] * cols for _ in range(rows)]
@@ -436,31 +451,8 @@ class RatMatrix:
         return cls(rows, cols, tuple(map(tuple, grid)))
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> RatMatrix:
-        return cls.from_cells(rows, cols, {})
-
-    @classmethod
     def identity(cls, n: int) -> RatMatrix:
         return cls.from_cells(n, n, {(i, i): 1 for i in range(n)})
-
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        i, j = key
-        return self.entries[i][j]
-
-    def principal(self, indices: Iterable[int]) -> RatMatrix:
-        """The submatrix on the given rows and the same columns, in that order."""
-        keep = tuple(indices)
-        if len(keep) < 2:  # itemgetter returns a bare item for one index
-            return RatMatrix(len(keep), len(keep), tuple((self.entries[i][i],) for i in keep))
-        pick = itemgetter(*keep)
-        return RatMatrix(len(keep), len(keep), tuple(map(pick, pick(self.entries))))
-
-    def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
-
-    def __str__(self) -> str:
-        return "\n".join("[" + "  ".join(format_rational(x) for x in row) + "]"
-                         for row in self.entries)
 
 
 # -- exact elimination: one sparse echelon engine ----------------------------
@@ -620,8 +612,9 @@ def invert(m: RatMatrix) -> RatMatrix:
 # Nilpotent Jordan type
 # ---------------------------------------------------------------------------
 
-def nilpotent_jordan_type(m: RatMatrix) -> tuple[int, ...] | None:
-    """Descending Jordan block sizes of a nilpotent matrix, else None.
+def nilpotent_jordan_type(size: int, cells: Cells) -> tuple[int, ...] | None:
+    """Descending Jordan block sizes of a nilpotent map on a size-dimensional
+    space, given by its cells, else None.
 
     Walks the image chain Im(m) ⊇ Im(m^2) ⊇ ... without forming a power of m:
     the echelon basis of Im(m^k) is the reduction of m applied to the basis
@@ -629,14 +622,16 @@ def nilpotent_jordan_type(m: RatMatrix) -> tuple[int, ...] | None:
     size.  The number of blocks of size >= k is rank(m^(k-1)) - rank(m^k).
     The chain ends at rank 0, where m is nilpotent, or as soon as a rank
     repeats: then Im(m^(k+1)) = Im(m^k) is a nonzero stationary image, so m
-    is not nilpotent and the result is None.
+    is not nilpotent and the result is None.  A cell outside the space is an
+    InputError.
     """
-    if m.rows != m.cols:
-        raise InputError("Jordan type needs a square matrix")
-    columns = [{i: _narrow(row[j]) for i, row in enumerate(m.entries) if row[j]}
-               for j in range(m.cols)]
-    ranks = [m.rows]
-    image = _echelon(dict(col) for col in columns)
+    check_cells(size, cells)
+    columns: dict[int, list[tuple[int, int | Fraction]]] = {}
+    for (l, k), x in cells.items():
+        if x:
+            columns.setdefault(k, []).append((l, _narrow(x)))
+    ranks = [size]
+    image = _echelon(dict(col) for col in columns.values())
     while image:
         if len(image) == ranks[-1]:
             return None
@@ -644,8 +639,8 @@ def nilpotent_jordan_type(m: RatMatrix) -> tuple[int, ...] | None:
         images = []
         for vec in image.values():
             out: SparseRow = {}
-            for j, x in vec.items():
-                _subtract(out, -x, columns[j].items())
+            for j, x in vec.items():   # a column with no cell maps to zero
+                _subtract(out, -x, columns.get(j, ()))
             images.append(out)
         image = _echelon(images)
     ranks.append(0)

@@ -70,6 +70,12 @@ def _add(prod: Products, left: str, right: str, target: str, coeff) -> None:
     prod.setdefault((left, right), []).append((target, coeff))
 
 
+def _add_both(prod: Products, left: str, right: str, target: str, coeff) -> None:
+    """[left,right] ∋ coeff·target, then [right,left] ∋ −coeff·target."""
+    _add(prod, left, right, target, coeff)
+    _add(prod, right, left, target, -coeff)
+
+
 def _var(name: str, params: Sequence[str]) -> Polynomial:
     return Polynomial.var(name, tuple(params))
 
@@ -155,8 +161,7 @@ def _n2m_rows(m: int, mode: str, lie_complete: bool) -> Products:
     """The (2|m) filiform-odd table; `lie_complete` emits all ordered pairs."""
     prod: Products = {}
     for i in range(1, m):
-        _add(prod, _y(i), _e(1), _y(i + 1), 1)
-        _add(prod, _e(1), _y(i), _y(i + 1), -1)
+        _add_both(prod, _y(i), _e(1), _y(i + 1), 1)
     mid = (m + 1) // 2
     if lie_complete or mode == CORRECTED:
         for b in range(1, m + 1):
@@ -322,15 +327,13 @@ def _table_H(n: int, mode: str):
                 "generator is e2",))
 def _table_M1(m: int, mode: str):
     prod = _n2m_rows(m, mode, lie_complete=False)
-    _add(prod, _e(1), "x", _e(1), 1)
-    _add(prod, "x", _e(1), _e(1), -1)
+    _add_both(prod, _e(1), "x", _e(1), 1)
     _add(prod, "x", "x", _e(2), 1)
     mid = Fraction(m + 1, 2)
     for i in range(1, m + 1):
         w = Fraction(i) - mid
         if w:
-            _add(prod, _y(i), "x", _y(i), w)
-            _add(prod, "x", _y(i), _y(i), -w)
+            _add_both(prod, _y(i), "x", _y(i), w)
     return [], prod, 3, m
 
 
@@ -341,14 +344,11 @@ def _table_M2(m: int, mode: str):
     params = ["alpha"]
     alpha = _var("alpha", params)
     prod = _n2m_rows(m, mode, lie_complete=False)
-    _add(prod, _e(1), "x", _e(1), 1)
-    _add(prod, "x", _e(1), _e(1), -1)
-    _add(prod, _e(2), "x", _e(2), alpha)
-    _add(prod, "x", _e(2), _e(2), -alpha)
+    _add_both(prod, _e(1), "x", _e(1), 1)
+    _add_both(prod, _e(2), "x", _e(2), alpha)
     for i in range(1, m + 1):
         w = alpha * HALF + Fraction(2 * i - m - 1, 2)
-        _add(prod, _y(i), "x", _y(i), w)
-        _add(prod, "x", _y(i), _y(i), -w)
+        _add_both(prod, _y(i), "x", _y(i), w)
     return params, prod, 3, m
 
 
@@ -356,17 +356,13 @@ def _table_M2(m: int, mode: str):
          lie=True)
 def _table_M3(m: int, mode: str):
     prod = _n2m_rows(m, mode, lie_complete=False)
-    _add(prod, _e(1), "x", _e(1), 1)
-    _add(prod, _e(1), "x", _e(2), 1)
-    _add(prod, "x", _e(1), _e(1), -1)
-    _add(prod, "x", _e(1), _e(2), -1)
-    _add(prod, _e(2), "x", _e(2), 1)
-    _add(prod, "x", _e(2), _e(2), -1)
+    _add_both(prod, _e(1), "x", _e(1), 1)
+    _add_both(prod, _e(1), "x", _e(2), 1)
+    _add_both(prod, _e(2), "x", _e(2), 1)
     for i in range(1, m + 1):
         w = Fraction(2 * i - m, 2)
         if w:
-            _add(prod, _y(i), "x", _y(i), w)
-            _add(prod, "x", _y(i), _y(i), -w)
+            _add_both(prod, _y(i), "x", _y(i), w)
     return [], prod, 3, m
 
 
@@ -376,15 +372,12 @@ def _table_M3(m: int, mode: str):
 def _table_M4(m: int, mode: str):
     params = [f"b{2 * k}" for k in range(1, (m - 1) // 2 + 1)]
     prod = _n2m_rows(m, mode, lie_complete=False)
-    _add(prod, _e(2), "x", _e(2), 2)
-    _add(prod, "x", _e(2), _e(2), -2)
+    _add_both(prod, _e(2), "x", _e(2), 2)
     for i in range(1, m + 1):
-        _add(prod, _y(i), "x", _y(i), 1)
-        _add(prod, "x", _y(i), _y(i), -1)
+        _add_both(prod, _y(i), "x", _y(i), 1)
         for k in range(1, (m - i + 1) // 2 + 1):
             coeff = _var(f"b{2 * k}", sorted(params))
-            _add(prod, _y(i), "x", _y(i + 2 * k - 1), coeff)
-            _add(prod, "x", _y(i), _y(i + 2 * k - 1), -coeff)
+            _add_both(prod, _y(i), "x", _y(i + 2 * k - 1), coeff)
     return params, prod, 3, m
 
 
@@ -392,20 +385,15 @@ def _table_M4(m: int, mode: str):
          lie=True)
 def _table_M5(m: int, mode: str):
     prod = _n2m_rows(m, mode, lie_complete=False)
-    _add(prod, _e(1), "x1", _e(1), 1)
-    _add(prod, "x1", _e(1), _e(1), -1)
-    _add(prod, _e(2), "x1", _e(2), m - 1)
-    _add(prod, "x1", _e(2), _e(2), -(m - 1))
-    _add(prod, _e(2), "x2", _e(2), 2)
-    _add(prod, "x2", _e(2), _e(2), -2)
+    _add_both(prod, _e(1), "x1", _e(1), 1)
+    _add_both(prod, _e(2), "x1", _e(2), m - 1)
+    _add_both(prod, _e(2), "x2", _e(2), 2)
     for i in range(1, m + 1):
         # The verbatim row carries weight (1 - i); consistency forces (i - 1).
         w = (1 - i) if mode == VERBATIM else (i - 1)
         if w:
-            _add(prod, _y(i), "x1", _y(i), w)
-            _add(prod, "x1", _y(i), _y(i), -w)
-        _add(prod, _y(i), "x2", _y(i), 1)
-        _add(prod, "x2", _y(i), _y(i), -1)
+            _add_both(prod, _y(i), "x1", _y(i), w)
+        _add_both(prod, _y(i), "x2", _y(i), 1)
     return [], prod, 4, m
 
 
@@ -548,8 +536,7 @@ def _single_beta_table(n: int, n_odd: int, t: int, y1_row: bool):
         if j + t - 2 <= n_odd:
             _add(prod, _y(j), _e(2), _y(j + t - 2), 1)
     _weight_rows(prod, n, n_odd, "x")
-    _add(prod, _e(2), "x", _e(2), 2 * (t - 2))
-    _add(prod, "x", _e(2), _e(2), -2 * (t - 2))
+    _add_both(prod, _e(2), "x", _e(2), 2 * (t - 2))
     _add(prod, "x", _e(2), _e(t - 1), -2)
     return [], prod, n + 1, n_odd
 
@@ -568,8 +555,7 @@ def _table_SH2(n: int, mode: str):
     prod = _zero_rows(n, n, 3)
     _add(prod, _y(1), _e(2), _y(n), 1)
     _weight_rows(prod, n, n, "x")
-    _add(prod, _e(2), "x", _e(2), 2 * (n - 1))
-    _add(prod, "x", _e(2), _e(2), -2 * (n - 1))
+    _add_both(prod, _e(2), "x", _e(2), 2 * (n - 1))
     _add(prod, "x", _e(2), _e(n), -2)
     return [], prod, n + 1, n
 
@@ -590,8 +576,7 @@ def _middle_beta_table(n: int, n_odd: int, gamma_row: bool):
     if gamma_row:
         _add(prod, _e(2), _e(2), _e(n), _var("gamma", params))
     _weight_rows(prod, n, n_odd, "x")
-    _add(prod, _e(2), "x", _e(2), n - 1)
-    _add(prod, "x", _e(2), _e(2), -(n - 1))
+    _add_both(prod, _e(2), "x", _e(2), n - 1)
     _add(prod, "x", _e(2), _e(step + 1), -2)
     return params, prod, n + 1, n_odd
 
@@ -614,8 +599,7 @@ def _top_square_table(n: int, n_odd: int, top_row: bool):
     if top_row:
         _add(prod, _e(2), _e(2), _e(n), 1)
     _weight_rows(prod, n, n_odd, "x")
-    _add(prod, _e(2), "x", _e(2), n - 1)
-    _add(prod, "x", _e(2), _e(2), -(n - 1))
+    _add_both(prod, _e(2), "x", _e(2), n - 1)
     return [], prod, n + 1, n_odd
 
 

@@ -27,8 +27,8 @@ from superalg.verify import (audit_errata, corollary_patterns,
                              verify_corollary, verify_derivation_proposition,
                              verify_solvable_family)
 
-from oracles import (brute_leibniz_residuals, brute_lie_residuals, contains_vector,
-                     jordan_type_by_powers, random_graded_algebra,
+from oracles import (brute_leibniz_residuals, brute_lie_residuals, cells_of,
+                     contains_vector, jordan_type_by_powers, random_graded_algebra,
                      random_nilpotent_matrix)
 
 
@@ -322,7 +322,7 @@ def test_criterion_9_oracle_equivalence():
     for trial in range(100):
         dim = rng.randint(1, 10)
         matrix = random_nilpotent_matrix(rng, dim)
-        got = nilpotent_jordan_type(matrix)
+        got = nilpotent_jordan_type(dim, cells_of(matrix))
         want = jordan_type_by_powers(matrix)
         if got != want:
             failures.append(f"matrix trial {trial}: {got} vs oracle {want}")

@@ -16,6 +16,12 @@ from superalg.core import MAX_BOUND, MAX_SAMPLES, sdf_dumps, sdf_loads
 from superalg.families import MAX_SIZE
 
 
+# Python 3.10 before 3.10.7 has no int-string digit limit, so no literal is over it.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="no int-string digit limit")
+BIG = "1" * max(5000, DIGIT_LIMIT + 1)
+
+
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -79,6 +85,14 @@ class TestFamilyCommand:
         code, _, err = run(["family", "H", "--n", "5", "--param",
                             f"gamma={raw}", "-o", "-"], capsys)
         assert code == 2 and "parameter gamma" in err
+
+    @needs_digit_limit
+    def test_param_over_the_digit_limit_exits_2(self, capsys):
+        code, out, err = run(["family", "L", "--n", "5", "--param",
+                              f"alpha4={BIG}", "-o", "-"], capsys)
+        assert code == 2 and out == ""
+        assert f"parameter alpha4: rational literal with a {len(BIG)}-digit" in err
+        assert BIG[:50] not in err
 
     def test_param_fraction_literal_builds(self, capsys):
         code, out, _ = run(["family", "H", "--n", "5", "--param", "gamma=3/2",
@@ -205,6 +219,17 @@ class TestAnalysisCommands:
         path.write_text(json.dumps(doc))
         code, _, err = run(["check", str(path)], capsys)
         assert code == 2 and "limit of 64" in err
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("coeff", [BIG, f"2*{BIG}", f"1/{BIG}"])
+    def test_literal_over_the_digit_limit_exits_2(self, tmp_path, capsys, coeff):
+        doc = {"name": "hostile", "even_basis": ["e1", "e2"], "odd_basis": [],
+               "products": [{"left": "e1", "right": "e1", "value": [["e2", coeff]]}]}
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(["check", str(path)], capsys)
+        assert code == 2 and err.startswith("error: ")
+        assert f"{len(BIG)}-digit" in err and BIG[:50] not in err
 
     def test_coefficient_over_the_degree_cap_exits_2(self, tmp_path, capsys):
         doc = {"name": "hostile", "even_basis": ["e1", "e2"], "odd_basis": [],

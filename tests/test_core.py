@@ -21,7 +21,7 @@ from superalg.core import (EVEN, MAX_BASIS, MAX_BOUND, MAX_PARAMETERS, MAX_SAMPL
                            charseq_bound, charseq_note, check_leibniz, check_lie,
                            derived_series, fingerprint, is_nilpotent, is_solvable,
                            lower_central_series, make_superalgebra, nilindex,
-                           product, right_annihilator, right_mul_matrix,
+                           product, right_annihilator, right_mul_cells,
                            sdf_dump, sdf_dumps, sdf_load, sdf_loads,
                            subspace_product)
 from superalg.errors import InputError, NotNilpotentError
@@ -182,46 +182,52 @@ class TestRightMultiplication:
     def test_abelian_is_zero(self):
         a = abelian(2, 1)
         for label in a.labels:
-            assert right_mul_matrix(a, GradedVector.basis(a, label)).is_zero()
+            assert right_mul_cells(a, GradedVector.basis(a, label), range(a.dim)) == {}
 
     def test_odd_block_is_the_shift(self):
         a = build("N2M", 3)
-        rx = right_mul_matrix(a, GradedVector.basis(a, "e1"))
-        odd = range(2, 5)
-        block = from_rows([[rx.entries[i][j] for j in odd] for i in odd])
-        assert nilpotent_jordan_type(block) == (3,)
-        even = range(0, 2)
-        even_block = from_rows(
-            [[rx.entries[i][j] for j in even] for i in even])
-        assert nilpotent_jordan_type(even_block) == (1, 1)
+        e1 = GradedVector.basis(a, "e1")
+        assert nilpotent_jordan_type(3, right_mul_cells(a, e1, range(2, 5))) == (3,)
+        assert nilpotent_jordan_type(2, right_mul_cells(a, e1, range(0, 2))) == (1, 1)
 
     def test_sign_convention_for_odd_elements(self):
         a = build("N2M", 3)
-        ry1 = right_mul_matrix(a, GradedVector.basis(a, "y1"))
+        ry1 = right_mul_cells(a, GradedVector.basis(a, "y1"), range(a.dim))
         # R_{y1}(y3) = (-1)^{1*1} [y3, y1] = -e2
-        col = a.index("y3")
-        assert ry1.entries[a.index("e2")][col] == -1
+        assert ry1[a.index("e2"), a.index("y3")] == -1
         # R_{y1}(e1) = (+1) [e1, y1] = -y2
-        assert ry1.entries[a.index("y2")][a.index("e1")] == -1
+        assert ry1[a.index("y2"), a.index("e1")] == -1
 
     def test_non_homogeneous_rejected(self):
         a = build("N2M", 3)
         with pytest.raises(InputError):
-            right_mul_matrix(a, vec(a, e1=1, y1=1))
+            right_mul_cells(a, vec(a, e1=1, y1=1), range(a.dim))
 
     def test_columns_match_the_product_oracle(self):
-        # column j is R_x(b_j) = (-1)^{pq} [b_j, x], read off `product`
+        # cell (l, k) is the coefficient of b_keep[l] in
+        # R_x(b_keep[k]) = (-1)^{pq} [b_keep[k], x], read off `product`, on
+        # the whole space, a parity block, and random blocks, closed under
+        # R_x or not, for even and odd x
         rng = random.Random(41)
-        for trial in range(40):
+        closed_kinds = set()
+        for trial in range(80):
             a = random_graded_algebra(rng, rng.randint(1, 4), rng.randint(0, 4), 0.5)
             parity = ODD if a.n_odd and trial % 2 else EVEN
             x = _random_homogeneous(rng, a, parity)
-            rx = right_mul_matrix(a, x)
-            for j in range(a.dim):
+            block = (range(a.n_even), range(a.n_even, a.dim))[trial // 4 % 2]
+            subset = rng.sample(range(a.dim), rng.randint(0, a.dim))
+            keep = (range(a.dim), block, sorted(subset), subset)[trial % 4]
+            got = right_mul_cells(a, x, keep)
+            want, leaks = {}, False
+            for k, j in enumerate(keep):
                 sign = -1 if parity == ODD and a.parity(j) == ODD else 1
-                bj = GradedVector.basis(a, a.label(j))
-                want = product(a, bj, x).scale(sign).coords
-                assert tuple(rx.entries[l][j] for l in range(a.dim)) == want
+                image = product(a, GradedVector.basis(a, a.label(j)), x).scale(sign).coords
+                want.update({(l, k): image[t] for l, t in enumerate(keep) if image[t]})
+                leaks |= any(image[t] for t in range(a.dim) if t not in keep)
+            assert got == want, (trial, keep)
+            assert all(type(v) is Fraction for v in got.values())
+            closed_kinds.add(not leaks)
+        assert closed_kinds == {True, False}
 
     def test_even_elements_preserve_parity(self):
         # R_x for even x has zero off-diagonal parity blocks
@@ -230,12 +236,8 @@ class TestRightMultiplication:
                           ("SH1", 5), ("M5", 5)):
             a = build(fid, size, instance(fid, size))
             for _ in range(5):
-                rx = right_mul_matrix(a, _random_homogeneous(rng, a, EVEN))
-                n0 = a.n_even
-                assert not any(rx.entries[i][j] for i in range(n0)
-                               for j in range(n0, a.dim))
-                assert not any(rx.entries[i][j] for i in range(n0, a.dim)
-                               for j in range(n0))
+                rx = right_mul_cells(a, _random_homogeneous(rng, a, EVEN), range(a.dim))
+                assert all(a.parity(l) == a.parity(k) for l, k in rx)
 
 
 class TestIdentityChecks:
@@ -698,8 +700,8 @@ class TestSeries:
     def test_nilindex_via_right_multiplication_words(self):
         # independent series computation: V_{k+1} = sum of R_b(V_k)
         a = build("N2M", 5)
-        mats = [right_mul_matrix(a, GradedVector.basis(a, lab))
-                for lab in a.labels]
+        mats = [RatMatrix.from_cells(a.dim, a.dim, right_mul_cells(
+                    a, GradedVector.basis(a, lab), range(a.dim))) for lab in a.labels]
         current = [list(row) for row in RatMatrix.identity(a.dim).entries]
         steps = 1
         while current:
@@ -788,9 +790,9 @@ class TestCharSequence:
             for c in range(-5, 6):
                 if s == 0 and c == 0:
                     continue
-                rx = right_mul_matrix(a, vec(a, e1=s, e2=c))
-                pair = (nilpotent_jordan_type(rx.principal(range(a.n_even))),
-                        nilpotent_jordan_type(rx.principal(range(a.n_even, a.dim))))
+                x = vec(a, e1=s, e2=c)
+                pair = tuple(nilpotent_jordan_type(len(block), right_mul_cells(a, x, block))
+                             for block in (range(a.n_even), range(a.n_even, a.dim)))
                 cand = pair
                 if best is None:
                     best = cand
@@ -867,9 +869,9 @@ class TestCharseqBound:
         import superalg.core as core
         calls = []
 
-        def counted(m):
-            calls.append(m)
-            return nilpotent_jordan_type(m)
+        def counted(size, cells):
+            calls.append(cells)
+            return nilpotent_jordan_type(size, cells)
 
         monkeypatch.setattr(core, "nilpotent_jordan_type", counted)
         return calls
@@ -954,8 +956,8 @@ class TestFingerprint:
     def test_engel_property_on_nilpotent_instances(self):
         a = build("H", 4, zeros("H", 4))
         for label in a.labels:
-            rx = right_mul_matrix(a, GradedVector.basis(a, label))
-            assert nilpotent_jordan_type(rx) is not None
+            rx = right_mul_cells(a, GradedVector.basis(a, label), range(a.dim))
+            assert nilpotent_jordan_type(a.dim, rx) is not None
 
 
 class TestSDF:
@@ -1207,7 +1209,8 @@ class TestIntegralTable:
             assert a.structure == twin.structure
             basis = [GradedVector.basis(a, lab) for lab in a.labels]
             for i, x in enumerate(basis):
-                assert right_mul_matrix(a, x) == right_mul_matrix(twin, x)
+                assert right_mul_cells(a, x, range(a.dim)) == \
+                    right_mul_cells(twin, x, range(a.dim))
                 for j, y in enumerate(basis):
                     want = dict(a.constant_structure().get((i, j), ()))
                     assert product(a, x, y).coords == tuple(

@@ -10,7 +10,7 @@ import pytest
 from superalg import (FAMILY_IDS, build, family_info, nilradical_spec,
                       parameter_names)
 from superalg.core import (EVEN, ODD, GradedVector, change_basis,
-                           make_superalgebra, right_mul_matrix)
+                           make_superalgebra, right_mul_cells)
 from superalg.derivations import (EXTENDABLE, derivation_space, extendability,
                                   is_derivation, max_nil_independent,
                                   same_span, space_all_nilpotent)
@@ -85,14 +85,14 @@ class TestSolver:
             size, params = smallest_instance(fid)
             a = build(fid, size, params)
             for label in a.even_basis:
-                rx = right_mul_matrix(a, GradedVector.basis(a, label))
-                assert is_derivation(a, cells_of(rx), EVEN), (fid, label)
+                rx = right_mul_cells(a, GradedVector.basis(a, label), range(a.dim))
+                assert is_derivation(a, rx, EVEN), (fid, label)
 
     def test_right_multiplication_by_odd_elements_is_an_odd_derivation(self):
         a = build("N2M", 5)
         for label in a.odd_basis:
-            rx = right_mul_matrix(a, GradedVector.basis(a, label))
-            assert is_derivation(a, cells_of(rx), ODD), label
+            rx = right_mul_cells(a, GradedVector.basis(a, label), range(a.dim))
+            assert is_derivation(a, rx, ODD), label
 
     def test_bad_degree_rejected(self):
         with pytest.raises(InputError):
@@ -135,7 +135,7 @@ class TestAgainstOracles:
             for degree in (EVEN, ODD):
                 allowed = [(l, k) for l in range(a.dim) for k in range(a.dim)
                            if a.parity(l) == (a.parity(k) + degree) % 2]
-                zero = RatMatrix.zeros(a.dim, a.dim)
+                zero = RatMatrix.from_cells(a.dim, a.dim, {})
                 for m in (zero,) + derivation_space(a, degree).basis:
                     grid = [list(r) for r in m.entries]
                     l, k = rng.choice(allowed)
@@ -395,7 +395,7 @@ class TestSameSpanOracle:
 
     def test_empty_families(self):
         algebra = abelian(2, 1)
-        zero = RatMatrix.zeros(algebra.dim, algebra.dim)
+        zero = RatMatrix.from_cells(algebra.dim, algebra.dim, {})
         assert _same_span(algebra, EVEN, [], [])
         assert _same_span(algebra, EVEN, [], [zero, zero])
         assert not _same_span(algebra, EVEN, [], [_unit(algebra.dim, {(2, 2): 1})])
