@@ -51,12 +51,17 @@ derivations = _lazy_submodule("derivations")
 verify = _lazy_submodule("verify")
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("SUPERALG_SEED", "0")
+def _integer(what: str, raw: str) -> int:
+    """raw as an int; the InputError names a long value by its length only."""
     try:
         return int(raw)
-    except ValueError:
-        raise InputError(f"SUPERALG_SEED must be an integer, got {raw!r}") from None
+    except ValueError:   # also a literal over the int-string digit limit
+        shown = repr(raw) if len(raw) <= 40 else f"a {len(raw)}-character value"
+        raise InputError(f"{what} must be an integer, got {shown}") from None
+
+
+def _default_seed() -> int:
+    return _integer("SUPERALG_SEED", os.environ.get("SUPERALG_SEED", "0"))
 
 
 def _load_algebra(path: str):
@@ -76,14 +81,8 @@ def _parse_params(pairs: list[str]) -> dict[str, object]:
         name, _, raw = pair.partition("=")
         name = name.strip()
         raw = raw.strip()
-        if name == "t":
-            try:
-                params[name] = int(raw)
-            except ValueError:
-                raise InputError(f"t must be an integer, got {raw!r}") from None
-        else:
-            # `build` reads the literal as it reads any parameter value.
-            params[name] = raw
+        # `build` reads any other literal as it reads any parameter value.
+        params[name] = _integer("t", raw) if name == "t" else raw
     return params
 
 
@@ -98,8 +97,7 @@ def _cmd_family(args) -> int:
                          f"not --{'m' if info.size_name == 'n' else 'n'}")
     params = _parse_params(args.param)
     if args.zeros:
-        for name in families.parameter_names(args.family_id, size):
-            params.setdefault(name, 0)
+        params = families.zero_filled(args.family_id, size, params)
     mode = families.CORRECTED if args.errata is None else args.errata
     algebra = families.build(args.family_id, size, params, mode)
     text = sdf_dumps(algebra)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import wraps
 from itertools import chain
@@ -71,6 +71,8 @@ class SuperAlgebra:
         labels = self.even_basis + self.odd_basis
         if len(set(labels)) != len(labels):
             raise InputError("duplicate basis labels")
+        if len(set(self.parameters)) != len(self.parameters):
+            raise InputError("duplicate parameter names")
         self.labels = labels
         self.n_even = len(self.even_basis)
         self.n_odd = len(self.odd_basis)
@@ -175,15 +177,6 @@ class SuperAlgebra:
                      for key, terms in self.structure.items()}
         return SuperAlgebra(self.name, self.even_basis, self.odd_basis, remaining, structure)
 
-    def even_part(self) -> SuperAlgebra:
-        """The even component as a stand-alone (purely even) algebra."""
-        structure = {
-            (i, j): terms for (i, j), terms in self.structure.items()
-            if i < self.n_even and j < self.n_even
-        }
-        return SuperAlgebra(f"{self.name}|even", self.even_basis, (),
-                            self.parameters, structure)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SuperAlgebra):
             return NotImplemented
@@ -195,6 +188,23 @@ class SuperAlgebra:
     def __repr__(self) -> str:
         return (f"SuperAlgebra({self.name!r}, dims=({self.n_even}|{self.n_odd}), "
                 f"parameters={list(self.parameters)})")
+
+
+def subalgebra(algebra: SuperAlgebra, keep: Sequence[int], name: str) -> SuperAlgebra | None:
+    """The table on the basis vectors `keep` (even ones first, each part in
+    the given order), named "<algebra>|<name>", or None when a product of
+    two of them leaves their span."""
+    remap = {old: new for new, old in enumerate(keep)}
+    structure = {}
+    for (i, j), terms in algebra.structure.items():
+        if i in remap and j in remap:
+            if any(k not in remap for k, _ in terms):
+                return None
+            structure[(remap[i], remap[j])] = tuple((remap[k], c) for k, c in terms)
+    labels = [algebra.label(i) for i in keep]
+    even_count = sum(1 for i in keep if i < algebra.n_even)
+    return SuperAlgebra(f"{algebra.name}|{name}", labels[:even_count],
+                        labels[even_count:], algebra.parameters, structure)
 
 
 def make_superalgebra(name: str, even_basis: Sequence[str], odd_basis: Sequence[str],
@@ -642,7 +652,8 @@ def nilindex(algebra: SuperAlgebra) -> int | None:
 def is_solvable(algebra: SuperAlgebra) -> bool:
     """Termination of the derived series, cross-checked against the even part."""
     whole = derived_series(algebra)[-1].is_zero()
-    even_only = derived_series(algebra.even_part())[-1].is_zero()
+    even = subalgebra(algebra, range(algebra.n_even), "even")
+    even_only = derived_series(even)[-1].is_zero()
     if whole != even_only:
         raise InternalInconsistencyError(
             f"solvability of {algebra.name!r} disagrees with its even part "
@@ -670,17 +681,6 @@ def right_annihilator(algebra: SuperAlgebra) -> GradedSubspace:
 # ---------------------------------------------------------------------------
 # Characteristic sequence
 # ---------------------------------------------------------------------------
-
-def even_square(algebra: SuperAlgebra) -> GradedSubspace:
-    """[L0, L0]: the span of the products of even basis vectors, read off
-    the integral table (a scaled bracket has the same span)."""
-    table = algebra._integral_structure()
-    square: dict[int, SparseRow] = {}
-    for i in range(algebra.n_even):
-        for j in range(algebra.n_even):
-            _reduce_into(square, dict(table.get((i, j), ())))
-    return GradedSubspace(algebra, (square, {}))
-
 
 @_once_per_algebra
 def charseq_bound(algebra: SuperAlgebra) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -755,7 +755,8 @@ def char_sequence(algebra: SuperAlgebra, samples: int = 64, seed: int = 0,
                              f"{cap} (got {value})")
     ceiling = charseq_bound(algebra)
     n0 = algebra.n_even
-    square = even_square(algebra)
+    even = GradedSubspace(algebra, ({i: {i: 1} for i in range(n0)}, {}))
+    square = subspace_product(algebra, even, even)   # [L0, L0]
 
     def admissible(coords: Sequence[Fraction]) -> bool:
         return any(coords) and not square.contains_part_vector(EVEN, coords)
@@ -825,18 +826,7 @@ class Fingerprint:
     charseq_note: str | None = field(default=None, compare=False)
 
     def as_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "lower_central": [list(t) for t in self.lower_central],
-            "derived": [list(t) for t in self.derived],
-            "nilindex": self.nilindex,
-            "solvable": self.solvable,
-            "annihilator": list(self.annihilator),
-            "derivation_dims": list(self.derivation_dims),
-            "charseq": None if self.charseq is None
-            else [list(self.charseq[0]), list(self.charseq[1])],
-            "charseq_note": self.charseq_note,
-        }
+        return asdict(self)
 
 
 def fingerprint(algebra: SuperAlgebra, seed: int = 0) -> Fingerprint:

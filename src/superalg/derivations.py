@@ -7,8 +7,8 @@ computed as the exact kernel of the linear system over the grading-compatible
 matrix entries, scattered from the nonzero constants of the algebra's integral
 table (the kernel does not change when the bracket is scaled).  Each basis
 element is held, from the kernel to the verdict, as its nonzero (l, k) cells;
-a dense `RatMatrix` is built only where one is printed or returned (`.basis`,
-the nil-independence witnesses).  Every basis element is re-verified by
+a dense `RatMatrix` is built only where one is printed or returned
+(`.basis`).  Every basis element is re-verified by
 `is_derivation`, which scatters the identity over the nonzero product cells
 and the nonzero entries of D, so its work grows with them rather than with
 the basis pairs, and shares no code with the assembler (the two are separate
@@ -182,10 +182,11 @@ def same_span(algebra: SuperAlgebra, degree: int,
 
 @dataclass(frozen=True)
 class NilIndependenceReport:
-    """Maximal number of nil-independent elements of a derivation space."""
+    """Maximal number of nil-independent elements of a derivation space;
+    the witnesses are basis elements of the space, as their cells."""
 
     max_count: int
-    witnesses: tuple[RatMatrix, ...]
+    witnesses: tuple[Cells, ...]
     method: str
 
 
@@ -211,9 +212,8 @@ def max_nil_independent(space: DerivationSpace) -> NilIndependenceReport:
             "nil-independence is only decided for simultaneously triangular "
             "derivation families")
     echelon: dict[int, SparseRow] = {}
-    n = space.algebra_dim
     witnesses = tuple(
-        RatMatrix.from_cells(n, n, cells) for cells in space.cells
+        cells for cells in space.cells
         if _reduce_into(echelon, {l: x for (l, k), x in cells.items() if l == k and x}))
     if not witnesses:
         return NilIndependenceReport(0, (), "all-nilpotent")
@@ -303,12 +303,8 @@ def extendability(family_id: str, n: int,
         raise InputError(
             f"extendability is defined for the nilpotent families "
             f"{', '.join(CLASSIFIER_FAMILIES)}; got {family_id!r}")
-    values = {name: Fraction(0) for name in families.parameter_names(family_id, n)}
-    for name, raw in (params or {}).items():
-        if name not in values:
-            raise InputError(f"{family_id}: unknown parameter {name!r}")
-        values[name] = parameter_value(name, raw)
-
+    values = {name: parameter_value(name, raw)
+              for name, raw in families.zero_filled(family_id, n, params or {}).items()}
     if mode is None:
         mode = families.VERBATIM
     algebra = families.build(family_id, n, values, mode)

@@ -876,6 +876,13 @@ def parameter_names(fid: str, size: int) -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
+def zero_filled(fid: str, size: int, params: Mapping[str, object]) -> dict[str, object]:
+    """`params` over a 0 for every rational parameter of `fid` at `size`: the
+    one statement that unspecified parameters are 0.  Structural values in
+    `params` pass through."""
+    return {**dict.fromkeys(parameter_names(fid, size), 0), **params}
+
+
 def nilradical_spec(fid: str, size: int, params: Mapping[str, object] | None = None,
                     ) -> tuple[str, dict[str, object]]:
     """The claimed nilradical of a solvable family as `(family_id, values)`,
@@ -883,9 +890,8 @@ def nilradical_spec(fid: str, size: int, params: Mapping[str, object] | None = N
     info = family_info(fid)
     if info.kind != "solvable":
         raise InputError(f"{fid} is not a solvable-extension family")
-    values: dict[str, object] = {p: 0 for p in parameter_names(info.nilradical, size)}
-    values.update(info.nilradical_params(size, params or {}))
-    return info.nilradical, values
+    return info.nilradical, zero_filled(info.nilradical, size,
+                                        info.nilradical_params(size, params or {}))
 
 
 # ---------------------------------------------------------------------------

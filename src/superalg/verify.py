@@ -22,14 +22,14 @@ the cited basis triple, and the corrected table must pass.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import families
 from .core import (EVEN, GradedVector, SuperAlgebra, char_sequence, charseq_note,
                    check_leibniz, check_lie, fingerprint, is_nilpotent,
-                   is_solvable, nilindex, right_mul_cells)
+                   is_solvable, nilindex, right_mul_cells, subalgebra)
 from .derivations import (CLASSIFIER_FAMILIES, derivation_space, extendability,
                           is_derivation, same_span)
 from .errors import InputError, SuperalgError, UnsupportedShapeError
@@ -49,7 +49,7 @@ class CheckResult:
     detail: str = ""
 
     def as_dict(self) -> dict:
-        return {"name": self.name, "status": self.status, "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass
@@ -134,10 +134,6 @@ def render_text(report: RunReport) -> str:
     return "\n".join(lines)
 
 
-def _zeros(fid: str, size: int) -> dict[str, int]:
-    return {p: 0 for p in families.parameter_names(fid, size)}
-
-
 def _residuals(found: list) -> str:
     return f"{len(found)} residuals; first: {found[0]}" if found else ""
 
@@ -173,7 +169,7 @@ def verify_nilpotent_family(fid: str, size: int,
     info = families.family_info(fid)
     if info.kind != "nilpotent":
         raise InputError(f"{fid} is not a nilpotent family")
-    params = dict(params) if params else _zeros(fid, size)
+    params = families.zero_filled(fid, size, params or {})
     report = ClaimReport(f"NILP-{fid}",
                          f"{fid}({info.size_name}={size}; {_fmt_params(params)})")
 
@@ -198,25 +194,6 @@ def verify_nilpotent_family(fid: str, size: int,
 # Solvable family claims
 # ---------------------------------------------------------------------------
 
-def _subalgebra_on(algebra: SuperAlgebra, keep: Sequence[int]) -> SuperAlgebra | None:
-    """Substructure on the basis vectors `keep`, even ones first, in order.
-
-    Returns None when some internal product leaves the selected span.
-    """
-    keep_set = set(keep)
-    remap = {old: new for new, old in enumerate(keep)}
-    structure = {}
-    for (i, j), terms in algebra.structure.items():
-        if i in keep_set and j in keep_set:
-            if any(k not in keep_set for k, _ in terms):
-                return None
-            structure[(remap[i], remap[j])] = tuple((remap[k], c) for k, c in terms)
-    labels = [algebra.label(i) for i in keep]
-    even_count = sum(1 for i in keep if i < algebra.n_even)
-    return SuperAlgebra(f"{algebra.name}|nilradical-candidate", labels[:even_count],
-                        labels[even_count:], algebra.parameters, structure)
-
-
 def verify_solvable_family(fid: str, size: int,
                            params: Mapping[str, object] | None = None) -> ClaimReport:
     """Identity, solvability, and the nilradical-candidate checks."""
@@ -231,8 +208,7 @@ def verify_solvable_family(fid: str, size: int,
     structural = {k: v for k, v in params.items() if k in info.structural}
     _check_identities(report, info, families.build(fid, size, structural or None))
 
-    full_params = _zeros(fid, size)
-    full_params.update(params)
+    full_params = families.zero_filled(fid, size, params)
     algebra = families.build(fid, size, full_params)
 
     solvable, nilpotent = is_solvable(algebra), is_nilpotent(algebra)
@@ -256,7 +232,7 @@ def verify_solvable_family(fid: str, size: int,
                   "[L, L] is not contained in the candidate")
 
     keep = list(range(base_even)) + list(range(n_even, algebra.dim))
-    sub = _subalgebra_on(algebra, keep)
+    sub = subalgebra(algebra, keep, "nilradical-candidate")
     if sub is None:
         report.bad("nilradical-candidate-closed",
                    "internal products leave the candidate span")
@@ -404,9 +380,8 @@ def verify_derivation_proposition(pid: str, n: int,
             "template correction: the displayed free top coefficient of d(e2) "
             "is tied to a_{n-1} by the identity pair (e2, y1)")
     for sample in samples:
-        values = {name: Fraction(0) for name in families.parameter_names(fid, n)}
-        for k, v in sample.items():
-            values[k] = parameter_value(k, v)
+        values = {k: parameter_value(k, v)
+                  for k, v in families.zero_filled(fid, n, sample).items()}
         label = _fmt_params(values)
         algebra = families.build(fid, n, values, families.VERBATIM)
         space = derivation_space(algebra, EVEN)
@@ -484,9 +459,7 @@ def pairwise_distinguish(members: Sequence[tuple[str, int, Mapping[str, object]]
     start = time.perf_counter()
     built = []
     for fid, size, params in members:
-        full = _zeros(fid, size)
-        full.update(params)
-        algebra = families.build(fid, size, full)
+        algebra = families.build(fid, size, families.zero_filled(fid, size, params))
         built.append((algebra.name, fingerprint(algebra, seed=seed)))
     report = ClaimReport(claim_id, ", ".join(name for name, _ in built))
     undistinguished = []
@@ -592,9 +565,7 @@ def _claim_reports(cid: str, n_range: tuple[int, int] | None,
         lo, hi = rng(3, 7)
         for size in families.sizes(fid, lo, hi):
             for sample in families.family_info(fid).samples(size):
-                params = _zeros(fid, size)
-                params.update(sample)
-                yield verify_nilpotent_family(fid, size, params, seed)
+                yield verify_nilpotent_family(fid, size, sample, seed)
     elif kind == "P":
         lo, hi = rng(4, 6)
         for size in families.sizes(fid, max(lo, 4), hi):

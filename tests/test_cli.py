@@ -11,9 +11,12 @@ from pathlib import Path
 
 import pytest
 
+from superalg import FAMILY_IDS, build, family_info, parameter_names
 from superalg.cli import main
 from superalg.core import MAX_BOUND, MAX_SAMPLES, sdf_dumps, sdf_loads
 from superalg.families import MAX_SIZE
+
+from oracles import smallest_instance
 
 
 # Python 3.10 before 3.10.7 has no int-string digit limit, so no literal is over it.
@@ -51,6 +54,30 @@ class TestFamilyCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["parameters"] == []
+
+    def test_zeros_flag_fills_every_unspecified_parameter_across_the_catalog(self, capsys):
+        for fid in FAMILY_IDS:
+            size, params = smallest_instance(fid)
+            info = family_info(fid)
+            given = {k: v for k, v in params.items() if v or k in info.structural}
+            argv = ["family", fid, f"--{info.size_name}", str(size), "--zeros", "-o", "-"]
+            for name, value in given.items():
+                argv += ["--param", f"{name}={value}"]
+            code, out, _ = run(argv, capsys)
+            hand = {p: 0 for p in parameter_names(fid, size)}
+            hand.update(given)
+            assert code == 0 and out == sdf_dumps(build(fid, size, hand)), fid
+
+    @pytest.mark.parametrize("raw", [pytest.param(BIG, marks=needs_digit_limit), "x" * 5000])
+    def test_long_structural_t_is_named_by_its_length(self, raw, capsys):
+        code, out, err = run(["family", "SH1", "--n", "5", "--param", f"t={raw}"], capsys)
+        assert code == 2 and out == ""
+        assert f"t must be an integer, got a {len(raw)}-character value" in err
+        assert len(err) < 200
+
+    def test_short_structural_t_is_shown(self, capsys):
+        code, _, err = run(["family", "SH1", "--n", "5", "--param", "t=4.5"], capsys)
+        assert code == 2 and "t must be an integer, got '4.5'" in err
 
     def test_wrong_size_flag(self, capsys):
         code, _, err = run(["family", "N2M", "--n", "3", "-o", "-"], capsys)
@@ -140,6 +167,14 @@ class TestAnalysisCommands:
         code, stdout, _ = run(["charseq", n23], capsys)
         assert code == 0 and "seed=2" in stdout
 
+    @pytest.mark.parametrize("raw", [pytest.param(BIG, marks=needs_digit_limit), "x" * 5000])
+    def test_long_seed_env_is_named_by_its_length(self, raw, capsys, monkeypatch):
+        monkeypatch.setenv("SUPERALG_SEED", raw)
+        code, out, err = run(["verify", "--claims", "NILP-L"], capsys)
+        assert code == 2 and out == ""
+        assert f"SUPERALG_SEED must be an integer, got a {len(raw)}-character value" in err
+        assert len(err) < 200
+
     def test_charseq_rejects_non_nilpotent(self, tmp_path, capsys):
         out = tmp_path / "sl.json"
         assert main(["family", "SL", "--n", "4", "-o", str(out)]) == 0
@@ -210,6 +245,15 @@ class TestAnalysisCommands:
         path.write_text(json.dumps(doc))
         code, _, err = run(["check", str(path)], capsys)
         assert code == 2 and err.startswith("error: malformed SDF")
+
+    def test_duplicate_parameter_names_exit_2(self, tmp_path, capsys):
+        doc = {"name": "twice", "even_basis": ["e1", "e2"], "odd_basis": [],
+               "parameters": ["a", "a"], "products": [
+                   {"left": "e1", "right": "e1", "value": [["e2", "a"]]}]}
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["check", str(path)], capsys)
+        assert code == 2 and out == "" and "duplicate parameter names" in err
 
     def test_oversized_exponent_exits_2(self, tmp_path, capsys):
         doc = {"name": "hostile", "even_basis": ["e1", "e2"], "odd_basis": [],

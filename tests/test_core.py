@@ -23,7 +23,7 @@ from superalg.core import (EVEN, MAX_BASIS, MAX_BOUND, MAX_PARAMETERS, MAX_SAMPL
                            lower_central_series, make_superalgebra, nilindex,
                            product, right_annihilator, right_mul_cells,
                            sdf_dump, sdf_dumps, sdf_load, sdf_loads,
-                           subspace_product)
+                           subalgebra, subspace_product)
 from superalg.errors import InputError, NotNilpotentError
 from superalg.exactmath import (MAX_DEGREE, Polynomial, RatMatrix, invert,
                                 nilpotent_jordan_type)
@@ -35,8 +35,8 @@ from oracles import (brute_leibniz_residuals, brute_lie_residuals,
                      dense_lower_central_series, dense_right_annihilator, dense_rref,
                      dense_subspace_product, from_rows, instance, mat_apply,
                      polynomial_leibniz_residuals, polynomial_lie_residuals,
-                     random_graded_algebra, random_parity_change, span_dim,
-                     subspace_from_vectors)
+                     random_graded_algebra, random_parity_change, smallest_instance,
+                     span_dim, subspace_from_vectors)
 
 
 def abelian(n0: int, n1: int) -> SuperAlgebra:
@@ -66,6 +66,11 @@ class TestConstruction:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(InputError):
             make_superalgebra("bad", ["e1", "e1"], [], [], {})
+
+    def test_duplicate_parameter_names_rejected(self):
+        with pytest.raises(InputError, match="duplicate parameter names"):
+            make_superalgebra("bad", ["e1", "e2"], [], ["a", "a"],
+                              {("e1", "e1"): [("e2", "a^2")]})
 
     def test_empty_even_part_rejected(self):
         with pytest.raises(InputError):
@@ -544,6 +549,26 @@ class TestSubspaces:
         assert seen == {"non-coordinate", "u != v", "u = v", "v = full", "both full",
                         "a part at full rank"}
 
+    def test_even_square_matches_the_dense_oracle(self):
+        # [L0, L0] as char_sequence forms it: the product of the even
+        # coordinate span with itself.
+        rng = random.Random(59)
+        algebras = [random_graded_algebra(rng, rng.randint(1, 5), rng.randint(0, 4),
+                                          density=rng.choice([0.3, 0.6, 0.9]))
+                    for _ in range(40)]
+        algebras += [build(fid, *smallest_instance(fid)) for fid in FAMILY_IDS]
+        algebras += _scaled_cases()
+        ranks = set()
+        for a in algebras:
+            even = GradedSubspace(a, ({i: {i: 1} for i in range(a.n_even)}, {}))
+            square = subspace_product(a, even, even)
+            vectors = [GradedVector.basis(a, lab) for lab in a.even_basis]
+            basis, dims = dense_subspace_product(a, vectors, vectors)
+            assert square.dims() == dims, a.name
+            assert _rows_over_the_basis(square) == [w.coords for w in basis], a.name
+            ranks.add(min(dims[EVEN], 2))
+        assert ranks == {0, 1, 2}
+
     def test_reading_the_canonical_form_leaves_the_stored_rows(self):
         rng = random.Random(47)
         reduced_some = False
@@ -627,6 +652,56 @@ def _random_spanning_sets(rng):
         return base + mixes
 
     return abelian(n0, n1), rows(n0), rows(n1)
+
+
+class TestSubalgebra:
+    def test_matches_the_product_oracle_on_random_keeps(self):
+        rng = random.Random(53)
+        closed_seen = set()
+        for _ in range(80):
+            a = random_graded_algebra(rng, rng.randint(1, 4), rng.randint(0, 4),
+                                      density=rng.choice([0.2, 0.5]))
+            even = rng.sample(range(a.n_even), rng.randint(1, a.n_even))
+            odd = rng.sample(range(a.n_even, a.dim), rng.randint(0, a.n_odd))
+            keep = even + odd
+            sub = subalgebra(a, keep, "sub")
+            basis = [GradedVector.basis(a, a.label(i)) for i in keep]
+            products = {(r, s): product(a, x, y).coords
+                        for r, x in enumerate(basis) for s, y in enumerate(basis)}
+            closed = all(not coords[k] for coords in products.values()
+                         for k in range(a.dim) if k not in keep)
+            closed_seen.add(closed)
+            assert (sub is not None) == closed
+            if sub is None:
+                continue
+            assert sub.name == "random|sub" and sub.parameters == a.parameters
+            assert sub.labels == tuple(a.label(i) for i in keep)
+            assert (sub.n_even, sub.n_odd) == (len(even), len(odd))
+            for (r, s), coords in products.items():
+                got = product(sub, GradedVector.basis(sub, sub.label(r)),
+                              GradedVector.basis(sub, sub.label(s)))
+                assert got.coords == tuple(coords[k] for k in keep)
+        assert closed_seen == {True, False}
+
+    def test_a_product_leaving_the_span_gives_none(self):
+        a = make_superalgebra("a", ["e1", "e2"], ["y1"], [],
+                              {("e1", "e1"): [("e2", 1)], ("y1", "y1"): [("e1", 1)]})
+        assert subalgebra(a, [0], "s") is None      # [e1, e1] = e2
+        assert subalgebra(a, [2], "s") is None      # [y1, y1] = e1
+        assert subalgebra(a, [1, 2], "s") is None
+        assert subalgebra(a, [0, 1], "s").structure == {(0, 0): ((1, 1),)}
+
+    def test_even_part_is_the_hand_filtered_table_across_the_catalog(self):
+        for fid in FAMILY_IDS:
+            size, params = smallest_instance(fid)
+            symbolic = build(fid, size, dict(family_info(fid).structural))
+            for a in (build(fid, size, params), symbolic):
+                n0 = a.n_even
+                hand = SuperAlgebra(f"{a.name}|even", a.even_basis, (), a.parameters,
+                                    {(i, j): terms for (i, j), terms in a.structure.items()
+                                     if i < n0 and j < n0})
+                even = subalgebra(a, range(n0), "even")
+                assert even == hand and even.name == hand.name, a.name
 
 
 class TestSeries:

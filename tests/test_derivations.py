@@ -17,6 +17,7 @@ from superalg.derivations import (EXTENDABLE, derivation_space, extendability,
 from superalg.families import CORRECTED, VERBATIM, sizes
 from superalg.errors import InputError, UnsupportedShapeError
 from superalg.exactmath import RatMatrix
+from superalg.verify import corollary_patterns
 
 from oracles import (bareiss_rank, cells_of, dense_derivation_kernel, dense_rref,
                      derivation_residuals, diagonal, from_rows, mat_add, mat_scale,
@@ -239,7 +240,8 @@ class TestNilIndependence:
         report = max_nil_independent(space)
         assert report.max_count == expected
         assert len(report.witnesses) == expected
-        diag_rows = [list(diagonal(w)) for w in report.witnesses]
+        n = space.algebra_dim
+        diag_rows = [list(diagonal(RatMatrix.from_cells(n, n, w))) for w in report.witnesses]
         assert bareiss_rank(diag_rows) == expected
 
     @pytest.mark.parametrize("size", [4, 5, 6])
@@ -309,7 +311,8 @@ class TestNilIndependenceOracle:
             if len(dense_rref(trial, dim)[1]) > len(picked):
                 picked = trial
                 witnesses.append(m)
-        assert report.witnesses == tuple(witnesses)
+        assert tuple(RatMatrix.from_cells(dim, dim, w)
+                     for w in report.witnesses) == tuple(witnesses)
         assert report.method == ("all-nilpotent" if not witnesses
                                  else "triangular-diagonal-rank")
         assert report.max_count == support_torus_dim(algebra)
@@ -443,6 +446,19 @@ class TestExtendability:
     def test_inexact_or_malformed_values_are_input_errors(self, raw):
         with pytest.raises(InputError, match="parameter delta: "):
             extendability("H", 6, {"delta": raw})
+
+    def test_unspecified_parameters_are_zero(self):
+        for fid in ("L", "M", "H", "G"):
+            for pattern in corollary_patterns(fid, 5):
+                result = extendability(fid, 5, pattern)
+                assert result.values == tuple(sorted((k, "1") for k in pattern))
+                assert result == extendability(fid, 5, {**zeros(fid, 5), **pattern})
+        as_text = extendability("H", 6, {"beta4": "2", "gamma": "0"})
+        assert as_text.values == (("beta4", "2"),)
+
+    def test_unknown_parameter_is_rejected_by_build(self):
+        with pytest.raises(InputError, match=r"unknown parameter 'x' \(expected one of: "):
+            extendability("H", 6, {"x": 1})
 
     def test_value_magnitude_is_irrelevant(self):
         a = extendability("H", 6, {"beta4": 1})

@@ -15,7 +15,7 @@ from superalg import (CORRECTED, FAMILY_IDS, VERBATIM, build, errata_for,
 from superalg.core import (GradedVector, check_leibniz, check_lie, nilindex,
                            product, sdf_dump, sdf_dumps)
 from superalg.errors import InputError
-from superalg.families import MAX_SIZE, shared_builds, sizes
+from superalg.families import MAX_SIZE, shared_builds, sizes, zero_filled
 
 from oracles import valued_table_by_text
 
@@ -443,3 +443,36 @@ class TestNilradicalSpecs:
     def test_middle_beta_with_gamma(self):
         _, values = nilradical_spec("SH3", 7, {"gamma": Fraction(2)})
         assert values["beta5"] == 1 and values["gamma"] == Fraction(2)
+
+    def test_every_spec_is_the_hand_filled_nilradical(self):
+        for fid in FAMILY_IDS:
+            info = family_info(fid)
+            if info.kind != "solvable":
+                continue
+            for size in sizes(fid, 3, 8):
+                for sample in info.samples(size):
+                    params = {**info.structural, **sample}
+                    hand = zeros(info.nilradical, size)
+                    hand.update(info.nilradical_params(size, params))
+                    spec = nilradical_spec(fid, size, params)
+                    assert spec == (info.nilradical, hand), (fid, size, sample)
+                    assert list(spec[1]) == list(hand)
+
+
+class TestZeroFilled:
+    def test_given_values_over_zeros_in_declaration_order(self):
+        names = parameter_names("H", 6)
+        filled = zero_filled("H", 6, {"delta": Fraction(1, 2), "beta4": "3"})
+        assert list(filled) == list(names)
+        assert filled == {**zeros("H", 6), "delta": Fraction(1, 2), "beta4": "3"}
+
+    def test_structural_t_passes_through(self):
+        filled = zero_filled("SH1", 6, {"t": 5})
+        assert filled == {**zeros("SH1", 6), "t": 5}
+        assert "t" not in parameter_names("SH1", 6)
+
+    def test_an_unknown_name_is_left_for_build_to_reject(self):
+        filled = zero_filled("L", 5, {"x": 1})
+        assert filled["x"] == 1
+        with pytest.raises(InputError, match=r"unknown parameter 'x' \(expected one of: "):
+            build("L", 5, filled)

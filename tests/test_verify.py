@@ -91,6 +91,15 @@ class TestPropositionClaims:
         report = verify_derivation_proposition("P-M", 5, [{"tau": 1}])
         assert report.status == "pass", failing(report)
 
+    def test_unspecified_parameters_are_zero_whatever_the_value_type(self):
+        report = verify_derivation_proposition("P-L", 5, [{}, {"alpha4": 1}, {"theta": 2}])
+        assert [c.name for c in report.checks] == [
+            "template-equality[zeros]", "template-equality[alpha4=1]",
+            "template-equality[theta=2]"]
+        as_text = verify_derivation_proposition(
+            "P-L", 5, [{"alpha5": "0"}, {"alpha4": "1"}, {"theta": "4/2"}])
+        assert as_text.checks == report.checks
+
     def test_template_correction_note_present(self):
         report = verify_derivation_proposition("P-M", 4)
         assert any("template correction" in n for n in report.notes)
