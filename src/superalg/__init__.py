@@ -16,9 +16,8 @@ from .core import (Fingerprint, GradedSubspace, GradedVector, Residual,
 from .errors import (DegenerateSamplingError, InputError,
                      InternalInconsistencyError, NotNilpotentError,
                      SuperalgError, UnsupportedShapeError)
-from .exactmath import (Polynomial, RatMatrix, format_rational,
-                        nilpotent_jordan_type, parse_coefficient,
-                        parse_rational)
+from .exactmath import (Polynomial, RatMatrix, nilpotent_jordan_type,
+                        parse_coefficient, parse_rational)
 
 _FAMILIES_EXPORTS = frozenset({
     "CORRECTED", "FAMILY_IDS", "VERBATIM", "ErrataEntry", "build",

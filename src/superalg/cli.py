@@ -18,14 +18,14 @@ import importlib.util
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .core import (EVEN, MAX_BOUND, MAX_SAMPLES, ODD, char_sequence,
                    charseq_note, check_leibniz, check_lie, derived_series,
                    fingerprint, lower_central_series, right_annihilator,
                    sdf_dumps, sdf_loads)
 from .errors import (DegenerateSamplingError, InputError, NotNilpotentError,
-                     SuperalgError)
-from .exactmath import format_rational
+                     SuperalgError, shown)
 
 
 def _lazy_submodule(name: str):
@@ -56,8 +56,15 @@ def _integer(what: str, raw: str) -> int:
     try:
         return int(raw)
     except ValueError:   # also a literal over the int-string digit limit
-        shown = repr(raw) if len(raw) <= 40 else f"a {len(raw)}-character value"
-        raise InputError(f"{what} must be an integer, got {shown}") from None
+        raise InputError(f"{what} must be an integer, got {shown(raw)}") from None
+
+
+def _int_arg(raw: str) -> int:
+    """The argparse type of integer options: `int`, with `shown` in the error."""
+    try:
+        return int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown(raw)}") from None
 
 
 def _default_seed() -> int:
@@ -77,7 +84,7 @@ def _parse_params(pairs: list[str]) -> dict[str, object]:
     params: dict[str, object] = {}
     for pair in pairs:
         if "=" not in pair:
-            raise InputError(f"--param expects name=value, got {pair!r}")
+            raise InputError(f"--param expects name=value, got {shown(pair)}")
         name, _, raw = pair.partition("=")
         name = name.strip()
         raw = raw.strip()
@@ -154,8 +161,7 @@ def _cmd_derivations(args) -> int:
     payload = {
         "degree": args.degree,
         "dim": space.dim,
-        "basis": [[[format_rational(m.entries[i][j]) for j in range(m.cols)]
-                   for i in range(m.rows)] for m in space.basis],
+        "basis": [[list(map(str, row)) for row in m.entries] for m in space.basis],
     }
     print(json.dumps(payload, indent=2))
     return 0
@@ -169,15 +175,14 @@ def _cmd_annihilator(args) -> int:
     for parity, part, labels in (("even", ann.even, algebra.even_basis),
                                  ("odd", ann.odd, algebra.odd_basis)):
         for row in part.entries:
-            terms = [f"{format_rational(c)}*{lab}"
-                     for c, lab in zip(row, labels) if c]
+            terms = [f"{c}*{lab}" for c, lab in zip(row, labels) if c]
             print(f"  {parity}: " + " + ".join(terms))
     return 0
 
 
 def _cmd_invariants(args) -> int:
     algebra = _load_algebra(args.file)
-    print(json.dumps(fingerprint(algebra, seed=args.seed).as_dict(), indent=2))
+    print(json.dumps(asdict(fingerprint(algebra, seed=args.seed)), indent=2))
     return 0
 
 
@@ -204,7 +209,7 @@ def _cmd_verify(args) -> int:
         selected = [cid for cid in verify.claim_ids()
                     if any(cid == p or cid.startswith(p) for p in prefixes)]
         if not selected:
-            raise InputError(f"no claims match {args.claims!r}")
+            raise InputError(f"no claims match {shown(args.claims)}")
     report = verify.run_claims(selected, args.n_range, args.seed)
     rendered = (json.dumps(report.as_dict(), indent=2) if args.json
                 else verify.render_text(report))
@@ -224,9 +229,9 @@ def _range_pair(text: str) -> tuple[int, int]:
         lo, _, hi = text.partition("..")
         pair = (int(lo), int(hi))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected A..B, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected A..B, got {shown(text)}") from None
     if pair[0] > pair[1]:
-        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+        raise argparse.ArgumentTypeError(f"empty range {shown(text)}")
     return pair
 
 
@@ -239,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="build a catalog family and emit SDF")
     p.add_argument("family_id", help="a family id from `superalg catalog`")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--n", type=_int_arg, default=None)
+    p.add_argument("--m", type=_int_arg, default=None)
     p.add_argument("--param", action="append", default=[],
                    metavar="NAME=VALUE")
     p.add_argument("--zeros", action="store_true",
@@ -264,13 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("charseq", help="characteristic sequence, certified or sampled")
     p.add_argument("file")
-    p.add_argument("--samples", type=int, default=64,
+    p.add_argument("--samples", type=_int_arg, default=64,
                    help="after the even basis vectors outside L0^2, draw "
                         "seeded vectors until dim L0 + SAMPLES candidates "
                         "(or 50 * (SAMPLES + 1) draws); default 64, "
                         f"at most {MAX_SAMPLES}")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--bound", type=int, default=5,
+    p.add_argument("--seed", type=_int_arg, default=None)
+    p.add_argument("--bound", type=_int_arg, default=5,
                    help="coordinates are drawn from [-BOUND, BOUND]; "
                         f"default 5, at most {MAX_BOUND}")
     p.set_defaults(func=_cmd_charseq)
@@ -286,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="fingerprint of an SDF algebra")
     p.add_argument("file")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_arg, default=None)
     p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("catalog", help="the family catalog as JSON")
@@ -303,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-range", type=_range_pair, default=None, metavar="A..B")
     p.add_argument("--report", default=None, metavar="PATH")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_arg, default=None)
     p.set_defaults(func=_cmd_verify)
     return parser
 

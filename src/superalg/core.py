@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
 from itertools import chain
@@ -37,12 +37,11 @@ from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import (DegenerateSamplingError, InputError,
-                     InternalInconsistencyError, NotNilpotentError)
+                     InternalInconsistencyError, NotNilpotentError, shown)
 from .exactmath import (RATIONAL_LITERAL, Polynomial, RatMatrix, SparseRow,
-                        _back_substitute, _in_row_space, _narrow, _reduce_into,
-                        _subtract, _widen, format_rational, invert,
-                        nilpotent_jordan_type, parameter_value, parse_coefficient,
-                        parse_rational, sparse_kernel)
+                        _back_substitute, _narrow, _reduce_into, _subtract,
+                        _widen, invert, nilpotent_jordan_type, parameter_value,
+                        parse_coefficient, parse_rational, sparse_kernel)
 
 EVEN = 0
 ODD = 1
@@ -493,8 +492,8 @@ class GradedSubspace:
     at its pivot and zero in every other row's pivot column; it is made
     monic and back-substituted from a copy of the stored rows on first read
     and cached, so the stored rows never change.  Equality is literal
-    equality of the canonical forms; `even`, `odd` and
-    `contains_part_vector` read them too.
+    equality of the canonical forms, and `even` and `odd` read them too;
+    `contains_part_vector` reduces against the stored rows.
     """
 
     def __init__(self, algebra: SuperAlgebra,
@@ -550,9 +549,10 @@ class GradedSubspace:
     odd = property(lambda self: self._dense(ODD))
 
     def contains_part_vector(self, parity: int, coords: Sequence[Fraction]) -> bool:
+        # A shallow copy: `_reduce_into` changes only the row and that dict.
         offset = 0 if parity == EVEN else self.n_even
-        return _in_row_space(self.parts[parity],
-                             {offset + j: x for j, x in enumerate(coords) if x})
+        return not _reduce_into(dict(self._echelons[parity]),
+                                {offset + j: x for j, x in enumerate(coords) if x})
 
 
 @_once_per_algebra
@@ -749,10 +749,10 @@ def char_sequence(algebra: SuperAlgebra, samples: int = 64, seed: int = 0,
     for name, value, cap_name, cap in (("samples", samples, "MAX_SAMPLES", MAX_SAMPLES),
                                        ("bound", bound, "MAX_BOUND", MAX_BOUND)):
         if value < 0:
-            raise InputError(f"char_sequence: {name} must be >= 0 (got {value})")
+            raise InputError(f"char_sequence: {name} must be >= 0 (got {shown(value)})")
         if value > cap:
             raise InputError(f"char_sequence: {name} must be <= {cap_name} = "
-                             f"{cap} (got {value})")
+                             f"{cap} (got {shown(value)})")
     ceiling = charseq_bound(algebra)
     n0 = algebra.n_even
     even = GradedSubspace(algebra, ({i: {i: 1} for i in range(n0)}, {}))
@@ -825,9 +825,6 @@ class Fingerprint:
     charseq: tuple[tuple[int, ...], tuple[int, ...]] | None
     charseq_note: str | None = field(default=None, compare=False)
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def fingerprint(algebra: SuperAlgebra, seed: int = 0) -> Fingerprint:
     from .derivations import derivation_space  # local import to avoid a cycle
@@ -891,8 +888,7 @@ def sdf_dump(algebra: SuperAlgebra) -> dict:
         products.append({
             "left": algebra.label(i),
             "right": algebra.label(j),
-            "value": [[algebra.label(k), str(c) if algebra.parameters
-                       else format_rational(c)] for k, c in terms],
+            "value": [[algebra.label(k), str(c)] for k, c in terms],
         })
     return {
         "name": algebra.name,

@@ -187,7 +187,6 @@ class NilIndependenceReport:
 
     max_count: int
     witnesses: tuple[Cells, ...]
-    method: str
 
 
 def _simultaneously_triangular(family: Sequence[Cells]) -> bool:
@@ -215,9 +214,7 @@ def max_nil_independent(space: DerivationSpace) -> NilIndependenceReport:
     witnesses = tuple(
         cells for cells in space.cells
         if _reduce_into(echelon, {l: x for (l, k), x in cells.items() if l == k and x}))
-    if not witnesses:
-        return NilIndependenceReport(0, (), "all-nilpotent")
-    return NilIndependenceReport(len(witnesses), witnesses, "triangular-diagonal-rank")
+    return NilIndependenceReport(len(witnesses), witnesses)
 
 
 # Kept by name: perfbench's tracer times the classifier's decision through it.
@@ -279,15 +276,13 @@ class ExtendabilityResult:
     size: int
     values: tuple[tuple[str, str], ...]
     verdict: str
-    reason: str
     predicted: bool | None
     matches_prediction: bool | None
     flags: tuple[str, ...]
 
 
 def extendability(family_id: str, n: int,
-                  params: Mapping[str, object] | None = None,
-                  mode: str | None = None) -> ExtendabilityResult:
+                  params: Mapping[str, object] | None = None) -> ExtendabilityResult:
     """Classify whether a nilpotent family instance admits a non-nilpotent
     solvable extension: extendable iff the even derivations' nil-independence
     count is >= 1.  A non-triangular space raises UnsupportedShapeError.
@@ -295,7 +290,7 @@ def extendability(family_id: str, n: int,
     Unspecified parameters default to zero.  The verdict is compared against
     the zero/nonzero-pattern prediction table; for the (n|n-1) alpha-family
     at n = 3 the prediction's derivation constraint degenerates, so the
-    result is flagged instead of matched.  `mode` defaults to verbatim.
+    result is flagged instead of matched.  The table is built verbatim.
     """
     from . import families  # only the classifier builds catalog tables
 
@@ -305,13 +300,9 @@ def extendability(family_id: str, n: int,
             f"{', '.join(CLASSIFIER_FAMILIES)}; got {family_id!r}")
     values = {name: parameter_value(name, raw)
               for name, raw in families.zero_filled(family_id, n, params or {}).items()}
-    if mode is None:
-        mode = families.VERBATIM
-    algebra = families.build(family_id, n, values, mode)
+    algebra = families.build(family_id, n, values, families.VERBATIM)
     all_nilpotent = space_all_nilpotent(derivation_space(algebra, EVEN))
     verdict = NOT_EXTENDABLE if all_nilpotent else EXTENDABLE
-    reason = ("every even derivation is nilpotent" if all_nilpotent
-              else "the even derivation space contains a non-nilpotent element")
 
     flags: tuple[str, ...] = ()
     predicted: bool | None = predicted_extendable(family_id, n, values)
@@ -325,7 +316,6 @@ def extendability(family_id: str, n: int,
         size=n,
         values=tuple((k, str(v)) for k, v in sorted(values.items()) if v != 0),
         verdict=verdict,
-        reason=reason,
         predicted=predicted,
         matches_prediction=matches,
         flags=flags,

@@ -1,6 +1,12 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and how errors show values."""
 
 from __future__ import annotations
+
+
+def shown(value: str | int) -> str:
+    """value's repr for an error line, or only its length when that is over 40."""
+    text = str(value)
+    return repr(value) if len(text) <= 40 else f"a {len(text)}-character value"
 
 
 class SuperalgError(Exception):

@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError
+from .errors import InputError, shown
 
 Exponent = tuple[int, ...]
 Terms = dict[Exponent, Fraction]
@@ -45,11 +45,11 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q" into an exact rational."""
     s = text.strip()
     if not RATIONAL_LITERAL.fullmatch(s):
-        raise InputError(f"not a rational literal: {text!r}")
+        raise InputError(f"not a rational literal: {shown(text)}")
     try:
         return Fraction(s)
     except ZeroDivisionError:
-        raise InputError(f"zero denominator in {text!r}") from None
+        raise InputError(f"zero denominator in {shown(text)}") from None
     except ValueError:   # an integer over the interpreter's int-string digit limit
         digits = max(len(part.lstrip("+-")) for part in s.split("/"))
         raise InputError(f"rational literal with a {digits}-digit integer is over "
@@ -71,13 +71,6 @@ def parameter_value(name: str, raw: object) -> Fraction:
             raise InputError(f"parameter {name}: {exc}") from None
     raise InputError(f"parameter {name}: {raw!r} is not exact; give an int, a "
                      f"Fraction or a string such as \"3/2\"")
-
-
-def format_rational(x: Fraction) -> str:
-    """Render a rational as "p" (q = 1) or "p/q"."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +250,11 @@ class Polynomial:
                 for name, e in zip(self.variables, exp) if e
             ]
             if not factors:
-                body = format_rational(abs(coeff))
+                body = str(abs(coeff))
             elif abs(coeff) == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([format_rational(abs(coeff))] + factors)
+                body = "*".join([str(abs(coeff))] + factors)
             sign = "-" if coeff < 0 else "+"
             pieces.append((sign, body))
         first_sign, first_body = pieces[0]
@@ -553,18 +546,6 @@ def _back_substitute(echelon: dict[int, SparseRow]) -> tuple[tuple[int, ...], li
 def _rref_rows(rows: Iterable[SparseRow]) -> tuple[tuple[int, ...], list[SparseRow]]:
     """Forward pass, then back-substitution: the canonical reduced rows."""
     return _back_substitute(_echelon(rows))
-
-
-def _in_row_space(reduced: Iterable[tuple[int, Iterable[tuple[int, int | Fraction]]]],
-                  row: SparseRow) -> bool:
-    """Whether row (consumed) lies in the span of fully reduced rows, given
-    as (pivot, pairs): it does iff subtracting row[pivot] times each pivot
-    row leaves zero (no pivot row touches another's pivot column)."""
-    for c, prow in reduced:
-        f = row.get(c)
-        if f:
-            _subtract(row, f, prow)
-    return not row
 
 
 def _kernel(pivots: tuple[int, ...], rows: Sequence[SparseRow],

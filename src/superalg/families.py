@@ -41,7 +41,7 @@ from functools import cache
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .core import SuperAlgebra, make_superalgebra
-from .errors import InputError
+from .errors import InputError, shown
 from .exactmath import Polynomial, parameter_value
 
 VERBATIM = "verbatim"
@@ -74,10 +74,6 @@ def _add_both(prod: Products, left: str, right: str, target: str, coeff) -> None
     """[left,right] ∋ coeff·target, then [right,left] ∋ −coeff·target."""
     _add(prod, left, right, target, coeff)
     _add(prod, right, left, target, -coeff)
-
-
-def _var(name: str, params: Sequence[str]) -> Polynomial:
-    return Polynomial.var(name, tuple(params))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +224,7 @@ def _table_N2M(m: int, mode: str):
 def _table_L(n: int, mode: str):
     params = [f"alpha{k}" for k in range(4, n + 1)] + ["theta"]
     prod = _zero_rows(n, n - 1, 2)
-    P = lambda name: _var(name, sorted(params))
+    P = lambda name: Polynomial.var(name, sorted(params))
     alpha = lambda k: P(f"alpha{k}")
     for k in range(4, n):
         _add(prod, _e(1), _e(2), _e(k), alpha(k))
@@ -247,7 +243,7 @@ def _table_L(n: int, mode: str):
 def _table_G(n: int, mode: str):
     params = [f"beta{k}" for k in range(4, n + 1)] + ["gamma"]
     prod = _zero_rows(n, n - 1, 3)
-    P = lambda name: _var(name, sorted(params))
+    P = lambda name: Polynomial.var(name, sorted(params))
     beta = lambda k: P(f"beta{k}")
     for k in range(4, n + 1):
         _add(prod, _e(1), _e(2), _e(k), beta(k))
@@ -263,7 +259,7 @@ def _table_G(n: int, mode: str):
 def _table_M(n: int, mode: str):
     params = [f"alpha{k}" for k in range(4, n + 1)] + ["theta", "tau"]
     prod = _zero_rows(n, n, 2)
-    P = lambda name: _var(name, sorted(params))
+    P = lambda name: Polynomial.var(name, sorted(params))
     alpha = lambda k: P(f"alpha{k}")
     for k in range(4, n):
         _add(prod, _e(1), _e(2), _e(k), alpha(k))
@@ -301,7 +297,7 @@ def _table_M(n: int, mode: str):
 def _table_H(n: int, mode: str):
     params = [f"beta{k}" for k in range(4, n + 1)] + ["delta", "gamma"]
     prod = _zero_rows(n, n, 3)
-    P = lambda name: _var(name, sorted(params))
+    P = lambda name: Polynomial.var(name, sorted(params))
     beta = lambda k: P(f"beta{k}")
     for k in range(4, n + 1):
         _add(prod, _e(1), _e(2), _e(k), beta(k))
@@ -342,7 +338,7 @@ def _table_M1(m: int, mode: str):
          samples=lambda m: [{"alpha": 0}, {"alpha": 1}])
 def _table_M2(m: int, mode: str):
     params = ["alpha"]
-    alpha = _var("alpha", params)
+    alpha = Polynomial.var("alpha", params)
     prod = _n2m_rows(m, mode, lie_complete=False)
     _add_both(prod, _e(1), "x", _e(1), 1)
     _add_both(prod, _e(2), "x", _e(2), alpha)
@@ -376,7 +372,7 @@ def _table_M4(m: int, mode: str):
     for i in range(1, m + 1):
         _add_both(prod, _y(i), "x", _y(i), 1)
         for k in range(1, (m - i + 1) // 2 + 1):
-            coeff = _var(f"b{2 * k}", sorted(params))
+            coeff = Polynomial.var(f"b{2 * k}", sorted(params))
             _add_both(prod, _y(i), "x", _y(i + 2 * k - 1), coeff)
     return params, prod, 3, m
 
@@ -450,7 +446,7 @@ def _b_table(n: int, n_odd: int, antisymmetric: bool):
     """H1/H2 over H and G1/G2 over G: x acts by weights and [e2,x] = b e2;
     H1 and G1 also have [x,e2] = -b e2."""
     params = ["b"]
-    b = _var("b", params)
+    b = Polynomial.var("b", params)
     prod = _zero_rows(n, n_odd, 3)
     _weight_rows(prod, n, n_odd, "x")
     _add(prod, _e(2), "x", _e(2), b)
@@ -484,7 +480,7 @@ def _nil_rows(n: int, n_odd: int, params: list[str], odd_rows: bool) -> Products
     """The (n|n_odd) nilradical with [e2,x] = e2 and the rows
     [e_i,x] = sum a_{k+1-i} e_k and, if `odd_rows`, [y_i,x] = sum a_{k+1-i} y_k
     shared by H4, H5, G5 and G6."""
-    P = lambda name: _var(name, sorted(params))
+    P = lambda name: Polynomial.var(name, sorted(params))
     prod = _zero_rows(n, n_odd, 3)
     for k in range(3, n + 1):
         _add(prod, _e(1), "x", _e(k), P(f"a{k - 1}"))
@@ -520,7 +516,7 @@ def _table_H5(n: int, mode: str):
     if mode == VERBATIM:
         # Fails the Leibniz identity on (x, x, x) whenever gamma != 0:
         # squares lie in the right annihilator, but [x, e2] = -e2 != 0.
-        _add(prod, "x", "x", _e(2), _var("gamma", sorted(params)))
+        _add(prod, "x", "x", _e(2), Polynomial.var("gamma", sorted(params)))
     return params, prod, n + 1, n
 
 
@@ -574,7 +570,7 @@ def _middle_beta_table(n: int, n_odd: int, gamma_row: bool):
         if j + step <= n_odd:
             _add(prod, _y(j), _e(2), _y(j + step), 1)
     if gamma_row:
-        _add(prod, _e(2), _e(2), _e(n), _var("gamma", params))
+        _add(prod, _e(2), _e(2), _e(n), Polynomial.var("gamma", params))
     _weight_rows(prod, n, n_odd, "x")
     _add_both(prod, _e(2), "x", _e(2), n - 1)
     _add(prod, "x", _e(2), _e(step + 1), -2)
@@ -657,8 +653,8 @@ def _table_G4(n: int, mode: str):
     params = ["b", "gamma"]
     prod = _zero_rows(n, n - 1, 3)
     _weight_rows(prod, n, n - 1, "x")
-    _add(prod, _e(2), "x", _e(n), _var("b", params))
-    _add(prod, "x", "x", _e(2), _var("gamma", params))
+    _add(prod, _e(2), "x", _e(n), Polynomial.var("b", params))
+    _add(prod, "x", "x", _e(2), Polynomial.var("gamma", params))
     return params, prod, n + 1, n - 1
 
 
@@ -672,7 +668,7 @@ def _table_G5(n: int, mode: str):
     # The odd rows' image components carry no subscript in the source
     # table; the identity on (y_i, y1, x) forces the diagonal reading.
     prod = _nil_rows(n, n - 1, params, odd_rows=mode == CORRECTED)
-    _add(prod, "x", "x", _e(n), _var("gamma", sorted(params)))
+    _add(prod, "x", "x", _e(n), Polynomial.var("gamma", sorted(params)))
     return params, prod, n + 1, n - 1
 
 
@@ -721,10 +717,10 @@ def _validate_domain(info: FamilyInfo, size: int, params: Mapping[str, object]) 
     s = info.size_name
     if size < info.min_size:
         raise InputError(
-            f"{info.family_id}: {s} must be >= {info.min_size} (got {size})")
+            f"{info.family_id}: {s} must be >= {info.min_size} (got {shown(size)})")
     if size > MAX_SIZE:
         raise InputError(f"{info.family_id}: {s} must be <= MAX_SIZE = "
-                         f"{MAX_SIZE} (got {size})")
+                         f"{MAX_SIZE} (got {shown(size)})")
     if info.size_parity is not None and size % 2 != info.size_parity:
         raise InputError(f"{info.family_id}: {s} must be odd (got {size})")
     if "t" in info.structural:
@@ -735,7 +731,7 @@ def _validate_domain(info: FamilyInfo, size: int, params: Mapping[str, object]) 
             raise InputError(f"{info.family_id}: t must be an integer")
         if not 4 <= t <= size:
             raise InputError(f"{info.family_id}: t must satisfy 4 <= t <= {s} "
-                             f"(got t={t}, {s}={size})")
+                             f"(got t={shown(t)}, {s}={size})")
 
 
 def _validate_values(info: FamilyInfo, values: Mapping[str, Fraction]) -> None:
@@ -787,7 +783,7 @@ def build(family_id: str, size: int, params: Mapping[str, object] | None = None,
     """
     info = family_info(family_id)
     if mode not in (VERBATIM, CORRECTED):
-        raise InputError(f"unknown errata mode {mode!r}")
+        raise InputError(f"unknown errata mode {shown(mode)}")
     params = dict(params or {})
     _validate_domain(info, size, params)
 
@@ -801,7 +797,7 @@ def build(family_id: str, size: int, params: Mapping[str, object] | None = None,
     values: dict[str, Fraction] = {}
     for key, raw in params.items():
         if key not in declared:
-            raise InputError(f"{family_id}: unknown parameter {key!r} "
+            raise InputError(f"{family_id}: unknown parameter {shown(key)} "
                              f"(expected one of: {', '.join(declared) or 'none'})")
         values[key] = parameter_value(key, raw)
     _validate_values(info, values)
@@ -852,7 +848,7 @@ def list_families() -> list[dict]:
 
 def family_info(fid: str) -> FamilyInfo:
     if fid not in _REGISTRY:
-        raise InputError(f"unknown family id {fid!r}")
+        raise InputError(f"unknown family id {shown(fid)}")
     return _REGISTRY[fid]
 
 

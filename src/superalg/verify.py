@@ -32,7 +32,7 @@ from .core import (EVEN, GradedVector, SuperAlgebra, char_sequence, charseq_note
                    is_solvable, nilindex, right_mul_cells, subalgebra)
 from .derivations import (CLASSIFIER_FAMILIES, derivation_space, extendability,
                           is_derivation, same_span)
-from .errors import InputError, SuperalgError, UnsupportedShapeError
+from .errors import InputError, SuperalgError, UnsupportedShapeError, shown
 from .exactmath import Cells, nilpotent_jordan_type, parameter_value, sparse_kernel
 
 ENGINE_VERSION = "1.0.0"
@@ -47,9 +47,6 @@ class CheckResult:
     name: str
     status: str
     detail: str = ""
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -85,7 +82,7 @@ class ClaimReport:
             "id": self.claim_id,
             "subject": self.subject,
             "status": self.status,
-            "checks": [c.as_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
             "notes": list(self.notes),
             "wall_time_s": round(self.wall_time_s, 4),
         }
@@ -609,13 +606,13 @@ def run_claims(selected: Sequence[str] | None = None,
     """
     start = time.perf_counter()
     if n_range and n_range[1] > families.MAX_SIZE:
-        raise InputError(f"size range {n_range[0]}..{n_range[1]} ends above "
-                         f"MAX_SIZE = {families.MAX_SIZE}")
+        raise InputError(f"size range {shown(n_range[0])}..{shown(n_range[1])} "
+                         f"ends above MAX_SIZE = {families.MAX_SIZE}")
     wanted = list(selected) if selected else claim_ids()
     known = set(claim_ids())
     for cid in wanted:
         if cid not in known:
-            raise InputError(f"unknown claim id {cid!r}")
+            raise InputError(f"unknown claim id {shown(cid)}")
     reports: list[ClaimReport] = []
     for cid in wanted:
         try:

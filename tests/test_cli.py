@@ -304,6 +304,14 @@ class TestCatalogAndErrata:
          "97f83e7da843d70c368794ad79b6f1d1674fbd86d952947de7a6a3f335c379ce"),
         (["errata", "--sizes", "3..12"],
          "022bd8ecada880023662380073fe0d97ca3a01c9dfb72137dc7e261d8e282c46"),
+        # SDF coefficients with denominators and signs, in both table forms
+        (["family", "L", "--n", "6", "--param", "alpha4=1/2", "--param", "alpha5=-3",
+          "--param", "alpha6=0", "--param", "theta=2"],
+         "109ff01363de349895bc5b80180dd3550cf2d2389d874c6ed38ba88163fea753"),
+        (["family", "M1", "--m", "5"],
+         "5a47f1749703f6c585f6e7aeff9a1f93865d0e5e0305f9e5983553ca041394e0"),
+        (["family", "M2", "--m", "5"],
+         "def17531a6932a19f193687f8374278de5d3861f3cf41a133a2fba8c4c1292c9"),
     ])
     def test_output_is_pinned(self, argv, digest, capsys):
         code, stdout, _ = run(argv, capsys)
@@ -383,6 +391,58 @@ print(json.dumps([sorted(ours), sorted(n for n, m in ours.items()
 
 BASE = ["superalg", "superalg.cli", "superalg.core", "superalg.errors",
         "superalg.exactmath"]
+
+
+LONG = "x" * 5000     # never an int
+DIGITS = "9" * 4000   # an int under every int-string digit limit
+
+
+class TestLongValuesAreNamedByLength:
+    """An error line names a value of over 40 characters by its length only."""
+
+    @pytest.mark.parametrize("argv", [
+        ["family", "L", "--n", LONG], ["family", "N2M", "--m", LONG],
+        ["charseq", "a.json", "--seed", LONG], ["charseq", "a.json", "--samples", LONG],
+        ["charseq", "a.json", "--bound", LONG], ["verify", "--seed", LONG],
+        ["verify", "--n-range", f"{LONG}..3"], ["verify", "--n-range", f"{DIGITS}..3"],
+        ["errata", "--sizes", f"{LONG}..3"]])
+    def test_option_type_errors(self, argv, capsys):
+        # argparse prints its usage, then one error line, and exits 2.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"a {len(argv[-1])}-character value" in err.splitlines()[-1]
+        assert max(map(len, err.splitlines())) < 200
+
+    def test_short_option_value_keeps_the_argparse_message(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["family", "L", "--n", "abc"])
+        assert "argument --n: invalid int value: 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, shown", [
+        (["family", "SH1", "--n", "5", "--param", LONG],
+         "--param expects name=value, got a 5000"),
+        (["family", "SH1", "--n", "5", "--param", f"t={DIGITS}"], "got t=a 4000"),
+        (["family", "SH1", "--n", "5", "--param", f"t=-{DIGITS}"], "got t=a 4001"),
+        (["family", "L", "--n", DIGITS], "(got a 4000"),
+        (["family", "L", "--n", f"-{DIGITS}"], "(got a 4001"),
+        (["family", "L", "--n", "5", "--param", f"alpha4={LONG}"], "literal: a 5000"),
+        (["family", "L", "--n", "5", "--param", f"{LONG}=1"], "parameter a 5000"),
+        (["family", "L", "--n", "5", "--errata", LONG], "mode a 5000"),
+        (["family", LONG, "--n", "5"], "family id a 5000"),
+        (["errata", "--family", LONG], "family id a 5000"),
+        (["verify", "--claims", LONG], "match a 5000"),
+        (["verify", "--n-range", f"3..{DIGITS}"], "3..a 4000"),
+        (["charseq", "N2M", "--samples", DIGITS], "(got a 4000"),
+        (["charseq", "N2M", "--bound", f"-{DIGITS}"], "(got a 4001")])
+    def test_input_errors(self, argv, shown, tmp_path, capsys):
+        if argv[0] == "charseq":
+            argv = ["charseq", str(tmp_path / "n2m.json"), *argv[2:]]
+            assert main(["family", "N2M", "--m", "3", "-o", argv[1]]) == 0
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert f"{shown}-character value" in err and len(err) < 200
 
 
 def fresh_python(code: str, *argv: str, cwd: Path) -> subprocess.CompletedProcess:

@@ -313,8 +313,7 @@ class TestNilIndependenceOracle:
                 witnesses.append(m)
         assert tuple(RatMatrix.from_cells(dim, dim, w)
                      for w in report.witnesses) == tuple(witnesses)
-        assert report.method == ("all-nilpotent" if not witnesses
-                                 else "triangular-diagonal-rank")
+        assert report.max_count == len(witnesses)
         assert report.max_count == support_torus_dim(algebra)
 
 
@@ -467,7 +466,8 @@ class TestExtendability:
 
     def test_non_triangular_corrected_space_is_unsupported(self):
         with pytest.raises(UnsupportedShapeError):
-            extendability("M", 3, {"theta": 1}, mode=CORRECTED)
+            max_nil_independent(derivation_space(
+                build("M", 3, {"tau": 0, "theta": 1}, CORRECTED), EVEN))
 
     def test_verdict_matches_the_support_torus_on_the_pattern_lattice(self):
         """Every zero/nonzero pattern of L, M, H and G at sizes 4..6:
