@@ -194,8 +194,11 @@ def _cmd_catalog(args) -> int:
 def _cmd_errata(args) -> int:
     if args.family:
         families.family_info(args.family)  # an unknown id is an InputError
-    sizes = range(args.sizes[0], args.sizes[1] + 1)
-    entries = families.errata_ledger(list(sizes))
+    lo, hi = args.sizes
+    if max(-lo, hi) > families.MAX_SIZE:   # before the range is built
+        raise InputError(f"errata sizes must be <= MAX_SIZE = {families.MAX_SIZE} in "
+                         f"absolute value (got {shown(lo)}..{shown(hi)})")
+    entries = families.errata_ledger(list(range(lo, hi + 1)))
     if args.family:
         entries = [e for e in entries if e.family_id == args.family]
     print(json.dumps([e.as_dict() for e in entries], indent=2))

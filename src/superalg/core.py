@@ -218,12 +218,14 @@ def make_superalgebra(name: str, even_basis: Sequence[str], odd_basis: Sequence[
     constants: dict[int | Fraction, Polynomial] = {}   # one (immutable) per number
     for (left, right), terms in products.items():
         if left not in index or right not in index:
-            raise InputError(f"unknown basis label in product [{left}, {right}]")
+            raise InputError(
+                f"unknown basis label in product [{shown(left)}, {shown(right)}]")
         cell = structure.setdefault((index[left], index[right]), [])
         for target, coeff in terms:
             if target not in index:
                 raise InputError(
-                    f"unknown component {target!r} in product [{left}, {right}]")
+                    f"unknown component {shown(target)} in product "
+                    f"[{shown(left)}, {shown(right)}]")
             if isinstance(coeff, str):
                 # Most SDF coefficients are plain rationals: skip the parser.
                 text = coeff.strip()
@@ -907,7 +909,7 @@ def _sdf_term(where: str, term) -> tuple[str, str | int]:
     """One [label, coefficient] pair of an SDF product value, shape-checked."""
     if not (isinstance(term, list) and len(term) == 2 and isinstance(term[0], str)):
         raise InputError(f"malformed SDF value in product {where}: expected "
-                         f"[label, coefficient] pairs, got {term!r}")
+                         f"[label, coefficient] pairs, got {shown(term)}")
     coeff = term[1]
     if isinstance(coeff, float):
         raise InputError(f"coefficient {coeff!r} in product {where} is a float; "
@@ -958,7 +960,7 @@ def sdf_load(data: dict) -> SuperAlgebra:
         if not (isinstance(entry, dict) and "value" in entry
                 and isinstance(entry.get("left"), str)
                 and isinstance(entry.get("right"), str)):
-            raise InputError(f"malformed SDF product entry: {entry!r}")
+            raise InputError(f"malformed SDF product entry: {shown(entry)}")
         left, right, value = entry["left"], entry["right"], entry["value"]
         where = f"[{left}, {right}]"
         if (left, right) in products:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 
-def shown(value: str | int) -> str:
+def shown(value: object) -> str:
     """value's repr for an error line, or only its length when that is over 40."""
     text = str(value)
     return repr(value) if len(text) <= 40 else f"a {len(text)}-character value"

@@ -17,9 +17,10 @@ order).
 The linear algebra is deliberately small and dependency-free, and all of it
 runs on one sparse echelon engine: reduced row echelon form with strictly
 increasing pivot columns (a canonical form, so row spaces compare by
-equality), inverses and kernel bases read off it, and the Jordan type
-of a nilpotent map, given by its cells, from the ranks along its image chain
-Im(m) ⊇ Im(m^2) ⊇ ..., which stops with None as soon as a rank stalls.
+equality) and inverses read off it, kernel bases back-solved from the
+forward echelon, and the Jordan type of a nilpotent map, given by its
+cells, from the ranks along its image chain Im(m) ⊇ Im(m^2) ⊇ ..., which
+stops with None as soon as a rank stalls.
 A linear map travels as its nonzero cells, `Cells`; a dense `RatMatrix` is
 built only where one is printed or returned.
 """
@@ -298,7 +299,7 @@ def parse_coefficient(text: str, variables: Sequence[str]) -> Polynomial:
         m = _TOKEN.match(text, pos)
         if not m:
             if text[pos:].strip():
-                raise InputError(f"bad coefficient syntax at {text[pos:]!r}")
+                raise InputError(f"bad coefficient syntax at {shown(text[pos:])}")
             break
         tokens.append(m.group(1))
         pos = m.end()
@@ -327,7 +328,7 @@ def parse_coefficient(text: str, variables: Sequence[str]) -> Polynomial:
 
     def check_degree(d: int) -> None:
         if d > MAX_DEGREE:
-            raise InputError(f"coefficient {text!r} has total degree {d}, over "
+            raise InputError(f"coefficient {shown(text)} has total degree {d}, over "
                              f"the limit MAX_DEGREE = {MAX_DEGREE}")
 
     def check_terms(products: int, d: int, *nodes: Polynomial) -> None:
@@ -337,7 +338,7 @@ def parse_coefficient(text: str, variables: Sequence[str]) -> Polynomial:
                    if any(column))
         bound = min(products, comb(used + d, d))
         if bound > MAX_TERMS:
-            raise InputError(f"coefficient {text!r} may expand to {bound} terms, "
+            raise InputError(f"coefficient {shown(text)} may expand to {bound} terms, "
                              f"over the limit MAX_TERMS = {MAX_TERMS}")
 
     def parse_term() -> Polynomial:
@@ -360,25 +361,25 @@ def parse_coefficient(text: str, variables: Sequence[str]) -> Polynomial:
         if tok == "(":
             node = parse_expr()
             if take() != ")":
-                raise InputError(f"unbalanced parentheses in {text!r}")
+                raise InputError(f"unbalanced parentheses in {shown(text)}")
             return parse_power_suffix(node)
         if re.fullmatch(r"\d+(/\d+)?", tok):
             return parse_power_suffix(Polynomial.const(parse_rational(tok), variables))
         if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
             if tok not in variables:
-                raise InputError(f"undeclared parameter {tok!r} in coefficient {text!r}")
+                raise InputError(f"undeclared parameter {shown(tok)} in coefficient {shown(text)}")
             return parse_power_suffix(Polynomial.var(tok, variables))
-        raise InputError(f"unexpected token {tok!r} in coefficient {text!r}")
+        raise InputError(f"unexpected token {shown(tok)} in coefficient {shown(text)}")
 
     def parse_power_suffix(base: Polynomial) -> Polynomial:
         if peek() == "^":
             take()
             etok = take()
             if not re.fullmatch(r"\d+", etok):
-                raise InputError(f"bad exponent {etok!r} in coefficient {text!r}")
+                raise InputError(f"bad exponent {shown(etok)} in coefficient {shown(text)}")
             e = int(etok)
             if e > MAX_EXPONENT:
-                raise InputError(f"exponent {e} in coefficient {text!r} exceeds "
+                raise InputError(f"exponent {e} in coefficient {shown(text)} exceeds "
                                  f"the limit of {MAX_EXPONENT}")
             d = degree(base) * e
             check_degree(d)
@@ -399,7 +400,7 @@ def parse_coefficient(text: str, variables: Sequence[str]) -> Polynomial:
     except RecursionError:
         raise InputError(f"coefficient nested too deeply: {text[:40]!r}...") from None
     if take() != "$":
-        raise InputError(f"trailing tokens in coefficient {text!r}")
+        raise InputError(f"trailing tokens in coefficient {shown(text)}")
     return result
 
 
@@ -459,11 +460,13 @@ class RatMatrix:
 # has its denominators cleared once (int or Fraction entries in, ints
 # after); it is then reduced fraction-free and, if it is new, stored with
 # its content removed and a positive lead, so the forward pass never builds
-# a Fraction.  `_back_substitute` makes the rows monic, then clears every
-# pivot column above its pivot, which gives the canonical reduced rows;
-# every value the engine returns is widened back to a Fraction.  Kernel
-# vectors leave sparse, as their nonzero {column: Fraction} entries, so a
-# sparse system's kernel reaches its readers without a dense round trip.
+# a Fraction.  Kernels are back-solved from the forward echelon, for all
+# free columns at once, and leave sparse, as their nonzero {column: Fraction}
+# entries, so a sparse system's kernel reaches its readers without a dense
+# round trip.  `_back_substitute` serves only the canonical forms (`rref`,
+# `same_span`, `GradedSubspace.parts`): it makes the rows monic, then clears
+# every pivot column above its pivot.  Every value the engine returns is
+# widened back to a Fraction.
 
 SparseRow = dict[int, int | Fraction]
 
@@ -548,18 +551,6 @@ def _rref_rows(rows: Iterable[SparseRow]) -> tuple[tuple[int, ...], list[SparseR
     return _back_substitute(_echelon(rows))
 
 
-def _kernel(pivots: tuple[int, ...], rows: Sequence[SparseRow],
-            ncols: int) -> list[dict[int, Fraction]]:
-    """Kernel basis read off reduced rows: one vector per free column, as
-    its nonzero {column: Fraction} entries."""
-    basis = []
-    for free in sorted(set(range(ncols)) - set(pivots)):
-        vec = {pc: _widen(-row[free]) for pc, row in zip(pivots, rows) if free in row}
-        vec[free] = Fraction(1)
-        basis.append(vec)
-    return basis
-
-
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form and its (strictly increasing) pivot columns."""
     pivots, rows = _rref_rows({j: _narrow(x) for j, x in enumerate(row) if x}
@@ -569,11 +560,25 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
 
 
 def sparse_kernel(rows: Iterable[SparseRow], ncols: int) -> list[dict[int, Fraction]]:
-    """Kernel basis of a sparse linear system, each vector as its nonzero
-    {column: Fraction} entries (widened with zeros, the dense result).
-    Shortest rows pivot first; the rref, hence the kernel, is order-free."""
-    pivots, reduced = _rref_rows(sorted((dict(row) for row in rows), key=len))
-    return _kernel(pivots, reduced, ncols)
+    """Kernel basis of a sparse linear system: per free column f, the vector
+    with 1 at f and 0 at the other free columns, as its nonzero {column:
+    Fraction} entries in column order.  One back-solve of the forward echelon,
+    pivots from the right, serves every f: x[c] is column c of the basis as
+    {f: value}.  Shortest rows pivot first; the kernel is order-free."""
+    echelon = _echelon(sorted((dict(row) for row in rows), key=len))
+    x: dict[int, SparseRow] = {f: {f: 1} for f in range(ncols) if f not in echelon}
+    basis: dict[int, dict[int, Fraction]] = {f: {} for f in x}
+    for p in sorted(echelon, reverse=True):
+        row, acc = echelon[p], {}
+        for c, v in row.items():
+            if c != p:
+                _subtract(acc, v, x[c].items())   # acc = -sum of row[c] x[c]
+        lead = row[p]
+        x[p] = acc if lead == 1 else {f: _narrow(Fraction(a, lead)) for f, a in acc.items()}
+    for c in sorted(x):
+        for f, a in x[c].items():
+            basis[f][c] = Fraction(a)
+    return list(basis.values())
 
 
 def invert(m: RatMatrix) -> RatMatrix:

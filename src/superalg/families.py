@@ -1007,7 +1007,7 @@ def errata_ledger(sizes: Sequence[int] = (3, 4, 5, 6, 7, 8)) -> list[ErrataEntry
     top = max(sizes, default=0)
     if top > MAX_SIZE:
         raise InputError(f"errata sizes must be <= MAX_SIZE = {MAX_SIZE} "
-                         f"(got {top})")
+                         f"(got {shown(top)})")
     entries: list[ErrataEntry] = []
     for fid, info in _REGISTRY.items():
         structural = dict(info.structural)

@@ -444,6 +444,32 @@ class TestLongValuesAreNamedByLength:
         assert code == 2 and out == ""
         assert f"{shown}-character value" in err and len(err) < 200
 
+    @pytest.mark.parametrize("sizes", [f"3..{DIGITS}", "3..100000000", "-100000000..3"],
+                             ids=["4000-digit-end", "1e8-end", "-1e8-start"])
+    def test_errata_sizes_are_capped_before_the_range_is_built(self, sizes, capsys):
+        code, out, err = run(["errata", f"--sizes={sizes}"], capsys)
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith(f"error: errata sizes must be <= MAX_SIZE = {MAX_SIZE}")
+        assert len(err.splitlines()) == 1 and len(err.encode()) < 200
+
+    @pytest.mark.parametrize("left, target, coeff, shown", [
+        ("e1", "e2", "1+" * 2499 + "*", "unexpected token '*' in coefficient a 4999"),
+        ("e1", "e2", "1" + " 1" * 2500, "trailing tokens in coefficient a 5001"),
+        ("e1", "e2", "1+" + "#" * 4998, "bad coefficient syntax at a 4998"),
+        ("e1", "e2", "a" * 5000, "undeclared parameter a 5000"),
+        ("e" * 5000, "e2", "1", "unknown basis label in product [a 5000"),
+        ("e1", "e" * 5000, "1", "unknown component a 5000")],
+        ids=["unexpected-token", "trailing-tokens", "bad-syntax", "undeclared-parameter",
+             "unknown-basis-label", "unknown-component"])
+    def test_sdf_errors(self, left, target, coeff, shown, tmp_path, capsys):
+        doc = {"name": "long", "even_basis": ["e1", "e2"], "odd_basis": [],
+               "products": [{"left": left, "right": "e1", "value": [[target, coeff]]}]}
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["check", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert f"{shown}-character value" in err and len(err.encode()) < 200
+
 
 def fresh_python(code: str, *argv: str, cwd: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(SRC))

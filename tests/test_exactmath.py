@@ -699,3 +699,57 @@ class TestIntegerEngine:
         pivots, reduced = _back_substitute(echelon)
         assert pivots == (0, 1)
         assert reduced == [{0: 1, 2: Fraction(-10, 7)}, {1: 1, 2: Fraction(-3, 2)}]
+
+
+def hard_kernel_system(rng):
+    """Sparse rows over ncols columns with Fraction and non-unit integer
+    entries, exact repeats, rows in the span of earlier ones (which reduce
+    to zero) and columns that no row touches; sometimes no rows at all."""
+    ncols = rng.randint(1, 9)
+    rows = []
+    for _ in range(rng.choice((0, rng.randint(1, 7)))):
+        cols = rng.sample(range(ncols), rng.randint(1, ncols))
+        rows.append({c: rng.choice((Fraction(rng.choice((-9, -4, 2, 3, 6)), rng.randint(1, 5)),
+                                    rng.choice((-3, -1, 1, 2, 5, 12))))
+                     for c in sorted(cols, reverse=rng.random() < 0.5)})
+    for _ in range(rng.randint(0, 3) if rows else 0):
+        a, b = rng.choice(rows), rng.choice(rows)
+        rows.append(dict(a))
+        combo = {c: 3 * a.get(c, 0) - Fraction(2, 7) * b.get(c, 0) for c in {*a, *b}}
+        rows.append({c: x for c, x in combo.items() if x})
+    rng.shuffle(rows)
+    return rows, ncols
+
+
+class TestKernelBackSolve:
+    def test_matches_the_dense_oracle_entry_for_entry_in_key_order(self):
+        rng = random.Random(2026)
+        for _ in range(400):
+            rows, ncols = hard_kernel_system(rng)
+            got = sparse_kernel([dict(row) for row in rows], ncols)
+            want = [[(c, x) for c, x in enumerate(vec) if x]
+                    for vec in dense_kernel(as_fraction_grid(rows, ncols), ncols)]
+            assert [list(vec.items()) for vec in got] == want
+            assert all(fractions_only(vec.values()) for vec in got)
+
+    def test_no_rows_gives_the_unit_vectors(self):
+        assert sparse_kernel([], 3) == [{0: 1}, {1: 1}, {2: 1}]
+        assert sparse_kernel([{1: Fraction(2, 3)}, {}], 3) == [{0: 1}, {2: 1}]
+
+    def test_kernels_never_build_the_canonical_form(self, monkeypatch):
+        import superalg.core as core
+        import superalg.exactmath as exactmath
+        from superalg.core import right_annihilator
+        from superalg.derivations import EVEN, derivation_space, extendability
+        from superalg.families import build
+
+        def refuse(echelon):
+            raise AssertionError("the canonical form was built")
+
+        monkeypatch.setattr(exactmath, "_back_substitute", refuse)
+        monkeypatch.setattr(core, "_back_substitute", refuse)
+        assert sparse_kernel([{0: 2, 1: -3}], 2) == [{0: Fraction(3, 2), 1: 1}]
+        a = build("N2M", 3)
+        assert derivation_space(a, EVEN).dim > 0
+        assert right_annihilator(a).dims() == (1, 0)
+        assert extendability("H", 6, {"delta": 1}).verdict == "extendable"
