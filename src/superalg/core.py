@@ -37,7 +37,8 @@ from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import (DegenerateSamplingError, InputError,
-                     InternalInconsistencyError, NotNilpotentError, shown)
+                     InternalInconsistencyError, NotNilpotentError, SHOWN_LENGTH,
+                     shown)
 from .exactmath import (RATIONAL_LITERAL, Polynomial, RatMatrix, SparseRow,
                         _back_substitute, _narrow, _reduce_into, _subtract,
                         _widen, invert, nilpotent_jordan_type, parameter_value,
@@ -912,10 +913,10 @@ def _sdf_term(where: str, term) -> tuple[str, str | int]:
                          f"[label, coefficient] pairs, got {shown(term)}")
     coeff = term[1]
     if isinstance(coeff, float):
-        raise InputError(f"coefficient {coeff!r} in product {where} is a float; "
+        raise InputError(f"coefficient {shown(coeff)} in product {where} is a float; "
                          f"write it exactly as a string such as \"3/2\"")
     if not isinstance(coeff, (str, int)) or isinstance(coeff, bool):
-        raise InputError(f"coefficient {coeff!r} in product {where} must be "
+        raise InputError(f"coefficient {shown(coeff)} in product {where} must be "
                          f"a string or an integer")
     return term[0], coeff
 
@@ -962,7 +963,8 @@ def sdf_load(data: dict) -> SuperAlgebra:
                 and isinstance(entry.get("right"), str)):
             raise InputError(f"malformed SDF product entry: {shown(entry)}")
         left, right, value = entry["left"], entry["right"], entry["value"]
-        where = f"[{left}, {right}]"
+        where = "[{}, {}]".format(*(label if len(label) <= SHOWN_LENGTH else shown(label)
+                                    for label in (left, right)))
         if (left, right) in products:
             raise InputError(f"duplicate product {where} in SDF")
         if not isinstance(value, list):

@@ -44,11 +44,11 @@ from .exactmath import (Cells, RatMatrix, SparseRow, _reduce_into, _rref_rows,
 
 
 def _positions(algebra: SuperAlgebra, degree: int) -> list[tuple[int, int]]:
-    """Allowed matrix positions (l, k): parity(l) = parity(k) + degree mod 2."""
-    return [(l, k)
-            for l in range(algebra.dim)
-            for k in range(algebra.dim)
-            if algebra.parity(l) == (algebra.parity(k) + degree) % 2]
+    """Allowed matrix positions (l, k): parity(l) = parity(k) + degree mod 2,
+    where b_i is odd exactly when i >= n_even."""
+    n_even, dim, flip = algebra.n_even, algebra.dim, degree % 2
+    return [(l, k) for l in range(dim) for k in range(dim)
+            if ((l >= n_even) ^ (k >= n_even)) == flip]
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 
+SHOWN_LENGTH = 40
+
+
 def shown(value: object) -> str:
-    """value's repr for an error line, or only its length when that is over 40."""
+    """value's repr for an error line, or only its length when that is over
+    SHOWN_LENGTH."""
     text = str(value)
-    return repr(value) if len(text) <= 40 else f"a {len(text)}-character value"
+    return repr(value) if len(text) <= SHOWN_LENGTH else f"a {len(text)}-character value"
 
 
 class SuperalgError(Exception):

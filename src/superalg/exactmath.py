@@ -18,9 +18,9 @@ The linear algebra is deliberately small and dependency-free, and all of it
 runs on one sparse echelon engine: reduced row echelon form with strictly
 increasing pivot columns (a canonical form, so row spaces compare by
 equality) and inverses read off it, kernel bases back-solved from the
-forward echelon, and the Jordan type of a nilpotent map, given by its
-cells, from the ranks along its image chain Im(m) ⊇ Im(m^2) ⊇ ..., which
-stops with None as soon as a rank stalls.
+forward echelon of a presolved system, and the Jordan type of a nilpotent
+map, given by its cells, from the ranks along its image chain
+Im(m) ⊇ Im(m^2) ⊇ ..., which stops with None as soon as a rank stalls.
 A linear map travels as its nonzero cells, `Cells`; a dense `RatMatrix` is
 built only where one is printed or returned.
 """
@@ -460,13 +460,18 @@ class RatMatrix:
 # has its denominators cleared once (int or Fraction entries in, ints
 # after); it is then reduced fraction-free and, if it is new, stored with
 # its content removed and a positive lead, so the forward pass never builds
-# a Fraction.  Kernels are back-solved from the forward echelon, for all
-# free columns at once, and leave sparse, as their nonzero {column: Fraction}
-# entries, so a sparse system's kernel reaches its readers without a dense
-# round trip.  `_back_substitute` serves only the canonical forms (`rref`,
-# `same_span`, `GradedSubspace.parts`): it makes the rows monic, then clears
-# every pivot column above its pivot.  Every value the engine returns is
-# widened back to a Fraction.
+# a Fraction.  Before a kernel's forward pass its system is presolved, as
+# most derivation rows have one entry: a one-entry row pins its column to
+# 0, pinned columns are deleted from the other rows until no new one-entry
+# row appears, rows left empty are dropped, and each pin joins the echelon
+# as the unit row {c: 1} (pivot columns depend only on the row space, so
+# none moves).  Kernels are back-solved from the forward echelon, for all
+# free columns at once, and leave sparse, as their nonzero {column:
+# Fraction} entries, so a sparse system's kernel reaches its readers
+# without a dense round trip.  `_back_substitute` serves only the canonical
+# forms (`rref`, `same_span`, `GradedSubspace.parts`): it makes the rows
+# monic, then clears every pivot column above its pivot.  Every value the
+# engine returns is widened back to a Fraction.
 
 SparseRow = dict[int, int | Fraction]
 
@@ -514,7 +519,12 @@ def _reduce_into(pivots: dict[int, SparseRow], row: SparseRow) -> bool:
                 for cc in row:
                     row[cc] *= s
             a //= g
-        _subtract(row, a, prow.items())
+        for cc, v in prow.items():   # all ints: nothing to narrow
+            new = row.get(cc, 0) - a * v
+            if new:
+                row[cc] = new
+            else:
+                del row[cc]
     return False
 
 
@@ -562,10 +572,30 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
 def sparse_kernel(rows: Iterable[SparseRow], ncols: int) -> list[dict[int, Fraction]]:
     """Kernel basis of a sparse linear system: per free column f, the vector
     with 1 at f and 0 at the other free columns, as its nonzero {column:
-    Fraction} entries in column order.  One back-solve of the forward echelon,
-    pivots from the right, serves every f: x[c] is column c of the basis as
-    {f: value}.  Shortest rows pivot first; the kernel is order-free."""
-    echelon = _echelon(sorted((dict(row) for row in rows), key=len))
+    Fraction} entries in column order.  The presolved rows are reduced
+    shortest first; one back-solve of their echelon, pivots from the right,
+    serves every f: x[c] is column c of the basis as {f: value}.  The rows
+    given are not changed."""
+    live: list[SparseRow] = []
+    new: set[int] = set()
+    for row in rows:
+        if len(row) == 1:
+            new.update(row)
+        elif row:
+            live.append(row)
+    pinned: set[int] = set()
+    while new:
+        pinned |= new
+        hit, rest, live, new = new, live, [], set()
+        for row in rest:
+            if not hit.isdisjoint(row):
+                row = {c: v for c, v in row.items() if c not in hit}
+                if len(row) <= 1:
+                    new.update(row)
+                    continue
+            live.append(row)
+    echelon = _echelon(sorted((dict(row) for row in live), key=len))
+    echelon.update((c, {c: 1}) for c in pinned)   # no row left has a pinned column
     x: dict[int, SparseRow] = {f: {f: 1} for f in range(ncols) if f not in echelon}
     basis: dict[int, dict[int, Fraction]] = {f: {} for f in x}
     for p in sorted(echelon, reverse=True):

@@ -470,6 +470,27 @@ class TestLongValuesAreNamedByLength:
         assert code == 2 and out == ""
         assert f"{shown}-character value" in err and len(err.encode()) < 200
 
+    LONG = "e" * 5000
+
+    @pytest.mark.parametrize("products, shown", [
+        ([{"left": LONG, "right": "e1", "value": []}] * 2,
+         "duplicate product [a 5000-character value, e1]"),
+        ([{"left": LONG, "right": "e1", "value": [["e1", 1.5]]}],
+         "coefficient 1.5 in product [a 5000-character value, e1] is a float"),
+        ([{"left": "e1", "right": LONG, "value": "e1"}],
+         "malformed SDF value in product [e1, a 5000-character value]"),
+        ([{"left": "e1", "right": "e1", "value": [["e1", list(range(2000))]]}],
+         "coefficient a 10890-character value in product [e1, e1] must be")],
+        ids=["duplicate-product", "float-coefficient", "malformed-value", "list-coefficient"])
+    def test_declared_long_label_and_list_coefficient(self, products, shown, tmp_path, capsys):
+        doc = {"name": "long", "even_basis": ["e1", self.LONG], "odd_basis": [],
+               "products": products}
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["check", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert shown in err and len(err.encode()) < 200
+
 
 def fresh_python(code: str, *argv: str, cwd: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(SRC))

@@ -11,7 +11,7 @@ from superalg import (FAMILY_IDS, build, family_info, nilradical_spec,
                       parameter_names)
 from superalg.core import (EVEN, ODD, GradedVector, change_basis,
                            make_superalgebra, right_mul_cells)
-from superalg.derivations import (EXTENDABLE, derivation_space, extendability,
+from superalg.derivations import (EXTENDABLE, _positions, derivation_space, extendability,
                                   is_derivation, max_nil_independent,
                                   same_span, space_all_nilpotent)
 from superalg.families import CORRECTED, VERBATIM, sizes
@@ -34,6 +34,15 @@ def abelian(n0, n1):
 
 
 class TestSolver:
+    def test_positions_follow_the_parity_rule(self):
+        rng = random.Random(16)
+        for _ in range(100):
+            a = abelian(rng.randint(1, 5), rng.randint(0, 5))
+            degree = rng.choice((EVEN, ODD))
+            assert _positions(a, degree) == [
+                (l, k) for l in range(a.dim) for k in range(a.dim)
+                if a.parity(l) == (a.parity(k) + degree) % 2]
+
     def test_abelian_dimensions(self):
         a = abelian(2, 3)
         assert derivation_space(a, EVEN).dim == 2 * 2 + 3 * 3

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from superalg.errors import InputError
 from superalg.exactmath import (MAX_DEGREE, MAX_EXPONENT, MAX_TERMS, Polynomial,
                                 RatMatrix, _back_substitute, _echelon,
-                                invert, nilpotent_jordan_type,
+                                _reduce_into, invert, nilpotent_jordan_type,
                                 parse_coefficient, parse_rational,
                                 rref, sparse_kernel)
 
@@ -753,3 +753,82 @@ class TestKernelBackSolve:
         assert derivation_space(a, EVEN).dim > 0
         assert right_annihilator(a).dims() == (1, 0)
         assert extendability("H", 6, {"delta": 1}).verdict == "extendable"
+
+
+def presolve_system(rng):
+    """Rows over ncols columns built to exercise the kernel presolve: a chain
+    of rows {c0}, {c0, c1}, {c1, c2}, ... whose pins cascade over one round
+    per link, exact and scaled repeats, rows that empty out once their
+    columns are pinned, and free rows on the rest; entries mix int,
+    integral Fraction and Fraction.  Returns (rows, ncols, chain length)."""
+    def entry():
+        return rng.choice((rng.choice((-3, -1, 1, 2, 7)), Fraction(rng.choice((-4, 2, 6)), 1),
+                           Fraction(rng.choice((-5, 1, 3)), rng.randint(2, 6))))
+
+    ncols = rng.randint(4, 12)
+    cols = rng.sample(range(ncols), ncols)
+    chain = rng.randint(3, min(ncols, 6)) if rng.random() < 0.9 else ncols
+    rows = [{cols[0]: entry()}]
+    rows += [{cols[i - 1]: entry(), cols[i]: entry()} for i in range(1, chain)]
+    pinned = cols[:chain]
+    for _ in range(rng.randint(0, 3)):   # empties out: only pinned columns
+        rows.append({c: entry() for c in rng.sample(pinned, rng.randint(1, 3))})
+    for _ in range(rng.randint(0, 4)):   # free rows, touching pins or not
+        support = rng.sample(range(ncols), rng.randint(2, min(ncols, 4)))
+        rows.append({c: entry() for c in support})
+    for _ in range(rng.randint(1, 4)):   # exact and scaled repeats
+        row = rng.choice(rows)
+        k = rng.choice((1, 1, -2, Fraction(3, 5)))
+        rows.append({c: x * k for c, x in row.items()})
+    rows.append({})
+    rng.shuffle(rows)
+    return rows, ncols, chain
+
+
+class TestKernelPresolve:
+    def test_matches_the_dense_oracle_entry_for_entry_in_key_order(self):
+        rng = random.Random(27)
+        every_column_pinned = 0
+        for _ in range(400):
+            rows, ncols, chain = presolve_system(rng)
+            assert chain >= 3
+            copies = [dict(row) for row in rows]
+            got = sparse_kernel(copies, ncols)
+            assert copies == rows   # the caller's rows are not consumed
+            want = [[(c, x) for c, x in enumerate(vec) if x]
+                    for vec in dense_kernel(as_fraction_grid(rows, ncols), ncols)]
+            assert [list(vec.items()) for vec in got] == want
+            assert all(fractions_only(vec.values()) for vec in got)
+            every_column_pinned += chain == ncols
+        assert every_column_pinned > 10
+
+    def test_pins_cascade_before_the_forward_pass(self, monkeypatch):
+        import superalg.exactmath as exactmath
+        reduced = []
+
+        def counting(pivots, row):
+            reduced.append(dict(row))
+            return _reduce_into(pivots, row)
+
+        monkeypatch.setattr(exactmath, "_reduce_into", counting)
+        chain = [{0: 2}, {0: 1, 1: Fraction(1, 3)}, {1: -1, 2: 5}, {2: 3, 3: 1}]
+        assert sparse_kernel(chain, 4) == [] and reduced == []
+        assert sparse_kernel(chain[1:], 4) == [
+            {0: Fraction(5, 9), 1: Fraction(-5, 3), 2: Fraction(-1, 3), 3: 1}]
+        reduced.clear()
+        repeats = [{0: 1, 1: 2}, {0: 1, 1: 2}, {0: Fraction(3), 1: 6}, {2: 4}, {2: 1, 3: 1}]
+        assert sparse_kernel(repeats, 4) == [{0: -2, 1: 1}]
+        assert reduced == [{0: 1, 1: 2}, {0: 1, 1: 2}, {0: 3, 1: 6}]
+
+
+class TestIntegralPivots:
+    def test_stored_pivots_are_ints_after_mixed_rows(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            ncols, pivots = rng.randint(1, 8), {}
+            for _ in range(rng.randint(1, 10)):
+                support = rng.sample(range(ncols), rng.randint(1, ncols))
+                _reduce_into(pivots, {c: rng.choice((rng.choice((-6, -2, 1, 3, 4)), Fraction(
+                    rng.choice((-5, 1, 2, 6)), rng.randint(1, 4)))) for c in support})
+                assert all(type(x) is int for row in pivots.values() for x in row.values())
+                assert all(row[c] > 0 and min(row) == c for c, row in pivots.items())
