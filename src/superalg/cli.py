@@ -8,7 +8,9 @@ interchange format; every subcommand that analyses an algebra consumes one.
 
 Each run is a fresh process, so importing this module loads only `core`,
 `exactmath` and `errors`; `families`, `derivations` and `verify` execute on
-first use, by the subcommands that call them.
+first use, by the subcommands that call them.  Of the standard library it
+adds `argparse`, `json` and `fractions` (with what they import); the records
+are NamedTuples, so no `dataclasses`, `inspect`, `ast`, `dis` or `tokenize`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import importlib.util
 import json
 import os
 import sys
-from dataclasses import asdict
 
 from .core import (EVEN, MAX_BOUND, MAX_SAMPLES, ODD, char_sequence,
                    charseq_note, check_leibniz, check_lie, derived_series,
@@ -182,7 +183,7 @@ def _cmd_annihilator(args) -> int:
 
 def _cmd_invariants(args) -> int:
     algebra = _load_algebra(args.file)
-    print(json.dumps(asdict(fingerprint(algebra, seed=args.seed)), indent=2))
+    print(json.dumps(fingerprint(algebra, seed=args.seed)._asdict(), indent=2))
     return 0
 
 

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
 from itertools import chain
 from math import lcm
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .errors import (DegenerateSamplingError, InputError,
                      InternalInconsistencyError, NotNilpotentError, SHOWN_LENGTH,
@@ -244,8 +243,7 @@ def make_superalgebra(name: str, even_basis: Sequence[str], odd_basis: Sequence[
 # Vectors and products
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GradedVector:
+class GradedVector(NamedTuple):
     """Coordinates of an element in basis order (even block then odd block)."""
 
     coords: tuple[Fraction, ...]
@@ -324,8 +322,7 @@ def right_mul_cells(algebra: SuperAlgebra, x: GradedVector,
 # Identity checking
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Residual:
+class Residual(NamedTuple):
     """A nonzero deviation from an identity, localized to basis elements.
 
     `identity` is one of "leibniz", "antisymmetry", "jacobi"; `where` holds
@@ -808,14 +805,13 @@ def char_sequence(algebra: SuperAlgebra, samples: int = 64, seed: int = 0,
 # Fingerprints
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(NamedTuple):
     """Isomorphism-invariant summary used to tell algebras apart.
 
     charseq is None for non-nilpotent algebras; when present, charseq_note
     says whether it is certified or a sampled maximum (see char_sequence and
-    charseq_note).  The note takes no part in comparisons.  Equality of
-    fingerprints never proves isomorphism; inequality disproves it.
+    charseq_note).  The note takes no part in comparisons or the hash.
+    Equality of fingerprints never proves isomorphism; inequality disproves it.
     """
 
     dims: tuple[int, int]
@@ -826,7 +822,16 @@ class Fingerprint:
     annihilator: tuple[int, int]
     derivation_dims: tuple[int, int]
     charseq: tuple[tuple[int, ...], tuple[int, ...]] | None
-    charseq_note: str | None = field(default=None, compare=False)
+    charseq_note: str | None = None
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Fingerprint) and self[:8] == other[:8]
+
+    def __ne__(self, other: object) -> bool:   # tuple.__ne__ ignores __eq__
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:8])
 
 
 def fingerprint(algebra: SuperAlgebra, seed: int = 0) -> Fingerprint:

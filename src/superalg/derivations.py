@@ -32,10 +32,9 @@ beta-family) act at all; see the errata ledger.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import EVEN, ODD, SuperAlgebra, _cells_by_operand
 from .errors import InputError, InternalInconsistencyError, UnsupportedShapeError
@@ -51,8 +50,7 @@ def _positions(algebra: SuperAlgebra, degree: int) -> list[tuple[int, int]]:
             if ((l >= n_even) ^ (k >= n_even)) == flip]
 
 
-@dataclass(frozen=True)
-class DerivationSpace:
+class DerivationSpace(NamedTuple):
     """Exact basis of the degree-s derivation space of an algebra of
     dimension `algebra_dim`, each element held as its nonzero Fraction cells."""
 
@@ -180,8 +178,7 @@ def same_span(algebra: SuperAlgebra, degree: int,
 # Nil-independence
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NilIndependenceReport:
+class NilIndependenceReport(NamedTuple):
     """Maximal number of nil-independent elements of a derivation space;
     the witnesses are basis elements of the space, as their cells."""
 
@@ -270,8 +267,7 @@ def predicted_extendable(family_id: str, n: int,
     return False
 
 
-@dataclass(frozen=True)
-class ExtendabilityResult:
+class ExtendabilityResult(NamedTuple):
     family_id: str
     size: int
     values: tuple[tuple[str, str], ...]

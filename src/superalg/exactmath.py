@@ -28,10 +28,9 @@ built only where one is printed or returned.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError, shown
 
@@ -427,8 +426,7 @@ def _widen(x: int | Fraction) -> Fraction:
     return Fraction(x) if type(x) is int else x
 
 
-@dataclass(frozen=True)
-class RatMatrix:
+class RatMatrix(NamedTuple):
     """Immutable dense matrix over the rationals."""
 
     rows: int

@@ -35,10 +35,10 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import SuperAlgebra, make_superalgebra
 from .errors import InputError, shown
@@ -80,8 +80,7 @@ def _add_both(prod: Products, left: str, right: str, target: str, coeff) -> None
 # Registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FamilyInfo:
+class FamilyInfo(NamedTuple):
     """Catalog record: every per-family fact, stated once.
 
     Besides the table, domain, schema prose and structural metadata:
@@ -108,7 +107,7 @@ class FamilyInfo:
     size_parity: int | None         # required size mod 2, or None
     dims: str                       # e.g. "(n|n-1)"
     parameter_schema: tuple[str, ...] = ()
-    structural: Mapping[str, int] = field(default_factory=dict)  # name -> default
+    structural: Mapping[str, int] = MappingProxyType({})  # name -> default; shared
     nilradical: str | None = None
     codim: int | None = None
     notes: tuple[str, ...] = ()
@@ -894,8 +893,7 @@ def nilradical_spec(fid: str, size: int, params: Mapping[str, object] | None = N
 # Errata ledger
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ErrataEntry:
+class ErrataEntry(NamedTuple):
     """One shipped correction, justified by a reproducible identity residual."""
 
     family_id: str

@@ -22,9 +22,8 @@ the cited basis triple, and the corrected table must pass.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import families
 from .core import (EVEN, GradedVector, SuperAlgebra, char_sequence, charseq_note,
@@ -42,20 +41,19 @@ FAIL = "fail"
 UNSUPPORTED = "unsupported"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str
     detail: str = ""
 
 
-@dataclass
 class ClaimReport:
-    claim_id: str
-    subject: str
-    checks: list[CheckResult] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    wall_time_s: float = 0.0
+    def __init__(self, claim_id: str, subject: str) -> None:
+        self.claim_id = claim_id
+        self.subject = subject
+        self.checks: list[CheckResult] = []
+        self.notes: list[str] = []
+        self.wall_time_s = 0.0
 
     @property
     def status(self) -> str:
@@ -82,18 +80,19 @@ class ClaimReport:
             "id": self.claim_id,
             "subject": self.subject,
             "status": self.status,
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [c._asdict() for c in self.checks],
             "notes": list(self.notes),
             "wall_time_s": round(self.wall_time_s, 4),
         }
 
 
-@dataclass
 class RunReport:
-    engine_version: str
-    seed: int
-    claims: list[ClaimReport]
-    wall_time_s: float
+    def __init__(self, engine_version: str, seed: int, claims: list[ClaimReport],
+                 wall_time_s: float) -> None:
+        self.engine_version = engine_version
+        self.seed = seed
+        self.claims = claims
+        self.wall_time_s = wall_time_s
 
     @property
     def all_ok(self) -> bool:

@@ -86,18 +86,29 @@ def subspace_from_vectors(algebra: SuperAlgebra, even_vectors,
     return GradedSubspace(algebra, echelons)
 
 
+def _stored_rows(sub: GradedSubspace, parity: int) -> list[list]:
+    """The stored basis rows of one part of sub, dense over that part."""
+    offset, width = (0, sub.n_even) if parity == EVEN else (sub.n_even, sub.n_odd)
+    return [[row.get(offset + j, 0) for j in range(width)]
+            for row in sub._echelons[parity].values()]
+
+
+def _spans(rows: list[list], more: list[list]) -> bool:
+    """Whether every row of `more` lies in the span of `rows`, by rank."""
+    return bareiss_rank(rows + more) == bareiss_rank(rows)
+
+
 def contains_vector(sub: GradedSubspace, algebra: SuperAlgebra, v: GradedVector) -> bool:
     """Whether v lies in the graded subspace, one parity part at a time."""
     n0 = algebra.n_even
-    return (sub.contains_part_vector(EVEN, v.coords[:n0])
-            and sub.contains_part_vector(ODD, v.coords[n0:]))
+    return (_spans(_stored_rows(sub, EVEN), [list(v.coords[:n0])])
+            and _spans(_stored_rows(sub, ODD), [list(v.coords[n0:])]))
 
 
 def contains_subspace(sub: GradedSubspace, other: GradedSubspace) -> bool:
-    """Whether every row of other's dense views lies in sub's matching part."""
-    return all(sub.contains_part_vector(parity, row)
-               for parity, view in ((EVEN, other.even), (ODD, other.odd))
-               for row in view.entries)
+    """Whether each part of other lies in sub's matching part."""
+    return all(_spans(_stored_rows(sub, parity), _stored_rows(other, parity))
+               for parity in (EVEN, ODD))
 
 
 def bareiss_rank(rows: list[list[Fraction]]) -> int:

@@ -31,6 +31,14 @@ class TestCatalog:
         # The id enumeration has 34 members (5 nilpotent + 29 solvable).
         assert len(catalog) == 34
 
+    def test_structural_default_is_one_shared_immutable_empty_map(self):
+        # A NamedTuple default is one object that every record shares.
+        plain, other = family_info("L"), family_info("M")
+        assert plain.structural == {} and plain.structural is other.structural
+        with pytest.raises(TypeError):
+            plain.structural["t"] = 4
+        assert dict(family_info("SH1").structural) == {"t": 4}
+
     def test_odd_size_constraint_is_published(self):
         by_id = {e["id"]: e for e in list_families()}
         assert "n odd" in by_id["SH3"]["domain"]

@@ -7,18 +7,46 @@ from contextlib import contextmanager
 
 import pytest
 
-from superalg import families
-from superalg.core import check_leibniz, sdf_dumps
+from superalg import build, errata_ledger, families, family_info
+from superalg.core import (EVEN, GradedVector, check_leibniz, fingerprint,
+                           sdf_dumps)
+from superalg.derivations import (derivation_space, extendability,
+                                  max_nil_independent)
 from superalg.errors import InputError, SuperalgError
+from superalg.exactmath import RatMatrix
 from superalg.families import MAX_SIZE
-from superalg.verify import (audit_errata, claim_ids, pairwise_distinguish,
-                             render_text, run_claims,
+from superalg.verify import (CheckResult, ClaimReport, audit_errata, claim_ids,
+                             pairwise_distinguish, render_text, run_claims,
                              verify_corollary, verify_derivation_proposition,
                              verify_nilpotent_family, verify_solvable_family)
 
 
 def failing(report):
     return [(c.name, c.detail) for c in report.checks if c.status != "pass"]
+
+
+class TestRecords:
+    def test_record_fields_are_read_only(self):
+        space = derivation_space(build("L", 4, families.zero_filled("L", 4, {})), EVEN)
+        # A symbolic table that fails the Leibniz identity gives a Residual.
+        residual = check_leibniz(build("M", 4, mode=families.VERBATIM))[0]
+        records = [GradedVector.from_coords([1, 0]), residual,
+                   fingerprint(build("N2M", 3)), RatMatrix.identity(2), space,
+                   max_nil_independent(space), extendability("L", 4),
+                   family_info("L"), errata_ledger([4])[0], CheckResult("x", "pass")]
+        for record in records:
+            with pytest.raises(AttributeError):
+                setattr(record, record._fields[0], None)
+
+    def test_claim_report_checks_serialise_as_ordered_dicts(self):
+        report = ClaimReport("X-1", "subject")
+        report.ok("first", "fine")
+        report.bad("second", "witness")
+        checks = report.as_dict()["checks"]
+        assert checks == [{"name": "first", "status": "pass", "detail": "fine"},
+                          {"name": "second", "status": "fail", "detail": "witness"}]
+        assert [list(c) for c in checks] == [["name", "status", "detail"]] * 2
+        assert report.status == "fail"
 
 
 class TestNilpotentClaims:
