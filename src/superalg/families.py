@@ -747,20 +747,20 @@ def _validate_values(info: FamilyInfo, values: Mapping[str, Fraction]) -> None:
         raise InputError(f"{info.family_id}: {rule}")
 
 
-# The value-free builds of the open `shared_builds` scope, keyed by
+# The symbolic tables of the open `shared_builds` scope, keyed by
 # (family, size, mode, structural values); None when no scope is open.
 _SHARED: ContextVar[dict | None] = ContextVar("superalg_shared_builds", default=None)
 
 
 @contextmanager
 def shared_builds() -> Iterator[dict]:
-    """A scope in which `build` returns one shared algebra per value-free key.
+    """A scope in which `build` makes one symbolic table per key and shares it.
 
-    A value-free build gives no rational parameter value, at most the
-    structural ones.  Inside the scope equal value-free requests return the
-    same `SuperAlgebra` (which the package never mutates); valued builds,
-    and every build outside a scope, construct a new one.  Yields the shared
-    table map.
+    The key is (family, size, mode, structural values).  Inside the scope a
+    value-free build returns the key's table itself (which the package never
+    mutates), and a valued build instantiates it, so the table function runs
+    once per key; a valued result is a new algebra each time.  Outside a
+    scope every build makes its table afresh.  Yields the shared table map.
     """
     shared: dict = {}
     token = _SHARED.set(shared)
@@ -777,8 +777,9 @@ def build(family_id: str, size: int, params: Mapping[str, object] | None = None,
     Parameters not supplied stay symbolic.  Passing an unknown parameter, an
     out-of-domain size, an inexact value (see `exactmath.parameter_value`) or
     a forbidden value raises InputError naming the violated constraint.
-    Inside `shared_builds`, a value-free request returns the scope's shared
-    algebra.
+    The symbolic table comes from the open `shared_builds` scope, or is made
+    on a miss; given values are substituted into a new instance of it
+    (`SuperAlgebra.instantiate`), named with its values.
     """
     info = family_info(family_id)
     if mode not in (VERBATIM, CORRECTED):
@@ -787,12 +788,25 @@ def build(family_id: str, size: int, params: Mapping[str, object] | None = None,
     _validate_domain(info, size, params)
 
     structural = {k: params.pop(k) for k in info.structural}
-    shared = None if params else _SHARED.get()
+    bits = [f"{info.size_name}={size}"]
+    if "t" in structural:
+        bits.append(f"t={structural['t']}")
+    shared = _SHARED.get()
     request = (family_id, size, mode, tuple(structural.items()))
-    if shared is not None and request in shared:
-        return shared[request]
-    names, prod, n_even, n_odd = info.table(size, mode, **structural)
-    declared = tuple(sorted(names))
+    symbolic = shared.get(request) if shared is not None else None
+    if symbolic is None:
+        names, prod, n_even, n_odd = info.table(size, mode, **structural)
+        even = [_e(i) for i in range(1, n_even + 1)]
+        if info.kind == "solvable":
+            base = n_even - info.codim
+            even = [_e(i) for i in range(1, base + 1)]
+            even += ["x"] if info.codim == 1 else ["x1", "x2"]
+        odd = [_y(i) for i in range(1, n_odd + 1)]
+        symbolic = make_superalgebra(f"{family_id}({', '.join(bits)})", even, odd,
+                                     sorted(names), prod)
+        if shared is not None:
+            shared[request] = symbolic
+    declared = symbolic.parameters
     values: dict[str, Fraction] = {}
     for key, raw in params.items():
         if key not in declared:
@@ -800,29 +814,11 @@ def build(family_id: str, size: int, params: Mapping[str, object] | None = None,
                              f"(expected one of: {', '.join(declared) or 'none'})")
         values[key] = parameter_value(key, raw)
     _validate_values(info, values)
-
-    even = [_e(i) for i in range(1, n_even + 1)]
-    if info.kind == "solvable":
-        base = n_even - info.codim
-        even = [_e(i) for i in range(1, base + 1)]
-        even += ["x"] if info.codim == 1 else ["x1", "x2"]
-    odd = [_y(i) for i in range(1, n_odd + 1)]
-
-    bits = [f"{info.size_name}={size}"]
-    if "t" in structural:
-        bits.append(f"t={structural['t']}")
+    if not values:
+        return symbolic
+    algebra = symbolic.instantiate(values)
     bits += [f"{k}={values[k]}" for k in sorted(values)]
-    name = f"{family_id}({', '.join(bits)})"
-    if values and len(values) == len(declared):
-        # Fully valued: evaluate each coefficient once, into a constant table.
-        prod = {cell: [(target, c.evaluate(values) if isinstance(c, Polynomial) else c)
-                       for target, c in terms] for cell, terms in prod.items()}
-        declared = ()
-    algebra = make_superalgebra(name, even, odd, declared, prod)
-    if values and declared:   # partly valued
-        algebra = algebra.instantiate(values)
-    if shared is not None:
-        shared[request] = algebra
+    algebra.name = f"{family_id}({', '.join(bits)})"
     return algebra
 
 
@@ -854,21 +850,18 @@ def family_info(fid: str) -> FamilyInfo:
 def sizes(fid: str, lo: int, hi: int) -> list[int]:
     """The sizes in lo..hi that lie in the family's domain."""
     info = family_info(fid)
-    return [s for s in range(lo, hi + 1) if info.admits(s)]
+    return [s for s in range(max(lo, info.min_size), hi + 1) if info.admits(s)]
 
 
 @cache
 def parameter_names(fid: str, size: int) -> tuple[str, ...]:
-    """Sorted rational parameter names at one size, as the table declares them.
+    """Sorted rational parameter names at one size, as the built table declares
+    them.
 
     No family declares a parameter that depends on its structural t, so the
-    table is read at the structural defaults, once per (fid, size).
+    table is built at the structural defaults, once per (fid, size).
     """
-    info = family_info(fid)
-    structural = dict(info.structural)
-    _validate_domain(info, size, structural)
-    names, *_ = info.table(size, CORRECTED, **structural)
-    return tuple(sorted(names))
+    return build(fid, size, dict(family_info(fid).structural)).parameters
 
 
 def zero_filled(fid: str, size: int, params: Mapping[str, object]) -> dict[str, object]:

@@ -147,10 +147,10 @@ def _check_identities(report: ClaimReport, info: families.FamilyInfo,
 
 
 def _fmt_params(params: Mapping[str, object]) -> str:
-    shown = {k: v for k, v in params.items() if v not in (0, Fraction(0))}
-    if not shown:
+    nonzero = {k: v for k, v in params.items() if v not in (0, Fraction(0))}
+    if not nonzero:
         return "zeros"
-    return ", ".join(f"{k}={v}" for k, v in sorted(shown.items()))
+    return ", ".join(f"{k}={v}" for k, v in sorted(nonzero.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +365,7 @@ def verify_derivation_proposition(pid: str, n: int,
                                   ) -> ClaimReport:
     """Solver-computed even derivation space == proposition template space."""
     start = time.perf_counter()
-    fid = pid.split("-", 1)[1] if pid.startswith("P-") else pid
+    fid = pid.removeprefix("P-")
     if fid not in CLASSIFIER_FAMILIES:
         raise InputError(f"unknown proposition id {pid!r}")
     if samples is None:
@@ -419,14 +419,13 @@ def corollary_patterns(fid: str, n: int) -> list[dict[str, int]]:
 def verify_corollary(cid: str, n: int) -> ClaimReport:
     """Extendability verdicts over the pattern grid match the prediction table."""
     start = time.perf_counter()
-    fid = cid.split("-", 1)[1] if cid.startswith("C-") or cid.startswith("COR-") else cid
+    fid = cid.removeprefix("COR-")
     if fid not in CLASSIFIER_FAMILIES:
         raise InputError(f"unknown corollary id {cid!r}")
     report = ClaimReport(f"COR-{fid}", f"{fid}(n={n}) pattern sweep")
     mismatches = []
-    total = 0
-    for pattern in corollary_patterns(fid, n):
-        total += 1
+    patterns = corollary_patterns(fid, n)
+    for pattern in patterns:
         result = extendability(fid, n, pattern)
         if result.matches_prediction is None:
             report.notes.append(
@@ -436,7 +435,7 @@ def verify_corollary(cid: str, n: int) -> ClaimReport:
                 f"{_fmt_params(pattern)}: computed {result.verdict}, "
                 f"predicted {'extendable' if result.predicted else 'not-extendable'}")
     report.ensure("pattern-grid", not mismatches,
-                  f"all {total} pattern verdicts match the table",
+                  f"all {len(patterns)} pattern verdicts match the table",
                   "; ".join(mismatches))
     report.wall_time_s = time.perf_counter() - start
     return report
@@ -599,9 +598,10 @@ def run_claims(selected: Sequence[str] | None = None,
     (2|m) family are the odd values), propositions 4..6, corollaries 5..7,
     solvable families 3..6, distinction groups at size 5, errata audits 3..8.
     A range that ends above `families.MAX_SIZE`, or in which no selected
-    claim has an instance, is an InputError.  Each claim id runs in its own
-    `families.shared_builds` scope, so a value-free table is built once per
-    claim and shared by its samples, errata notes and audit.
+    claim has an instance, is an InputError; sizes below a family's minimum
+    are skipped.  Each claim id runs in its own `families.shared_builds`
+    scope, so each symbolic table is built once per claim, and its samples,
+    patterns, errata notes and audit instantiate or read that one table.
     """
     start = time.perf_counter()
     if n_range and n_range[1] > families.MAX_SIZE:
@@ -630,5 +630,5 @@ def run_claims(selected: Sequence[str] | None = None,
             reports.append(broken)
     if not reports:  # the default ranges give every claim an instance
         raise InputError(f"no selected claim has an instance with size in "
-                         f"{n_range[0]}..{n_range[1]}")
+                         f"{shown(n_range[0])}..{shown(n_range[1])}")
     return RunReport(ENGINE_VERSION, seed, reports, time.perf_counter() - start)

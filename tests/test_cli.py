@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -362,6 +363,16 @@ class TestVerifyCommand:
                                  "--n-range", "0..2"], capsys)
         assert code == 2 and stdout == ""
         assert "no selected claim has an instance with size in 0..2" in err
+
+    def test_range_far_below_every_domain_runs_as_its_domain_part(self, capsys):
+        # The sizes below each family's minimum are skipped, not counted
+        # through, so a 4,000-digit negative start ends at once.
+        claims = ["--claims", "NILP-L,P-H,COR-H,SOLV-SL,DIST-MH,AUDIT-N2M", "--json"]
+        wide = run(["verify", *claims, f"--n-range=-{DIGITS}..5"], capsys)
+        narrow = run(["verify", *claims, "--n-range", "3..5"], capsys)
+        assert wide[0] == narrow[0] == 0
+        untimed = [re.sub(r'"wall_time_s": [^,\n]+', "", out) for _, out, _ in (wide, narrow)]
+        assert untimed[0] == untimed[1]
 
     def test_range_above_the_cap_exits_2(self, capsys):
         code, _, err = run(["verify", "--claims", "NILP-L",

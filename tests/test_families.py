@@ -15,7 +15,8 @@ from superalg import (CORRECTED, FAMILY_IDS, VERBATIM, build, errata_for,
 from superalg.core import (GradedVector, check_leibniz, check_lie, nilindex,
                            product, sdf_dump, sdf_dumps)
 from superalg.errors import InputError
-from superalg.families import MAX_SIZE, shared_builds, sizes, zero_filled
+from superalg.families import (_REGISTRY, MAX_SIZE, FamilyInfo, shared_builds, sizes,
+                               zero_filled)
 
 from oracles import valued_table_by_text
 
@@ -157,6 +158,16 @@ class TestDomains:
         assert sizes("SH1", 3, 5) == [4, 5]
         assert sizes("L", 3, 2) == []
 
+    def test_sizes_start_at_the_family_minimum(self, monkeypatch):
+        # A range that starts far below the domain costs nothing below it.
+        tested = []
+        admits = FamilyInfo.admits
+        monkeypatch.setattr(FamilyInfo, "admits",
+                            lambda info, size: tested.append(size) or admits(info, size))
+        assert sizes("SH3", -10 ** 6, 8) == [5, 7]
+        assert tested == [5, 6, 7, 8]
+        assert sizes("L", -10 ** 4000, 5) == [3, 4, 5]
+
     def test_parameter_names_reject_out_of_domain_sizes(self):
         with pytest.raises(InputError, match="m must be >= 3"):
             parameter_names("M4", 2)
@@ -254,7 +265,8 @@ def _valued_points(fid: str, size: int, rng: random.Random):
 
 
 class TestValuedBuilds:
-    """A fully valued `build` makes its constant table directly."""
+    """A fully valued `build` instantiates the symbolic table into constants;
+    the text oracle evaluates the symbolic SDF on its own as the check."""
 
     @pytest.mark.parametrize("fid", FAMILY_IDS)
     def test_valued_tables_match_the_text_oracle_and_instantiate(self, fid):
@@ -308,6 +320,53 @@ class TestSharedBuilds:
         assert build("SH1", 5, {"t": 4}) is not table
         assert build("SH1", 5, {"t": 4}) is not build("SH1", 5, {"t": 4})
         assert build("SH1", 5, {"t": 4}) == table
+
+    def test_one_table_call_per_key_however_many_valued_builds(self, monkeypatch):
+        info = family_info("H")
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return info.table(*args, **kwargs)
+
+        monkeypatch.setitem(_REGISTRY, "H", info._replace(table=counted))
+        with shared_builds():
+            for values in ({"gamma": 1}, {"beta4": 1, "delta": 1}, zeros("H", 5),
+                           {"gamma": Fraction(2, 3)}, {}):
+                build("H", 5, values)
+            assert calls == [(5, CORRECTED)]
+            build("H", 5, {"gamma": 1}, VERBATIM)
+            build("H", 6, {"gamma": 1})
+            assert calls == [(5, CORRECTED), (5, VERBATIM), (6, CORRECTED)]
+        build("H", 5, {"gamma": 1})
+        build("H", 5, {"gamma": 1})
+        assert len(calls) == 5
+
+    def test_valued_builds_leave_the_shared_table_as_it_was(self):
+        with shared_builds():
+            table = build("G", 6)
+            name, parameters = table.name, table.parameters
+            structure = dict(table.structure)
+            text = sdf_dumps(table)
+            valued = build("G", 6, {"beta4": Fraction(1, 2), "gamma": 3})
+            full = build("G", 6, {**zeros("G", 6), "beta5": Fraction(-2, 3)})
+            assert build("G", 6) is table
+        assert valued.name == "G(n=6, beta4=1/2, gamma=3)"
+        assert full.name == "G(n=6, beta4=0, beta5=-2/3, beta6=0, gamma=0)"
+        assert valued.parameters == ("beta5", "beta6") and not full.parameters
+        assert (table.name, table.parameters) == (name, parameters) == \
+            ("G(n=6)", ("beta4", "beta5", "beta6", "gamma"))
+        assert table.structure == structure and sdf_dumps(table) == text
+
+    @pytest.mark.parametrize("fid, size, values", [
+        ("H", 5, {"beta4": 1}), ("H1", 5, {"b": Fraction(-1, 3)}),
+        ("G", 6, {"beta4": Fraction(1, 2), "beta5": Fraction(-2, 3),
+                  "beta6": Fraction(3, 7), "gamma": Fraction(5, 4)})])
+    def test_valued_builds_inside_and_outside_a_scope_agree(self, fid, size, values):
+        outside = sdf_dumps(build(fid, size, values))
+        with shared_builds():
+            build(fid, size)
+            assert sdf_dumps(build(fid, size, values)) == outside
 
     def test_scopes_nest_and_close_on_error(self):
         with shared_builds():

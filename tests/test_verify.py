@@ -16,7 +16,7 @@ from superalg.errors import InputError, SuperalgError
 from superalg.exactmath import RatMatrix
 from superalg.families import MAX_SIZE
 from superalg.verify import (CheckResult, ClaimReport, audit_errata, claim_ids,
-                             pairwise_distinguish, render_text, run_claims,
+                             corollary_patterns, pairwise_distinguish, render_text, run_claims,
                              verify_corollary, verify_derivation_proposition,
                              verify_nilpotent_family, verify_solvable_family)
 
@@ -141,6 +141,14 @@ class TestCorollaryClaims:
         report = verify_corollary(cid, n)
         assert report.status == "pass", failing(report)
 
+    def test_ids_are_cor_prefixed_or_bare(self):
+        with pytest.raises(InputError, match="unknown corollary id 'C-L'"):
+            verify_corollary("C-L", 5)
+        bare = verify_corollary("H", 5)
+        assert bare.claim_id == "COR-H" and bare.status == "pass", failing(bare)
+        assert bare.checks[0].detail == \
+            f"all {len(corollary_patterns('H', 5))} pattern verdicts match the table"
+
 
 class TestDistinguish:
     def test_codim_two_pair_distinguished(self):
@@ -216,6 +224,8 @@ class TestRunner:
             run_claims(["NILP-L"], (0, 2))
         with pytest.raises(InputError, match=r"size in 4\.\.4"):
             run_claims(["NILP-N2M", "AUDIT-N2M"], (4, 4))
+        with pytest.raises(InputError, match=r"size in a 4002-character value\.\.2$"):
+            run_claims(["NILP-L"], (-10 ** 4000, 2))
 
     def test_range_above_the_size_cap_is_rejected_before_any_claim_runs(self):
         with pytest.raises(InputError, match=f"ends above MAX_SIZE = {MAX_SIZE}"):
