@@ -89,6 +89,8 @@ def _parse_params(pairs: list[str]) -> dict[str, object]:
         name, _, raw = pair.partition("=")
         name = name.strip()
         raw = raw.strip()
+        if name in params:
+            raise InputError(f"--param {shown(name)} is given more than once")
         # `build` reads any other literal as it reads any parameter value.
         params[name] = _integer("t", raw) if name == "t" else raw
     return params
@@ -183,7 +185,9 @@ def _cmd_annihilator(args) -> int:
 
 def _cmd_invariants(args) -> int:
     algebra = _load_algebra(args.file)
-    print(json.dumps(fingerprint(algebra, seed=args.seed)._asdict(), indent=2))
+    fp = fingerprint(algebra, seed=args.seed)
+    note = None if fp.charseq is None else charseq_note(algebra, fp.charseq)
+    print(json.dumps({**fp._asdict(), "charseq_note": note}, indent=2))
     return 0
 
 
@@ -201,14 +205,14 @@ def _cmd_errata(args) -> int:
                          f"absolute value (got {shown(lo)}..{shown(hi)})")
     entries = families.errata_ledger(list(range(lo, hi + 1)))
     if args.family:
-        entries = [e for e in entries if e.family_id == args.family]
-    print(json.dumps([e.as_dict() for e in entries], indent=2))
+        entries = [e for e in entries if e.family == args.family]
+    print(json.dumps([e._asdict() for e in entries], indent=2))
     return 0
 
 
 def _cmd_verify(args) -> int:
     selected = None
-    if args.claims and args.claims != "all":
+    if args.claims != "all":
         prefixes = [c.strip() for c in args.claims.split(",") if c.strip()]
         selected = [cid for cid in verify.claim_ids()
                     if any(cid == p or cid.startswith(p) for p in prefixes)]

@@ -808,10 +808,10 @@ def char_sequence(algebra: SuperAlgebra, samples: int = 64, seed: int = 0,
 class Fingerprint(NamedTuple):
     """Isomorphism-invariant summary used to tell algebras apart.
 
-    charseq is None for non-nilpotent algebras; when present, charseq_note
-    says whether it is certified or a sampled maximum (see char_sequence and
-    charseq_note).  The note takes no part in comparisons or the hash.
-    Equality of fingerprints never proves isomorphism; inequality disproves it.
+    charseq is None for non-nilpotent algebras; when present, it may be a
+    sampled maximum (`charseq_note` says which).  Fingerprints compare as
+    plain tuples.  Equality of fingerprints never proves isomorphism;
+    inequality disproves it.
     """
 
     dims: tuple[int, int]
@@ -822,16 +822,6 @@ class Fingerprint(NamedTuple):
     annihilator: tuple[int, int]
     derivation_dims: tuple[int, int]
     charseq: tuple[tuple[int, ...], tuple[int, ...]] | None
-    charseq_note: str | None = None
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Fingerprint) and self[:8] == other[:8]
-
-    def __ne__(self, other: object) -> bool:   # tuple.__ne__ ignores __eq__
-        return not self == other
-
-    def __hash__(self) -> int:
-        return hash(self[:8])
 
 
 def fingerprint(algebra: SuperAlgebra, seed: int = 0) -> Fingerprint:
@@ -853,7 +843,6 @@ def fingerprint(algebra: SuperAlgebra, seed: int = 0) -> Fingerprint:
         annihilator=ann.dims(),
         derivation_dims=(even_dim, odd_dim),
         charseq=cs,
-        charseq_note=None if cs is None else charseq_note(algebra, cs),
     )
 
 

@@ -198,7 +198,8 @@ def _chain_rows(prod: Products, v: Callable[[int], str], top: int, first: int,
 
 
 def _weight_rows(prod: Products, n: int, n_odd: int, x: str) -> None:
-    """The diagonal action of x on the H and G nilradicals, except on e2."""
+    """The diagonal action of x on the L, M, H and G nilradicals, except on
+    e2: weight 2 on e1, 2(i-1) on e_i for i >= 3 and 2j-1 on y_j."""
     for i in range(1, n_odd + 1):
         _add(prod, _y(i), x, _y(i), 2 * i - 1)
     _add(prod, _e(1), x, _e(1), 2)
@@ -397,16 +398,11 @@ def _table_M5(m: int, mode: str):
 # ---------------------------------------------------------------------------
 
 def _split_table(n: int, n_odd: int):
-    """SL over L and SM over M: x acts diagonally with weights 2(i-1) on e_i
-    (2 on e1) and 2j-1 on y_j."""
+    """SL over L and SM over M: x acts by the weights of `_weight_rows` and
+    [e2,x] = 2 e2, so with weight 2(i-1) on every e_i, i >= 2."""
     prod = _zero_rows(n, n_odd, 2)
-    _add(prod, _e(1), "x", _e(1), 2)
-    for i in range(2, n + 1):
-        _add(prod, _e(i), "x", _e(i), 2 * (i - 1))
-    for i in range(1, n_odd + 1):
-        _add(prod, _y(i), "x", _y(i), 2 * i - 1)
-    _add(prod, "x", _e(1), _e(1), -2)
-    _add(prod, "x", _y(1), _y(1), -1)
+    _weight_rows(prod, n, n_odd, "x")
+    _add(prod, _e(2), "x", _e(2), 2)
     return [], prod, n + 1, n_odd
 
 
@@ -556,23 +552,12 @@ def _table_SH2(n: int, mode: str):
 
 
 def _middle_beta_table(n: int, n_odd: int, gamma_row: bool):
-    """SH3 over H and SG2 over G (n odd): the nilradical with
-    beta_{(n+3)/2} = 1, and [e2,e2] = gamma e_n where `gamma_row`."""
+    """SH3 over H and SG2 over G (n odd): `_single_beta_table` at
+    t = (n+3)/2, and [e2,e2] = gamma e_n where `gamma_row`."""
     params = ["gamma"]
-    step = (n - 1) // 2
-    prod = _zero_rows(n, n_odd, 3)
-    _add(prod, _e(1), _e(2), _e(step + 2), 1)
-    for j in range(3, n - 1):
-        if j + step <= n:
-            _add(prod, _e(j), _e(2), _e(j + step), 1)
-    for j in range(1, n_odd - 1):
-        if j + step <= n_odd:
-            _add(prod, _y(j), _e(2), _y(j + step), 1)
+    prod = _single_beta_table(n, n_odd, (n + 3) // 2, y1_row=True)[1]
     if gamma_row:
         _add(prod, _e(2), _e(2), _e(n), Polynomial.var("gamma", params))
-    _weight_rows(prod, n, n_odd, "x")
-    _add_both(prod, _e(2), "x", _e(2), n - 1)
-    _add(prod, "x", _e(2), _e(step + 1), -2)
     return params, prod, n + 1, n_odd
 
 
@@ -887,26 +872,19 @@ def nilradical_spec(fid: str, size: int, params: Mapping[str, object] | None = N
 # ---------------------------------------------------------------------------
 
 class ErrataEntry(NamedTuple):
-    """One shipped correction, justified by a reproducible identity residual."""
+    """One shipped correction, justified by a reproducible identity residual.
 
-    family_id: str
+    The fields are named and ordered as the keys of `superalg errata`'s JSON,
+    which prints `_asdict()` (tuples as arrays).
+    """
+
+    family: str
     size: int
-    location: tuple[str, str]
+    product: tuple[str, str]
     verbatim: tuple[tuple[str, str], ...]
     corrected: tuple[tuple[str, str], ...]
     residual_site: tuple[str, ...]
     justification: str
-
-    def as_dict(self) -> dict:
-        return {
-            "family": self.family_id,
-            "size": self.size,
-            "product": list(self.location),
-            "verbatim": [list(t) for t in self.verbatim],
-            "corrected": [list(t) for t in self.corrected],
-            "residual_site": list(self.residual_site),
-            "justification": self.justification,
-        }
 
 
 def _site_for(fid: str, cell: tuple[str, str], size: int) -> tuple[tuple[str, ...], str]:
@@ -964,9 +942,8 @@ def errata_for(family_id: str, size: int, params: Mapping[str, object] | None = 
     """Concrete errata entries for one family at one size (symbolic values):
     the cells where the corrected and verbatim builds differ."""
     info = family_info(family_id)
-    params = dict(params or {})
-    _validate_domain(info, size, params)
-    structural = {k: params[k] for k in info.structural}
+    params = params or {}
+    structural = {k: params[k] for k in info.structural if k in params}
     corrected, verbatim = (build(family_id, size, structural, mode)
                            for mode in (CORRECTED, VERBATIM))
     lab = corrected.labels
@@ -982,9 +959,9 @@ def errata_for(family_id: str, size: int, params: Mapping[str, object] | None = 
     for cell in sorted(changed):
         site, why = _site_for(family_id, cell, size)
         entries.append(ErrataEntry(
-            family_id=family_id,
+            family=family_id,
             size=size,
-            location=cell,
+            product=cell,
             verbatim=named(verbatim.structure.get(changed[cell], ())),
             corrected=named(corrected.structure.get(changed[cell], ())),
             residual_site=site,

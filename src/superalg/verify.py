@@ -255,7 +255,7 @@ def verify_solvable_family(fid: str, size: int,
                           f"R_{x_label}|N is non-nilpotent",
                           f"R_{x_label}|N is nilpotent with Jordan type {jt}")
     report.notes.extend(
-        f"errata: {e.family_id} {e.location} ({e.justification.split(';')[0]})"
+        f"errata: {e.family} {e.product} ({e.justification.split(';')[0]})"
         for e in families.errata_for(fid, size, structural or None))
     report.wall_time_s = time.perf_counter() - start
     return report
@@ -505,7 +505,7 @@ def audit_errata(fid: str, size: int,
     sites = {tuple(r.where) for r in res_verb}
     for entry in entries:
         report.ensure(
-            f"entry-{entry.location[0]},{entry.location[1]}",
+            f"entry-{entry.product[0]},{entry.product[1]}",
             tuple(entry.residual_site) in sites,
             f"cited residual at {entry.residual_site} reproduced",
             f"cited residual site {entry.residual_site} not produced by the "

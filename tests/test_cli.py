@@ -122,6 +122,13 @@ class TestFamilyCommand:
         assert f"parameter alpha4: rational literal with a {len(BIG)}-digit" in err
         assert BIG[:50] not in err
 
+    @pytest.mark.parametrize("fid, name", [("L", "alpha4"), ("SH1", "t")])
+    def test_repeated_param_exits_2_naming_it(self, fid, name, capsys):
+        code, out, err = run(["family", fid, "--n", "5", "--param", f"{name}=4",
+                              "--param", f"{name}=5"], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: --param '{name}' is given more than once\n"
+
     def test_param_fraction_literal_builds(self, capsys):
         code, out, _ = run(["family", "H", "--n", "5", "--param", "gamma=3/2",
                             "-o", "-"], capsys)
@@ -216,6 +223,16 @@ class TestAnalysisCommands:
         assert payload["nilindex"] == 5
         assert payload["charseq"] == [[1, 1], [3]]
         assert payload["charseq_note"] == "certified"
+
+    def test_invariants_of_a_non_nilpotent_algebra_end_in_null_charseq(self, tmp_path,
+                                                                       capsys):
+        path = str(tmp_path / "sl5.json")
+        assert main(["family", "SL", "--n", "5", "-o", path]) == 0
+        code, stdout, _ = run(["invariants", path], capsys)
+        assert code == 0
+        payload = json.loads(stdout)
+        assert payload["solvable"] is True and payload["nilindex"] is None
+        assert list(payload.items())[-2:] == [("charseq", None), ("charseq_note", None)]
 
     def test_malformed_sdf_names_the_product(self, tmp_path, capsys):
         doc = {"name": "bad", "even_basis": ["e1"], "odd_basis": ["y1"],
@@ -358,6 +375,12 @@ class TestVerifyCommand:
         code, _, err = run(["verify", "--claims", "XYZ"], capsys)
         assert code == 2 and "no claims match" in err
 
+    @pytest.mark.parametrize("claims", ["", " ", ","])
+    def test_blank_claim_selection_exits_2(self, claims, capsys):
+        code, out, err = run(["verify", "--claims", claims], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: no claims match {claims!r}\n"
+
     def test_range_without_instances_exits_2(self, capsys):
         code, stdout, err = run(["verify", "--claims", "NILP-L",
                                  "--n-range", "0..2"], capsys)
@@ -440,6 +463,8 @@ class TestLongValuesAreNamedByLength:
         (["family", "L", "--n", f"-{DIGITS}"], "(got a 4001"),
         (["family", "L", "--n", "5", "--param", f"alpha4={LONG}"], "literal: a 5000"),
         (["family", "L", "--n", "5", "--param", f"{LONG}=1"], "parameter a 5000"),
+        (["family", "L", "--n", "5", "--param", f"{LONG}=1", "--param", f"{LONG}=2"],
+         "--param a 5000"),
         (["family", "L", "--n", "5", "--errata", LONG], "mode a 5000"),
         (["family", LONG, "--n", "5"], "family id a 5000"),
         (["errata", "--family", LONG], "family id a 5000"),

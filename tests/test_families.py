@@ -436,9 +436,9 @@ class TestIdentities:
 class TestErrata:
     def test_every_entry_reproduces_its_residual(self):
         for entry in errata_ledger(sizes=(3, 4, 5, 6)):
-            params = {"t": 4} if entry.family_id in ("SG1",) else None
-            verbatim = build(entry.family_id, entry.size, params, VERBATIM)
-            corrected = build(entry.family_id, entry.size, params, CORRECTED)
+            params = {"t": 4} if entry.family in ("SG1",) else None
+            verbatim = build(entry.family, entry.size, params, VERBATIM)
+            corrected = build(entry.family, entry.size, params, CORRECTED)
             sites = {tuple(r.where) for r in check_leibniz(verbatim)}
             assert tuple(entry.residual_site) in sites, entry
             assert check_leibniz(corrected) == [], entry
@@ -453,46 +453,69 @@ class TestErrata:
                     assert check_leibniz(algebra) == [], f"{fid} size {size}"
 
     def test_duplicate_subscript_row_entry(self):
-        entries = {e.location: e for e in errata_for("M", 6)}
+        entries = {e.product: e for e in errata_for("M", 6)}
         entry = entries[("y2", "e2")]
         assert ("y4", "alpha4 + alpha5") in entry.verbatim
         assert ("y5", "alpha5") in entry.corrected
         assert entry.residual_site == ("y1", "e1", "e2")
 
     def test_top_coefficient_entry_of_the_n_n_alpha_family(self):
-        entries = {e.location: e for e in errata_for("M", 5)}
+        entries = {e.product: e for e in errata_for("M", 5)}
         entry = entries[("e2", "e2")]
         assert ("e5", "alpha5") in entry.verbatim
         assert ("e5", "theta") in entry.corrected
 
     def test_square_of_the_extension_generator_entry(self):
-        entries = {e.location: e for e in errata_for("H5", 4)}
+        entries = {e.product: e for e in errata_for("H5", 4)}
         entry = entries[("x", "x")]
         assert entry.residual_site == ("x", "x", "x")
         assert entry.corrected == ()
 
     def test_gamma_product_entry_of_the_n_n_beta_family(self):
-        entries = {e.location: e for e in errata_for("H", 5)}
+        entries = {e.product: e for e in errata_for("H", 5)}
         entry = entries[("e2", "e2")]
         assert entry.corrected == ()
         assert entry.residual_site == ("e2", "e2", "y1")
 
     def test_missing_odd_row_entries(self):
         entries = errata_for("G5", 5)
-        cells = {e.location for e in entries}
+        cells = {e.product for e in entries}
         assert ("y1", "x") in cells and ("y2", "x") in cells
-        sg1 = {e.location for e in errata_for("SG1", 5, {"t": 4})}
+        sg1 = {e.product for e in errata_for("SG1", 5, {"t": 4})}
         assert ("y1", "e2") in sg1
 
     def test_weight_slope_entries_of_the_codim_two_extension(self):
-        cells = {e.location for e in errata_for("M5", 5)}
+        cells = {e.product for e in errata_for("M5", 5)}
         assert ("y2", "x1") in cells and ("x1", "y2") in cells
         assert ("y1", "x1") not in cells  # weight (1-i) and (i-1) agree at i=1
 
     def test_odd_symmetry_entries(self):
-        cells = {e.location for e in errata_for("M1", 5)}
+        cells = {e.product for e in errata_for("M1", 5)}
         assert ("y1", "y5") in cells and ("y2", "y4") in cells
         assert ("y3", "y3") not in cells  # diagonal: leading assignment wins
+
+
+class TestEqualTables:
+    """Corrected tables that equal another table of the catalog: the
+    equalities that the DIST claims cannot tell apart."""
+
+    @staticmethod
+    def differing(a, b) -> set[tuple[str, str]]:
+        assert a.labels == b.labels
+        lab = a.labels
+        return {(lab[i], lab[j]) for i, j in set(a.structure) | set(b.structure)
+                if a.structure.get((i, j)) != b.structure.get((i, j))}
+
+    def test_each_equality_holds(self):
+        for n in (5, 7, 9, 11):
+            t = {"t": (n + 3) // 2}
+            assert self.differing(build("SH3", n, {"gamma": 1}), build("SH1", n, t)) == set()
+            assert self.differing(build("SG2", n, {"gamma": 1}),
+                                  build("SG1", n, t)) == {("e2", "e2")}
+        for n in range(3, 9):
+            assert self.differing(build("H5", n, {"gamma": 0}),
+                                  build("H5", n, {"gamma": 1})) == set()
+        assert self.differing(build("H1", 3, {"b": 2}), build("SH4", 3)) == set()
 
 
 class TestNilradicalSpecs:
