@@ -7,12 +7,12 @@ the package, or ``superalg.cli``, does not run the family registry.
 from importlib import import_module
 
 from .core import (Fingerprint, GradedSubspace, GradedVector, Residual,
-                   SuperAlgebra, change_basis, char_sequence, charseq_bound,
-                   charseq_note, check_leibniz, check_lie, derived_series,
-                   fingerprint, is_nilpotent, is_solvable,
-                   lower_central_series, make_superalgebra, nilindex, product,
-                   right_annihilator, right_mul_cells, sdf_dump, sdf_dumps,
-                   sdf_load, sdf_loads, subspace_product)
+                   SuperAlgebra, char_sequence, charseq_bound, charseq_note,
+                   check_leibniz, check_lie, derived_series, fingerprint,
+                   is_nilpotent, is_solvable, lower_central_series,
+                   make_superalgebra, nilindex, right_annihilator,
+                   right_mul_cells, sdf_dump, sdf_dumps, sdf_load, sdf_loads,
+                   subspace_product)
 from .errors import (DegenerateSamplingError, InputError,
                      InternalInconsistencyError, NotNilpotentError,
                      SuperalgError, UnsupportedShapeError)

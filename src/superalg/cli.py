@@ -16,6 +16,7 @@ are NamedTuples, so no `dataclasses`, `inspect`, `ast`, `dis` or `tokenize`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
 import json
 import os
@@ -76,9 +77,17 @@ def _load_algebra(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+    except OSError as exc:   # its text would repeat the path: give only strerror
+        raise InputError(f"cannot read {shown(path)}: {exc.strerror}") from None
     return sdf_loads(text)
+
+
+def _open_output(path: str):
+    """path opened for writing; an OSError is an InputError naming it."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {shown(path)}: {exc.strerror}") from None
 
 
 def _parse_params(pairs: list[str]) -> dict[str, object]:
@@ -114,7 +123,7 @@ def _cmd_family(args) -> int:
     if args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(args.output, "w", encoding="utf-8") as handle:
+        with _open_output(args.output) as handle:
             handle.write(text)
     return 0
 
@@ -218,17 +227,16 @@ def _cmd_verify(args) -> int:
                     if any(cid == p or cid.startswith(p) for p in prefixes)]
         if not selected:
             raise InputError(f"no claims match {shown(args.claims)}")
-    report = verify.run_claims(selected, args.n_range, args.seed)
-    rendered = (json.dumps(report.as_dict(), indent=2) if args.json
-                else verify.render_text(report))
+    # Opened before the claims run, so a path it cannot write fails at once;
+    # with no --report the handle is None, and print writes to stdout.
+    with _open_output(args.report) if args.report else contextlib.nullcontext() as handle:
+        report = verify.run_claims(selected, args.n_range, args.seed)
+        print(json.dumps(report.as_dict(), indent=2) if args.json
+              else verify.render_text(report), file=handle)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
         summary = report.summary()
         print(f"report written to {args.report}: {summary['pass']} pass, "
               f"{summary['fail']} fail")
-    else:
-        print(rendered)
     return 0 if report.all_ok else 1
 
 

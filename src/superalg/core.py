@@ -5,7 +5,7 @@ A `SuperAlgebra` is a Z2-graded vector space with an ordered homogeneous basis
 ``[b_i, b_j] = sum_k c_ij^k b_k`` whose coefficients are polynomials in the
 algebra's free parameters.  An algebra with no parameters holds its constants
 as narrowed rationals instead (an int when integral, else a Fraction): that
-table is the one products and R_x read, and the engine's scale-invariant
+table is the one R_x and the SDF writer read, and the engine's scale-invariant
 readers (kernels and spans) read it times the lcm of its denominators,
 `SuperAlgebra._integral_structure`.  Grading is validated at construction: a
 product of parities (p, q) may only produce components of parity p+q mod 2.
@@ -40,7 +40,7 @@ from .errors import (DegenerateSamplingError, InputError,
                      shown)
 from .exactmath import (RATIONAL_LITERAL, Polynomial, RatMatrix, SparseRow,
                         _back_substitute, _narrow, _reduce_into, _subtract,
-                        _widen, invert, nilpotent_jordan_type, parameter_value,
+                        _widen, nilpotent_jordan_type, parameter_value,
                         parse_coefficient, parse_rational, sparse_kernel)
 
 EVEN = 0
@@ -128,12 +128,6 @@ class SuperAlgebra:
     def label(self, i: int) -> str:
         return self.labels[i]
 
-    def constant_structure(self) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
-        """Structure constants widened to Fractions, the public constant form of
-        `structure`; requires instantiation."""
-        return {key: tuple((k, Fraction(c)) for k, c in terms)
-                for key, terms in self._narrowed_structure().items()}
-
     def _narrowed_structure(self) -> StructureMap:
         """A guard that returns `structure` itself (whose parameter-free cells
         hold integral constants as ints, the engine's fastest form) and raises
@@ -150,8 +144,8 @@ class SuperAlgebra:
         when it is integral already).  Kernels, spans and derivation spaces
         do not change when the bracket is scaled by a nonzero constant, so
         the engine's readers of those use this table; every public value
-        (`product`, `right_mul_cells`, `constant_structure`, `sdf_dump`)
-        keeps the unscaled constants.  Requires instantiation."""
+        (`structure` itself, `right_mul_cells`, `sdf_dump`) keeps the
+        unscaled constants.  Requires instantiation."""
         memo = self._memo
         if "_integral_structure" not in memo:
             table = self._narrowed_structure()
@@ -240,7 +234,7 @@ def make_superalgebra(name: str, even_basis: Sequence[str], odd_basis: Sequence[
 
 
 # ---------------------------------------------------------------------------
-# Vectors and products
+# Vectors and right multiplication
 # ---------------------------------------------------------------------------
 
 class GradedVector(NamedTuple):
@@ -257,9 +251,6 @@ class GradedVector(NamedTuple):
         k = algebra.index(label)
         return cls.from_coords([int(i == k) for i in range(algebra.dim)])
 
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
     def parity_of(self, algebra: SuperAlgebra) -> int | None:
         """Parity if homogeneous (zero counts as even), else None."""
         even = any(self.coords[:algebra.n_even])
@@ -267,31 +258,6 @@ class GradedVector(NamedTuple):
         if even and odd:
             return None
         return ODD if odd else EVEN
-
-    def add(self, other: GradedVector) -> GradedVector:
-        return GradedVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, c: Fraction | int) -> GradedVector:
-        c = Fraction(c)
-        return GradedVector(tuple(c * x for x in self.coords))
-
-
-def product(algebra: SuperAlgebra, x: GradedVector, y: GradedVector) -> GradedVector:
-    """Bilinear extension of the structure constants (instantiated algebras only)."""
-    table = algebra._narrowed_structure()
-    out: dict[int, Fraction] = {}
-    for i, xi in enumerate(x.coords):
-        if not xi:
-            continue
-        for j, yj in enumerate(y.coords):
-            if not yj:
-                continue
-            terms = table.get((i, j))
-            if terms:
-                f = xi * yj
-                for k, c in terms:
-                    out[k] = out.get(k, 0) + f * c
-    return GradedVector.from_coords([out.get(k, 0) for k in range(algebra.dim)])
 
 
 def right_mul_cells(algebra: SuperAlgebra, x: GradedVector,
@@ -844,33 +810,6 @@ def fingerprint(algebra: SuperAlgebra, seed: int = 0) -> Fingerprint:
         derivation_dims=(even_dim, odd_dim),
         charseq=cs,
     )
-
-
-# ---------------------------------------------------------------------------
-# Change of basis
-# ---------------------------------------------------------------------------
-
-def change_basis(algebra: SuperAlgebra, p_even: RatMatrix, p_odd: RatMatrix) -> SuperAlgebra:
-    """Structure constants in the basis f_a = sum_i P[i,a] b_i (parity-preserving)."""
-    if p_even.rows != algebra.n_even or p_odd.rows != algebra.n_odd:
-        raise InputError("change-of-basis blocks must match the part dimensions")
-    n0 = algebra.n_even
-
-    def columns(m: RatMatrix, offset: int) -> list[list[tuple[int, Fraction]]]:
-        return [[(offset + i, m.entries[i][a]) for i in range(m.rows) if m.entries[i][a]]
-                for a in range(m.cols)]
-
-    # f_a = sum_i P[i,a] b_i and b_k = sum_t Q[t,k] f_t, with Q = P^-1; the
-    # constructor merges the terms by target and drops zero sums.
-    new_cols = columns(p_even, 0) + columns(p_odd, n0)
-    back_cols = columns(invert(p_even), 0) + columns(invert(p_odd), n0)
-    structure = {(a, b): [(t, c * (pi * pj * w))
-                          for i, pi in new_cols[a] for j, pj in new_cols[b]
-                          for k, c in algebra.structure.get((i, j), ())
-                          for t, w in back_cols[k]]
-                 for a in range(algebra.dim) for b in range(algebra.dim)}
-    return SuperAlgebra(f"{algebra.name}~", algebra.even_basis, algebra.odd_basis,
-                        algebra.parameters, structure)
 
 
 # ---------------------------------------------------------------------------

@@ -8,19 +8,18 @@ enters, and `int` arithmetic is far cheaper than `Fraction`'s); the engine
 converts values back to `Fraction` wherever they leave it, as
 `RatMatrix.from_cells` does for the cells it is given.  The one public table
 that keeps such narrowed values is the structure table of a parameter-free
-`SuperAlgebra`, whose `Fraction` view is `constant_structure()`.  A
-polynomial is a sparse map from exponent tuples to rational coefficients over
-a fixed, ordered tuple of variable names (the canonical order is fixed by
-whoever constructs the polynomial; algebras use lexicographic parameter
-order).
+`SuperAlgebra`.  A polynomial is a sparse map from exponent tuples to
+rational coefficients over a fixed, ordered tuple of variable names (the
+canonical order is fixed by whoever constructs the polynomial; algebras use
+lexicographic parameter order).
 
 The linear algebra is deliberately small and dependency-free, and all of it
 runs on one sparse echelon engine: reduced row echelon form with strictly
 increasing pivot columns (a canonical form, so row spaces compare by
-equality) and inverses read off it, kernel bases back-solved from the
-forward echelon of a presolved system, and the Jordan type of a nilpotent
-map, given by its cells, from the ranks along its image chain
-Im(m) ⊇ Im(m^2) ⊇ ..., which stops with None as soon as a rank stalls.
+equality), kernel bases back-solved from the forward echelon of a presolved
+system, and the Jordan type of a nilpotent map, given by its cells, from the
+ranks along its image chain Im(m) ⊇ Im(m^2) ⊇ ..., which stops with None as
+soon as a rank stalls.
 A linear map travels as its nonzero cells, `Cells`; a dense `RatMatrix` is
 built only where one is printed or returned.
 """
@@ -108,15 +107,9 @@ class Polynomial:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, variables: Sequence[str] = ()) -> Polynomial:
-        return cls(variables, {})
-
-    @classmethod
     def const(cls, value: Fraction | int, variables: Sequence[str] = ()) -> Polynomial:
-        c = Fraction(value)
-        if not c:
-            return cls(variables, {})
-        return cls(variables, {(0,) * len(tuple(variables)): c})
+        variables = tuple(variables)   # the constructor drops a zero value
+        return cls(variables, {(0,) * len(variables): Fraction(value)})
 
     @classmethod
     def var(cls, name: str, variables: Sequence[str]) -> Polynomial:
@@ -128,9 +121,6 @@ class Polynomial:
         return cls(variables, {tuple(exp): Fraction(1)})
 
     # -- queries ------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_constant(self) -> bool:
         return all(not any(exp) for exp in self.terms)
@@ -174,9 +164,6 @@ class Polynomial:
 
     def __sub__(self, other) -> Polynomial:
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> Polynomial:
-        return self._coerce(other) - self
 
     def __mul__(self, other) -> Polynomial:
         if not isinstance(other, Polynomial):
@@ -442,10 +429,6 @@ class RatMatrix(NamedTuple):
             grid[i][j] = _widen(x)
         return cls(rows, cols, tuple(map(tuple, grid)))
 
-    @classmethod
-    def identity(cls, n: int) -> RatMatrix:
-        return cls.from_cells(n, n, {(i, i): 1 for i in range(n)})
-
 
 # -- exact elimination: one sparse echelon engine ----------------------------
 #
@@ -607,19 +590,6 @@ def sparse_kernel(rows: Iterable[SparseRow], ncols: int) -> list[dict[int, Fract
         for f, a in x[c].items():
             basis[f][c] = Fraction(a)
     return list(basis.values())
-
-
-def invert(m: RatMatrix) -> RatMatrix:
-    """Exact inverse of a square matrix; raises InputError when singular."""
-    if m.rows != m.cols:
-        raise InputError("only square matrices can be inverted")
-    n = m.rows
-    augmented = RatMatrix(n, 2 * n, tuple(
-        row + one for row, one in zip(m.entries, RatMatrix.identity(n).entries)))
-    reduced, pivots = rref(augmented)
-    if tuple(pivots) != tuple(range(n)):
-        raise InputError("matrix is singular")
-    return RatMatrix(n, n, tuple(row[n:] for row in reduced.entries))
 
 
 # ---------------------------------------------------------------------------

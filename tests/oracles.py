@@ -2,7 +2,10 @@
 
 Everything here is deliberately written against the raw definitions with its
 own elimination code, so that agreement with the package is evidence rather
-than tautology.
+than tautology.  From the package it imports only the data model (algebras,
+vectors, subspaces, polynomials, dense matrices, errors), the catalog lookups,
+and `_reduce_into` to build a subspace; products, inverses and changes of
+basis are computed here from `SuperAlgebra.structure`.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import re
 from fractions import Fraction
 
 from superalg.core import (EVEN, ODD, GradedSubspace, GradedVector, SuperAlgebra,
-                           make_superalgebra, product)
+                           make_superalgebra)
 from superalg.errors import InputError
 from superalg.exactmath import Polynomial, RatMatrix, _reduce_into
 
@@ -60,6 +63,20 @@ def from_rows(rows) -> RatMatrix:
     return RatMatrix(len(data), width, data)
 
 
+def identity(n: int) -> RatMatrix:
+    return from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def invert(m: RatMatrix) -> RatMatrix:
+    """P^{-1}, read off `dense_rref` of [P | I]; a singular P is an InputError."""
+    n = m.rows
+    reduced, pivots = dense_rref([list(row) + [int(i == j) for j in range(n)]
+                                  for i, row in enumerate(m.entries)], 2 * n)
+    if pivots != tuple(range(n)):
+        raise InputError("matrix is singular")
+    return from_rows(row[n:] for row in reduced)
+
+
 def cells_of(m: RatMatrix) -> dict[tuple[int, int], Fraction]:
     """The nonzero entries of m as {(i, j): value}."""
     return {(i, j): x for i, row in enumerate(m.entries) for j, x in enumerate(row) if x}
@@ -76,7 +93,9 @@ def widen(vectors, ncols: int) -> list[tuple[Fraction, ...]]:
 
 def subspace_from_vectors(algebra: SuperAlgebra, even_vectors,
                           odd_vectors) -> GradedSubspace:
-    """The graded subspace spanned by coordinate vectors of each part."""
+    """The graded subspace spanned by coordinate vectors of each part.  It
+    builds an engine input, in the engine's stored form, and computes no
+    value that a test checks; `_reduce_into` is used for that alone."""
     echelons: tuple[dict, dict] = ({}, {})
     for parity, offset, vectors in ((EVEN, 0, even_vectors),
                                     (ODD, algebra.n_even, odd_vectors)):
@@ -84,6 +103,43 @@ def subspace_from_vectors(algebra: SuperAlgebra, even_vectors,
             _reduce_into(echelons[parity],
                          {offset + j: Fraction(x) for j, x in enumerate(vec) if x})
     return GradedSubspace(algebra, echelons)
+
+
+# -- products and changes of basis, read off `structure` ------------------------
+
+def product(algebra: SuperAlgebra, x: GradedVector, y: GradedVector) -> GradedVector:
+    """[x, y]: the bilinear extension of the structure constants, term by
+    term over the nonzero coordinates (parameter-free algebras only)."""
+    if algebra.parameters:
+        raise InputError(f"algebra {algebra.name!r} has free parameters")
+    out = [Fraction(0)] * algebra.dim
+    for i, xi in enumerate(x.coords):
+        if not xi:
+            continue
+        for j, yj in enumerate(y.coords):
+            if yj:
+                for k, c in algebra.structure.get((i, j), ()):
+                    out[k] += xi * yj * c
+    return GradedVector(tuple(out))
+
+
+def change_basis(algebra: SuperAlgebra, p_even: RatMatrix, p_odd: RatMatrix) -> SuperAlgebra:
+    """The table in the basis f_a = sum_i P[i,a] b_i, P = diag(p_even, p_odd):
+    [f_a, f_b] = sum P[i,a] P[j,b] c_ij^k Q[t,k] f_t with Q = P^{-1}.  The
+    constructor merges the terms by target and drops zero sums."""
+    n0, dim = algebra.n_even, algebra.dim
+    p = [[Fraction(0)] * dim for _ in range(dim)]
+    for offset, block in ((0, p_even), (n0, p_odd)):
+        for i, row in enumerate(block.entries):
+            p[offset + i][offset:offset + len(row)] = row
+    q = invert(from_rows(p)).entries
+    structure = {(a, b): [(t, p[i][a] * p[j][b] * c * q[t][k])
+                          for (i, j), terms in algebra.structure.items()
+                          if p[i][a] and p[j][b]
+                          for k, c in terms for t in range(dim) if q[t][k]]
+                 for a in range(dim) for b in range(dim)}
+    return SuperAlgebra(f"{algebra.name}~", algebra.even_basis, algebra.odd_basis,
+                        algebra.parameters, structure)
 
 
 def _stored_rows(sub: GradedSubspace, parity: int) -> list[list]:
@@ -217,7 +273,7 @@ def jordan_type_by_powers(m: RatMatrix) -> tuple[int, ...] | None:
     """Jordan type from kernel dimensions of powers, or None if not nilpotent."""
     dim = m.rows
     kernel_dims = [0]
-    power = RatMatrix.identity(dim)
+    power = identity(dim)
     for _ in range(dim):
         power = mat_mul(power, m)
         kernel_dims.append(dim - bareiss_rank([list(r) for r in power.entries]))
@@ -283,7 +339,7 @@ def brute_leibniz_residuals(algebra: SuperAlgebra):
         for j, y in enumerate(basis):
             for k, z in enumerate(basis):
                 yz, xy, xz = prod[j, k], prod[i, j], prod[i, k]
-                if yz.is_zero() and xy.is_zero() and xz.is_zero():
+                if not any(yz.coords + xy.coords + xz.coords):
                     continue
                 sign = -1 if (algebra.parity(j) and algebra.parity(k)) else 1
                 lhs = product(algebra, x, yz)
@@ -323,7 +379,7 @@ def brute_lie_residuals(algebra: SuperAlgebra):
         for j, y in enumerate(basis):
             for k, z in enumerate(basis):
                 yz, zx, xy = prod[j, k], prod[k, i], prod[i, j]
-                if yz.is_zero() and zx.is_zero() and xy.is_zero():
+                if not any(yz.coords + zx.coords + xy.coords):
                     continue
                 s1 = -1 if (parity(i) and parity(k)) else 1
                 s2 = -1 if (parity(j) and parity(i)) else 1
@@ -350,11 +406,11 @@ def _polynomial_bracket(algebra: SuperAlgebra):
         for i, xi in x.items():
             for j, yj in y.items():
                 for k, c in table.get((i, j), ()):
-                    out[k] = out.get(k, Polynomial.zero(variables)) + xi * yj * c
-        return {k: v for k, v in out.items() if not v.is_zero()}
+                    out[k] = out.get(k, zero) + xi * yj * c
+        return {k: v for k, v in out.items() if v.terms}
 
-    one = Polynomial.const(1, variables)
-    return bracket, [{i: one} for i in range(algebra.dim)], Polynomial.zero(variables)
+    one, zero = Polynomial.const(1, variables), Polynomial(variables)
+    return bracket, [{i: one} for i in range(algebra.dim)], zero
 
 
 def polynomial_leibniz_residuals(algebra: SuperAlgebra):
@@ -372,7 +428,7 @@ def polynomial_leibniz_residuals(algebra: SuperAlgebra):
         r2 = bracket(bracket(x, z), y)
         for comp in range(algebra.dim):
             value = lhs.get(comp, zero) - r1.get(comp, zero) + r2.get(comp, zero) * sign
-            if not value.is_zero():
+            if value.terms:
                 out.append(((labels[i], labels[j], labels[k]), labels[comp], value))
     return out
 
@@ -389,7 +445,7 @@ def polynomial_lie_residuals(algebra: SuperAlgebra):
     def record(identity, where, terms):
         for comp in range(dim):
             value = sum((s * t.get(comp, zero) for s, t in terms), zero)
-            if not value.is_zero():
+            if value.terms:
                 out.append((identity, tuple(labels[w] for w in where), labels[comp], value))
 
     for i in range(dim):
@@ -579,13 +635,11 @@ def random_nilpotent_matrix(rng: random.Random, dim: int) -> RatMatrix:
               for j in range(dim)] for i in range(dim)]
     n = from_rows(strict)
     p = from_rows(lower)
-    from superalg.exactmath import invert
     return mat_mul(mat_mul(invert(p), n), p)
 
 
 def random_parity_change(rng: random.Random, n0: int, n1: int):
     """A random invertible parity-preserving change of basis (two blocks)."""
-    from superalg.exactmath import invert
 
     def block(size: int) -> RatMatrix:
         while True:
@@ -593,12 +647,8 @@ def random_parity_change(rng: random.Random, n0: int, n1: int):
                     for _ in range(size)]
             for i in range(size):
                 grid[i][i] += 1
-            m = from_rows(grid)
-            try:
-                invert(m)
-                return m
-            except Exception:
-                continue
+            if bareiss_rank(grid) == size:
+                return from_rows(grid)
 
     return block(n0), block(n1)
 
@@ -609,7 +659,7 @@ def support_torus_dim(algebra: SuperAlgebra) -> int:
     coefficient forces d_k - d_i - d_j = 0; the torus is the solution space,
     ranked by `dense_rref`."""
     rows = []
-    for (i, j), terms in algebra.constant_structure().items():
+    for (i, j), terms in algebra.structure.items():
         for k, c in terms:
             if c:
                 row = [Fraction(0)] * algebra.dim

@@ -305,6 +305,7 @@ class TestAnalysisCommands:
     def test_missing_file(self, capsys):
         code, _, err = run(["check", "/nonexistent.json"], capsys)
         assert code == 2
+        assert err == "error: cannot read '/nonexistent.json': No such file or directory\n"
 
 
 class TestCatalogAndErrata:
@@ -363,6 +364,15 @@ class TestVerifyCommand:
         payload = json.loads(stdout)
         assert payload["all_ok"] is True
         assert payload["summary"]["fail"] == 0
+
+    def test_unwritable_report_exits_2_before_any_claim_runs(self, capsys, monkeypatch):
+        from superalg import verify
+        monkeypatch.setattr(verify, "run_claims", lambda *args: pytest.fail("claims ran"))
+        code, out, err = run(["verify", "--claims", "NILP-L",
+                              "--report", "/nonexistent/dir/x.json"], capsys)
+        assert code == 2 and out == ""
+        assert err == ("error: cannot write '/nonexistent/dir/x.json': "
+                       "No such file or directory\n")
 
     def test_text_report_to_file(self, tmp_path, capsys):
         path = tmp_path / "report.txt"
@@ -471,7 +481,10 @@ class TestLongValuesAreNamedByLength:
         (["verify", "--claims", LONG], "match a 5000"),
         (["verify", "--n-range", f"3..{DIGITS}"], "3..a 4000"),
         (["charseq", "N2M", "--samples", DIGITS], "(got a 4000"),
-        (["charseq", "N2M", "--bound", f"-{DIGITS}"], "(got a 4001")])
+        (["charseq", "N2M", "--bound", f"-{DIGITS}"], "(got a 4001"),
+        (["family", "L", "--n", "5", "-o", "o" * 300], "cannot write a 300"),
+        (["verify", "--claims", "NILP-L", "--report", LONG], "cannot write a 5000"),
+        (["check", LONG], "cannot read a 5000")])
     def test_input_errors(self, argv, shown, tmp_path, capsys):
         if argv[0] == "charseq":
             argv = ["charseq", str(tmp_path / "n2m.json"), *argv[2:]]

@@ -9,8 +9,7 @@ import pytest
 
 from superalg import (FAMILY_IDS, build, family_info, nilradical_spec,
                       parameter_names)
-from superalg.core import (EVEN, ODD, GradedVector, change_basis,
-                           make_superalgebra, right_mul_cells)
+from superalg.core import EVEN, ODD, GradedVector, make_superalgebra, right_mul_cells
 from superalg.derivations import (EXTENDABLE, _positions, derivation_space, extendability,
                                   is_derivation, max_nil_independent,
                                   same_span, space_all_nilpotent)
@@ -19,9 +18,10 @@ from superalg.errors import InputError, UnsupportedShapeError
 from superalg.exactmath import RatMatrix
 from superalg.verify import corollary_patterns
 
-from oracles import (bareiss_rank, cells_of, dense_derivation_kernel, dense_rref,
-                     derivation_residuals, diagonal, from_rows, mat_add, mat_scale,
-                     random_graded_algebra, random_parity_change, support_torus_dim)
+from oracles import (bareiss_rank, cells_of, change_basis, dense_derivation_kernel,
+                     dense_rref, derivation_residuals, diagonal, from_rows, identity,
+                     mat_add, mat_scale, random_graded_algebra, random_parity_change,
+                     support_torus_dim)
 
 
 def zeros(fid: str, size: int) -> dict[str, int]:
@@ -171,7 +171,7 @@ class TestAgainstOracles:
         verdicts = set()
         placed = {"a": 0, "b": 0, "c": 0}
         for a in catalog + randoms:
-            produced = {k for terms in a.constant_structure().values() for k, _ in terms}
+            produced = {k for terms in a.structure.values() for k, _ in terms}
             for degree in (EVEN, ODD):
                 allowed = [(l, k) for l in range(a.dim) for k in range(a.dim)
                            if a.parity(l) == (a.parity(k) + degree) % 2]
@@ -420,7 +420,7 @@ class TestSameSpanOracle:
         with pytest.raises(InputError, match="grading-compatible"):
             _same_span(algebra, ODD, [odd_map], [even_map])
         with pytest.raises(InputError, match="whole space"):
-            _same_span(algebra, EVEN, [even_map], [RatMatrix.identity(4)])
+            _same_span(algebra, EVEN, [even_map], [identity(4)])
 
 
 def _unit(dim: int, entries: dict) -> RatMatrix:

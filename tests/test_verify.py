@@ -13,12 +13,13 @@ from superalg.core import (EVEN, GradedVector, check_leibniz, fingerprint,
 from superalg.derivations import (derivation_space, extendability,
                                   max_nil_independent)
 from superalg.errors import InputError, SuperalgError
-from superalg.exactmath import RatMatrix
 from superalg.families import MAX_SIZE
 from superalg.verify import (CheckResult, ClaimReport, audit_errata, claim_ids,
                              corollary_patterns, pairwise_distinguish, render_text, run_claims,
                              verify_corollary, verify_derivation_proposition,
                              verify_nilpotent_family, verify_solvable_family)
+
+from oracles import identity
 
 
 def failing(report):
@@ -31,7 +32,7 @@ class TestRecords:
         # A symbolic table that fails the Leibniz identity gives a Residual.
         residual = check_leibniz(build("M", 4, mode=families.VERBATIM))[0]
         records = [GradedVector.from_coords([1, 0]), residual,
-                   fingerprint(build("N2M", 3)), RatMatrix.identity(2), space,
+                   fingerprint(build("N2M", 3)), identity(2), space,
                    max_nil_independent(space), extendability("L", 4),
                    family_info("L"), errata_ledger([4])[0], CheckResult("x", "pass")]
         for record in records:
