@@ -79,6 +79,9 @@ def _load_algebra(path: str):
             text = handle.read()
     except OSError as exc:   # its text would repeat the path: give only strerror
         raise InputError(f"cannot read {shown(path)}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:   # its text would show the bytes
+        raise InputError(f"cannot read {shown(path)}: not UTF-8 text at byte "
+                         f"{exc.start}") from None
     return sdf_loads(text)
 
 

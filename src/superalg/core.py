@@ -2,13 +2,14 @@
 
 A `SuperAlgebra` is a Z2-graded vector space with an ordered homogeneous basis
 (even labels first, then odd) and a sparse structure-constant table
-``[b_i, b_j] = sum_k c_ij^k b_k`` whose coefficients are polynomials in the
-algebra's free parameters.  An algebra with no parameters holds its constants
-as narrowed rationals instead (an int when integral, else a Fraction): that
-table is the one R_x and the SDF writer read, and the engine's scale-invariant
-readers (kernels and spans) read it times the lcm of its denominators,
-`SuperAlgebra._integral_structure`.  Grading is validated at construction: a
-product of parities (p, q) may only produce components of parity p+q mod 2.
+``[b_i, b_j] = sum_k c_ij^k b_k``.  A coefficient in which one of the
+algebra's free parameters occurs is a polynomial in them; every other one is
+a narrowed rational (an int when integral, else a Fraction).  A
+parameter-free table is the one R_x and the SDF writer read, and the
+engine's scale-invariant readers (kernels and spans) read it times the lcm
+of its denominators, `SuperAlgebra._integral_structure`.  Grading is
+validated at construction: a product of parities (p, q) may only produce
+components of parity p+q mod 2.
 
 Identity checking (`check_leibniz`, `check_lie`) runs symbolically over the
 parameters, on one kernel that scatters each nonzero product pair into the
@@ -38,7 +39,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, 
 from .errors import (DegenerateSamplingError, InputError,
                      InternalInconsistencyError, NotNilpotentError, SHOWN_LENGTH,
                      shown)
-from .exactmath import (RATIONAL_LITERAL, Polynomial, RatMatrix, SparseRow,
+from .exactmath import (NAME, RATIONAL_LITERAL, Polynomial, RatMatrix, SparseRow,
                         _back_substitute, _narrow, _reduce_into, _subtract,
                         _widen, nilpotent_jordan_type, parameter_value,
                         parse_coefficient, parse_rational, sparse_kernel)
@@ -46,7 +47,7 @@ from .exactmath import (RATIONAL_LITERAL, Polynomial, RatMatrix, SparseRow,
 EVEN = 0
 ODD = 1
 
-Coefficient = Polynomial | int | Fraction   # see `SuperAlgebra.structure`
+Coefficient = Polynomial | int | Fraction   # Polynomial only where a parameter occurs
 StructureMap = dict[tuple[int, int], tuple[tuple[int, Coefficient], ...]]
 T = TypeVar("T")
 
@@ -55,8 +56,9 @@ class SuperAlgebra:
     """Immutable graded algebra given by basis labels and structure constants.
 
     `structure` maps each nonzero product (i, j) to its canonical terms
-    ((k, c), ...): c is a Polynomial over `parameters` or, with none, a
-    narrowed rational (constant Polynomials given are unwrapped)."""
+    ((k, c), ...): c is a Polynomial over `parameters` when a parameter
+    occurs in it, else a narrowed rational (constant Polynomials given are
+    unwrapped)."""
 
     def __init__(self, name: str, even_basis: Sequence[str], odd_basis: Sequence[str],
                  parameters: Sequence[str],
@@ -79,26 +81,26 @@ class SuperAlgebra:
         self._index = {lab: i for i, lab in enumerate(labels)}
 
         # The one place cells are made canonical: terms with one target are
-        # merged, zero sums dropped and targets sorted; grading is checked on
-        # the merged cell, so a wrong-parity pair that cancels is accepted.
-        n0, dim, constant = self.n_even, self.dim, not self.parameters
+        # merged, each sum in which no parameter occurs narrowed, zero sums
+        # dropped and targets sorted; grading is checked on the merged cell,
+        # so a wrong-parity pair that cancels is accepted.
+        n0, dim = self.n_even, self.dim
         table: StructureMap = {}
         for (i, j), terms in structure.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise InputError(f"basis index out of range in product ({i},{j})")
             acc: dict[int, Coefficient] = {}
             for k, coeff in terms:
-                variables = ()   # a plain number's
-                if isinstance(coeff, Polynomial):
-                    variables = coeff.variables
-                    coeff = coeff.as_constant() if constant and not variables else coeff
-                if variables != self.parameters:
+                if isinstance(coeff, Polynomial) and coeff.variables != self.parameters:
                     raise InputError(
                         f"coefficient {coeff} in product [{labels[i]}, {labels[j]}] is "
-                        f"over the variables {variables}, not {self.parameters}")
+                        f"over the variables {coeff.variables}, not {self.parameters}")
                 acc[k] = acc[k] + coeff if k in acc else coeff
-            cell = tuple(sorted((k, _narrow(c)) for k, c in acc.items() if c) if constant
-                         else sorted(item for item in acc.items() if item[1].terms))
+            cell = []
+            for k, c in sorted(acc.items()):
+                c = c.as_constant() if isinstance(c, Polynomial) and c.is_constant() else c
+                if c:   # a Polynomial left here has a term with a parameter
+                    cell.append((k, c if isinstance(c, Polynomial) else _narrow(c)))
             expected = (i >= n0) != (j >= n0)
             for k, _ in cell:
                 if not 0 <= k < dim:
@@ -109,7 +111,7 @@ class SuperAlgebra:
                         f"component {labels[k]} has parity {self.parity(k)}, "
                         f"expected {int(expected)}")
             if cell:
-                table[(i, j)] = cell
+                table[(i, j)] = tuple(cell)
         self.structure = table
         # Results of functions of the algebra, by function name (`_once_per_algebra`).
         self._memo: dict[str, object] = {}
@@ -129,9 +131,9 @@ class SuperAlgebra:
         return self.labels[i]
 
     def _narrowed_structure(self) -> StructureMap:
-        """A guard that returns `structure` itself (whose parameter-free cells
-        hold integral constants as ints, the engine's fastest form) and raises
-        InputError while any parameter is free."""
+        """A guard that returns `structure` itself (whose cells, with no
+        parameter, hold integral constants as ints, the engine's fastest form)
+        and raises InputError while any parameter is free."""
         if self.parameters:
             raise InputError(
                 f"algebra {self.name!r} has free parameters "
@@ -166,8 +168,8 @@ class SuperAlgebra:
             return self
         remaining = tuple(p for p in self.parameters if p not in assignment)
         at = Polynomial.substitute if remaining else Polynomial.evaluate
-        structure = {key: tuple((k, at(c, assignment)) for k, c in terms)
-                     for key, terms in self.structure.items()}
+        structure = {key: tuple((k, at(c, assignment) if isinstance(c, Polynomial) else c)
+                                for k, c in terms) for key, terms in self.structure.items()}
         return SuperAlgebra(self.name, self.even_basis, self.odd_basis, remaining, structure)
 
     def __eq__(self, other) -> bool:
@@ -204,12 +206,13 @@ def make_superalgebra(name: str, even_basis: Sequence[str], odd_basis: Sequence[
                       parameters: Sequence[str],
                       products: Mapping[tuple[str, str], Iterable[tuple[str, object]]],
                       ) -> SuperAlgebra:
-    """Build a SuperAlgebra from label-keyed products with mixed coefficient types."""
+    """Build a SuperAlgebra from label-keyed products.  The one reader of coefficient
+    text: a rational literal, a declared parameter name, else `parse_coefficient`."""
     parameters = tuple(parameters)
     labels = tuple(even_basis) + tuple(odd_basis)
     index = {lab: i for i, lab in enumerate(labels)}
     structure: dict[tuple[int, int], list[tuple[int, Coefficient]]] = {}
-    constants: dict[int | Fraction, Polynomial] = {}   # one (immutable) per number
+    names = {p: Polynomial.var(p, parameters) for p in parameters if NAME.fullmatch(p)}
     for (left, right), terms in products.items():
         if left not in index or right not in index:
             raise InputError(
@@ -221,14 +224,13 @@ def make_superalgebra(name: str, even_basis: Sequence[str], odd_basis: Sequence[
                     f"unknown component {shown(target)} in product "
                     f"[{shown(left)}, {shown(right)}]")
             if isinstance(coeff, str):
-                # Most SDF coefficients are plain rationals: skip the parser.
+                # Most coefficients are plain rationals or names: skip the parser.
                 text = coeff.strip()
                 coeff = (parse_rational(text) if RATIONAL_LITERAL.fullmatch(text)
+                         else names[text] if text in names
                          else parse_coefficient(coeff, parameters))
-            if not isinstance(coeff, Polynomial):
-                coeff = ((constants.get(coeff) or constants.setdefault(
-                              coeff, Polynomial.const(coeff, parameters))) if parameters
-                         else coeff if type(coeff) in (int, Fraction) else Fraction(coeff))
+            elif not isinstance(coeff, (Polynomial, int, Fraction)):
+                coeff = Fraction(coeff)
             cell.append((index[target], coeff))
     return SuperAlgebra(name, even_basis, odd_basis, parameters, structure)
 
@@ -310,7 +312,7 @@ class Residual(NamedTuple):
 def _integral_cells(algebra: SuperAlgebra) -> tuple[dict[tuple[int, int], tuple], int, int]:
     """The structure table in ints, as `_scatter` reads it: each nonzero cell as
     ((k, ((packed exponent, coeff), ...)), ...), then the width w and scale L."""
-    raw = {key: [(k, c.terms.items() if algebra.parameters else [((), c)]) for k, c in cell]
+    raw = {key: [(k, c.terms.items() if isinstance(c, Polynomial) else [((), c)]) for k, c in cell]
            for key, cell in algebra.structure.items()}
     flat = [term for cell in raw.values() for _, terms in cell for term in terms]
     scale = lcm(*[c.denominator for _, c in flat])

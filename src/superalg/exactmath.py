@@ -7,11 +7,11 @@ rows are plain `int` rows (a row's denominators are cleared once, as it
 enters, and `int` arithmetic is far cheaper than `Fraction`'s); the engine
 converts values back to `Fraction` wherever they leave it, as
 `RatMatrix.from_cells` does for the cells it is given.  The one public table
-that keeps such narrowed values is the structure table of a parameter-free
-`SuperAlgebra`.  A polynomial is a sparse map from exponent tuples to
-rational coefficients over a fixed, ordered tuple of variable names (the
-canonical order is fixed by whoever constructs the polynomial; algebras use
-lexicographic parameter order).
+that keeps such narrowed values is a `SuperAlgebra`'s structure table, for
+each coefficient in which no parameter occurs.  A polynomial is a sparse map
+from exponent tuples to rational coefficients over a fixed, ordered tuple of
+variable names (the canonical order is fixed by whoever constructs the
+polynomial; algebras use lexicographic parameter order).
 
 The linear algebra is deliberately small and dependency-free, and all of it
 runs on one sparse echelon engine: reduced row echelon form with strictly
@@ -38,6 +38,8 @@ Terms = dict[Exponent, Fraction]
 
 # The text `parse_rational` accepts, once stripped: an optionally signed p or p/q.
 RATIONAL_LITERAL = re.compile(r"[+-]?\d+(/\d+)?")
+# A variable name, as `parse_coefficient` reads one.
+NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -166,11 +168,6 @@ class Polynomial:
         return self + (-self._coerce(other))
 
     def __mul__(self, other) -> Polynomial:
-        if not isinstance(other, Polynomial):
-            c = Fraction(other)
-            if not c:
-                return Polynomial(self.variables, {})
-            return Polynomial(self.variables, {e: k * c for e, k in self.terms.items()})
         other = self._coerce(other)
         out: Terms = {}
         for e1, c1 in self.terms.items():
@@ -351,7 +348,7 @@ def parse_coefficient(text: str, variables: Sequence[str]) -> Polynomial:
             return parse_power_suffix(node)
         if re.fullmatch(r"\d+(/\d+)?", tok):
             return parse_power_suffix(Polynomial.const(parse_rational(tok), variables))
-        if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
+        if NAME.fullmatch(tok):
             if tok not in variables:
                 raise InputError(f"undeclared parameter {shown(tok)} in coefficient {shown(text)}")
             return parse_power_suffix(Polynomial.var(tok, variables))

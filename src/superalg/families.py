@@ -1,7 +1,9 @@
 """Generator registry for the built-in catalog of graded algebra families.
 
-Each family id names a parametric multiplication table.  Tables ship in two
-transcription modes:
+Each family id names a parametric multiplication table.  A table states its
+coefficients as an SDF file does: numbers, parameter names and coefficient
+text, all read by `core.make_superalgebra`.  Tables ship in two transcription
+modes:
 
 * ``verbatim``  - the table exactly as originally tabulated, including its
   misprints;
@@ -42,7 +44,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import SuperAlgebra, make_superalgebra
 from .errors import InputError, shown
-from .exactmath import Polynomial, parameter_value
+from .exactmath import parameter_value
 
 VERBATIM = "verbatim"
 CORRECTED = "corrected"
@@ -73,7 +75,7 @@ def _add(prod: Products, left: str, right: str, target: str, coeff) -> None:
 def _add_both(prod: Products, left: str, right: str, target: str, coeff) -> None:
     """[left,right] ∋ coeff·target, then [right,left] ∋ −coeff·target."""
     _add(prod, left, right, target, coeff)
-    _add(prod, right, left, target, -coeff)
+    _add(prod, right, left, target, f"-({coeff})" if isinstance(coeff, str) else -coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +226,14 @@ def _table_N2M(m: int, mode: str):
 def _table_L(n: int, mode: str):
     params = [f"alpha{k}" for k in range(4, n + 1)] + ["theta"]
     prod = _zero_rows(n, n - 1, 2)
-    P = lambda name: Polynomial.var(name, sorted(params))
-    alpha = lambda k: P(f"alpha{k}")
+    alpha = lambda k: f"alpha{k}"
     for k in range(4, n):
         _add(prod, _e(1), _e(2), _e(k), alpha(k))
-    _add(prod, _e(1), _e(2), _e(n), P("theta"))
+    _add(prod, _e(1), _e(2), _e(n), "theta")
     _chain_rows(prod, _e, n, 2, alpha)
     for k in range(4, n):
         _add(prod, _y(1), _e(2), _y(k - 1), alpha(k))
-    _add(prod, _y(1), _e(2), _y(n - 1), P("theta"))
+    _add(prod, _y(1), _e(2), _y(n - 1), "theta")
     _chain_rows(prod, _y, n - 1, 2, alpha)
     return params, prod, n, n - 1
 
@@ -243,12 +244,11 @@ def _table_L(n: int, mode: str):
 def _table_G(n: int, mode: str):
     params = [f"beta{k}" for k in range(4, n + 1)] + ["gamma"]
     prod = _zero_rows(n, n - 1, 3)
-    P = lambda name: Polynomial.var(name, sorted(params))
-    beta = lambda k: P(f"beta{k}")
+    beta = lambda k: f"beta{k}"
     for k in range(4, n + 1):
         _add(prod, _e(1), _e(2), _e(k), beta(k))
     _chain_rows(prod, _e, n, 3, beta)
-    _add(prod, _e(2), _e(2), _e(n), P("gamma"))
+    _add(prod, _e(2), _e(2), _e(n), "gamma")
     _chain_rows(prod, _y, n - 1, 1, beta)
     return params, prod, n, n - 1
 
@@ -259,11 +259,10 @@ def _table_G(n: int, mode: str):
 def _table_M(n: int, mode: str):
     params = [f"alpha{k}" for k in range(4, n + 1)] + ["theta", "tau"]
     prod = _zero_rows(n, n, 2)
-    P = lambda name: Polynomial.var(name, sorted(params))
-    alpha = lambda k: P(f"alpha{k}")
+    alpha = lambda k: f"alpha{k}"
     for k in range(4, n):
         _add(prod, _e(1), _e(2), _e(k), alpha(k))
-    _add(prod, _e(1), _e(2), _e(n), P("theta"))
+    _add(prod, _e(1), _e(2), _e(n), "theta")
     # Row [e2, e2]: the verbatim table runs the alpha series to alpha_n e_n,
     # but the identity on (e2, e2, y1) forces the top coefficient to theta
     # (alpha_n is inert in corrected mode; it only ever acted here).
@@ -273,20 +272,20 @@ def _table_M(n: int, mode: str):
     else:
         for k in range(4, n):
             _add(prod, _e(2), _e(2), _e(k), alpha(k))
-        _add(prod, _e(2), _e(2), _e(n), P("theta"))
+        _add(prod, _e(2), _e(2), _e(n), "theta")
     _chain_rows(prod, _e, n, 3, alpha)
     for k in range(4, n):
         _add(prod, _y(1), _e(2), _y(k - 1), alpha(k))
-    _add(prod, _y(1), _e(2), _y(n - 1), P("theta"))
-    _add(prod, _y(1), _e(2), _y(n), P("tau"))
+    _add(prod, _y(1), _e(2), _y(n - 1), "theta")
+    _add(prod, _y(1), _e(2), _y(n), "tau")
     # Row [y2, e2]: the verbatim table repeats the y4 component for alpha5
     # where the identity requires the y5 component.
     for k in range(4, n):
         if k == 5 and mode == VERBATIM:
-            _add(prod, _y(2), _e(2), _y(4), P("alpha5"))
+            _add(prod, _y(2), _e(2), _y(4), alpha(5))
         else:
             _add(prod, _y(2), _e(2), _y(k), alpha(k))
-    _add(prod, _y(2), _e(2), _y(n), P("theta"))
+    _add(prod, _y(2), _e(2), _y(n), "theta")
     _chain_rows(prod, _y, n, 3, alpha)
     return params, prod, n, n
 
@@ -297,8 +296,7 @@ def _table_M(n: int, mode: str):
 def _table_H(n: int, mode: str):
     params = [f"beta{k}" for k in range(4, n + 1)] + ["delta", "gamma"]
     prod = _zero_rows(n, n, 3)
-    P = lambda name: Polynomial.var(name, sorted(params))
-    beta = lambda k: P(f"beta{k}")
+    beta = lambda k: f"beta{k}"
     for k in range(4, n + 1):
         _add(prod, _e(1), _e(2), _e(k), beta(k))
     _chain_rows(prod, _e, n, 3, beta)
@@ -306,10 +304,10 @@ def _table_H(n: int, mode: str):
     # chain forces [e_n, y1] = 1/2 y_n, so (e2, e2, y1) requires gamma = 0.
     # It stays in verbatim mode; gamma is inert in corrected mode.
     if mode == VERBATIM:
-        _add(prod, _e(2), _e(2), _e(n), P("gamma"))
+        _add(prod, _e(2), _e(2), _e(n), "gamma")
     for k in range(4, n + 1):
         _add(prod, _y(1), _e(2), _y(k - 1), beta(k))
-    _add(prod, _y(1), _e(2), _y(n), P("delta"))
+    _add(prod, _y(1), _e(2), _y(n), "delta")
     _chain_rows(prod, _y, n, 2, beta)
     return params, prod, n, n
 
@@ -337,15 +335,13 @@ def _table_M1(m: int, mode: str):
          nilradical="N2M", codim=1, lie=True,
          samples=lambda m: [{"alpha": 0}, {"alpha": 1}])
 def _table_M2(m: int, mode: str):
-    params = ["alpha"]
-    alpha = Polynomial.var("alpha", params)
     prod = _n2m_rows(m, mode, lie_complete=False)
     _add_both(prod, _e(1), "x", _e(1), 1)
-    _add_both(prod, _e(2), "x", _e(2), alpha)
+    _add_both(prod, _e(2), "x", _e(2), "alpha")
     for i in range(1, m + 1):
-        w = alpha * HALF + Fraction(2 * i - m - 1, 2)
+        w = f"1/2*alpha + {Fraction(2 * i - m - 1, 2)}"
         _add_both(prod, _y(i), "x", _y(i), w)
-    return params, prod, 3, m
+    return ["alpha"], prod, 3, m
 
 
 @_family("M3", "m", "solvable", 3, 1, "(3|m)", nilradical="N2M", codim=1,
@@ -372,8 +368,7 @@ def _table_M4(m: int, mode: str):
     for i in range(1, m + 1):
         _add_both(prod, _y(i), "x", _y(i), 1)
         for k in range(1, (m - i + 1) // 2 + 1):
-            coeff = Polynomial.var(f"b{2 * k}", sorted(params))
-            _add_both(prod, _y(i), "x", _y(i + 2 * k - 1), coeff)
+            _add_both(prod, _y(i), "x", _y(i + 2 * k - 1), f"b{2 * k}")
     return params, prod, 3, m
 
 
@@ -440,14 +435,12 @@ def _table_MH2(n: int, mode: str):
 def _b_table(n: int, n_odd: int, antisymmetric: bool):
     """H1/H2 over H and G1/G2 over G: x acts by weights and [e2,x] = b e2;
     H1 and G1 also have [x,e2] = -b e2."""
-    params = ["b"]
-    b = Polynomial.var("b", params)
     prod = _zero_rows(n, n_odd, 3)
     _weight_rows(prod, n, n_odd, "x")
-    _add(prod, _e(2), "x", _e(2), b)
+    _add(prod, _e(2), "x", _e(2), "b")
     if antisymmetric:
-        _add(prod, "x", _e(2), _e(2), -b)
-    return params, prod, n + 1, n_odd
+        _add(prod, "x", _e(2), _e(2), "-b")
+    return ["b"], prod, n + 1, n_odd
 
 
 @_family("H1", "n", "solvable", 3, None, "(n+1|n)", ("b (rational, b != 0)",),
@@ -471,22 +464,21 @@ def _table_H3(n: int, mode: str):
     return [], prod, n + 1, n
 
 
-def _nil_rows(n: int, n_odd: int, params: list[str], odd_rows: bool) -> Products:
+def _nil_rows(n: int, n_odd: int, odd_rows: bool) -> Products:
     """The (n|n_odd) nilradical with [e2,x] = e2 and the rows
     [e_i,x] = sum a_{k+1-i} e_k and, if `odd_rows`, [y_i,x] = sum a_{k+1-i} y_k
     shared by H4, H5, G5 and G6."""
-    P = lambda name: Polynomial.var(name, sorted(params))
     prod = _zero_rows(n, n_odd, 3)
     for k in range(3, n + 1):
-        _add(prod, _e(1), "x", _e(k), P(f"a{k - 1}"))
+        _add(prod, _e(1), "x", _e(k), f"a{k - 1}")
     _add(prod, _e(2), "x", _e(2), 1)
     for i in range(3, n + 1):
         for k in range(i + 1, n + 1):
-            _add(prod, _e(i), "x", _e(k), P(f"a{k + 1 - i}"))
+            _add(prod, _e(i), "x", _e(k), f"a{k + 1 - i}")
     if odd_rows:
         for i in range(1, n_odd):
             for k in range(i + 1, n_odd + 1):
-                _add(prod, _y(i), "x", _y(k), P(f"a{k + 1 - i}"))
+                _add(prod, _y(i), "x", _y(k), f"a{k + 1 - i}")
     return prod
 
 
@@ -494,7 +486,7 @@ def _nil_rows(n: int, n_odd: int, params: list[str], odd_rows: bool) -> Products
          nilradical="H", codim=1, samples=lambda n: [{}, {"a2": 1}])
 def _table_H4(n: int, mode: str):
     params = [f"a{k}" for k in range(2, n + 1)]
-    return params, _nil_rows(n, n, params, odd_rows=True), n + 1, n
+    return params, _nil_rows(n, n, odd_rows=True), n + 1, n
 
 
 @_family("H5", "n", "solvable", 3, None, "(n+1|n)",
@@ -506,12 +498,12 @@ def _table_H4(n: int, mode: str):
          samples=lambda n: [{"gamma": 0}, {"gamma": 1}, {"a2": 1, "gamma": 0}])
 def _table_H5(n: int, mode: str):
     params = [f"a{k}" for k in range(2, n + 1)] + ["gamma"]
-    prod = _nil_rows(n, n, params, odd_rows=True)
+    prod = _nil_rows(n, n, odd_rows=True)
     _add(prod, "x", _e(2), _e(2), -1)
     if mode == VERBATIM:
         # Fails the Leibniz identity on (x, x, x) whenever gamma != 0:
         # squares lie in the right annihilator, but [x, e2] = -e2 != 0.
-        _add(prod, "x", "x", _e(2), Polynomial.var("gamma", sorted(params)))
+        _add(prod, "x", "x", _e(2), "gamma")
     return params, prod, n + 1, n
 
 
@@ -554,11 +546,10 @@ def _table_SH2(n: int, mode: str):
 def _middle_beta_table(n: int, n_odd: int, gamma_row: bool):
     """SH3 over H and SG2 over G (n odd): `_single_beta_table` at
     t = (n+3)/2, and [e2,e2] = gamma e_n where `gamma_row`."""
-    params = ["gamma"]
     prod = _single_beta_table(n, n_odd, (n + 3) // 2, y1_row=True)[1]
     if gamma_row:
-        _add(prod, _e(2), _e(2), _e(n), Polynomial.var("gamma", params))
-    return params, prod, n + 1, n_odd
+        _add(prod, _e(2), _e(2), _e(n), "gamma")
+    return ["gamma"], prod, n + 1, n_odd
 
 
 @_family("SH3", "n", "solvable", 5, 1, "(n+1|n)", ("gamma (rational, != 0)",),
@@ -634,12 +625,11 @@ def _table_G3(n: int, mode: str):
          samples=lambda n: [{"gamma": 0, "b": 1}, {"gamma": 1, "b": 0},
                             {"gamma": 1, "b": 1}])
 def _table_G4(n: int, mode: str):
-    params = ["b", "gamma"]
     prod = _zero_rows(n, n - 1, 3)
     _weight_rows(prod, n, n - 1, "x")
-    _add(prod, _e(2), "x", _e(n), Polynomial.var("b", params))
-    _add(prod, "x", "x", _e(2), Polynomial.var("gamma", params))
-    return params, prod, n + 1, n - 1
+    _add(prod, _e(2), "x", _e(n), "b")
+    _add(prod, "x", "x", _e(2), "gamma")
+    return ["b", "gamma"], prod, n + 1, n - 1
 
 
 @_family("G5", "n", "solvable", 3, None, "(n+1|n-1)",
@@ -651,8 +641,8 @@ def _table_G5(n: int, mode: str):
     params = [f"a{k}" for k in range(2, n)] + ["gamma"]
     # The odd rows' image components carry no subscript in the source
     # table; the identity on (y_i, y1, x) forces the diagonal reading.
-    prod = _nil_rows(n, n - 1, params, odd_rows=mode == CORRECTED)
-    _add(prod, "x", "x", _e(n), Polynomial.var("gamma", sorted(params)))
+    prod = _nil_rows(n, n - 1, odd_rows=mode == CORRECTED)
+    _add(prod, "x", "x", _e(n), "gamma")
     return params, prod, n + 1, n - 1
 
 

@@ -15,6 +15,7 @@ import pytest
 from superalg import FAMILY_IDS, build, family_info, parameter_names
 from superalg.cli import main
 from superalg.core import MAX_BOUND, MAX_SAMPLES, sdf_dumps, sdf_loads
+from superalg.errors import shown
 from superalg.families import MAX_SIZE
 
 from oracles import smallest_instance
@@ -306,6 +307,14 @@ class TestAnalysisCommands:
         code, _, err = run(["check", "/nonexistent.json"], capsys)
         assert code == 2
         assert err == "error: cannot read '/nonexistent.json': No such file or directory\n"
+
+    def test_file_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        code, out, err = run(["check", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: cannot read {shown(str(path))}: not UTF-8 text at byte 0\n"
+        assert len(err.encode()) < 200
 
 
 class TestCatalogAndErrata:

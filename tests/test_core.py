@@ -102,9 +102,18 @@ class TestConstruction:
             SuperAlgebra("a", ["e1", "e2"], [], ["p"],
                          {(0, 0): [(1, Polynomial.const(1))]})
 
-    def test_plain_number_in_a_parametric_algebra_rejected(self):
-        with pytest.raises(InputError, match=r"coefficient 1 in product \[e1, e1\]"):
-            SuperAlgebra("a", ["e1", "e2"], [], ["p"], {(0, 0): [(1, 1)]})
+    def test_parametric_cells_are_narrowed_where_no_parameter_occurs(self):
+        # Plain numbers, constant Polynomials and sums in which the parameter
+        # cancels are stored as narrowed numbers, as in a parameter-free table.
+        p = Polynomial.var("p", ["p"])
+        a = SuperAlgebra("a", ["e1", "e2", "e3"], [], ["p"], {
+            (0, 0): [(1, 1), (2, Polynomial.const(Fraction(4, 2), ["p"])), (0, p)],
+            (1, 0): [(2, p + Fraction(1, 3)), (2, -p)],
+            (2, 0): [(1, Polynomial.const(0, ["p"])), (2, Fraction(0))]})
+        assert a.structure == {(0, 0): ((0, p), (1, 1), (2, 2)),
+                               (1, 0): ((2, Fraction(1, 3)),)}
+        assert [type(c) for terms in a.structure.values() for _, c in terms] == [
+            Polynomial, int, int, Fraction]
 
     def test_parameter_free_cells_are_merged_sorted_and_narrowed(self):
         # Numbers and constant Polynomials mix; a sum that is integral is
@@ -1069,10 +1078,19 @@ class TestSDF:
         monkeypatch.setattr(core_module, "parse_coefficient", refuse)
         a = make_superalgebra("q", ["e1", "e2"], [], ["a"], {
             ("e1", "e1"): [("e2", " -3/6 "), ("e2", "+2")],
-            ("e2", "e1"): [("e2", "007")]})
+            ("e2", "e1"): [("e2", "007")],
+            ("e2", "e2"): [("e1", "a"), ("e2", " a ")]})
+        var_a = Polynomial.var("a", ["a"])
         b = make_superalgebra("q", ["e1", "e2"], [], ["a"], {
-            ("e1", "e1"): [("e2", Fraction(3, 2))], ("e2", "e1"): [("e2", 7)]})
+            ("e1", "e1"): [("e2", Fraction(3, 2))], ("e2", "e1"): [("e2", 7)],
+            ("e2", "e2"): [("e1", var_a), ("e2", var_a)]})
         assert a == b
+
+    def test_a_declared_name_the_parser_cannot_read_is_not_read_bare(self):
+        # "-a" is the negation of a, not the declared parameter "-a", as in
+        # any longer coefficient, so no residual can print ambiguously.
+        with pytest.raises(InputError, match="undeclared parameter 'a' in coefficient '-a'"):
+            make_superalgebra("q", ["e1"], [], ["-a"], {("e1", "e1"): [("e1", "-a")]})
 
     def test_zero_denominator_is_input_error(self):
         doc = {"name": "bad", "even_basis": ["e1", "e2"], "odd_basis": [],
@@ -1275,14 +1293,15 @@ class TestIntegralTable:
             assert "_integral_structure" not in twin._memo
             assert sdf_dump(a) == sdf_dump(twin)
             assert a.structure == twin.structure
-            basis = [GradedVector.basis(a, lab) for lab in a.labels]
-            for i, x in enumerate(basis):
-                assert right_mul_cells(a, x, range(a.dim)) == \
-                    right_mul_cells(twin, x, range(a.dim))
-                for j, y in enumerate(basis):
-                    want = dict(a.structure.get((i, j), ()))
-                    assert product(a, x, y).coords == tuple(
-                        want.get(k, Fraction(0)) for k in range(a.dim))
+            for i, label in enumerate(a.labels):
+                x = GradedVector.basis(a, label)
+                cells = right_mul_cells(a, x, range(a.dim))
+                assert cells == right_mul_cells(twin, x, range(a.dim))
+                # Column j is R_{b_i}(b_j) = (-1)^{p_i p_j} [b_j, b_i], unscaled.
+                for j in range(a.dim):
+                    sign = -1 if a.parity(i) and a.parity(j) else 1
+                    want = {k: sign * c for k, c in a.structure.get((j, i), ())}
+                    assert {l: v for (l, k), v in cells.items() if k == j} == want
             assert any(c.denominator > 1 for terms in a.structure.values()
                        for _, c in terms), a.name
 

@@ -15,6 +15,7 @@ from superalg import (CORRECTED, FAMILY_IDS, VERBATIM, build, errata_for,
 from superalg.core import (GradedVector, check_leibniz, check_lie, nilindex,
                            sdf_dump, sdf_dumps)
 from superalg.errors import InputError
+from superalg.exactmath import Polynomial
 from superalg.families import (_REGISTRY, MAX_SIZE, FamilyInfo, shared_builds, sizes,
                                zero_filled)
 
@@ -222,6 +223,17 @@ class TestConstructionFacts:
         for size in sizes(fid, 3, 15):
             assert parameter_names(fid, size) == \
                 build(fid, size, structural).parameters, f"{fid} at size {size}"
+
+    def test_a_symbolic_cell_holds_a_polynomial_only_where_a_parameter_occurs(self):
+        for fid in FAMILY_IDS:
+            for size in sizes(fid, 3, 8):
+                for mode in (CORRECTED, VERBATIM):
+                    algebra = build(fid, size, _structural(fid), mode)
+                    for terms in algebra.structure.values():
+                        for _, c in terms:
+                            assert type(c) in (int, Fraction) or (
+                                isinstance(c, Polynomial) and c.used_variables()), \
+                                f"{fid} at size {size} ({mode}): {c!r}"
 
     def test_partial_instantiation_keeps_other_parameters(self):
         a = build("H", 5, {"beta4": 1})
