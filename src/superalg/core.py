@@ -91,6 +91,10 @@ class SuperAlgebra:
                 raise InputError(f"basis index out of range in product ({i},{j})")
             acc: dict[int, Coefficient] = {}
             for k, coeff in terms:
+                if isinstance(coeff, bool) or not isinstance(coeff, (int, Fraction, Polynomial)):
+                    raise InputError(
+                        f"coefficient {shown(coeff)} in product [{labels[i]}, {labels[j]}] "
+                        f"is a {type(coeff).__name__}, not an exact coefficient")
                 if isinstance(coeff, Polynomial) and coeff.variables != self.parameters:
                     raise InputError(
                         f"coefficient {coeff} in product [{labels[i]}, {labels[j]}] is "
@@ -168,7 +172,12 @@ class SuperAlgebra:
             return self
         remaining = tuple(p for p in self.parameters if p not in assignment)
         at = Polynomial.substitute if remaining else Polynomial.evaluate
-        structure = {key: tuple((k, at(c, assignment) if isinstance(c, Polynomial) else c)
+        # Cells share Polynomial objects (one `var` per name in `make_superalgebra`):
+        # each is evaluated once, keyed by id, as the table holds them all meanwhile.
+        done = {id(c): c for terms in self.structure.values() for _, c in terms
+                if isinstance(c, Polynomial)}
+        done = {key: at(c, assignment) for key, c in done.items()}
+        structure = {key: tuple((k, done[id(c)] if isinstance(c, Polynomial) else c)
                                 for k, c in terms) for key, terms in self.structure.items()}
         return SuperAlgebra(self.name, self.even_basis, self.odd_basis, remaining, structure)
 
@@ -229,8 +238,6 @@ def make_superalgebra(name: str, even_basis: Sequence[str], odd_basis: Sequence[
                 coeff = (parse_rational(text) if RATIONAL_LITERAL.fullmatch(text)
                          else names[text] if text in names
                          else parse_coefficient(coeff, parameters))
-            elif not isinstance(coeff, (Polynomial, int, Fraction)):
-                coeff = Fraction(coeff)
             cell.append((index[target], coeff))
     return SuperAlgebra(name, even_basis, odd_basis, parameters, structure)
 

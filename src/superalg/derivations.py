@@ -116,36 +116,54 @@ def derivation_space(algebra: SuperAlgebra, degree: int) -> DerivationSpace:
     parity = [algebra.parity(i) for i in range(dim)]
     of_parity = [[i for i in range(dim) if parity[i] == p] for p in (EVEN, ODD)]
     positions = _positions(algebra, degree)
-    pos_index = {p: idx for idx, p in enumerate(positions)}
+    col = [[-1] * dim for _ in range(dim)]   # col[l][k]: the column of unknown D[l, k]
+    for idx, (l, k) in enumerate(positions):
+        col[l][k] = idx
 
-    # Row (i, j, l) is component l of the identity on the pair (b_i, b_j).
-    rows: dict[tuple[int, int, int], SparseRow] = {}
-
-    def bump(i: int, j: int, l: int, col: int, value: int) -> None:
-        r = rows.setdefault((i, j, l), {})
-        new = r.get(col, 0) + value
-        if new:
-            r[col] = new
-        else:
-            r.pop(col, None)
-
-    # Each product [b_a, b_b] ∋ c b_k enters three terms of the identity.
+    # Each product [b_a, b_b] ∋ c b_k enters three terms of the identity.  Row
+    # (i, j, l), component l on the pair (b_i, b_j), is keyed (i * dim + j) * dim + l;
+    # terms are added inline (no call per term), and an entry that cancels is deleted.
+    rows: dict[int, SparseRow] = {}
+    get = rows.get
     for (a, b), terms in table.items():
         sign = -1 if (degree and parity[a]) else 1
+        col_a, col_b, pair = col[a], col[b], (a * dim + b) * dim
         for k, c in terms:
             # D([b_a, b_b]): unknown D[l, k] on component l.
             for l in of_parity[(parity[k] + degree) % 2]:
-                bump(a, b, l, pos_index[(l, k)], c)
+                x, key = col[l][k], pair + l
+                r = get(key)
+                if r is None:
+                    rows[key] = {x: c}
+                elif new := r.get(x, 0) + c:
+                    r[x] = new
+                else:
+                    del r[x]
             # [D b_i, b_b] with D b_i ∋ D[a, i] b_a: on pair (i, b).
             for i in of_parity[(parity[a] + degree) % 2]:
-                bump(i, b, k, pos_index[(a, i)], -c)
+                x, key = col_a[i], (i * dim + b) * dim + k
+                r = get(key)
+                if r is None:
+                    rows[key] = {x: -c}
+                elif new := r.get(x, 0) - c:
+                    r[x] = new
+                else:
+                    del r[x]
             # (-1)^{s p_a} [b_a, D b_j] with D b_j ∋ D[b, j] b_b: on pair (a, j).
+            f = -sign * c
             for j in of_parity[(parity[b] + degree) % 2]:
-                bump(a, j, k, pos_index[(b, j)], -sign * c)
+                x, key = col_b[j], (a * dim + j) * dim + k
+                r = get(key)
+                if r is None:
+                    rows[key] = {x: f}
+                elif new := r.get(x, 0) + f:
+                    r[x] = new
+                else:
+                    del r[x]
 
     kernel = sparse_kernel((r for r in rows.values() if r), len(positions))
     space = DerivationSpace(degree, dim, tuple(
-        {positions[col]: x for col, x in vec.items()} for vec in kernel))
+        {positions[column]: x for column, x in vec.items()} for vec in kernel))
     for cells in space.cells:
         if not is_derivation(algebra, cells, degree):
             raise InternalInconsistencyError(

@@ -102,6 +102,20 @@ class TestConstruction:
             SuperAlgebra("a", ["e1", "e2"], [], ["p"],
                          {(0, 0): [(1, Polynomial.const(1))]})
 
+    # A float is never read as its binary value, a bool is not an int here
+    # (as for parameter values), and no other type is cast.
+    @pytest.mark.parametrize("coeff, kind", [(0.1, "float"), (0.5, "float"), (True, "bool"),
+                                             (None, "NoneType"), ([1], "list")])
+    def test_inexact_coefficients_rejected_with_the_cell_named(self, coeff, kind):
+        message = rf"coefficient .* in product \[e1, e2\] is a {kind}, not an exact"
+        with pytest.raises(InputError, match=message):
+            make_superalgebra("f", ["e1", "e2"], [], [], {("e1", "e2"): [("e1", coeff)]})
+        with pytest.raises(InputError, match=message):
+            SuperAlgebra("g", ["e1", "e2"], [], [], {(0, 1): [(0, coeff)]})
+        with pytest.raises(InputError, match=message):
+            SuperAlgebra("h", ["e1", "e2"], [], ["p"],
+                         {(0, 1): [(1, Polynomial.var("p", ["p"])), (0, coeff)]})
+
     def test_parametric_cells_are_narrowed_where_no_parameter_occurs(self):
         # Plain numbers, constant Polynomials and sums in which the parameter
         # cancels are stored as narrowed numbers, as in a parameter-free table.

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from superalg import (FAMILY_IDS, build, family_info, nilradical_spec,
+from superalg import (FAMILY_IDS, build, derivations, family_info, nilradical_spec,
                       parameter_names)
 from superalg.core import EVEN, ODD, GradedVector, make_superalgebra, right_mul_cells
 from superalg.derivations import (EXTENDABLE, _positions, derivation_space, extendability,
@@ -15,7 +15,7 @@ from superalg.derivations import (EXTENDABLE, _positions, derivation_space, exte
                                   same_span, space_all_nilpotent)
 from superalg.families import CORRECTED, VERBATIM, sizes
 from superalg.errors import InputError, UnsupportedShapeError
-from superalg.exactmath import RatMatrix
+from superalg.exactmath import RatMatrix, sparse_kernel
 from superalg.verify import corollary_patterns
 
 from oracles import (bareiss_rank, cells_of, change_basis, dense_derivation_kernel,
@@ -218,6 +218,52 @@ class TestAgainstOracles:
         for a in random_algebras(59):
             for degree in (EVEN, ODD):
                 self.assert_spans_oracle_kernel(a, degree)
+
+    @staticmethod
+    def cancelling_entries(a, degree) -> int:
+        """How many (equation, unknown) entries of the identity receive two
+        or more nonzero terms that sum to 0, counted from the products of
+        basis vectors: the entries an assembler must delete, not keep."""
+        terms: dict[tuple, list] = {}
+        sign = [(-1) ** (degree * a.parity(i)) for i in range(a.dim)]
+
+        def add(entry, value):
+            if a.parity(entry[3]) == (a.parity(entry[4]) + degree) % 2:
+                terms.setdefault(entry, []).append(value)
+
+        for (i, j), cell in a.structure.items():
+            for k, c in cell:
+                for l in range(a.dim):   # D([b_i, b_j]) ∋ c D[l, k] b_l
+                    add((i, j, l, l, k), c)
+                for p in range(a.dim):   # [D b_p, b_j] ∋ D[i, p] c b_k
+                    add((p, j, k, i, p), -c)
+                for p in range(a.dim):   # ±[b_i, D b_p] ∋ ±D[j, p] c b_k
+                    add((i, p, k, j, p), -sign[i] * c)
+        return sum(1 for values in terms.values() if len(values) > 1 and not sum(values))
+
+    def test_assembly_deletes_cancelled_entries(self, monkeypatch):
+        """On random tables with entries of ±1, where terms of the identity
+        cancel on one (equation, unknown) entry: every row the kernel
+        receives is nonempty with no zero entry, and the space is the dense
+        oracle's kernel in both degrees."""
+        received = []
+
+        def recording_kernel(rows, width):
+            rows = list(rows)
+            received.extend(rows)
+            return sparse_kernel(rows, width)
+
+        monkeypatch.setattr(derivations, "sparse_kernel", recording_kernel)
+        rng = random.Random(97)
+        cancelling = {EVEN: 0, ODD: 0}
+        for n0, n1 in ((2, 1), (1, 2), (2, 2), (3, 2), (2, 3)) * 4:
+            a = random_graded_algebra(rng, n0, n1, 0.5, values=(1, -1))
+            for degree in (EVEN, ODD):
+                cancelling[degree] += bool(self.cancelling_entries(a, degree))
+                received.clear()
+                self.assert_spans_oracle_kernel(a, degree)
+                assert received and all(row and all(row.values()) for row in received)
+        assert min(cancelling.values()) >= 10, cancelling
 
 
 class TestNilpotencyCertificates:

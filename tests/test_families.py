@@ -316,6 +316,55 @@ class TestValuedBuilds:
             {"p": Fraction(2), "q": Fraction(1, 3)}) == {("a", "b"): {"c": -1}}
 
 
+class TestInstantiate:
+    def test_each_shared_polynomial_is_evaluated_once(self, monkeypatch):
+        """Every family at 3..6 in both modes, fully and partly valued with
+        the first parameter 0: the table equals the cell-by-cell evaluation
+        (or substitution) of the symbolic one, zero cells dropped, and each
+        distinct Polynomial object of the table is evaluated exactly once."""
+        calls = []
+        for method in ("evaluate", "substitute"):
+            def counted(self, values, _at=getattr(Polynomial, method)):
+                calls.append(id(self))
+                return _at(self, values)
+            monkeypatch.setattr(Polynomial, method, counted)
+        cells = distinct = emptied = 0
+        for fid in FAMILY_IDS:
+            info = family_info(fid)
+            for size, mode in ((s, m) for s in sizes(fid, 3, 6) for m in (CORRECTED, VERBATIM)):
+                symbolic = build(fid, size, dict(info.structural), mode)
+                names = symbolic.parameters
+                point = {p: Fraction(i, i + 2) for i, p in enumerate(names)}
+                for values in (point, dict(list(point.items())[:len(names) // 2])):
+                    polys = [c for terms in symbolic.structure.values() for _, c in terms
+                             if isinstance(c, Polynomial)]
+                    calls.clear()
+                    table = symbolic.instantiate(values).structure
+                    assert sorted(calls) == sorted({id(c) for c in polys}), (fid, size)
+                    distinct += len(calls)
+                    full = len(values) == len(names)
+                    expected = {}
+                    for key, terms in symbolic.structure.items():
+                        cell = []
+                        for k, c in terms:
+                            if isinstance(c, Polynomial):
+                                c = c.evaluate(values) if full else c.substitute(values)
+                                if isinstance(c, Polynomial) and c.is_constant():
+                                    c = c.as_constant()
+                            if c:
+                                cell.append((k, c))
+                        if cell:
+                            expected[key] = tuple(cell)
+                    assert table == expected, (fid, size, mode, values)
+                    assert all(isinstance(c, Polynomial) or type(c) is int
+                               or c.denominator != 1 for terms in table.values()
+                               for _, c in terms)
+                    cells += len(polys)
+                    emptied += len(symbolic.structure) - len(table)
+        # The sharing is real, and some cell goes with the value 0.
+        assert distinct < cells and emptied > 0, (distinct, cells, emptied)
+
+
 class TestSharedBuilds:
     def test_value_free_builds_are_shared_only_inside_a_scope(self):
         with shared_builds() as shared:
