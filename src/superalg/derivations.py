@@ -14,6 +14,17 @@ and the nonzero entries of D, so its work grows with them rather than with
 the basis pairs, and shares no code with the assembler (the two are separate
 code paths on purpose).
 
+That recheck also certifies a smaller system.  Only the equations whose right
+operand lies in a generating set G of basis vectors are solved first.  Under
+the Leibniz identity that `check_leibniz` tests, the right operands z on which
+D satisfies the identity for every x are closed under the bracket, so G's
+equations already cut out the whole space.  Their kernel contains the true
+one in any case, since its equations are a subset, and the recheck proves the
+converse; equal kernels give `sparse_kernel` the same pivot and free columns,
+so the basis is the same cell for cell.  When the recheck fails (possible
+only on a table that breaks the identity), the whole system is solved and
+rechecked.
+
 Nil-independence counting is implemented for simultaneously triangular
 families only, where "some combination is nilpotent" is equivalent to "its
 diagonal vanishes"; every derivation space produced by the built-in catalog is
@@ -105,10 +116,40 @@ def is_derivation(algebra: SuperAlgebra, cells: Cells, degree: int) -> bool:
     return not any(residual.values())
 
 
+def _generating_set(table: Mapping[tuple[int, int], Sequence[tuple[int, int]]],
+                    dim: int) -> list[bool]:
+    """A set G of basis vectors that generates the algebra, as a mask: the
+    vectors that are no component of any product, closed under the one-term
+    products [b_i, b_j] = c b_k (then b_k = [b_i, b_j] / c is generated);
+    while some vector is unreached, the first unreached one joins G and the
+    closure runs again."""
+    generators = [True] * dim
+    one_term = []
+    for (i, j), terms in table.items():
+        for k, _ in terms:
+            generators[k] = False
+        if len(terms) == 1:
+            one_term.append((i, j, terms[0][0]))
+    reached = list(generators)
+    while True:
+        grew = True
+        while grew:
+            grew = False
+            for i, j, k in one_term:
+                if reached[i] and reached[j] and not reached[k]:
+                    reached[k] = grew = True
+        if all(reached):
+            return generators
+        first = reached.index(False)
+        generators[first] = reached[first] = True
+
+
 def derivation_space(algebra: SuperAlgebra, degree: int) -> DerivationSpace:
     """Exact kernel of the derivation conditions over grading-compatible
     maps, assembled from the integral table (scaling the bracket by a
-    nonzero constant scales every condition, so the kernel is the same)."""
+    nonzero constant scales every condition, so the kernel is the same).
+    The rows whose right operand is in `_generating_set` are solved first,
+    the whole system only when the recheck refutes their kernel."""
     if degree not in (EVEN, ODD):
         raise InputError("degree must be 0 (even) or 1 (odd)")
     table = algebra._integral_structure()
@@ -120,56 +161,66 @@ def derivation_space(algebra: SuperAlgebra, degree: int) -> DerivationSpace:
     for idx, (l, k) in enumerate(positions):
         col[l][k] = idx
 
-    # Each product [b_a, b_b] ∋ c b_k enters three terms of the identity.  Row
-    # (i, j, l), component l on the pair (b_i, b_j), is keyed (i * dim + j) * dim + l;
-    # terms are added inline (no call per term), and an entry that cancels is deleted.
-    rows: dict[int, SparseRow] = {}
-    get = rows.get
-    for (a, b), terms in table.items():
-        sign = -1 if (degree and parity[a]) else 1
-        col_a, col_b, pair = col[a], col[b], (a * dim + b) * dim
-        for k, c in terms:
-            # D([b_a, b_b]): unknown D[l, k] on component l.
-            for l in of_parity[(parity[k] + degree) % 2]:
-                x, key = col[l][k], pair + l
-                r = get(key)
-                if r is None:
-                    rows[key] = {x: c}
-                elif new := r.get(x, 0) + c:
-                    r[x] = new
-                else:
-                    del r[x]
-            # [D b_i, b_b] with D b_i ∋ D[a, i] b_a: on pair (i, b).
-            for i in of_parity[(parity[a] + degree) % 2]:
-                x, key = col_a[i], (i * dim + b) * dim + k
-                r = get(key)
-                if r is None:
-                    rows[key] = {x: -c}
-                elif new := r.get(x, 0) - c:
-                    r[x] = new
-                else:
-                    del r[x]
-            # (-1)^{s p_a} [b_a, D b_j] with D b_j ∋ D[b, j] b_b: on pair (a, j).
-            f = -sign * c
-            for j in of_parity[(parity[b] + degree) % 2]:
-                x, key = col_b[j], (a * dim + j) * dim + k
-                r = get(key)
-                if r is None:
-                    rows[key] = {x: f}
-                elif new := r.get(x, 0) + f:
-                    r[x] = new
-                else:
-                    del r[x]
+    # Under the Leibniz identity [x,[y,z]] = [[x,y],z] - (-1)^{pq}[[x,z],y]
+    # (`check_leibniz`), the right operands z on which D satisfies the
+    # derivation identity for every x are closed under the bracket: expand
+    # D([x,[y,z]]) through the identity and each term has y or z on the
+    # right.  So the rows whose right operand is a generator already have
+    # the derivation space as their kernel; each such row is built complete,
+    # and the recheck below certifies the kernel.
+    for right in (_generating_set(table, dim), [True] * dim):
+        right_of_parity = [[j for j in part if right[j]] for part in of_parity]
+        # Each product [b_a, b_b] ∋ c b_k enters three terms of the identity.
+        # Row (i, j, l), component l on the pair (b_i, b_j), is keyed
+        # (i * dim + j) * dim + l; terms are added inline (no call per term),
+        # and an entry that cancels is deleted.
+        rows: dict[int, SparseRow] = {}
+        get = rows.get
+        for (a, b), terms in table.items():
+            sign = -1 if (degree and parity[a]) else 1
+            col_a, col_b, pair, on_right = col[a], col[b], (a * dim + b) * dim, right[b]
+            for k, c in terms:
+                if on_right:
+                    # D([b_a, b_b]): unknown D[l, k] on component l.
+                    for l in of_parity[(parity[k] + degree) % 2]:
+                        x, key = col[l][k], pair + l
+                        r = get(key)
+                        if r is None:
+                            rows[key] = {x: c}
+                        elif new := r.get(x, 0) + c:
+                            r[x] = new
+                        else:
+                            del r[x]
+                    # [D b_i, b_b] with D b_i ∋ D[a, i] b_a: on pair (i, b).
+                    for i in of_parity[(parity[a] + degree) % 2]:
+                        x, key = col_a[i], (i * dim + b) * dim + k
+                        r = get(key)
+                        if r is None:
+                            rows[key] = {x: -c}
+                        elif new := r.get(x, 0) - c:
+                            r[x] = new
+                        else:
+                            del r[x]
+                # (-1)^{s p_a} [b_a, D b_j] with D b_j ∋ D[b, j] b_b: on pair (a, j).
+                f = -sign * c
+                for j in right_of_parity[(parity[b] + degree) % 2]:
+                    x, key = col_b[j], (a * dim + j) * dim + k
+                    r = get(key)
+                    if r is None:
+                        rows[key] = {x: f}
+                    elif new := r.get(x, 0) + f:
+                        r[x] = new
+                    else:
+                        del r[x]
 
-    kernel = sparse_kernel((r for r in rows.values() if r), len(positions))
-    space = DerivationSpace(degree, dim, tuple(
-        {positions[column]: x for column, x in vec.items()} for vec in kernel))
-    for cells in space.cells:
-        if not is_derivation(algebra, cells, degree):
-            raise InternalInconsistencyError(
-                f"solver output fails the degree-{degree} derivation identity "
-                f"on {algebra.name!r}")
-    return space
+        kernel = sparse_kernel((r for r in rows.values() if r), len(positions))
+        space = DerivationSpace(degree, dim, tuple(
+            {positions[column]: x for column, x in vec.items()} for vec in kernel))
+        if all(is_derivation(algebra, cells, degree) for cells in space.cells):
+            return space
+    raise InternalInconsistencyError(
+        f"solver output fails the degree-{degree} derivation identity "
+        f"on {algebra.name!r}")
 
 
 def same_span(algebra: SuperAlgebra, degree: int,

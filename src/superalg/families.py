@@ -834,9 +834,13 @@ def parameter_names(fid: str, size: int) -> tuple[str, ...]:
     them.
 
     No family declares a parameter that depends on its structural t, so the
-    table is built at the structural defaults, once per (fid, size).
+    names are read off the table function at the structural defaults, once
+    per (fid, size), after `build`'s domain check; no algebra is made.
     """
-    return build(fid, size, dict(family_info(fid).structural)).parameters
+    info = family_info(fid)
+    structural = dict(info.structural)
+    _validate_domain(info, size, structural)
+    return tuple(sorted(info.table(size, CORRECTED, **structural)[0]))
 
 
 def zero_filled(fid: str, size: int, params: Mapping[str, object]) -> dict[str, object]:

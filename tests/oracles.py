@@ -123,6 +123,29 @@ def product(algebra: SuperAlgebra, x: GradedVector, y: GradedVector) -> GradedVe
     return GradedVector(tuple(out))
 
 
+def generated_dim(algebra: SuperAlgebra, generators) -> int:
+    """Dimension of the subalgebra generated by the basis vectors with the
+    given indices: a product (`product`) of two kept vectors, in either
+    order, is kept when it raises the rank (`bareiss_rank`) of those kept,
+    until every pair has been multiplied or the whole space is spanned."""
+    kept: list[GradedVector] = []
+
+    def keep(v: GradedVector) -> None:
+        if any(v.coords) and bareiss_rank([list(u.coords) for u in kept + [v]]) > len(kept):
+            kept.append(v)
+
+    for i in generators:
+        keep(GradedVector.basis(algebra, algebra.labels[i]))
+    done = 0
+    while done < len(kept) < algebra.dim:
+        x = kept[done]
+        for y in kept[:done + 1]:
+            keep(product(algebra, x, y))
+            keep(product(algebra, y, x))
+        done += 1
+    return len(kept)
+
+
 def change_basis(algebra: SuperAlgebra, p_even: RatMatrix, p_odd: RatMatrix) -> SuperAlgebra:
     """The table in the basis f_a = sum_i P[i,a] b_i, P = diag(p_even, p_odd):
     [f_a, f_b] = sum P[i,a] P[j,b] c_ij^k Q[t,k] f_t with Q = P^{-1}.  The
@@ -236,7 +259,7 @@ def dense_rref(rows: list[list[Fraction]],
                ncols: int) -> tuple[list[list[Fraction]], tuple[int, ...]]:
     """Reduced row echelon form by plain dense Gauss-Jordan, row by row over
     the whole matrix, with its pivot columns."""
-    work = [[Fraction(x) for x in row] for row in rows]
+    work = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -246,10 +269,12 @@ def dense_rref(rows: list[list[Fraction]],
         work[r], work[pivot_row] = work[pivot_row], work[r]
         inv = 1 / work[r][c]
         work[r] = [x * inv for x in work[r]]
+        support = [(j, x) for j, x in enumerate(work[r]) if x]
         for i in range(len(work)):
             if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+                row, f = work[i], work[i][c]
+                for j, x in support:   # the other columns of row i stay as they are
+                    row[j] -= f * x
         pivots.append(c)
         r += 1
     return work, tuple(pivots)
@@ -488,35 +513,46 @@ def dense_derivation_kernel(algebra: SuperAlgebra,
     """The degree-s derivation space as flattened dim x dim matrices (entry
     D[p, q] at p * dim + q): `dense_kernel` of the identity written out
     densely over the entries the grading allows, one row per pair
-    (b_i, b_j) and component l, with coefficients from products of basis
-    vectors."""
+    (b_i, b_j) and component l, with coefficients from the nonzero
+    components of products of basis vectors."""
     dim = algebra.dim
     parity = [algebra.parity(i) for i in range(dim)]
     unknowns = [(p, q) for p in range(dim) for q in range(dim)
                 if parity[p] == (parity[q] + degree) % 2]
     column = {pq: idx for idx, pq in enumerate(unknowns)}
     basis = [GradedVector.basis(algebra, lab) for lab in algebra.labels]
-    prods = [[product(algebra, x, y).coords for y in basis] for x in basis]
+    # prods[x][y]: the nonzero components of [b_x, b_y] as (index, value)
+    prods = [[[(q, v) for q, v in enumerate(product(algebra, x, y).coords) if v]
+              for y in basis] for x in basis]
 
-    def add(row: list[Fraction], entry: tuple[int, int], value: Fraction) -> None:
-        if value and entry in column:   # entries the grading forbids are 0
-            row[column[entry]] += value
-
-    rows = set()
+    rows: dict[tuple, None] = {}   # distinct rows as (column, value) pairs, first seen first
     for i in range(dim):
         sign = (-1) ** (degree * parity[i])
         for j in range(dim):
+            # component l of [b_p, b_j] and of [b_i, b_p], as (p, value) by l
+            left: list[list] = [[] for _ in range(dim)]
+            right: list[list] = [[] for _ in range(dim)]
+            for p in range(dim):
+                for l, v in prods[p][j]:
+                    left[l].append((p, v))
+                for l, v in prods[i][p]:
+                    right[l].append((p, v))
             for l in range(dim):
-                row = [Fraction(0)] * len(unknowns)
-                for q in range(dim):
-                    add(row, (l, q), prods[i][j][q])   # D([b_i, b_j])
-                for p in range(dim):
-                    add(row, (p, i), -prods[p][j][l])   # [D b_i, b_j]
-                    add(row, (p, j), -sign * prods[i][p][l])   # [b_i, D b_j]
-                if any(row):
-                    rows.add(tuple(row))
+                terms = ([((l, q), v) for q, v in prods[i][j]]   # D([b_i, b_j])
+                         + [((p, i), -v) for p, v in left[l]]   # [D b_i, b_j]
+                         + [((p, j), -sign * v) for p, v in right[l]])   # [b_i, D b_j]
+                row: dict[int, Fraction] = {}
+                for entry, value in terms:
+                    if entry in column:   # entries the grading forbids are 0
+                        row[column[entry]] = row.get(column[entry], 0) + value
+                if any(row.values()):
+                    rows[tuple(sorted((c, v) for c, v in row.items() if v))] = None
+    dense = [[Fraction(0)] * len(unknowns) for _ in rows]
+    for vec, row in zip(dense, rows):
+        for c, v in row:
+            vec[c] = v
     kernel = []
-    for vec in dense_kernel(sorted(rows), len(unknowns)):
+    for vec in dense_kernel(dense, len(unknowns)):
         flat = [Fraction(0)] * (dim * dim)
         for (p, q), value in zip(unknowns, vec):
             flat[p * dim + q] = value

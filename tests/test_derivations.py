@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from superalg import (FAMILY_IDS, build, derivations, family_info, nilradical_spec,
-                      parameter_names)
+from superalg import (FAMILY_IDS, build, check_leibniz, derivations, family_info,
+                      nilradical_spec, parameter_names)
 from superalg.core import EVEN, ODD, GradedVector, make_superalgebra, right_mul_cells
-from superalg.derivations import (EXTENDABLE, _positions, derivation_space, extendability,
-                                  is_derivation, max_nil_independent,
+from superalg.derivations import (EXTENDABLE, _generating_set, _positions, derivation_space,
+                                  extendability, is_derivation, max_nil_independent,
                                   same_span, space_all_nilpotent)
 from superalg.families import CORRECTED, VERBATIM, sizes
 from superalg.errors import InputError, UnsupportedShapeError
@@ -19,9 +19,9 @@ from superalg.exactmath import RatMatrix, sparse_kernel
 from superalg.verify import corollary_patterns
 
 from oracles import (bareiss_rank, cells_of, change_basis, dense_derivation_kernel,
-                     dense_rref, derivation_residuals, diagonal, from_rows, identity,
-                     mat_add, mat_scale, random_graded_algebra, random_parity_change,
-                     support_torus_dim)
+                     dense_rref, derivation_residuals, diagonal, from_rows, generated_dim,
+                     identity, instance, mat_add, mat_scale, random_graded_algebra,
+                     random_parity_change, support_torus_dim)
 
 
 def zeros(fid: str, size: int) -> dict[str, int]:
@@ -264,6 +264,96 @@ class TestAgainstOracles:
                 self.assert_spans_oracle_kernel(a, degree)
                 assert received and all(row and all(row.values()) for row in received)
         assert min(cancelling.values()) >= 10, cancelling
+
+
+def catalog_tables(fid: str, lo: int, hi: int):
+    """Each distinct table of `fid` at the legal sizes in lo..hi, in both
+    modes, at `instance` (domain-valid values, zero but for the few a
+    domain forbids to be 0; t at its default) and at all ones."""
+    seen = set()
+    for size in sizes(fid, lo, hi):
+        zero = instance(fid, size)
+        for values in (zero, {**zero, **dict.fromkeys(parameter_names(fid, size), 1)}):
+            for mode in (CORRECTED, VERBATIM):
+                a = build(fid, size, values, mode)
+                key = (a.n_even, a.n_odd, tuple(sorted(a.structure.items())))
+                if key not in seen:
+                    seen.add(key)
+                    yield a
+
+
+def flat_basis(space) -> list[tuple]:
+    return [tuple(x for row in m.entries for x in row) for m in space.basis]
+
+
+class TestGeneratorSubsystem:
+    """`derivation_space` solves the rows whose right operand is in
+    `_generating_set` first, and the whole system only when the recheck
+    refutes that kernel."""
+
+    @staticmethod
+    def recording_kernels(monkeypatch) -> list:
+        kernels = []
+
+        def recording(rows, width):
+            kernels.append(sparse_kernel(rows, width))
+            return kernels[-1]
+
+        monkeypatch.setattr(derivations, "sparse_kernel", recording)
+        return kernels
+
+    @pytest.mark.parametrize("fid", FAMILY_IDS)
+    def test_catalog_spaces_are_the_dense_kernel_solved_once_under_leibniz(
+            self, fid, monkeypatch):
+        kernels = self.recording_kernels(monkeypatch)
+        leibniz = 0
+        for a in catalog_tables(fid, 3, 7):
+            holds = not check_leibniz(a)
+            leibniz += holds
+            for degree in (EVEN, ODD):
+                kernels.clear()
+                assert flat_basis(derivation_space(a, degree)) == \
+                    dense_derivation_kernel(a, degree), (a.name, degree)
+                assert len(kernels) == 1 or not holds, (a.name, degree)
+        assert leibniz
+
+    def test_verbatim_m1_falls_back_to_the_whole_system(self, monkeypatch):
+        a = build("M1", 5, None, VERBATIM)
+        assert len(check_leibniz(a)) == 8
+        kernels = self.recording_kernels(monkeypatch)
+        for degree in (EVEN, ODD):
+            kernels.clear()
+            space = derivation_space(a, degree)
+            assert len(kernels) == 2, degree
+            assert flat_basis(space) == dense_derivation_kernel(a, degree), degree
+
+    def test_a_subsystem_kernel_larger_than_the_space_is_not_returned(self, monkeypatch):
+        """On this random non-Leibniz table the generator rows leave a larger
+        kernel in both degrees; the space returned is the whole system's."""
+        a = random_graded_algebra(random.Random(2), 3, 2, 0.3)
+        assert check_leibniz(a)
+        kernels = self.recording_kernels(monkeypatch)
+        for degree, first, last in ((EVEN, 8, 0), (ODD, 6, 1)):
+            kernels.clear()
+            space = derivation_space(a, degree)
+            assert [len(k) for k in kernels] == [first, last], degree
+            assert flat_basis(space) == dense_derivation_kernel(a, degree), degree
+
+    def test_the_generating_set_generates_the_algebra(self):
+        rng = random.Random(7)
+        tables = [a for fid in FAMILY_IDS for a in catalog_tables(fid, 3, 8)]
+        tables += [random_graded_algebra(rng, n0, n1, density)
+                   for n0, n1 in ((2, 1), (1, 2), (3, 2), (2, 3)) * 5
+                   for density in (0.2, 0.5)]
+        # e1 and e4 generate only e2 + e3 besides: [e2 + e3, e4] = 0
+        tables.append(make_superalgebra(
+            "two terms", ["e1", "e2", "e3", "e4"], [], [],
+            {("e1", "e1"): [("e2", 1), ("e3", 1)], ("e2", "e4"): [("e3", 1)],
+             ("e3", "e4"): [("e3", -1)]}))
+        for a in tables:
+            generators = _generating_set(a._integral_structure(), a.dim)
+            assert generated_dim(a, [i for i, g in enumerate(generators) if g]) == a.dim, \
+                (a.name, generators)
 
 
 class TestNilpotencyCertificates:

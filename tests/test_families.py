@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from superalg import (CORRECTED, FAMILY_IDS, VERBATIM, build, errata_for,
-                      errata_ledger, family_info, list_families,
+                      errata_ledger, families, family_info, list_families,
                       nilradical_spec, parameter_names)
 from superalg.core import (GradedVector, check_leibniz, check_lie, nilindex,
                            sdf_dump, sdf_dumps)
@@ -621,6 +621,29 @@ class TestZeroFilled:
         filled = zero_filled("SH1", 6, {"t": 5})
         assert filled == {**zeros("SH1", 6), "t": 5}
         assert "t" not in parameter_names("SH1", 6)
+
+    def test_parameter_names_are_what_build_declares_at_every_t(self):
+        for fid in FAMILY_IDS:
+            structural = ([{"t": t} for t in range(4, 13)]
+                          if "t" in family_info(fid).structural else [{}])
+            for size in sizes(fid, 3, 12):
+                for values in structural:
+                    if values.get("t", 4) <= size:
+                        assert parameter_names(fid, size) == \
+                            build(fid, size, values).parameters, (fid, size, values)
+
+    def test_parameter_names_make_no_algebra_and_fill_no_scope(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(families, "make_superalgebra",
+                            lambda *args: made.append(args))
+        parameter_names.cache_clear()
+        try:
+            with shared_builds() as shared:
+                for fid in FAMILY_IDS:
+                    parameter_names(fid, sizes(fid, 3, 12)[-1])
+            assert not made and not shared
+        finally:
+            parameter_names.cache_clear()
 
     def test_an_unknown_name_is_left_for_build_to_reject(self):
         filled = zero_filled("L", 5, {"x": 1})
