@@ -25,7 +25,7 @@ import time
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
-from . import families
+from . import __version__, families
 from .core import (EVEN, GradedVector, SuperAlgebra, char_sequence, charseq_note,
                    check_leibniz, check_lie, fingerprint, is_nilpotent,
                    is_solvable, nilindex, right_mul_cells, subalgebra)
@@ -33,8 +33,6 @@ from .derivations import (CLASSIFIER_FAMILIES, derivation_space, extendability,
                           is_derivation, same_span)
 from .errors import InputError, SuperalgError, UnsupportedShapeError, shown
 from .exactmath import Cells, nilpotent_jordan_type, parameter_value, sparse_kernel
-
-ENGINE_VERSION = "1.0.0"
 
 PASS = "pass"
 FAIL = "fail"
@@ -86,13 +84,11 @@ class ClaimReport:
         }
 
 
-class RunReport:
-    def __init__(self, engine_version: str, seed: int, claims: list[ClaimReport],
-                 wall_time_s: float) -> None:
-        self.engine_version = engine_version
-        self.seed = seed
-        self.claims = claims
-        self.wall_time_s = wall_time_s
+class RunReport(NamedTuple):
+    engine_version: str
+    seed: int
+    claims: list[ClaimReport]
+    wall_time_s: float
 
     @property
     def all_ok(self) -> bool:
@@ -161,7 +157,6 @@ def verify_nilpotent_family(fid: str, size: int,
                             params: Mapping[str, object] | None = None,
                             seed: int = 0) -> ClaimReport:
     """Superidentity, nilindex = dim, and the characteristic sequence."""
-    start = time.perf_counter()
     info = families.family_info(fid)
     if info.kind != "nilpotent":
         raise InputError(f"{fid} is not a nilpotent family")
@@ -182,7 +177,6 @@ def verify_nilpotent_family(fid: str, size: int,
     report.ensure("charseq", cs == expected,
                   f"characteristic sequence {cs} ({charseq_note(algebra, cs)})",
                   f"got {cs}, expected {expected}")
-    report.wall_time_s = time.perf_counter() - start
     return report
 
 
@@ -193,7 +187,6 @@ def verify_nilpotent_family(fid: str, size: int,
 def verify_solvable_family(fid: str, size: int,
                            params: Mapping[str, object] | None = None) -> ClaimReport:
     """Identity, solvability, and the nilradical-candidate checks."""
-    start = time.perf_counter()
     info = families.family_info(fid)
     if info.kind != "solvable":
         raise InputError(f"{fid} is not a solvable-extension family")
@@ -257,7 +250,6 @@ def verify_solvable_family(fid: str, size: int,
     report.notes.extend(
         f"errata: {e.family} {e.product} ({e.justification.split(';')[0]})"
         for e in families.errata_for(fid, size, structural or None))
-    report.wall_time_s = time.perf_counter() - start
     return report
 
 
@@ -360,16 +352,21 @@ def proposition_template_space(fid: str, n: int, values: Mapping[str, Fraction],
     return templates
 
 
+# Each proposition's samples at every n: zeros, then two constrained parameters at 1.
+_PROPOSITION_SAMPLES = {
+    "L": ({}, {"alpha4": 1}, {"theta": 1}), "M": ({}, {"alpha4": 1}, {"tau": 1}),
+    "H": ({}, {"beta4": 1}, {"delta": 1}), "G": ({}, {"beta4": 1}, {"gamma": 1})}
+
+
 def verify_derivation_proposition(pid: str, n: int,
                                   samples: Sequence[Mapping[str, object]] | None = None,
                                   ) -> ClaimReport:
     """Solver-computed even derivation space == proposition template space."""
-    start = time.perf_counter()
     fid = pid.removeprefix("P-")
     if fid not in CLASSIFIER_FAMILIES:
         raise InputError(f"unknown proposition id {pid!r}")
     if samples is None:
-        samples = default_proposition_samples(fid, n)
+        samples = _PROPOSITION_SAMPLES[fid]
     report = ClaimReport(f"P-{fid}", f"{fid}(n={n}), {len(samples)} samples")
     if fid == "M":
         report.notes.append(
@@ -389,18 +386,7 @@ def verify_derivation_proposition(pid: str, n: int,
             f"solver dim {space.dim} equals template dim {len(template)}",
             f"solver dim {space.dim}, template dim {len(template)}, "
             f"subspace equality: {equal}")
-    report.wall_time_s = time.perf_counter() - start
     return report
-
-
-def default_proposition_samples(fid: str, n: int) -> list[dict[str, int]]:
-    if fid == "L":
-        return [{}, {"alpha4": 1}, {"theta": 1}]
-    if fid == "M":
-        return [{}, {"alpha4": 1}, {"tau": 1}]
-    if fid == "H":
-        return [{}, {"beta4": 1}, {"delta": 1}]
-    return [{}, {"beta4": 1}, {"gamma": 1}]
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +404,6 @@ def corollary_patterns(fid: str, n: int) -> list[dict[str, int]]:
 
 def verify_corollary(cid: str, n: int) -> ClaimReport:
     """Extendability verdicts over the pattern grid match the prediction table."""
-    start = time.perf_counter()
     fid = cid.removeprefix("COR-")
     if fid not in CLASSIFIER_FAMILIES:
         raise InputError(f"unknown corollary id {cid!r}")
@@ -437,7 +422,6 @@ def verify_corollary(cid: str, n: int) -> ClaimReport:
     report.ensure("pattern-grid", not mismatches,
                   f"all {len(patterns)} pattern verdicts match the table",
                   "; ".join(mismatches))
-    report.wall_time_s = time.perf_counter() - start
     return report
 
 
@@ -451,7 +435,6 @@ def pairwise_distinguish(members: Sequence[tuple[str, int, Mapping[str, object]]
 
     "not distinguished" is an honest outcome, never an isomorphism claim.
     """
-    start = time.perf_counter()
     built = []
     for fid, size, params in members:
         algebra = families.build(fid, size, families.zero_filled(fid, size, params))
@@ -468,7 +451,6 @@ def pairwise_distinguish(members: Sequence[tuple[str, int, Mapping[str, object]]
     report.ok("fingerprint-matrix", detail)
     if undistinguished:
         report.notes.append(detail)
-    report.wall_time_s = time.perf_counter() - start
     return report
 
 
@@ -479,7 +461,6 @@ def pairwise_distinguish(members: Sequence[tuple[str, int, Mapping[str, object]]
 def audit_errata(fid: str, size: int,
                  params: Mapping[str, object] | None = None) -> ClaimReport:
     """Verbatim failures must be exactly the ledgered ones; corrected passes."""
-    start = time.perf_counter()
     report = ClaimReport(f"AUDIT-{fid}",
                          f"{fid}(size={size}"
                          + (f", {_fmt_params(params)}" if params else "") + ")")
@@ -510,7 +491,6 @@ def audit_errata(fid: str, size: int,
             f"cited residual at {entry.residual_site} reproduced",
             f"cited residual site {entry.residual_site} not produced by the "
             f"verbatim build")
-    report.wall_time_s = time.perf_counter() - start
     return report
 
 
@@ -548,45 +528,41 @@ def claim_ids() -> list[str]:
     return ids
 
 
-def _claim_reports(cid: str, n_range: tuple[int, int] | None,
-                   seed: int) -> Iterator[ClaimReport]:
-    """The reports of one claim id, one per instance, as each is made."""
+# The default size range of each claim kind (the (2|m) family takes its odd sizes).
+_DEFAULT_SIZES = {"NILP": (3, 7), "P": (4, 6), "COR": (5, 7), "SOLV": (3, 6),
+                  "DIST": (5, 5), "AUDIT": (3, 8)}
+
+
+def _claim_calls(cid: str, n_range: tuple[int, int] | None, seed: int,
+                 ) -> Iterator[tuple[Callable[..., ClaimReport], tuple]]:
+    """The (claim function, args) calls of one claim id, one per instance.  Each
+    function is read off the module as it is yielded, so a rebound one is called."""
     kind, _, fid = cid.partition("-")
-
-    def rng(default_lo: int, default_hi: int) -> tuple[int, int]:
-        return n_range if n_range else (default_lo, default_hi)
-
+    lo, hi = n_range or _DEFAULT_SIZES[kind]
     if kind == "NILP":
-        lo, hi = rng(3, 7)
         for size in families.sizes(fid, lo, hi):
             for sample in families.family_info(fid).samples(size):
-                yield verify_nilpotent_family(fid, size, sample, seed)
+                yield verify_nilpotent_family, (fid, size, sample, seed)
     elif kind == "P":
-        lo, hi = rng(4, 6)
         for size in families.sizes(fid, max(lo, 4), hi):
-            yield verify_derivation_proposition(cid, size)
+            yield verify_derivation_proposition, (cid, size)
     elif kind == "COR":
-        lo, hi = rng(5, 7)
         for size in families.sizes(fid, max(lo, 4), hi):
-            yield verify_corollary(cid, size)
+            yield verify_corollary, (cid, size)
     elif kind == "SOLV":
-        lo, hi = rng(3, 6)
         for size in families.sizes(fid, lo, hi):
             for sample in families.family_info(fid).samples(size):
-                yield verify_solvable_family(fid, size, sample)
+                yield verify_solvable_family, (fid, size, sample)
     elif kind == "DIST":
-        lo, hi = rng(5, 5)
         size = max(lo, 5) if hi >= 5 else lo
         members = [(f, s, p) for f, s, p in _DIST_GROUPS[cid](size)
                    if s in families.sizes(f, s, s)]
         if len(members) >= 2:
-            yield pairwise_distinguish(members, cid, seed)
+            yield pairwise_distinguish, (members, cid, seed)
     elif kind == "AUDIT":
-        lo, hi = rng(3, 8)
-        info = families.family_info(fid)
+        params = dict(families.family_info(fid).structural) or None
         for size in families.sizes(fid, lo, hi):
-            params = dict(info.structural) or None
-            yield audit_errata(fid, size, params)
+            yield audit_errata, (fid, size, params)
 
 
 def run_claims(selected: Sequence[str] | None = None,
@@ -594,14 +570,13 @@ def run_claims(selected: Sequence[str] | None = None,
                seed: int = 0) -> RunReport:
     """Evaluate claims (all by default) over a size range, sequentially.
 
-    Default ranges per claim kind: nilpotent families 3..7 (sizes for the
-    (2|m) family are the odd values), propositions 4..6, corollaries 5..7,
-    solvable families 3..6, distinction groups at size 5, errata audits 3..8.
+    Without a range each claim kind runs over its `_DEFAULT_SIZES` entry.
     A range that ends above `families.MAX_SIZE`, or in which no selected
     claim has an instance, is an InputError; sizes below a family's minimum
     are skipped.  Each claim id runs in its own `families.shared_builds`
     scope, so each symbolic table is built once per claim, and its samples,
     patterns, errata notes and audit instantiate or read that one table.
+    Each report's `wall_time_s` is timed here, around its claim function.
     """
     start = time.perf_counter()
     if n_range and n_range[1] > families.MAX_SIZE:
@@ -618,7 +593,10 @@ def run_claims(selected: Sequence[str] | None = None,
             # One scope per claim, not per run: a run-wide scope kept every
             # table of the run alive at once.
             with families.shared_builds():
-                for report in _claim_reports(cid, n_range, seed):
+                for claim, args in _claim_calls(cid, n_range, seed):
+                    claim_start = time.perf_counter()
+                    report = claim(*args)
+                    report.wall_time_s = time.perf_counter() - claim_start
                     reports.append(report)
         except UnsupportedShapeError as exc:
             partial = ClaimReport(cid, "unsupported computation")
@@ -631,4 +609,4 @@ def run_claims(selected: Sequence[str] | None = None,
     if not reports:  # the default ranges give every claim an instance
         raise InputError(f"no selected claim has an instance with size in "
                          f"{shown(n_range[0])}..{shown(n_range[1])}")
-    return RunReport(ENGINE_VERSION, seed, reports, time.perf_counter() - start)
+    return RunReport(__version__, seed, reports, time.perf_counter() - start)

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
+import superalg
 from superalg import build, errata_ledger, families, family_info
 from superalg.core import (EVEN, GradedVector, check_leibniz, fingerprint,
                            sdf_dumps)
@@ -250,6 +253,59 @@ class TestRunner:
         ids = claim_ids()
         for prefix in ("NILP-", "P-", "COR-", "SOLV-", "DIST-", "AUDIT-"):
             assert any(cid.startswith(prefix) for cid in ids)
+
+    def test_engine_version_is_the_package_version(self):
+        report = run_claims(["DIST-MH"])
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        declared = re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1)
+        assert report.engine_version == superalg.__version__ == declared
+        assert report.as_dict()["engine_version"] == declared
+        with pytest.raises(AttributeError):
+            report.seed = 1
+
+    def test_runner_times_each_report_within_the_run(self):
+        report = run_claims(["NILP-L", "AUDIT-G"])
+        times = [c.wall_time_s for c in report.claims]
+        assert len(times) == 16 and all(t > 0 for t in times)
+        assert sum(times) <= report.wall_time_s
+        # A claim function called directly is not timed.
+        assert verify_nilpotent_family("L", 3).wall_time_s == 0.0
+
+    def test_runner_calls_the_claim_functions_through_the_module(self, monkeypatch):
+        # perfbench/worker.py times its ops by rebinding the claim functions
+        # on the module, so the runner must look each one up as it calls it.
+        import superalg.verify as verify
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args[:2])
+            return audit_errata(*args)
+
+        monkeypatch.setattr(verify, "audit_errata", counting)
+        report = run_claims(["AUDIT-L"], (3, 5))
+        assert calls == [("L", 3), ("L", 4), ("L", 5)]
+        assert [c.subject for c in report.claims] == [f"L(size={n})" for n in (3, 4, 5)]
+
+    def test_default_sizes_of_each_claim_kind(self):
+        kind_ranges = {"NILP": range(3, 8), "P": range(4, 7), "COR": range(5, 8),
+                       "SOLV": range(3, 7), "DIST": range(5, 6), "AUDIT": range(3, 9)}
+        sizes: dict[str, set[int]] = {}
+        for claim in run_claims().claims:
+            found = re.findall(r"\((?:n|m|size)=(\d+)", claim.subject)
+            assert found, claim.subject
+            sizes.setdefault(claim.claim_id, set()).update(map(int, found))
+        assert list(sizes) == claim_ids()
+        for cid, found in sizes.items():
+            kind = cid.partition("-")[0]
+            expected = {3, 5, 7} if cid == "NILP-N2M" else set(kind_ranges[kind])
+            if kind in ("SOLV", "AUDIT"):  # some families skip small or even sizes
+                assert found <= expected, cid
+            else:
+                assert found == expected, cid
+        for kind, expected in kind_ranges.items():
+            of_kind = [s for cid, s in sizes.items() if cid.startswith(kind + "-")]
+            assert set().union(*of_kind) == set(expected), kind
 
 
 def _strip(report):
