@@ -2,8 +2,8 @@
 
 Subcommands: family (emit an SDF file), check (identity residuals), series,
 charseq, derivations, annihilator, invariants, catalog, errata, verify.
-Exit codes: 0 success / all claims pass, 1 verification failure, 2 input
-error, 141 stdout closed early.  SDF (a JSON document) is the single
+Exit codes: 0 success / all claims pass, 1 verification failure, 2 input or
+write error, 141 stdout closed early.  SDF (a JSON document) is the single
 interchange format; every subcommand that analyses an algebra consumes one.
 
 Each run is a fresh process, so importing this module loads only `core`,
@@ -52,6 +52,10 @@ families = _lazy_submodule("families")
 derivations = _lazy_submodule("derivations")
 verify = _lazy_submodule("verify")
 
+# `derivations` prints every basis element as a dense dim x dim matrix; a
+# larger payload (dim(space) * dim^2 entries) is refused before it is built.
+MAX_PRINTED_ENTRIES = 2 ** 21
+
 
 def _integer(what: str, raw: str) -> int:
     """raw as an int; the InputError names a long value by its length only."""
@@ -83,14 +87,6 @@ def _load_algebra(path: str):
         raise InputError(f"cannot read {shown(path)}: not UTF-8 text at byte "
                          f"{exc.start}") from None
     return sdf_loads(text)
-
-
-def _open_output(path: str):
-    """path opened for writing; an OSError is an InputError naming it."""
-    try:
-        return open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot write {shown(path)}: {exc.strerror}") from None
 
 
 def _parse_params(pairs: list[str]) -> dict[str, object]:
@@ -126,7 +122,7 @@ def _cmd_family(args) -> int:
     if args.output == "-":
         sys.stdout.write(text)
     else:
-        with _open_output(args.output) as handle:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
     return 0
 
@@ -173,10 +169,16 @@ def _cmd_derivations(args) -> int:
     algebra = _load_algebra(args.file)
     degree = EVEN if args.degree == "even" else ODD
     space = derivations.derivation_space(algebra, degree)
+    n = algebra.dim
+    if (entries := space.dim * n * n) > MAX_PRINTED_ENTRIES:
+        raise InputError(f"the {args.degree} derivation basis has {entries} matrix "
+                         f"entries; at most MAX_PRINTED_ENTRIES = {MAX_PRINTED_ENTRIES} "
+                         f"are printed")
     payload = {
         "degree": args.degree,
         "dim": space.dim,
-        "basis": [[list(map(str, row)) for row in m.entries] for m in space.basis],
+        "basis": [[[str(cells.get((l, k), 0)) for k in range(n)] for l in range(n)]
+                  for cells in space.cells],
     }
     print(json.dumps(payload, indent=2))
     return 0
@@ -187,11 +189,9 @@ def _cmd_annihilator(args) -> int:
     ann = right_annihilator(algebra)
     de, do = ann.dims()
     print(f"right annihilator dims {de}|{do}")
-    for parity, part, labels in (("even", ann.even, algebra.even_basis),
-                                 ("odd", ann.odd, algebra.odd_basis)):
-        for row in part.entries:
-            terms = [f"{c}*{lab}" for c, lab in zip(row, labels) if c]
-            print(f"  {parity}: " + " + ".join(terms))
+    for parity, part in zip(("even", "odd"), ann.parts):
+        for _, row in part:
+            print(f"  {parity}: " + " + ".join(f"{x}*{algebra.label(c)}" for c, x in row))
     return 0
 
 
@@ -232,7 +232,8 @@ def _cmd_verify(args) -> int:
             raise InputError(f"no claims match {shown(args.claims)}")
     # Opened before the claims run, so a path it cannot write fails at once;
     # with no --report the handle is None, and print writes to stdout.
-    with _open_output(args.report) if args.report else contextlib.nullcontext() as handle:
+    with open(args.report, "w", encoding="utf-8") if args.report \
+            else contextlib.nullcontext() as handle:
         report = verify.run_claims(selected, args.n_range, args.seed)
         print(json.dumps(report.as_dict(), indent=2) if args.json
               else verify.render_text(report), file=handle)
@@ -346,6 +347,17 @@ def main(argv: list[str] | None = None) -> int:
         # stdout on the null device so that the flush at exit cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except OSError as exc:
+        # A write failed: `open` names an -o or --report path in
+        # exc.filename, a failed write or close names none.  If stdout still
+        # holds what it could not write, it goes to the null device, as above.
+        try:
+            sys.stdout.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        target = "output" if exc.filename is None else shown(exc.filename)
+        print(f"error: cannot write {target}: {exc.strerror}", file=sys.stderr)
+        return 2
     except (InputError, NotNilpotentError, DegenerateSamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

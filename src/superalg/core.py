@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, 
 from .errors import (DegenerateSamplingError, InputError,
                      InternalInconsistencyError, NotNilpotentError, SHOWN_LENGTH,
                      shown)
-from .exactmath import (NAME, RATIONAL_LITERAL, Polynomial, RatMatrix, SparseRow,
+from .exactmath import (NAME, RATIONAL_LITERAL, Polynomial, SparseRow,
                         _back_substitute, _narrow, _reduce_into, _subtract,
                         _widen, nilpotent_jordan_type, parameter_value,
                         parse_coefficient, parse_rational, sparse_kernel)
@@ -467,8 +467,8 @@ class GradedSubspace:
     at its pivot and zero in every other row's pivot column; it is made
     monic and back-substituted from a copy of the stored rows on first read
     and cached, so the stored rows never change.  Equality is literal
-    equality of the canonical forms, and `even` and `odd` read them too;
-    `contains_part_vector` reduces against the stored rows.
+    equality of the canonical forms; `contains_part_vector` reduces against
+    the stored rows.
     """
 
     def __init__(self, algebra: SuperAlgebra,
@@ -513,15 +513,6 @@ class GradedSubspace:
     def __repr__(self) -> str:
         return (f"GradedSubspace(n_even={self.n_even}, n_odd={self.n_odd}, "
                 f"parts={self.parts!r})")
-
-    def _dense(self, parity: int) -> RatMatrix:
-        offset, width = (0, self.n_even) if parity == EVEN else (self.n_even, self.n_odd)
-        part = self.parts[parity]
-        return RatMatrix.from_cells(len(part), width, {
-            (r, c - offset): x for r, (_, row) in enumerate(part) for c, x in row})
-
-    even = property(lambda self: self._dense(EVEN))
-    odd = property(lambda self: self._dense(ODD))
 
     def contains_part_vector(self, parity: int, coords: Sequence[Fraction]) -> bool:
         # A shallow copy: `_reduce_into` changes only the row and that dict.

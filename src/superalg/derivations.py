@@ -1,4 +1,4 @@
-"""Superderivation spaces, nil-independence, and the extendability classifier.
+"""Superderivation spaces, their recheck, spans and nil-independence.
 
 A degree-s derivation is a linear map D with
 ``D([x,y]) = [D x, y] + (-1)^{s p} [x, D y]`` for x of parity p; even
@@ -6,13 +6,12 @@ derivations (s = 0) preserve parity, odd ones (s = 1) swap it.  The space is
 computed as the exact kernel of the linear system over the grading-compatible
 matrix entries, scattered from the nonzero constants of the algebra's integral
 table (the kernel does not change when the bracket is scaled).  Each basis
-element is held, from the kernel to the verdict, as its nonzero (l, k) cells;
-a dense `RatMatrix` is built only where one is printed or returned
-(`.basis`).  Every basis element is re-verified by
-`is_derivation`, which scatters the identity over the nonzero product cells
-and the nonzero entries of D, so its work grows with them rather than with
-the basis pairs, and shares no code with the assembler (the two are separate
-code paths on purpose).
+element is held, from the kernel to the nil-independence count, as its
+nonzero (l, k) cells; no dense matrix is built.  Every basis element is
+re-verified by `is_derivation`, which scatters the identity over the nonzero
+product cells and the nonzero entries of D, so its work grows with them
+rather than with the basis pairs, and shares no code with the assembler (the
+two are separate code paths on purpose).
 
 That recheck also certifies a smaller system.  Only the equations whose right
 operand lies in a generating set G of basis vectors are solved first.  Under
@@ -30,14 +29,6 @@ families only, where "some combination is nilpotent" is equivalent to "its
 diagonal vanishes"; every derivation space produced by the built-in catalog is
 triangular in the standard basis order.  Anything else raises
 UnsupportedShapeError rather than approximating.
-
-A nilpotent algebra is extendable (has a non-nilpotent solvable extension,
-by Mubarakzjanov's method) exactly when the nil-independence count of its even
-derivations is at least 1.  The classifier evaluates the family **as
-tabulated** (verbatim mode): the derivation identity is well-defined for any
-bilinear product, and the tabulated tables are the ones whose top-coefficient
-parameters (alpha_n for the (n|n) alpha-family, gamma for the (n|n)
-beta-family) act at all; see the errata ledger.
 """
 
 from __future__ import annotations
@@ -49,8 +40,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .core import EVEN, ODD, SuperAlgebra, _cells_by_operand
 from .errors import InputError, InternalInconsistencyError, UnsupportedShapeError
-from .exactmath import (Cells, RatMatrix, SparseRow, _reduce_into, _rref_rows,
-                        check_cells, parameter_value, sparse_kernel)
+from .exactmath import (Cells, SparseRow, _reduce_into, _rref_rows, check_cells,
+                        sparse_kernel)
 
 
 def _positions(algebra: SuperAlgebra, degree: int) -> list[tuple[int, int]]:
@@ -62,22 +53,15 @@ def _positions(algebra: SuperAlgebra, degree: int) -> list[tuple[int, int]]:
 
 
 class DerivationSpace(NamedTuple):
-    """Exact basis of the degree-s derivation space of an algebra of
-    dimension `algebra_dim`, each element held as its nonzero Fraction cells."""
+    """Exact basis of the degree-s derivation space, each element held as
+    its nonzero Fraction cells."""
 
     degree: int
-    algebra_dim: int
     cells: tuple[dict[tuple[int, int], Fraction], ...]
 
     @property
     def dim(self) -> int:
         return len(self.cells)
-
-    @property
-    def basis(self) -> tuple[RatMatrix, ...]:
-        """The basis elements as dense matrices, built on each read."""
-        n = self.algebra_dim
-        return tuple(RatMatrix.from_cells(n, n, c) for c in self.cells)
 
 
 def is_derivation(algebra: SuperAlgebra, cells: Cells, degree: int) -> bool:
@@ -214,7 +198,7 @@ def derivation_space(algebra: SuperAlgebra, degree: int) -> DerivationSpace:
                         del r[x]
 
         kernel = sparse_kernel((r for r in rows.values() if r), len(positions))
-        space = DerivationSpace(degree, dim, tuple(
+        space = DerivationSpace(degree, tuple(
             {positions[column]: x for column, x in vec.items()} for vec in kernel))
         if all(is_derivation(algebra, cells, degree) for cells in space.cells):
             return space
@@ -283,105 +267,10 @@ def max_nil_independent(space: DerivationSpace) -> NilIndependenceReport:
     return NilIndependenceReport(len(witnesses), witnesses)
 
 
-# Kept by name: perfbench's tracer times the classifier's decision through it.
+# Kept by name: perfbench's tracer times the corollary's decision through it.
 def space_all_nilpotent(space: DerivationSpace) -> bool:
     """Whether every element of the span is nilpotent, i.e. the space has no
     nil-independent element.  A non-triangular space raises
     UnsupportedShapeError, as in `max_nil_independent`."""
     return max_nil_independent(space).max_count == 0
 
-
-# ---------------------------------------------------------------------------
-# Extendability classifier
-# ---------------------------------------------------------------------------
-
-EXTENDABLE = "extendable"
-NOT_EXTENDABLE = "not-extendable"
-
-# The nilpotent families with a derivation proposition and an extendability
-# table, in claim order.
-CLASSIFIER_FAMILIES = ("L", "M", "H", "G")
-
-
-def predicted_extendable(family_id: str, n: int,
-                         values: Mapping[str, Fraction]) -> bool:
-    """The zero/nonzero-pattern table of admissible nilradical parameters.
-
-    For the two beta-families the single-nonzero-gamma pattern is admissible
-    (the corresponding one-dimensional extensions exist); the displayed
-    tables subsume it under their last row.
-    """
-    if family_id not in CLASSIFIER_FAMILIES:
-        raise InputError(f"no extendability table for family {family_id!r}")
-    nonzero = {name for name, v in values.items() if v != 0}
-    if family_id in ("L", "M"):
-        return not nonzero
-    betas = sorted(int(name[4:]) for name in nonzero if name.startswith("beta"))
-    rest = {name for name in nonzero if not name.startswith("beta")}
-    if not nonzero:
-        return True
-    if len(betas) >= 2:
-        return False
-    if len(betas) == 1:
-        t = betas[0]
-        if not rest:
-            return True
-        if rest == {"gamma"}:
-            return n % 2 == 1 and t == (n + 3) // 2
-        return False
-    if rest == {"delta"} and family_id == "H":
-        return True
-    if rest == {"gamma"}:
-        return True
-    return False
-
-
-class ExtendabilityResult(NamedTuple):
-    family_id: str
-    size: int
-    values: tuple[tuple[str, str], ...]
-    verdict: str
-    predicted: bool | None
-    matches_prediction: bool | None
-    flags: tuple[str, ...]
-
-
-def extendability(family_id: str, n: int,
-                  params: Mapping[str, object] | None = None) -> ExtendabilityResult:
-    """Classify whether a nilpotent family instance admits a non-nilpotent
-    solvable extension: extendable iff the even derivations' nil-independence
-    count is >= 1.  A non-triangular space raises UnsupportedShapeError.
-
-    Unspecified parameters default to zero.  The verdict is compared against
-    the zero/nonzero-pattern prediction table; for the (n|n-1) alpha-family
-    at n = 3 the prediction's derivation constraint degenerates, so the
-    result is flagged instead of matched.  The table is built verbatim.
-    """
-    from . import families  # only the classifier builds catalog tables
-
-    if family_id not in CLASSIFIER_FAMILIES:
-        raise InputError(
-            f"extendability is defined for the nilpotent families "
-            f"{', '.join(CLASSIFIER_FAMILIES)}; got {family_id!r}")
-    values = {name: parameter_value(name, raw)
-              for name, raw in families.zero_filled(family_id, n, params or {}).items()}
-    algebra = families.build(family_id, n, values, families.VERBATIM)
-    all_nilpotent = space_all_nilpotent(derivation_space(algebra, EVEN))
-    verdict = NOT_EXTENDABLE if all_nilpotent else EXTENDABLE
-
-    flags: tuple[str, ...] = ()
-    predicted: bool | None = predicted_extendable(family_id, n, values)
-    matches: bool | None = (verdict == EXTENDABLE) == predicted
-    if family_id == "L" and n == 3:
-        flags = ("corollary-precondition-unclear",)
-        predicted = None
-        matches = None
-    return ExtendabilityResult(
-        family_id=family_id,
-        size=n,
-        values=tuple((k, str(v)) for k, v in sorted(values.items()) if v != 0),
-        verdict=verdict,
-        predicted=predicted,
-        matches_prediction=matches,
-        flags=flags,
-    )

@@ -50,9 +50,10 @@ VERBATIM = "verbatim"
 CORRECTED = "corrected"
 
 # The largest size (n or m) that `build` accepts, and so the largest size the
-# errata ledger and the claim ranges may reach.  The claims use sizes up to 8;
-# tables grow with the square of the size, and an uncapped size from the
-# command line would only run on until killed.
+# errata ledger and the claim ranges may reach.  The default claim ranges end
+# at 8, and `verify --n-range` may run them up to this cap; tables grow with
+# the square of the size, and an uncapped size from the command line would
+# only run on until killed.
 MAX_SIZE = 64
 
 HALF = Fraction(1, 2)

@@ -17,6 +17,12 @@ Two transcription modes are used deliberately:
 The errata audit ties the two together: wherever a verbatim table fails the
 graded Leibniz identity, the failure must be reproduced by a ledger entry at
 the cited basis triple, and the corrected table must pass.
+
+The corollary's classifier lives here too: a nilpotent algebra is extendable
+(has a non-nilpotent solvable extension, by Mubarakzjanov's method) exactly
+when the nil-independence count of its even derivations is at least 1; it
+reads the verbatim table, where alpha_n of the (n|n) alpha-family and gamma of
+the (n|n) beta-family act at all.
 """
 
 from __future__ import annotations
@@ -29,14 +35,22 @@ from . import __version__, families
 from .core import (EVEN, GradedVector, SuperAlgebra, char_sequence, charseq_note,
                    check_leibniz, check_lie, fingerprint, is_nilpotent,
                    is_solvable, nilindex, right_mul_cells, subalgebra)
-from .derivations import (CLASSIFIER_FAMILIES, derivation_space, extendability,
-                          is_derivation, same_span)
+# space_all_nilpotent is imported by name: perfbench's tracer rebinds it here.
+from .derivations import (derivation_space, is_derivation, same_span,
+                          space_all_nilpotent)
 from .errors import InputError, SuperalgError, UnsupportedShapeError, shown
 from .exactmath import Cells, nilpotent_jordan_type, parameter_value, sparse_kernel
 
 PASS = "pass"
 FAIL = "fail"
 UNSUPPORTED = "unsupported"
+
+EXTENDABLE = "extendable"
+NOT_EXTENDABLE = "not-extendable"
+
+# The nilpotent families with a derivation proposition and an extendability
+# table, in claim order.
+CLASSIFIER_FAMILIES = ("L", "M", "H", "G")
 
 
 class CheckResult(NamedTuple):
@@ -266,8 +280,6 @@ def proposition_directions(fid: str, n: int) -> dict[str, Cells]:
     of d(e2) is forced to a_{n-1} by the identity pair (e2, y1); the shipped
     template carries that tie.
     """
-    if fid not in CLASSIFIER_FAMILIES:
-        raise InputError(f"no derivation proposition for family {fid!r}")
     n_even = n
     n_odd = n - 1 if fid in ("L", "G") else n
     e = lambda i: i - 1
@@ -390,8 +402,81 @@ def verify_derivation_proposition(pid: str, n: int,
 
 
 # ---------------------------------------------------------------------------
-# Corollary sweeps
+# Extendability classifier and corollary sweeps
 # ---------------------------------------------------------------------------
+
+def predicted_extendable(family_id: str, n: int,
+                         values: Mapping[str, Fraction]) -> bool:
+    """The zero/nonzero-pattern table of admissible nilradical parameters.
+
+    For the two beta-families the single-nonzero-gamma pattern is admissible
+    (the corresponding one-dimensional extensions exist); the displayed
+    tables subsume it under their last row.
+    """
+    nonzero = {name for name, v in values.items() if v != 0}
+    if family_id in ("L", "M"):
+        return not nonzero
+    betas = sorted(int(name[4:]) for name in nonzero if name.startswith("beta"))
+    rest = {name for name in nonzero if not name.startswith("beta")}
+    if not nonzero:
+        return True
+    if len(betas) >= 2:
+        return False
+    if len(betas) == 1:
+        t = betas[0]
+        if not rest:
+            return True
+        if rest == {"gamma"}:
+            return n % 2 == 1 and t == (n + 3) // 2
+        return False
+    if rest == {"delta"} and family_id == "H":
+        return True
+    if rest == {"gamma"}:
+        return True
+    return False
+
+
+class ExtendabilityResult(NamedTuple):
+    family_id: str
+    size: int
+    values: tuple[tuple[str, str], ...]
+    verdict: str
+    predicted: bool | None
+    matches_prediction: bool | None
+    flags: tuple[str, ...]
+
+
+def extendability(family_id: str, n: int,
+                  params: Mapping[str, object] | None = None) -> ExtendabilityResult:
+    """Classify whether a nilpotent family instance admits a non-nilpotent
+    solvable extension: extendable iff the even derivations' nil-independence
+    count is >= 1.  A non-triangular space raises UnsupportedShapeError.
+
+    Unspecified parameters default to zero.  The verdict is compared against
+    the zero/nonzero-pattern prediction table; for the (n|n-1) alpha-family
+    at n = 3 the prediction's derivation constraint degenerates, so the
+    result is flagged instead of matched.  The table is built verbatim.
+    """
+    if family_id not in CLASSIFIER_FAMILIES:
+        raise InputError(
+            f"extendability is defined for the nilpotent families "
+            f"{', '.join(CLASSIFIER_FAMILIES)}; got {family_id!r}")
+    values = {name: parameter_value(name, raw)
+              for name, raw in families.zero_filled(family_id, n, params or {}).items()}
+    algebra = families.build(family_id, n, values, families.VERBATIM)
+    all_nilpotent = space_all_nilpotent(derivation_space(algebra, EVEN))
+    verdict = NOT_EXTENDABLE if all_nilpotent else EXTENDABLE
+
+    flags: tuple[str, ...] = ()
+    predicted: bool | None = predicted_extendable(family_id, n, values)
+    matches: bool | None = (verdict == EXTENDABLE) == predicted
+    if family_id == "L" and n == 3:
+        flags = ("corollary-precondition-unclear",)
+        predicted = None
+        matches = None
+    nonzero = tuple((k, str(v)) for k, v in sorted(values.items()) if v != 0)
+    return ExtendabilityResult(family_id, n, nonzero, verdict, predicted, matches, flags)
+
 
 def corollary_patterns(fid: str, n: int) -> list[dict[str, int]]:
     """All-zero, every single-nonzero slot, and every pair of nonzero slots."""
@@ -418,7 +503,7 @@ def verify_corollary(cid: str, n: int) -> ClaimReport:
         elif not result.matches_prediction:
             mismatches.append(
                 f"{_fmt_params(pattern)}: computed {result.verdict}, "
-                f"predicted {'extendable' if result.predicted else 'not-extendable'}")
+                f"predicted {EXTENDABLE if result.predicted else NOT_EXTENDABLE}")
     report.ensure("pattern-grid", not mismatches,
                   f"all {len(patterns)} pattern verdicts match the table",
                   "; ".join(mismatches))

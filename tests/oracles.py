@@ -77,6 +77,27 @@ def invert(m: RatMatrix) -> RatMatrix:
     return from_rows(row[n:] for row in reduced)
 
 
+def dense_part(sub: GradedSubspace, parity: int) -> RatMatrix:
+    """The rows of sub's part of the given parity as a dense matrix over that
+    part's basis, read from its public `parts`; zeros are Fraction(0)."""
+    offset, width = (0, sub.n_even) if parity == EVEN else (sub.n_even, sub.n_odd)
+    rows = []
+    for _, row in sub.parts[parity]:
+        dense = [Fraction(0)] * width
+        for c, x in row:
+            dense[c - offset] = x
+        rows.append(tuple(dense))
+    return RatMatrix(len(rows), width, tuple(rows))
+
+
+def dense_basis(space, n: int) -> tuple[RatMatrix, ...]:
+    """The basis of a derivation space as dense n x n matrices, read from its
+    public `cells`; zeros are Fraction(0)."""
+    return tuple(RatMatrix(n, n, tuple(tuple(cells.get((l, k), Fraction(0)) for k in range(n))
+                                       for l in range(n)))
+                 for cells in space.cells)
+
+
 def cells_of(m: RatMatrix) -> dict[tuple[int, int], Fraction]:
     """The nonzero entries of m as {(i, j): value}."""
     return {(i, j): x for i, row in enumerate(m.entries) for j, x in enumerate(row) if x}

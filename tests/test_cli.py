@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from superalg import FAMILY_IDS, build, family_info, parameter_names
+from superalg import cli
 from superalg.cli import main
 from superalg.core import MAX_BOUND, MAX_SAMPLES, sdf_dumps, sdf_loads
 from superalg.errors import shown
@@ -213,9 +214,40 @@ class TestAnalysisCommands:
         code, stdout, _ = run(["derivations", n23, "--degree", "odd"], capsys)
         assert code == 0
 
+    def test_derivations_refuses_an_oversized_dense_print(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # 40 even basis vectors, no products: every even map is a derivation,
+        # 1600 basis elements of 40 x 40 entries each.
+        doc = {"name": "abelian40", "even_basis": [f"e{i}" for i in range(1, 41)],
+               "odd_basis": [], "parameters": [], "products": []}
+        path = tmp_path / "ab40.json"
+        path.write_text(json.dumps(doc))
+        dumped = []
+        monkeypatch.setattr(cli.json, "dumps", lambda *a, **k: dumped.append(a))
+        code, out, err = run(["derivations", str(path)], capsys)
+        assert code == 2 and out == "" and dumped == []
+        assert err == (f"error: the even derivation basis has {1600 * 40 * 40} matrix "
+                       f"entries; at most MAX_PRINTED_ENTRIES = {cli.MAX_PRINTED_ENTRIES} "
+                       f"are printed\n")
+
     def test_annihilator(self, n23, capsys):
         code, stdout, _ = run(["annihilator", n23], capsys)
         assert code == 0 and "dims 1|0" in stdout and "e2" in stdout
+
+    def test_annihilator_rows_with_several_terms(self, tmp_path, capsys):
+        products = [("e1", "e1", "e3", "1"), ("e1", "e2", "e3", "2"),
+                    ("e1", "y1", "y2", "1"), ("e1", "y2", "y2", "3")]
+        doc = {"name": "rows", "even_basis": ["e1", "e2", "e3"], "odd_basis": ["y1", "y2"],
+               "parameters": [], "products": [{"left": x, "right": y, "value": [[z, c]]}
+                                              for x, y, z, c in products]}
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps(doc))
+        code, stdout, _ = run(["annihilator", str(path)], capsys)
+        assert code == 0
+        assert stdout == ("right annihilator dims 2|1\n"
+                          "  even: 1*e1 + -1/2*e2\n"
+                          "  even: 1*e3\n"
+                          "  odd: 1*y1 + -1/3*y2\n")
 
     def test_invariants(self, n23, capsys):
         code, stdout, _ = run(["invariants", n23], capsys)
@@ -640,3 +672,35 @@ class TestClosedStdout:
         assert head.startswith(b"{")
         assert stderr == b""
         assert code == 141
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full on this platform")
+
+
+@needs_dev_full
+class TestWriteErrors:
+    """A write that fails (here: to the always-full device) ends in one
+    error line and status 2, whether it was to a file or to stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        ["family", "L", "--n", "5", "-o", "/dev/full"],
+        ["verify", "--claims", "NILP-L", "--report", "/dev/full"]], ids=["output", "report"])
+    def test_full_output_file_exits_2(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == "error: cannot write output: No space left on device\n"
+
+    # The catalog fills stdout's buffer, so a write fails inside `print`; the
+    # small SDF fails only at the final flush and is still held after it.
+    @pytest.mark.parametrize("argv", [["catalog"], ["family", "N2M", "--m", "3"]],
+                             ids=["catalog", "small-sdf"])
+    def test_full_stdout_exits_2_and_leaves_nothing_to_flush(self, argv, capsys,
+                                                             monkeypatch):
+        full = open("/dev/full", "w", encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", full)
+        code = main(argv)
+        monkeypatch.undo()
+        full.close()   # as the flush at exit: it must not fail
+        assert code == 2
+        assert capsys.readouterr().err == "error: cannot write output: No space left on device\n"

@@ -31,9 +31,9 @@ from superalg.families import MAX_SIZE, sizes
 
 from oracles import (brute_leibniz_residuals, brute_lie_residuals, change_basis,
                      charseq_by_enumeration, contains_subspace, contains_vector,
-                     dense_derivation_kernel, dense_derived_series,
-                     dense_lower_central_series, dense_right_annihilator, dense_rref,
-                     dense_subspace_product, identity, instance, mat_apply,
+                     dense_basis, dense_derivation_kernel, dense_derived_series,
+                     dense_lower_central_series, dense_part, dense_right_annihilator,
+                     dense_rref, dense_subspace_product, identity, instance, mat_apply,
                      polynomial_leibniz_residuals, polynomial_lie_residuals, product,
                      random_graded_algebra, random_parity_change, smallest_instance,
                      span_dim, subspace_from_vectors)
@@ -513,8 +513,8 @@ class TestSubspaces:
         for _ in range(50):
             a, even, odd = _random_spanning_sets(rng)
             sub = subspace_from_vectors(a, even, odd)
-            for view, rows, width in ((sub.even, even, a.n_even),
-                                      (sub.odd, odd, a.n_odd)):
+            for view, rows, width in ((dense_part(sub, EVEN), even, a.n_even),
+                                      (dense_part(sub, ODD), odd, a.n_odd)):
                 reduced, pivots = dense_rref(rows, width)
                 assert (view.rows, view.cols) == (len(pivots), width)
                 assert [list(r) for r in view.entries] == reduced[:len(pivots)]
@@ -625,8 +625,8 @@ class TestSubspaces:
                     assert all(type(x) is int for x in row.values()), row
                     assert math.gcd(*row.values()) == 1, row
                     cleared.add(row[c] != 1)
-            for parity, (width, view) in enumerate(((a.n_even, sub.even),
-                                                    (a.n_odd, sub.odd))):
+            for parity, (width, view) in enumerate(((a.n_even, dense_part(sub, EVEN)),
+                                                    (a.n_odd, dense_part(sub, ODD)))):
                 reduced, pivots = dense_rref(vectors[parity], width)
                 assert [list(r) for r in view.entries] == reduced[:len(pivots)]
             assert [{c: dict(row) for c, row in part.items()}
@@ -657,8 +657,8 @@ def _span(a, vectors):
 def _rows_over_the_basis(sub):
     """The canonical rows of both parts, as dense vectors over the whole basis."""
     zero = Fraction(0)
-    return ([tuple(row) + (zero,) * sub.n_odd for row in sub.even.entries]
-            + [(zero,) * sub.n_even + tuple(row) for row in sub.odd.entries])
+    return ([tuple(row) + (zero,) * sub.n_odd for row in dense_part(sub, EVEN).entries]
+            + [(zero,) * sub.n_even + tuple(row) for row in dense_part(sub, ODD).entries])
 
 
 def _random_spanning_sets(rng):
@@ -840,9 +840,9 @@ class TestAnnihilator:
             ann = right_annihilator(a)
             n0 = a.n_even
             members = [GradedVector(tuple(list(row) + [Fraction(0)] * a.n_odd))
-                       for row in ann.even.entries]
+                       for row in dense_part(ann, EVEN).entries]
             members += [GradedVector(tuple([Fraction(0)] * n0 + list(row)))
-                        for row in ann.odd.entries]
+                        for row in dense_part(ann, ODD).entries]
             for z in members:
                 for label in a.labels:
                     assert not any(product(a, GradedVector.basis(a, label), z).coords)
@@ -1283,7 +1283,8 @@ class TestIntegralTable:
         for a in _scaled_cases():
             for degree in (EVEN, ODD):
                 space = derivation_space(a, degree)
-                assert [tuple(x for row in m.entries for x in row) for m in space.basis] \
+                assert [tuple(x for row in m.entries for x in row)
+                        for m in dense_basis(space, a.dim)] \
                     == dense_derivation_kernel(a, degree), (a.name, degree)
                 for cells in space.cells:
                     assert is_derivation(a, {p: x / 7 for p, x in cells.items()}, degree)
@@ -1291,8 +1292,8 @@ class TestIntegralTable:
                 == dense_lower_central_series(a), a.name
             assert [t.dims() for t in derived_series(a)] == dense_derived_series(a), a.name
             ann = right_annihilator(a)
-            for kernel, width, view in zip(dense_right_annihilator(a),
-                                           (a.n_even, a.n_odd), (ann.even, ann.odd)):
+            for kernel, width, view in zip(dense_right_annihilator(a), (a.n_even, a.n_odd),
+                                           (dense_part(ann, EVEN), dense_part(ann, ODD))):
                 reduced, pivots = dense_rref([list(v) for v in kernel], width)
                 assert [list(r) for r in view.entries] == reduced[:len(pivots)], a.name
 

@@ -497,10 +497,9 @@ class TestFractionBoundary:
         from superalg.core import (EVEN, ODD, GradedVector, derived_series,
                                    lower_central_series, right_annihilator,
                                    right_mul_cells)
-        from superalg.derivations import (CLASSIFIER_FAMILIES, derivation_space,
-                                          max_nil_independent)
-        from superalg.verify import proposition_template_space
-        from oracles import instance
+        from superalg.derivations import derivation_space, max_nil_independent
+        from superalg.verify import CLASSIFIER_FAMILIES, proposition_template_space
+        from oracles import dense_basis, dense_part, instance
         algebra = build(fid, size, {**instance(fid, size), **extra})
 
         # a system whose integral entries reach the engine as ints
@@ -519,18 +518,16 @@ class TestFractionBoundary:
 
         for degree in (EVEN, ODD):
             space = derivation_space(algebra, degree)
-            assert space.basis
-            for m in space.basis:
+            assert space.cells
+            for m in dense_basis(space, algebra.dim):
                 assert fractions_only(x for row in m.entries for x in row)
             # the cell basis: nonzero Fractions at grading-compatible
-            # positions only, and the dense basis is built from it
+            # positions only
             for cells in space.cells:
                 assert cells and fractions_only(cells.values())
                 assert all(cells.values())
                 assert all(algebra.parity(l) == (algebra.parity(k) + degree) % 2
                            for l, k in cells)
-            assert space.basis == tuple(RatMatrix.from_cells(algebra.dim, algebra.dim, c)
-                                        for c in space.cells)
         for cells in max_nil_independent(derivation_space(algebra, EVEN)).witnesses:
             assert fractions_only(cells.values())
 
@@ -539,7 +536,7 @@ class TestFractionBoundary:
         for s in subspaces:
             for part in s.parts:
                 assert fractions_only(x for _, row in part for _, x in row)
-            assert fractions_only(x for view in (s.even, s.odd)
+            assert fractions_only(x for view in (dense_part(s, EVEN), dense_part(s, ODD))
                                   for row in view.entries for x in row)
 
         if fid in CLASSIFIER_FAMILIES:
@@ -726,8 +723,9 @@ class TestKernelBackSolve:
         import superalg.core as core
         import superalg.exactmath as exactmath
         from superalg.core import right_annihilator
-        from superalg.derivations import EVEN, derivation_space, extendability
+        from superalg.derivations import EVEN, derivation_space
         from superalg.families import build
+        from superalg.verify import extendability
 
         def refuse(echelon):
             raise AssertionError("the canonical form was built")

@@ -13,14 +13,14 @@ import superalg
 from superalg import build, errata_ledger, families, family_info
 from superalg.core import (EVEN, GradedVector, check_leibniz, fingerprint,
                            sdf_dumps)
-from superalg.derivations import (derivation_space, extendability,
-                                  max_nil_independent)
+from superalg.derivations import derivation_space, max_nil_independent
 from superalg.errors import InputError, SuperalgError
 from superalg.families import MAX_SIZE
 from superalg.verify import (CheckResult, ClaimReport, audit_errata, claim_ids,
-                             corollary_patterns, pairwise_distinguish, render_text, run_claims,
-                             verify_corollary, verify_derivation_proposition,
-                             verify_nilpotent_family, verify_solvable_family)
+                             corollary_patterns, extendability, pairwise_distinguish,
+                             render_text, run_claims, verify_corollary,
+                             verify_derivation_proposition, verify_nilpotent_family,
+                             verify_solvable_family)
 
 from oracles import identity
 
