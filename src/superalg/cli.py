@@ -174,13 +174,14 @@ def _cmd_derivations(args) -> int:
         raise InputError(f"the {args.degree} derivation basis has {entries} matrix "
                          f"entries; at most MAX_PRINTED_ENTRIES = {MAX_PRINTED_ENTRIES} "
                          f"are printed")
-    payload = {
-        "degree": args.degree,
-        "dim": space.dim,
-        "basis": [[[str(cells.get((l, k), 0)) for k in range(n)] for l in range(n)]
-                  for cells in space.cells],
-    }
-    print(json.dumps(payload, indent=2))
+    # The bytes of json.dumps({"degree", "dim", "basis"}, indent=2), streamed
+    # one basis matrix at a time so only one dense matrix is held.
+    print(f'{{\n  "degree": {json.dumps(args.degree)},\n  "dim": {space.dim},\n  "basis": [', end="")
+    for m, cells in enumerate(space.cells):
+        matrix = [[str(cells.get((l, k), 0)) for k in range(n)] for l in range(n)]
+        print("," if m else "", "\n    ", json.dumps(matrix, indent=2).replace("\n", "\n    "),
+              sep="", end="")
+    print("\n  ]\n}" if space.cells else "]\n}")
     return 0
 
 

@@ -12,12 +12,12 @@ validated at construction: a product of parities (p, q) may only produce
 components of parity p+q mod 2.
 
 Identity checking (`check_leibniz`, `check_lie`) runs symbolically over the
-parameters, on one kernel that scatters each nonzero product pair into the
-triples it feeds, so its cost grows with the number of nonzero product pairs,
-not with dim³, in ints: coefficients times L, the lcm of the table's
-denominators, and exponent tuples packed w bits per variable into one int,
-with 2·m < 2^w for the table's own largest exponent m.  Only the nonzero sums
-are unpacked and divided by L² (L for antisymmetry).  Every rank-based
+parameters.  Each identity scatters every nonzero product pair inline into
+the triples it feeds, so its cost grows with those pairs, not with dim³, in
+ints: coefficients times L, the lcm of the table's denominators, and each
+distinct exponent tuple packed once into one int, w bits per variable, with
+2·m < 2^w for the table's largest exponent m.  Only the nonzero sums are
+unpacked and divided by L² (L for antisymmetry).  Every rank-based
 computation (series, annihilators, Jordan data) requires an instantiated
 algebra, i.e. one whose parameter list is empty.
 
@@ -316,72 +316,46 @@ class Residual(NamedTuple):
         return f"{self.identity} residual at ({spot}) on {self.component}: {self.value}"
 
 
-def _integral_cells(algebra: SuperAlgebra) -> tuple[dict[tuple[int, int], tuple], int, int]:
-    """The structure table in ints, as `_scatter` reads it: each nonzero cell as
-    ((k, ((packed exponent, coeff), ...)), ...), then the width w and scale L."""
-    raw = {key: [(k, c.terms.items() if isinstance(c, Polynomial) else [((), c)]) for k, c in cell]
-           for key, cell in algebra.structure.items()}
-    flat = [term for cell in raw.values() for _, terms in cell for term in terms]
-    scale = lcm(*[c.denominator for _, c in flat])
-    width = (2 * max((x for e, _ in flat for x in e), default=0)).bit_length()
-    packed = {e: sum(x << v * width for v, x in enumerate(e)) for e, _ in flat}
-    cells = {key: tuple((k, tuple((packed[e], c.numerator * (scale // c.denominator))
-                                  for e, c in terms)) for k, terms in cell)
-             for key, cell in raw.items()}
-    return cells, width, scale
-
-
-def _emit(algebra: SuperAlgebra, identity: str, acc: dict[tuple[int, ...], dict],
-          width: int, divisor: int) -> list[Residual]:
-    """The nonzero buckets, keyed (basis indices..., component), in key order,
-    exponents unpacked and int sums divided by `divisor`, the L-power they carry."""
-    labels, variables = algebra.labels, algebra.parameters
-    mask, shifts = (1 << width) - 1, [v * width for v in range(len(variables))]
-    exponents = {e: tuple(e >> s & mask for s in shifts) for e in set().union(*acc.values())}
-    # Most buckets cancel; only the rest are sorted and made Polynomials.
-    nonzero = {key: terms for key, bucket in acc.items()
-               if (terms := {exponents[e]: Fraction(c, divisor)
-                             for e, c in bucket.items() if c})}
-    return [Residual(identity, tuple(labels[i] for i in key[:-1]), labels[key[-1]],
-                     Polynomial(variables, nonzero[key]))
-            for key in sorted(nonzero)]
-
-
-def _scatter(algebra: SuperAlgebra, cells: dict[tuple[int, int], tuple], width: int,
-             scale: int, identity: str, via_right, via_left) -> list[Residual]:
-    """Residuals of a signed sum of double products, from the nonzero pairs only.
-
-    Each product [b_p, b_q] ∋ c1·b_t meets every nonzero cell that has b_t as
-    its right operand, [b_r, b_t] (routed by `via_right`), or as its left
-    operand, [b_t, b_r] (routed by `via_left`).  A route maps (p, q, r) to
-    the ((i, j, k), sign) pairs of the triples whose identity that double
-    product enters.  `cells`, `width` and `scale` are `_integral_cells(algebra)`:
-    coefficients times L (the lcm of the denominators), exponent tuples packed
-    w bits per variable, first lowest, with 2·m < 2^w for the largest exponent
-    m, so a monomial product is one int add with no carry.  Each sum carries
-    L², being quadratic in the bracket; `_emit` divides it out of nonzero ones.
-    """
-    by_left: dict[int, list] = {}
-    by_right: dict[int, list] = {}
+def _integral_cells(algebra: SuperAlgebra) -> tuple[dict, dict, dict, int, int]:
+    """The table in ints, made afresh: each nonzero cell (p, q) as ((k, ((packed
+    exponent, coeff), ...)), ...), the cells by p as (q, cell) and by q as
+    (p, cell), then the width w and scale L.  Coefficients are times L, the lcm
+    of the denominators, each coefficient object converted once; each distinct
+    exponent tuple is packed once, w bits per variable with 2·m < 2^w for the
+    largest exponent m, so a monomial product is one int add with no carry."""
+    terms = {id(c): c.terms.items() if isinstance(c, Polynomial) else [((), c)]
+             for cell in algebra.structure.values() for _, c in cell}
+    flat = [term for each in terms.values() for term in each]
+    scale = lcm(*{c.denominator for _, c in flat})
+    exponents = {e for e, _ in flat}
+    width = (2 * max((x for e in exponents for x in e), default=0)).bit_length()
+    packed = {e: sum(x << v * width for v, x in enumerate(e)) for e in exponents}
+    ints = {i: tuple([(packed[e], c.numerator * (scale // c.denominator)) for e, c in each])
+            for i, each in terms.items()}
+    cells = {key: tuple([(k, ints[id(c)]) for k, c in cell])
+             for key, cell in algebra.structure.items()}
+    by_left, by_right = {}, {}   # each a list of (other operand, cell) per operand
     for (p, q), cell in cells.items():
         by_left.setdefault(p, []).append((q, cell))
         by_right.setdefault(q, []).append((p, cell))
-    routes = [(route, partners) for route, partners in
-              ((via_right, by_right), (via_left, by_left)) if route]
-    acc: dict[tuple[int, ...], dict] = {}
-    for (p, q), inner in cells.items():
-        for t, c1 in inner:
-            signed = {1: c1, -1: tuple((e, -a) for e, a in c1)}
-            for route, partners in routes:
-                for r, outer in partners.get(t, ()):
-                    for where, sign in route(p, q, r):
-                        for l, c2 in outer:
-                            bucket = acc.setdefault(where + (l,), {})
-                            for e1, a in signed[sign]:
-                                for e2, b in c2:
-                                    e = e1 + e2
-                                    bucket[e] = bucket.get(e, 0) + a * b
-    return _emit(algebra, identity, acc, width, scale * scale)
+    return cells, by_left, by_right, width, scale
+
+
+def _emit(algebra: SuperAlgebra, identity: str, acc: dict[tuple[int, ...], int],
+          width: int, divisor: int) -> list[Residual]:
+    """The residuals of the int sums `acc`, keyed (basis indices..., component,
+    packed exponent), in key order.  Most sums cancel: only the nonzero ones
+    are unpacked and divided by `divisor`, the L-power they carry."""
+    labels, variables = algebra.labels, algebra.parameters
+    mask, shifts = (1 << width) - 1, [v * width for v in range(len(variables))]
+    nonzero: dict[tuple[int, ...], dict] = {}
+    for key, c in acc.items():
+        if c:
+            exponents = tuple([key[-1] >> s & mask for s in shifts])
+            nonzero.setdefault(key[:-1], {})[exponents] = Fraction(c, divisor)
+    return [Residual(identity, tuple(labels[i] for i in key[:-1]), labels[key[-1]],
+                     Polynomial(variables, nonzero[key]))
+            for key in sorted(nonzero)]
 
 
 def _once_per_algebra(compute: Callable[[SuperAlgebra], T]) -> Callable[[SuperAlgebra], T]:
@@ -408,14 +382,32 @@ def check_leibniz(algebra: SuperAlgebra) -> list[Residual]:
     per algebra; each call returns a new list of them.
     """
     n0 = algebra.n_even
-    return _scatter(
-        algebra, *_integral_cells(algebra), "leibniz",
-        # [b_r, [b_p, b_q]] is [x,[y,z]] at (r, p, q)
-        lambda p, q, r: (((r, p, q), 1),),
-        # [[b_p, b_q], b_r] is -[[x,y],z] at (p, q, r) and, with y = b_r
-        # and z = b_q, (-1)^{pq}[[x,z],y] at (p, r, q)
-        lambda p, q, r: (((p, q, r), -1),
-                         ((p, r, q), -1 if r >= n0 and q >= n0 else 1)))
+    cells, by_left, by_right, width, scale = _integral_cells(algebra)
+    acc: dict[tuple[int, ...], int] = {}
+    for (p, q), inner in cells.items():
+        for t, c1 in inner:
+            neg = tuple([(e, -a) for e, a in c1])
+            # [b_r, [b_p, b_q]] is [x,[y,z]] at (r, p, q)
+            for r, outer in by_right.get(t, ()):
+                for l, c2 in outer:
+                    for e1, a in c1:
+                        for e2, b in c2:
+                            key = (r, p, q, l, e1 + e2)
+                            acc[key] = acc.get(key, 0) + a * b
+            # [[b_p, b_q], b_r] is -[[x,y],z] at (p, q, r) and, with y = b_r
+            # and z = b_q, (-1)^{pq}[[x,z],y] at (p, r, q)
+            for r, outer in by_left.get(t, ()):
+                signed = neg if r >= n0 and q >= n0 else c1
+                for l, c2 in outer:
+                    for e1, a in neg:
+                        for e2, b in c2:
+                            key = (p, q, r, l, e1 + e2)
+                            acc[key] = acc.get(key, 0) + a * b
+                    for e1, a in signed:
+                        for e2, b in c2:
+                            key = (p, r, q, l, e1 + e2)
+                            acc[key] = acc.get(key, 0) + a * b
+    return _emit(algebra, "leibniz", acc, width, scale * scale)
 
 
 @_once_per_algebra
@@ -427,25 +419,33 @@ def check_lie(algebra: SuperAlgebra) -> list[Residual]:
     `check_leibniz`, computed once per algebra, a new list per call.
     """
     n0 = algebra.n_even
-    cells, width, scale = _integral_cells(algebra)
-    acc: dict[tuple[int, ...], dict] = {}
+    cells, _, by_right, width, scale = _integral_cells(algebra)
+    acc: dict[tuple[int, ...], int] = {}
     for (i, j), terms in cells.items():
         # [b_i, b_j] enters pair (i, j) with sign 1 and pair (j, i) with (-1)^{pq}
         # (linear sums: they carry L once); pairs i <= j only, so [b_i, b_i] twice.
         for (a, b), sign in (((i, j), 1), ((j, i), -1 if i >= n0 and j >= n0 else 1)):
             if a <= b:
                 for l, monomials in terms:
-                    bucket = acc.setdefault((a, b, l), {})
                     for e, c in monomials:
-                        bucket[e] = bucket.get(e, 0) + sign * c
+                        acc[a, b, l, e] = acc.get((a, b, l, e), 0) + sign * c
+    antisymmetry = _emit(algebra, "antisymmetry", acc, width, scale)
     # The Jacobi sum over the three cyclic slots of (-1)^{..}[b_i, [b_j, b_k]]:
     # each [b_a, [b_p, b_q]] enters (a, p, q), (q, a, p) and (p, q, a), every
     # time with the sign -1 iff b_a and b_q are both odd.
-    return _emit(algebra, "antisymmetry", acc, width, scale) + _scatter(
-        algebra, cells, width, scale, "jacobi",
-        lambda p, q, a: ((w, -1 if a >= n0 and q >= n0 else 1)
-                         for w in ((a, p, q), (q, a, p), (p, q, a))),
-        None)
+    acc = {}
+    for (p, q), inner in cells.items():
+        for t, c1 in inner:
+            neg = tuple([(e, -x) for e, x in c1])
+            for a, outer in by_right.get(t, ()):
+                signed = neg if a >= n0 and q >= n0 else c1
+                for l, c2 in outer:
+                    for e1, x in signed:
+                        for e2, y in c2:
+                            e, xy = e1 + e2, x * y
+                            for key in ((a, p, q, l, e), (q, a, p, l, e), (p, q, a, l, e)):
+                                acc[key] = acc.get(key, 0) + xy
+    return antisymmetry + _emit(algebra, "jacobi", acc, width, scale * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ import pytest
 from superalg import FAMILY_IDS, build, family_info, parameter_names
 from superalg import cli
 from superalg.cli import main
-from superalg.core import MAX_BOUND, MAX_SAMPLES, sdf_dumps, sdf_loads
+from superalg.core import EVEN, MAX_BOUND, MAX_SAMPLES, ODD, sdf_dumps, sdf_loads
+from superalg.derivations import derivation_space
 from superalg.errors import shown
 from superalg.families import MAX_SIZE
 
@@ -229,6 +230,35 @@ class TestAnalysisCommands:
         assert err == (f"error: the even derivation basis has {1600 * 40 * 40} matrix "
                        f"entries; at most MAX_PRINTED_ENTRIES = {cli.MAX_PRINTED_ENTRIES} "
                        f"are printed\n")
+
+    @pytest.mark.parametrize("argv, degree", [
+        (["L", "--n", "6", "--param", "alpha4=1/2", "--param", "alpha5=-3",
+          "--param", "alpha6=0", "--param", "theta=2"], "even"),
+        (["L", "--n", "6", "--param", "alpha4=1/2", "--param", "alpha5=-3",
+          "--param", "alpha6=0", "--param", "theta=2"], "odd"),
+        (["M1", "--m", "5", "--errata", "verbatim"], "even"),
+        (None, "odd"),   # one even basis vector, no products: no odd derivation
+    ])
+    def test_derivations_stream_the_bytes_of_one_json_dump(self, tmp_path, capsys,
+                                                            argv, degree):
+        path = tmp_path / "a.json"
+        if argv is None:
+            path.write_text(json.dumps({"name": "one", "even_basis": ["e1"],
+                                        "odd_basis": [], "products": []}))
+        else:
+            assert main(["family", *argv, "-o", str(path)]) == 0
+            capsys.readouterr()
+        code, out, _ = run(["derivations", str(path), "--degree", degree], capsys)
+        assert code == 0
+        algebra = sdf_loads(path.read_text())
+        space = derivation_space(algebra, EVEN if degree == "even" else ODD)
+        n = algebra.dim
+        payload = {"degree": degree, "dim": space.dim,
+                   "basis": [[[str(cells.get((l, k), 0)) for k in range(n)] for l in range(n)]
+                             for cells in space.cells]}
+        assert out == json.dumps(payload, indent=2) + "\n"
+        assert json.loads(out) == payload
+        assert (space.dim == 0) == (argv is None)
 
     def test_annihilator(self, n23, capsys):
         code, stdout, _ = run(["annihilator", n23], capsys)
