@@ -19,7 +19,9 @@ distinct exponent tuple packed once into one int, w bits per variable, with
 2·m < 2^w for the table's largest exponent m.  Only the nonzero sums are
 unpacked and divided by L² (L for antisymmetry).  Every rank-based
 computation (series, annihilators, Jordan data) requires an instantiated
-algebra, i.e. one whose parameter list is empty.
+algebra, i.e. one whose parameter list is empty.  Nilpotency and
+solvability are read off certificates in the table (`least_grading`, the
+traces of R_x) where it holds one, and off the series otherwise.
 
 Products are right-normed throughout: the lower central series is
 ``L^1 = L, L^{k+1} = [L^k, L]`` and the right multiplication operator is
@@ -605,8 +607,40 @@ def derived_series(algebra: SuperAlgebra) -> list[GradedSubspace]:
                    lambda s: subspace_product(algebra, s, s))
 
 
+def least_grading(algebra: SuperAlgebra, depths: bool = False) -> list[int] | None:
+    """A certificate read off the table: the least integers g >= 1 with
+    g_k >= g_i + g_j (weights), or g >= 0 with g_k >= min(g_i, g_j) + 1
+    (`depths`), on every nonzero term [b_i, b_j] ∋ b_k; None if there is none.
+    Weights prove nilpotency: F_s = span{b_k : g_k >= s} has [F_s, F_t] in
+    F_{s+t}, so L^s lies in F_s.  Depths prove solvability: L^(s+1) lies in
+    span{b_k : g_k >= s}.  Each round raises every g_k to its bound.  Round r
+    leaves final the weights of height < r in the terms' graph, which has no
+    cycle if weights exist, and the depths < r, which fill 0..max d when
+    least; so a raise in round dim + 1 means no g exists.  Raises InputError
+    while a parameter is free."""
+    terms = [(i, j, k) for (i, j), cell in algebra._narrowed_structure().items()
+             for k, _ in cell]
+    g = [0 if depths else 1] * algebra.dim
+    for _ in range(algebra.dim + 1):
+        raised = False
+        for i, j, k in terms:
+            if (v := min(g[i], g[j]) + 1 if depths else g[i] + g[j]) > g[k]:
+                g[k], raised = v, True
+        if not raised:
+            return g
+    return None
+
+
 def is_nilpotent(algebra: SuperAlgebra) -> bool:
-    return lower_central_series(algebra)[-1].is_zero()
+    """Whether L^s = 0 for some s.  A nonzero tr R_{b_j} = sum_i c_ij^i on an
+    even b_j refutes it (every R_x of a nilpotent algebra is nilpotent), and
+    `least_grading`'s weights prove it; else the lower central series decides."""
+    traces = [0] * algebra.n_even
+    for (i, j), cell in algebra._narrowed_structure().items():
+        if j < algebra.n_even:
+            traces[j] += sum(c for k, c in cell if k == i)
+    return not any(traces) and (least_grading(algebra) is not None
+                                or lower_central_series(algebra)[-1].is_zero())
 
 
 def nilindex(algebra: SuperAlgebra) -> int | None:
@@ -616,7 +650,11 @@ def nilindex(algebra: SuperAlgebra) -> int | None:
 
 
 def is_solvable(algebra: SuperAlgebra) -> bool:
-    """Termination of the derived series, cross-checked against the even part."""
+    """Whether L^(s) = 0 for some s.  `least_grading`'s depths prove it, for
+    the even part too (its terms are a subset); without them the derived
+    series decides, cross-checked against the even part's."""
+    if least_grading(algebra, depths=True) is not None:
+        return True
     whole = derived_series(algebra)[-1].is_zero()
     even = subalgebra(algebra, range(algebra.n_even), "even")
     even_only = derived_series(even)[-1].is_zero()

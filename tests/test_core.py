@@ -21,13 +21,13 @@ from superalg.core import (EVEN, MAX_BASIS, MAX_BOUND, MAX_PARAMETERS, MAX_SAMPL
                            ODD, GradedSubspace, GradedVector, SuperAlgebra,
                            char_sequence, charseq_bound, charseq_note,
                            check_leibniz, check_lie, derived_series, fingerprint,
-                           is_nilpotent, is_solvable, lower_central_series,
-                           make_superalgebra, nilindex, right_annihilator,
-                           right_mul_cells, sdf_dump, sdf_dumps, sdf_load,
-                           sdf_loads, subalgebra, subspace_product)
+                           is_nilpotent, is_solvable, least_grading,
+                           lower_central_series, make_superalgebra, nilindex,
+                           right_annihilator, right_mul_cells, sdf_dump, sdf_dumps,
+                           sdf_load, sdf_loads, subalgebra, subspace_product)
 from superalg.errors import InputError, NotNilpotentError
 from superalg.exactmath import MAX_DEGREE, Polynomial, RatMatrix, nilpotent_jordan_type
-from superalg.families import MAX_SIZE, sizes
+from superalg.families import MAX_SIZE, sizes, zero_filled
 
 from oracles import (brute_leibniz_residuals, brute_lie_residuals, change_basis,
                      charseq_by_enumeration, contains_subspace, contains_vector,
@@ -821,6 +821,131 @@ class TestSeries:
             current = keep
             steps += 1
         assert steps == nilindex(a)
+
+
+def _series_verdicts(a: SuperAlgebra) -> tuple[bool, bool]:
+    return lower_central_series(a)[-1].is_zero(), derived_series(a)[-1].is_zero()
+
+
+def _even_traces(a: SuperAlgebra) -> list:
+    """tr R_{b_j} for each even b_j: the sum over i of the b_i component of [b_i, b_j]."""
+    traces = [Fraction(0)] * a.n_even
+    for (i, j), terms in a.structure.items():
+        for k, c in terms:
+            if j < a.n_even and k == i:
+                traces[j] += c
+    return traces
+
+
+def _catalog_algebras(lo: int, hi: int):
+    """Every NILP and SOLV claim instance at sizes lo..hi, each SOLV
+    nilradical candidate, and each verbatim table that builds at the same
+    values and differs from the corrected one."""
+    for fid in FAMILY_IDS:
+        info = family_info(fid)
+        for size in sizes(fid, lo, hi):
+            for sample in info.samples(size):
+                values = zero_filled(fid, size, sample)
+                a = build(fid, size, values)
+                yield a
+                if info.kind == "solvable":
+                    base_even = a.n_even - info.codim
+                    keep = list(range(base_even)) + list(range(a.n_even, a.dim))
+                    yield subalgebra(a, keep, "nilradical-candidate")
+                try:
+                    verbatim = build(fid, size, values, VERBATIM)
+                except InputError:
+                    continue
+                if verbatim != a:
+                    yield verbatim
+
+
+class TestCertificates:
+    """`is_nilpotent` and `is_solvable` decide from a certificate in the
+    table (a nonzero trace of an even R_{b_j}, or `least_grading`) and run
+    a series only when there is none; either way the verdict is the series'."""
+
+    def assert_grading(self, a: SuperAlgebra, g: list[int], depths: bool) -> None:
+        assert len(g) == a.dim and min(g) >= (0 if depths else 1), a.name
+        for (i, j), terms in a.structure.items():
+            for k, c in terms:
+                assert c and g[k] >= (min(g[i], g[j]) + 1 if depths else g[i] + g[j]), \
+                    (a.name, i, j, k)
+
+    def test_certificates_give_the_series_verdicts_across_the_catalog(self):
+        counts = {"nilpotent": 0, "not nilpotent": 0, "dense": 0}
+        for a in _catalog_algebras(3, 12):
+            verdicts = (is_nilpotent(a), is_solvable(a))
+            assert verdicts == _series_verdicts(a), a.name
+            if a.dim <= 7:
+                dense = (dense_lower_central_series(a)[-1] == (0, 0),
+                         dense_derived_series(a)[-1] == (0, 0))
+                assert verdicts == dense, a.name
+                counts["dense"] += 1
+            # The fast path covers the catalog: weights on every nilpotent
+            # table, a nonzero trace on every other one, and depths on all.
+            weights, depths = least_grading(a), least_grading(a, depths=True)
+            if verdicts[0]:
+                self.assert_grading(a, weights, depths=False)
+                counts["nilpotent"] += 1
+            else:
+                assert weights is None and any(_even_traces(a)), a.name
+                counts["not nilpotent"] += 1
+            self.assert_grading(a, depths, depths=True)
+        assert min(counts.values()) >= 100, counts
+
+    @pytest.mark.parametrize("fid, size, expected", [
+        ("L", 5, (True, True)), ("N2M", 5, (True, True)), ("SL", 5, (False, True))])
+    def test_a_scrambled_basis_falls_back_to_the_series(self, fid, size, expected):
+        table = build(fid, size, zeros(fid, size))
+        rng = random.Random(f"scramble-{fid}")
+        a = change_basis(table, *random_parity_change(rng, table.n_even, table.n_odd))
+        assert least_grading(a) is None and least_grading(a, depths=True) is None
+        assert (is_nilpotent(a), is_solvable(a)) == expected
+        # The nilpotent ones have zero traces, so their verdict came from the series.
+        assert ("lower_central_series" in a._memo) == expected[0]
+        assert "derived_series" in a._memo
+        assert _series_verdicts(a) == expected
+
+    def test_sl2_has_no_certificate(self):
+        a = make_superalgebra("sl2", ["e", "f", "h"], [], [], {
+            ("h", "e"): [("e", 2)], ("e", "h"): [("e", -2)],
+            ("h", "f"): [("f", -2)], ("f", "h"): [("f", 2)],
+            ("e", "f"): [("h", 1)], ("f", "e"): [("h", -1)]})
+        assert least_grading(a) is None and least_grading(a, depths=True) is None
+        assert not any(_even_traces(a))
+        assert not is_nilpotent(a) and not is_solvable(a)
+        assert _series_verdicts(a) == (False, False)
+
+    def test_a_parametric_algebra_is_an_input_error(self):
+        a = build("L", 5)
+        assert a.parameters
+        for decide in (is_nilpotent, is_solvable, least_grading):
+            with pytest.raises(InputError, match="free parameters"):
+                decide(a)
+
+    def test_a_long_cycle_stops_after_dim_plus_one_rounds(self):
+        # [b_i, b_i] = b_{i+1 mod 256]: every grading rises round after
+        # round, and [L, L] = L.
+        labels = [f"e{i}" for i in range(MAX_BASIS)]
+        a = make_superalgebra("cycle", labels, [], [], {
+            (lab, lab): [(labels[(i + 1) % MAX_BASIS], 1)] for i, lab in enumerate(labels)})
+        assert least_grading(a) is None and least_grading(a, depths=True) is None
+        assert not any(_even_traces(a))
+        assert (is_nilpotent(a), is_solvable(a)) == (False, False) == _series_verdicts(a)
+
+    def test_solv_instances_and_candidates_run_no_series(self):
+        for fid in FAMILY_IDS:
+            info = family_info(fid)
+            if info.kind != "solvable":
+                continue
+            size, params = smallest_instance(fid)
+            a = build(fid, size, params)
+            base_even = a.n_even - info.codim
+            sub = subalgebra(a, list(range(base_even)) + list(range(a.n_even, a.dim)), "N")
+            assert is_solvable(a) and not is_nilpotent(a) and is_nilpotent(sub), fid
+            for algebra in (a, sub):
+                assert not {"lower_central_series", "derived_series"} & set(algebra._memo), fid
 
 
 class TestAnnihilator:
