@@ -634,7 +634,11 @@ def least_grading(algebra: SuperAlgebra, depths: bool = False) -> list[int] | No
 def is_nilpotent(algebra: SuperAlgebra) -> bool:
     """Whether L^s = 0 for some s.  A nonzero tr R_{b_j} = sum_i c_ij^i on an
     even b_j refutes it (every R_x of a nilpotent algebra is nilpotent), and
-    `least_grading`'s weights prove it; else the lower central series decides."""
+    `least_grading`'s weights prove it; else the lower central series decides.
+    A series already memoised (by `nilindex`) answers first."""
+    series = algebra._memo.get(lower_central_series.__name__)
+    if series is not None:
+        return series[-1].is_zero()
     traces = [0] * algebra.n_even
     for (i, j), cell in algebra._narrowed_structure().items():
         if j < algebra.n_even:

@@ -658,10 +658,13 @@ def run_claims(selected: Sequence[str] | None = None,
     Without a range each claim kind runs over its `_DEFAULT_SIZES` entry.
     A range that ends above `families.MAX_SIZE`, or in which no selected
     claim has an instance, is an InputError; sizes below a family's minimum
-    are skipped.  Each claim id runs in its own `families.shared_builds`
-    scope, so each symbolic table is built once per claim, and its samples,
-    patterns, errata notes and audit instantiate or read that one table.
-    Each report's `wall_time_s` is timed here, around its claim function.
+    are skipped.  The claims of one family (the id after the dash: NILP-X,
+    P-X, COR-X, SOLV-X, AUDIT-X and a DIST-X group) run together in one
+    `families.shared_builds` scope, so each symbolic table is built once per
+    family, and its samples, patterns, errata notes and audits instantiate or
+    read that one table and its memoised Leibniz residuals.  Reports come
+    back in the order of `selected`.  Each report's `wall_time_s` is timed
+    here, around its claim function.
     """
     start = time.perf_counter()
     if n_range and n_range[1] > families.MAX_SIZE:
@@ -672,25 +675,31 @@ def run_claims(selected: Sequence[str] | None = None,
     for cid in wanted:
         if cid not in known:
             raise InputError(f"unknown claim id {shown(cid)}")
-    reports: list[ClaimReport] = []
-    for cid in wanted:
-        try:
-            # One scope per claim, not per run: a run-wide scope kept every
-            # table of the run alive at once.
-            with families.shared_builds():
-                for claim, args in _claim_calls(cid, n_range, seed):
-                    claim_start = time.perf_counter()
-                    report = claim(*args)
-                    report.wall_time_s = time.perf_counter() - claim_start
-                    reports.append(report)
-        except UnsupportedShapeError as exc:
-            partial = ClaimReport(cid, "unsupported computation")
-            partial.checks.append(CheckResult("execution", UNSUPPORTED, str(exc)))
-            reports.append(partial)
-        except SuperalgError as exc:
-            broken = ClaimReport(cid, "internal error")
-            broken.bad("execution", str(exc))
-            reports.append(broken)
+    by_family: dict[str, list[int]] = {}
+    for at, cid in enumerate(wanted):
+        by_family.setdefault(cid.partition("-")[2], []).append(at)
+    found: list[list[ClaimReport]] = [[] for _ in wanted]
+    for positions in by_family.values():
+        # One scope per family, not per run: a run-wide scope kept every
+        # table of the run alive at once.
+        with families.shared_builds():
+            for at in positions:
+                cid = wanted[at]
+                try:
+                    for claim, args in _claim_calls(cid, n_range, seed):
+                        claim_start = time.perf_counter()
+                        report = claim(*args)
+                        report.wall_time_s = time.perf_counter() - claim_start
+                        found[at].append(report)
+                except UnsupportedShapeError as exc:
+                    partial = ClaimReport(cid, "unsupported computation")
+                    partial.checks.append(CheckResult("execution", UNSUPPORTED, str(exc)))
+                    found[at].append(partial)
+                except SuperalgError as exc:
+                    broken = ClaimReport(cid, "internal error")
+                    broken.bad("execution", str(exc))
+                    found[at].append(broken)
+    reports = [report for each in found for report in each]
     if not reports:  # the default ranges give every claim an instance
         raise InputError(f"no selected claim has an instance with size in "
                          f"{shown(n_range[0])}..{shown(n_range[1])}")

@@ -934,6 +934,25 @@ class TestCertificates:
         assert not any(_even_traces(a))
         assert (is_nilpotent(a), is_solvable(a)) == (False, False) == _series_verdicts(a)
 
+    def test_a_series_memoised_by_nilindex_decides_alone(self, monkeypatch):
+        # NILP claims call `nilindex` and then `charseq_bound`: the second
+        # reads the first's series, with no trace sum and no relaxation.
+        import superalg.core as core
+
+        def refused(*args, **kwargs):
+            raise AssertionError("least_grading ran after nilindex")
+
+        algebras = [(build(f, s, zeros(f, s)), nilpotent)
+                    for f, s, nilpotent in (("L", 5, True), ("N2M", 5, True),
+                                            ("SL", 5, False))]
+        for a, nilpotent in algebras:
+            assert (nilindex(a) is not None) == nilpotent
+        monkeypatch.setattr(core, "least_grading", refused)
+        for a, nilpotent in algebras:
+            assert is_nilpotent(a) == nilpotent, a.name
+            if nilpotent:
+                assert charseq_bound(a)
+
     def test_solv_instances_and_candidates_run_no_series(self):
         for fid in FAMILY_IDS:
             info = family_info(fid)

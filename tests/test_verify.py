@@ -345,10 +345,10 @@ class TestSharedClaimBuilds:
                 yield shared
 
         monkeypatch.setattr(families, "shared_builds", recording)
-        report = run_claims(["SOLV-M5", "SOLV-SH1", "SOLV-H5", "AUDIT-M",
-                             "AUDIT-SG1"], (3, 6))
+        report = run_claims(["SOLV-M5", "SOLV-SH1", "AUDIT-M5", "SOLV-H5", "AUDIT-M",
+                             "AUDIT-SH1", "DIST-M", "AUDIT-SG1"], (3, 6))
         assert report.all_ok
-        assert len(scopes) == 5
+        assert len(scopes) == 5   # one per family: M5, SH1, H5, M and SG1
         shared = [(key, table) for scope in scopes for key, table in scope.items()]
         assert len(shared) >= 20
         for (fid, size, mode, structural), table in shared:
@@ -357,6 +357,49 @@ class TestSharedClaimBuilds:
             assert sdf_dumps(table) == sdf_dumps(fresh)
             assert list(map(str, check_leibniz(table))) == \
                 list(map(str, check_leibniz(fresh)))
+
+    def test_a_family_builds_and_checks_each_table_once(self, monkeypatch):
+        # SOLV-M1 and AUDIT-M1 share one scope: each (family, size, mode) key
+        # is made once, and the corrected M1 tables' Leibniz residuals are
+        # computed once for both claims.
+        import superalg.core as core
+
+        scopes, made, read = [], [], []
+        original, make, cells = families.shared_builds, families.make_superalgebra, \
+            core._integral_cells
+
+        @contextmanager
+        def recording():
+            with original() as shared:
+                scopes.append(shared)
+                yield shared
+
+        def making(name, *args):
+            made.append(name)
+            return make(name, *args)
+
+        def reading(algebra):
+            read.append(algebra)
+            return cells(algebra)
+
+        monkeypatch.setattr(families, "shared_builds", recording)
+        monkeypatch.setattr(families, "make_superalgebra", making)
+        monkeypatch.setattr(core, "_integral_cells", reading)
+        report = run_claims(["SOLV-M1", "AUDIT-M1"], (3, 5))
+        assert report.all_ok and len(report.claims) == 4   # m = 3 and m = 5
+        assert len(scopes) == 1
+        keys = [key for scope in scopes for key in scope]
+        assert len(made) == len(set(keys)) == 6   # M1 both modes, N2M, per size
+        for m in (3, 5):
+            corrected = families.build("M1", m)
+            assert sum(a == corrected for a in read) == 1, m
+
+    def test_reports_come_back_in_the_order_asked(self):
+        selected = ["AUDIT-M1", "NILP-L", "SOLV-M1", "AUDIT-L", "NILP-L"]
+        grouped = run_claims(selected, (3, 4))
+        alone = [c for cid in selected for c in run_claims([cid], (3, 4)).claims]
+        assert [_strip(c) for c in grouped.claims] == [_strip(c) for c in alone]
+        assert grouped.all_ok
 
     def _no_scope_is_open(self):
         return families.build("M1", 3) is not families.build("M1", 3)
