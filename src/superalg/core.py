@@ -7,7 +7,7 @@ algebra's free parameters occurs is a polynomial in them; every other one is
 a narrowed rational (an int when integral, else a Fraction).  A
 parameter-free table is the one R_x and the SDF writer read, and the
 engine's scale-invariant readers (kernels and spans) read it times the lcm
-of its denominators, `SuperAlgebra._integral_structure`.  Grading is
+of its denominators, `_integral_structure(algebra)`.  Grading is
 validated at construction: a product of parities (p, q) may only produce
 components of parity p+q mod 2.
 
@@ -145,23 +145,6 @@ class SuperAlgebra:
                 f"algebra {self.name!r} has free parameters "
                 f"({', '.join(self.parameters)}); instantiate them first")
         return self.structure
-
-    def _integral_structure(self) -> StructureMap:
-        """The constant table times the lcm of its denominators, so every
-        coefficient is an int; computed once per algebra (the table itself
-        when it is integral already).  Kernels, spans and derivation spaces
-        do not change when the bracket is scaled by a nonzero constant, so
-        the engine's readers of those use this table; every public value
-        (`structure` itself, `right_mul_cells`, `sdf_dump`) keeps the
-        unscaled constants.  Requires instantiation."""
-        memo = self._memo
-        if "_integral_structure" not in memo:
-            table = self._narrowed_structure()
-            scale = lcm(*[c.denominator for terms in table.values() for _, c in terms])
-            memo["_integral_structure"] = table if scale == 1 else {
-                key: tuple((k, c.numerator * (scale // c.denominator)) for k, c in terms)
-                for key, terms in table.items()}
-        return memo["_integral_structure"]
 
     def instantiate(self, values: Mapping[str, Fraction | int | str]) -> SuperAlgebra:
         """Substitute parameter values; unlisted parameters stay free."""
@@ -375,6 +358,22 @@ def _once_per_algebra(compute: Callable[[SuperAlgebra], T]) -> Callable[[SuperAl
 
 
 @_once_per_algebra
+def _integral_structure(algebra: SuperAlgebra) -> StructureMap:
+    """The constant table times the lcm of its denominators, so every
+    coefficient is an int; computed once per algebra (the table itself when
+    it is integral already).  Kernels, spans and derivation spaces do not
+    change when the bracket is scaled by a nonzero constant, so the engine's
+    readers of those use this table; every public value (`structure` itself,
+    `right_mul_cells`, `sdf_dump`) keeps the unscaled constants.  Requires
+    instantiation."""
+    table = algebra._narrowed_structure()
+    scale = lcm(*[c.denominator for terms in table.values() for _, c in terms])
+    return table if scale == 1 else {
+        key: tuple((k, c.numerator * (scale // c.denominator)) for k, c in terms)
+        for key, terms in table.items()}
+
+
+@_once_per_algebra
 def check_leibniz(algebra: SuperAlgebra) -> list[Residual]:
     """All residuals of [x,[y,z]] - [[x,y],z] + (-1)^{pq}[[x,z],y] on basis triples.
 
@@ -529,7 +528,7 @@ def _cells_by_operand(algebra: SuperAlgebra) -> tuple[tuple[tuple[tuple[int, tup
     indexed two ways: by i as (j, terms) pairs, and by j as (i, terms)."""
     by_left: list[list] = [[] for _ in range(algebra.dim)]
     by_right: list[list] = [[] for _ in range(algebra.dim)]
-    for (i, j), terms in algebra._integral_structure().items():
+    for (i, j), terms in _integral_structure(algebra).items():
         by_left[i].append((j, terms))
         by_right[j].append((i, terms))
     return tuple(map(tuple, by_left)), tuple(map(tuple, by_right))
@@ -672,7 +671,7 @@ def is_solvable(algebra: SuperAlgebra) -> bool:
 def right_annihilator(algebra: SuperAlgebra) -> GradedSubspace:
     """Exact solution set of [b_i, z] = 0 for every basis vector b_i, read
     off the integral table (a scaled bracket has the same kernel)."""
-    table = algebra._integral_structure()
+    table = _integral_structure(algebra)
     n0, n1 = algebra.n_even, algebra.n_odd
     echelons: tuple[dict, dict] = ({}, {})
     for echelon, size, offset in zip(echelons, (n0, n1), (0, n0)):

@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import EVEN, ODD, SuperAlgebra, _cells_by_operand
+from .core import EVEN, ODD, SuperAlgebra, _cells_by_operand, _integral_structure
 from .errors import InputError, InternalInconsistencyError, UnsupportedShapeError
 from .exactmath import (Cells, SparseRow, _reduce_into, _rref_rows, check_cells,
                         sparse_kernel)
@@ -85,7 +85,7 @@ def is_derivation(algebra: SuperAlgebra, cells: Cells, degree: int) -> bool:
     odd_sign = degree == ODD
     n_even = algebra.n_even
     residual: defaultdict[tuple[int, int, int], int] = defaultdict(int)
-    for (i, j), terms in algebra._integral_structure().items():
+    for (i, j), terms in _integral_structure(algebra).items():
         for k, c in terms:   # D([b_i, b_j]) ∋ c D b_k
             for l, d in columns.get(k, ()):
                 residual[i, j, l] += c * d
@@ -136,7 +136,7 @@ def derivation_space(algebra: SuperAlgebra, degree: int) -> DerivationSpace:
     the whole system only when the recheck refutes their kernel."""
     if degree not in (EVEN, ODD):
         raise InputError("degree must be 0 (even) or 1 (odd)")
-    table = algebra._integral_structure()
+    table = _integral_structure(algebra)
     dim = algebra.dim
     parity = [algebra.parity(i) for i in range(dim)]
     of_parity = [[i for i in range(dim) if parity[i] == p] for p in (EVEN, ODD)]

@@ -104,8 +104,6 @@ class FamilyInfo(NamedTuple):
     family_id: str
     # (size, mode, **structural) -> (parameter names, products, n_even, n_odd)
     table: Callable
-    size_name: str                  # "n" or "m"
-    kind: str                       # "nilpotent" or "solvable"
     min_size: int
     size_parity: int | None         # required size mod 2, or None
     dims: str                       # e.g. "(n|n-1)"
@@ -118,6 +116,14 @@ class FamilyInfo(NamedTuple):
     nilradical_params: Callable[[int, Mapping], dict] = lambda size, params: {}
     samples: Callable[[int], list[dict]] = lambda size: [{}]
     lie: bool = False
+
+    @property
+    def kind(self) -> str:  # a family with a nilradical is a solvable extension
+        return "solvable" if self.nilradical else "nilpotent"
+
+    @property
+    def size_name(self) -> str:  # m for the (2|m) family and its extensions
+        return "m" if "N2M" in (self.family_id, self.nilradical) else "n"
 
     def admits(self, size: int) -> bool:
         return size >= self.min_size and (
@@ -216,12 +222,12 @@ def _weight_rows(prod: Products, n: int, n_odd: int, x: str) -> None:
 # Nilpotent families
 # ---------------------------------------------------------------------------
 
-@_family("N2M", "m", "nilpotent", 3, 1, "(2|m)", lie=True)
+@_family("N2M", 3, 1, "(2|m)", lie=True)
 def _table_N2M(m: int, mode: str):
     return [], _n2m_rows(m, mode, lie_complete=True), 2, m
 
 
-@_family("L", "n", "nilpotent", 3, None, "(n|n-1)",
+@_family("L", 3, None, "(n|n-1)",
          ("alpha4..alphan (rational)", "theta (rational)"),
          samples=lambda n: [{}, {"theta": 1}])
 def _table_L(n: int, mode: str):
@@ -239,7 +245,7 @@ def _table_L(n: int, mode: str):
     return params, prod, n, n - 1
 
 
-@_family("G", "n", "nilpotent", 3, None, "(n|n-1)",
+@_family("G", 3, None, "(n|n-1)",
          ("beta4..betan (rational)", "gamma (rational)"),
          samples=lambda n: [{}, {"gamma": 1}])
 def _table_G(n: int, mode: str):
@@ -254,7 +260,7 @@ def _table_G(n: int, mode: str):
     return params, prod, n, n - 1
 
 
-@_family("M", "n", "nilpotent", 3, None, "(n|n)",
+@_family("M", 3, None, "(n|n)",
          ("alpha4..alphan (rational)", "theta (rational)", "tau (rational)"),
          samples=lambda n: [{}, {"tau": 1}])
 def _table_M(n: int, mode: str):
@@ -291,7 +297,7 @@ def _table_M(n: int, mode: str):
     return params, prod, n, n
 
 
-@_family("H", "n", "nilpotent", 3, None, "(n|n)",
+@_family("H", 3, None, "(n|n)",
          ("beta4..betan (rational)", "delta (rational)", "gamma (rational)"),
          samples=lambda n: [{}, {"delta": 1}])
 def _table_H(n: int, mode: str):
@@ -317,7 +323,7 @@ def _table_H(n: int, mode: str):
 # Solvable extensions of the (2|m) nilradical
 # ---------------------------------------------------------------------------
 
-@_family("M1", "m", "solvable", 3, 1, "(3|m)", nilradical="N2M", codim=1,
+@_family("M1", 3, 1, "(3|m)", nilradical="N2M", codim=1,
          notes=("not a Lie superalgebra: the square of the extension "
                 "generator is e2",))
 def _table_M1(m: int, mode: str):
@@ -332,7 +338,7 @@ def _table_M1(m: int, mode: str):
     return [], prod, 3, m
 
 
-@_family("M2", "m", "solvable", 3, 1, "(3|m)", ("alpha (rational)",),
+@_family("M2", 3, 1, "(3|m)", ("alpha (rational)",),
          nilradical="N2M", codim=1, lie=True,
          samples=lambda m: [{"alpha": 0}, {"alpha": 1}])
 def _table_M2(m: int, mode: str):
@@ -345,7 +351,7 @@ def _table_M2(m: int, mode: str):
     return ["alpha"], prod, 3, m
 
 
-@_family("M3", "m", "solvable", 3, 1, "(3|m)", nilradical="N2M", codim=1,
+@_family("M3", 3, 1, "(3|m)", nilradical="N2M", codim=1,
          lie=True)
 def _table_M3(m: int, mode: str):
     prod = _n2m_rows(m, mode, lie_complete=False)
@@ -359,7 +365,7 @@ def _table_M3(m: int, mode: str):
     return [], prod, 3, m
 
 
-@_family("M4", "m", "solvable", 3, 1, "(3|m)",
+@_family("M4", 3, 1, "(3|m)",
          ("b2, b4, .., b(m-1) (rational)",), nilradical="N2M", codim=1,
          lie=True, samples=lambda m: [{}, {"b2": 1}])
 def _table_M4(m: int, mode: str):
@@ -373,7 +379,7 @@ def _table_M4(m: int, mode: str):
     return params, prod, 3, m
 
 
-@_family("M5", "m", "solvable", 3, 1, "(4|m)", nilradical="N2M", codim=2,
+@_family("M5", 3, 1, "(4|m)", nilradical="N2M", codim=2,
          lie=True)
 def _table_M5(m: int, mode: str):
     prod = _n2m_rows(m, mode, lie_complete=False)
@@ -402,12 +408,12 @@ def _split_table(n: int, n_odd: int):
     return [], prod, n + 1, n_odd
 
 
-@_family("SL", "n", "solvable", 3, None, "(n+1|n-1)", nilradical="L", codim=1)
+@_family("SL", 3, None, "(n+1|n-1)", nilradical="L", codim=1)
 def _table_SL(n: int, mode: str):
     return _split_table(n, n - 1)
 
 
-@_family("SM", "n", "solvable", 3, None, "(n+1|n)", nilradical="M", codim=1)
+@_family("SM", 3, None, "(n+1|n)", nilradical="M", codim=1)
 def _table_SM(n: int, mode: str):
     return _split_table(n, n)
 
@@ -423,12 +429,12 @@ def _codim_two_table(n: int, n_odd: int, antisymmetric: bool):
     return [], prod, n + 2, n_odd
 
 
-@_family("MH1", "n", "solvable", 3, None, "(n+2|n)", nilradical="H", codim=2)
+@_family("MH1", 3, None, "(n+2|n)", nilradical="H", codim=2)
 def _table_MH1(n: int, mode: str):
     return _codim_two_table(n, n, antisymmetric=False)
 
 
-@_family("MH2", "n", "solvable", 3, None, "(n+2|n)", nilradical="H", codim=2)
+@_family("MH2", 3, None, "(n+2|n)", nilradical="H", codim=2)
 def _table_MH2(n: int, mode: str):
     return _codim_two_table(n, n, antisymmetric=True)
 
@@ -444,20 +450,20 @@ def _b_table(n: int, n_odd: int, antisymmetric: bool):
     return ["b"], prod, n + 1, n_odd
 
 
-@_family("H1", "n", "solvable", 3, None, "(n+1|n)", ("b (rational, b != 0)",),
+@_family("H1", 3, None, "(n+1|n)", ("b (rational, b != 0)",),
          nilradical="H", codim=1, value_domain=_B_NONZERO,
          samples=lambda n: [{"b": 1}, {"b": 2}])
 def _table_H1(n: int, mode: str):
     return _b_table(n, n, antisymmetric=True)
 
 
-@_family("H2", "n", "solvable", 3, None, "(n+1|n)", ("b (rational)",),
+@_family("H2", 3, None, "(n+1|n)", ("b (rational)",),
          nilradical="H", codim=1, samples=lambda n: [{"b": 0}, {"b": 1}])
 def _table_H2(n: int, mode: str):
     return _b_table(n, n, antisymmetric=False)
 
 
-@_family("H3", "n", "solvable", 3, None, "(n+1|n)", nilradical="H", codim=1)
+@_family("H3", 3, None, "(n+1|n)", nilradical="H", codim=1)
 def _table_H3(n: int, mode: str):
     prod = _zero_rows(n, n, 3)
     _weight_rows(prod, n, n, "x")
@@ -483,14 +489,14 @@ def _nil_rows(n: int, n_odd: int, odd_rows: bool) -> Products:
     return prod
 
 
-@_family("H4", "n", "solvable", 3, None, "(n+1|n)", ("a2..an (rational)",),
+@_family("H4", 3, None, "(n+1|n)", ("a2..an (rational)",),
          nilradical="H", codim=1, samples=lambda n: [{}, {"a2": 1}])
 def _table_H4(n: int, mode: str):
     params = [f"a{k}" for k in range(2, n + 1)]
     return params, _nil_rows(n, n, odd_rows=True), n + 1, n
 
 
-@_family("H5", "n", "solvable", 3, None, "(n+1|n)",
+@_family("H5", 3, None, "(n+1|n)",
          ("a2..an (rational)", "gamma (in {0, 1})"), nilradical="H", codim=1,
          notes=("the gamma term of [x,x] is inconsistent with the identity "
                 "and is dropped in corrected mode (see errata)",),
@@ -510,9 +516,11 @@ def _table_H5(n: int, mode: str):
 
 def _single_beta_table(n: int, n_odd: int, t: int, y1_row: bool):
     """SH1 over H and SG1 over G: the nilradical with beta_t = 1 and x acting
-    by weights; `y1_row` keeps [y1,e2] = y_{t-1}."""
+    by weights; `y1_row` keeps [y1,e2] = y_{t-1}.  At t = n + 1 only that row
+    is left of the beta chain: SH2 over H, whose [y1,e2] = y_n is delta's."""
     prod = _zero_rows(n, n_odd, 3)
-    _add(prod, _e(1), _e(2), _e(t), 1)
+    if t <= n:
+        _add(prod, _e(1), _e(2), _e(t), 1)
     for j in range(3, n - 1):
         if j + t - 2 <= n:
             _add(prod, _e(j), _e(2), _e(j + t - 2), 1)
@@ -525,7 +533,7 @@ def _single_beta_table(n: int, n_odd: int, t: int, y1_row: bool):
     return [], prod, n + 1, n_odd
 
 
-@_family("SH1", "n", "solvable", 4, None, "(n+1|n)", structural={"t": 4},
+@_family("SH1", 4, None, "(n+1|n)", structural={"t": 4},
          nilradical="H", codim=1,
          nilradical_params=lambda n, params: {f"beta{params['t']}": 1},
          samples=lambda n: [{"t": t} for t in range(4, n + 1)])
@@ -533,15 +541,10 @@ def _table_SH1(n: int, mode: str, *, t: int):
     return _single_beta_table(n, n, t, y1_row=True)
 
 
-@_family("SH2", "n", "solvable", 3, None, "(n+1|n)", nilradical="H", codim=1,
+@_family("SH2", 3, None, "(n+1|n)", nilradical="H", codim=1,
          nilradical_params=lambda n, params: {"delta": 1})
 def _table_SH2(n: int, mode: str):
-    prod = _zero_rows(n, n, 3)
-    _add(prod, _y(1), _e(2), _y(n), 1)
-    _weight_rows(prod, n, n, "x")
-    _add_both(prod, _e(2), "x", _e(2), 2 * (n - 1))
-    _add(prod, "x", _e(2), _e(n), -2)
-    return [], prod, n + 1, n
+    return _single_beta_table(n, n, n + 1, y1_row=True)
 
 
 def _middle_beta_table(n: int, n_odd: int, gamma_row: bool):
@@ -553,7 +556,7 @@ def _middle_beta_table(n: int, n_odd: int, gamma_row: bool):
     return ["gamma"], prod, n + 1, n_odd
 
 
-@_family("SH3", "n", "solvable", 5, 1, "(n+1|n)", ("gamma (rational, != 0)",),
+@_family("SH3", 5, 1, "(n+1|n)", ("gamma (rational, != 0)",),
          nilradical="H", codim=1, value_domain=_GAMMA_NONZERO,
          samples=lambda n: [{"gamma": 1}],
          nilradical_params=lambda n, params: {f"beta{(n + 3) // 2}": 1,
@@ -575,7 +578,7 @@ def _top_square_table(n: int, n_odd: int, top_row: bool):
     return [], prod, n + 1, n_odd
 
 
-@_family("SH4", "n", "solvable", 3, None, "(n+1|n)", nilradical="H", codim=1,
+@_family("SH4", 3, None, "(n+1|n)", nilradical="H", codim=1,
          nilradical_params=lambda n, params: {"gamma": 1})
 def _table_SH4(n: int, mode: str):
     # Dropped in corrected mode for the same reason as in SH3.
@@ -586,30 +589,30 @@ def _table_SH4(n: int, mode: str):
 # Solvable extensions of the (n|n-1) split and non-split nilradicals
 # ---------------------------------------------------------------------------
 
-@_family("MG1", "n", "solvable", 3, None, "(n+2|n-1)", nilradical="G", codim=2)
+@_family("MG1", 3, None, "(n+2|n-1)", nilradical="G", codim=2)
 def _table_MG1(n: int, mode: str):
     return _codim_two_table(n, n - 1, antisymmetric=False)
 
 
-@_family("MG2", "n", "solvable", 3, None, "(n+2|n-1)", nilradical="G", codim=2)
+@_family("MG2", 3, None, "(n+2|n-1)", nilradical="G", codim=2)
 def _table_MG2(n: int, mode: str):
     return _codim_two_table(n, n - 1, antisymmetric=True)
 
 
-@_family("G1", "n", "solvable", 3, None, "(n+1|n-1)", ("b (rational, b != 0)",),
+@_family("G1", 3, None, "(n+1|n-1)", ("b (rational, b != 0)",),
          nilradical="G", codim=1, value_domain=_B_NONZERO,
          samples=lambda n: [{"b": 1}])
 def _table_G1(n: int, mode: str):
     return _b_table(n, n - 1, antisymmetric=True)
 
 
-@_family("G2", "n", "solvable", 3, None, "(n+1|n-1)", ("b (rational)",),
+@_family("G2", 3, None, "(n+1|n-1)", ("b (rational)",),
          nilradical="G", codim=1, samples=lambda n: [{"b": 0}, {"b": 1}])
 def _table_G2(n: int, mode: str):
     return _b_table(n, n - 1, antisymmetric=False)
 
 
-@_family("G3", "n", "solvable", 3, None, "(n+1|n-1)", nilradical="G", codim=1)
+@_family("G3", 3, None, "(n+1|n-1)", nilradical="G", codim=1)
 def _table_G3(n: int, mode: str):
     prod = _zero_rows(n, n - 1, 3)
     _weight_rows(prod, n, n - 1, "x")
@@ -618,7 +621,7 @@ def _table_G3(n: int, mode: str):
     return [], prod, n + 1, n - 1
 
 
-@_family("G4", "n", "solvable", 3, None, "(n+1|n-1)",
+@_family("G4", 3, None, "(n+1|n-1)",
          ("(gamma, b) in {(0,1), (1,0), (1,1)}",), nilradical="G", codim=1,
          value_domain=(("gamma", "b"),
                        lambda gamma, b: (gamma, b) in ((0, 1), (1, 0), (1, 1)),
@@ -633,7 +636,7 @@ def _table_G4(n: int, mode: str):
     return ["b", "gamma"], prod, n + 1, n - 1
 
 
-@_family("G5", "n", "solvable", 3, None, "(n+1|n-1)",
+@_family("G5", 3, None, "(n+1|n-1)",
          ("a2..a(n-1) (rational)", "gamma (rational)"), nilradical="G", codim=1,
          notes=("gamma multiplies [x,x] but is absent from the family's "
                 "displayed name; it is exposed as an explicit parameter",),
@@ -647,7 +650,7 @@ def _table_G5(n: int, mode: str):
     return params, prod, n + 1, n - 1
 
 
-@_family("G6", "n", "solvable", 3, None, "(n+1|n-1)",
+@_family("G6", 3, None, "(n+1|n-1)",
          ("a2..a(n-1) (rational)", "gamma (rational)"), nilradical="G", codim=1,
          notes=("gamma exposed as an explicit parameter (as for G5)",),
          samples=lambda n: [{}, {"a2": 1}, {"gamma": 1}])
@@ -657,7 +660,7 @@ def _table_G6(n: int, mode: str):
     return params, prod, n0, n1
 
 
-@_family("SG1", "n", "solvable", 4, None, "(n+1|n-1)", structural={"t": 4},
+@_family("SG1", 4, None, "(n+1|n-1)", structural={"t": 4},
          nilradical="G", codim=1,
          nilradical_params=lambda n, params: {f"beta{params['t']}": 1},
          samples=lambda n: [{"t": t} for t in range(4, n + 1)])
@@ -666,7 +669,7 @@ def _table_SG1(n: int, mode: str, *, t: int):
     return _single_beta_table(n, n - 1, t, y1_row=mode == CORRECTED)
 
 
-@_family("SG2", "n", "solvable", 5, 1, "(n+1|n-1)", ("gamma (rational, != 0)",),
+@_family("SG2", 5, 1, "(n+1|n-1)", ("gamma (rational, != 0)",),
          nilradical="G", codim=1, value_domain=_GAMMA_NONZERO,
          samples=lambda n: [{"gamma": 1}],
          nilradical_params=lambda n, params: {f"beta{(n + 3) // 2}": 1,
@@ -675,7 +678,7 @@ def _table_SG2(n: int, mode: str):
     return _middle_beta_table(n, n - 1, gamma_row=True)
 
 
-@_family("SG3", "n", "solvable", 3, None, "(n+1|n-1)", nilradical="G", codim=1,
+@_family("SG3", 3, None, "(n+1|n-1)", nilradical="G", codim=1,
          nilradical_params=lambda n, params: {"gamma": 1})
 def _table_SG3(n: int, mode: str):
     return _top_square_table(n, n - 1, top_row=True)
@@ -773,7 +776,7 @@ def build(family_id: str, size: int, params: Mapping[str, object] | None = None,
     if symbolic is None:
         names, prod, n_even, n_odd = info.table(size, mode, **structural)
         even = [_e(i) for i in range(1, n_even + 1)]
-        if info.kind == "solvable":
+        if info.nilradical:
             base = n_even - info.codim
             even = [_e(i) for i in range(1, base + 1)]
             even += ["x"] if info.codim == 1 else ["x1", "x2"]
@@ -856,7 +859,7 @@ def nilradical_spec(fid: str, size: int, params: Mapping[str, object] | None = N
     """The claimed nilradical of a solvable family as `(family_id, values)`,
     ready for `build(family_id, size, values)`."""
     info = family_info(fid)
-    if info.kind != "solvable":
+    if not info.nilradical:
         raise InputError(f"{fid} is not a solvable-extension family")
     return info.nilradical, zero_filled(info.nilradical, size,
                                         info.nilradical_params(size, params or {}))

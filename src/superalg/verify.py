@@ -20,9 +20,9 @@ the cited basis triple, and the corrected table must pass.
 
 The corollary's classifier lives here too: a nilpotent algebra is extendable
 (has a non-nilpotent solvable extension, by Mubarakzjanov's method) exactly
-when the nil-independence count of its even derivations is at least 1; it
-reads the verbatim table, where alpha_n of the (n|n) alpha-family and gamma of
-the (n|n) beta-family act at all.
+when the nil-independence count of its even derivations is at least 1.
+`extendability` returns that verdict, read off the verbatim table (where
+alpha_n of M and gamma of H act at all), and COR compares it with the table.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ UNSUPPORTED = "unsupported"
 
 EXTENDABLE = "extendable"
 NOT_EXTENDABLE = "not-extendable"
-
-# The nilpotent families with a derivation proposition and an extendability
-# table, in claim order.
-CLASSIFIER_FAMILIES = ("L", "M", "H", "G")
 
 
 class CheckResult(NamedTuple):
@@ -368,15 +364,29 @@ def proposition_template_space(fid: str, n: int, values: Mapping[str, Fraction],
 _PROPOSITION_SAMPLES = {
     "L": ({}, {"alpha4": 1}, {"theta": 1}), "M": ({}, {"alpha4": 1}, {"tau": 1}),
     "H": ({}, {"beta4": 1}, {"delta": 1}), "G": ({}, {"beta4": 1}, {"gamma": 1})}
+# The families with a derivation proposition and an extendability table, and
+# the least n of both: below it the alpha and beta series are empty and L's
+# theta constraint (n - 3) theta vanishes.
+CLASSIFIER_FAMILIES = tuple(_PROPOSITION_SAMPLES)
+CLASSIFIER_MIN_SIZE = 4
+
+
+def _classifier_family(cid: str, prefix: str, claim: str, n: int) -> str:
+    """The family of a P or COR claim id (or bare id) in the claims' domain."""
+    fid = cid.removeprefix(prefix)
+    if fid not in CLASSIFIER_FAMILIES:
+        raise InputError(f"unknown {claim} id {cid!r}")
+    if n < CLASSIFIER_MIN_SIZE:
+        raise InputError(f"{prefix}{fid}: the {claim} is stated for "
+                         f"n >= {CLASSIFIER_MIN_SIZE} (got n={shown(n)})")
+    return fid
 
 
 def verify_derivation_proposition(pid: str, n: int,
                                   samples: Sequence[Mapping[str, object]] | None = None,
                                   ) -> ClaimReport:
     """Solver-computed even derivation space == proposition template space."""
-    fid = pid.removeprefix("P-")
-    if fid not in CLASSIFIER_FAMILIES:
-        raise InputError(f"unknown proposition id {pid!r}")
+    fid = _classifier_family(pid, "P-", "proposition", n)
     if samples is None:
         samples = _PROPOSITION_SAMPLES[fid]
     report = ClaimReport(f"P-{fid}", f"{fid}(n={n}), {len(samples)} samples")
@@ -406,7 +416,7 @@ def verify_derivation_proposition(pid: str, n: int,
 # ---------------------------------------------------------------------------
 
 def predicted_extendable(family_id: str, n: int,
-                         values: Mapping[str, Fraction]) -> bool:
+                         values: Mapping[str, object]) -> bool:
     """The zero/nonzero-pattern table of admissible nilradical parameters.
 
     For the two beta-families the single-nonzero-gamma pattern is admissible
@@ -436,46 +446,19 @@ def predicted_extendable(family_id: str, n: int,
     return False
 
 
-class ExtendabilityResult(NamedTuple):
-    family_id: str
-    size: int
-    values: tuple[tuple[str, str], ...]
-    verdict: str
-    predicted: bool | None
-    matches_prediction: bool | None
-    flags: tuple[str, ...]
-
-
 def extendability(family_id: str, n: int,
-                  params: Mapping[str, object] | None = None) -> ExtendabilityResult:
-    """Classify whether a nilpotent family instance admits a non-nilpotent
-    solvable extension: extendable iff the even derivations' nil-independence
-    count is >= 1.  A non-triangular space raises UnsupportedShapeError.
-
-    Unspecified parameters default to zero.  The verdict is compared against
-    the zero/nonzero-pattern prediction table; for the (n|n-1) alpha-family
-    at n = 3 the prediction's derivation constraint degenerates, so the
-    result is flagged instead of matched.  The table is built verbatim.
-    """
+                  params: Mapping[str, object] | None = None) -> str:
+    """`EXTENDABLE` iff the even derivations' nil-independence count of the
+    verbatim instance (unspecified parameters 0) is >= 1, else
+    `NOT_EXTENDABLE`.  A non-triangular space raises UnsupportedShapeError."""
     if family_id not in CLASSIFIER_FAMILIES:
         raise InputError(
             f"extendability is defined for the nilpotent families "
             f"{', '.join(CLASSIFIER_FAMILIES)}; got {family_id!r}")
-    values = {name: parameter_value(name, raw)
-              for name, raw in families.zero_filled(family_id, n, params or {}).items()}
-    algebra = families.build(family_id, n, values, families.VERBATIM)
+    algebra = families.build(family_id, n, families.zero_filled(family_id, n, params or {}),
+                             families.VERBATIM)
     all_nilpotent = space_all_nilpotent(derivation_space(algebra, EVEN))
-    verdict = NOT_EXTENDABLE if all_nilpotent else EXTENDABLE
-
-    flags: tuple[str, ...] = ()
-    predicted: bool | None = predicted_extendable(family_id, n, values)
-    matches: bool | None = (verdict == EXTENDABLE) == predicted
-    if family_id == "L" and n == 3:
-        flags = ("corollary-precondition-unclear",)
-        predicted = None
-        matches = None
-    nonzero = tuple((k, str(v)) for k, v in sorted(values.items()) if v != 0)
-    return ExtendabilityResult(family_id, n, nonzero, verdict, predicted, matches, flags)
+    return NOT_EXTENDABLE if all_nilpotent else EXTENDABLE
 
 
 def corollary_patterns(fid: str, n: int) -> list[dict[str, int]]:
@@ -489,21 +472,17 @@ def corollary_patterns(fid: str, n: int) -> list[dict[str, int]]:
 
 def verify_corollary(cid: str, n: int) -> ClaimReport:
     """Extendability verdicts over the pattern grid match the prediction table."""
-    fid = cid.removeprefix("COR-")
-    if fid not in CLASSIFIER_FAMILIES:
-        raise InputError(f"unknown corollary id {cid!r}")
+    fid = _classifier_family(cid, "COR-", "corollary", n)
     report = ClaimReport(f"COR-{fid}", f"{fid}(n={n}) pattern sweep")
     mismatches = []
     patterns = corollary_patterns(fid, n)
     for pattern in patterns:
-        result = extendability(fid, n, pattern)
-        if result.matches_prediction is None:
-            report.notes.append(
-                f"pattern {_fmt_params(pattern)}: {', '.join(result.flags)}")
-        elif not result.matches_prediction:
+        verdict = extendability(fid, n, pattern)
+        predicted = predicted_extendable(fid, n, pattern)
+        if (verdict == EXTENDABLE) != predicted:
             mismatches.append(
-                f"{_fmt_params(pattern)}: computed {result.verdict}, "
-                f"predicted {EXTENDABLE if result.predicted else NOT_EXTENDABLE}")
+                f"{_fmt_params(pattern)}: computed {verdict}, "
+                f"predicted {EXTENDABLE if predicted else NOT_EXTENDABLE}")
     report.ensure("pattern-grid", not mismatches,
                   f"all {len(patterns)} pattern verdicts match the table",
                   "; ".join(mismatches))
@@ -628,12 +607,10 @@ def _claim_calls(cid: str, n_range: tuple[int, int] | None, seed: int,
         for size in families.sizes(fid, lo, hi):
             for sample in families.family_info(fid).samples(size):
                 yield verify_nilpotent_family, (fid, size, sample, seed)
-    elif kind == "P":
-        for size in families.sizes(fid, max(lo, 4), hi):
-            yield verify_derivation_proposition, (cid, size)
-    elif kind == "COR":
-        for size in families.sizes(fid, max(lo, 4), hi):
-            yield verify_corollary, (cid, size)
+    elif kind in ("P", "COR"):
+        for size in families.sizes(fid, max(lo, CLASSIFIER_MIN_SIZE), hi):
+            yield (verify_derivation_proposition if kind == "P" else verify_corollary,
+                   (cid, size))
     elif kind == "SOLV":
         for size in families.sizes(fid, lo, hi):
             for sample in families.family_info(fid).samples(size):

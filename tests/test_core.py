@@ -19,9 +19,9 @@ from superalg import (CORRECTED, FAMILY_IDS, VERBATIM, build, family_info,
                       parameter_names)
 from superalg.core import (EVEN, MAX_BASIS, MAX_BOUND, MAX_PARAMETERS, MAX_SAMPLES,
                            ODD, GradedSubspace, GradedVector, SuperAlgebra,
-                           char_sequence, charseq_bound, charseq_note,
-                           check_leibniz, check_lie, derived_series, fingerprint,
-                           is_nilpotent, is_solvable, least_grading,
+                           _integral_structure, char_sequence, charseq_bound,
+                           charseq_note, check_leibniz, check_lie, derived_series,
+                           fingerprint, is_nilpotent, is_solvable, least_grading,
                            lower_central_series, make_superalgebra, nilindex,
                            right_annihilator, right_mul_cells, sdf_dump, sdf_dumps,
                            sdf_load, sdf_loads, subalgebra, subspace_product)
@@ -1413,14 +1413,14 @@ def _scaled_cases() -> list[SuperAlgebra]:
 class TestIntegralTable:
     def test_the_integral_table_is_the_constant_table_scaled_once(self):
         for a in _scaled_cases():
-            table = a._integral_structure()
+            table = _integral_structure(a)
             scale = math.lcm(*[Fraction(c).denominator
                                for terms in a.structure.values() for _, c in terms])
             assert scale > 1, a.name
             assert table == {key: tuple((k, scale * c) for k, c in terms)
                              for key, terms in a.structure.items()}, a.name
             assert all(type(c) is int for terms in table.values() for _, c in terms)
-            assert a._integral_structure() is table
+            assert _integral_structure(a) is table
 
     def test_scale_invariant_readers_match_the_unscaled_oracles(self):
         from superalg.derivations import derivation_space, is_derivation
@@ -1445,7 +1445,7 @@ class TestIntegralTable:
         from superalg.derivations import derivation_space
         for a in _scaled_cases():
             twin = sdf_loads(sdf_dumps(a))   # never reads the integral table
-            assert a._integral_structure() != a.structure
+            assert _integral_structure(a) != a.structure
             derivation_space(a, EVEN)
             right_annihilator(a)
             lower_central_series(a)

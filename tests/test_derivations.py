@@ -9,14 +9,16 @@ import pytest
 
 from superalg import (FAMILY_IDS, build, check_leibniz, derivations, family_info,
                       nilradical_spec, parameter_names)
-from superalg.core import EVEN, ODD, GradedVector, make_superalgebra, right_mul_cells
+from superalg.core import (EVEN, ODD, GradedVector, _integral_structure,
+                           make_superalgebra, right_mul_cells)
 from superalg.derivations import (_generating_set, _positions, derivation_space,
                                   is_derivation, max_nil_independent, same_span,
                                   space_all_nilpotent)
 from superalg.families import CORRECTED, VERBATIM, sizes
 from superalg.errors import InputError, UnsupportedShapeError
 from superalg.exactmath import RatMatrix, sparse_kernel
-from superalg.verify import EXTENDABLE, corollary_patterns, extendability
+from superalg.verify import (EXTENDABLE, corollary_patterns, extendability,
+                             predicted_extendable)
 
 from oracles import (bareiss_rank, cells_of, change_basis, dense_basis,
                      dense_derivation_kernel, dense_rref, derivation_residuals, diagonal,
@@ -351,7 +353,7 @@ class TestGeneratorSubsystem:
             {("e1", "e1"): [("e2", 1), ("e3", 1)], ("e2", "e4"): [("e3", 1)],
              ("e3", "e4"): [("e3", -1)]}))
         for a in tables:
-            generators = _generating_set(a._integral_structure(), a.dim)
+            generators = _generating_set(_integral_structure(a), a.dim)
             assert generated_dim(a, [i for i, g in enumerate(generators) if g]) == a.dim, \
                 (a.name, generators)
 
@@ -567,21 +569,16 @@ def _unit(dim: int, entries: dict) -> RatMatrix:
 
 class TestExtendability:
     def test_published_examples(self):
-        assert extendability("H", 6, {"delta": 1}).verdict == "extendable"
-        r = extendability("H", 6, {"beta4": 1, "beta5": 1})
-        assert r.verdict == "not-extendable"
-        assert extendability("M", 5, {"theta": 1}).verdict == "not-extendable"
+        assert extendability("H", 6, {"delta": 1}) == "extendable"
+        assert extendability("H", 6, {"beta4": 1, "beta5": 1}) == "not-extendable"
+        assert extendability("M", 5, {"theta": 1}) == "not-extendable"
 
     def test_parity_gate_for_the_middle_beta_gamma_pattern(self):
-        odd = extendability("H", 7, {"beta5": 1, "gamma": 1})
-        even = extendability("H", 6, {"beta5": 1, "gamma": 1})
-        assert odd.verdict == "extendable" and odd.matches_prediction
-        assert even.verdict == "not-extendable" and even.matches_prediction
-
-    def test_small_size_flagged_instead_of_matched(self):
-        r = extendability("L", 3, {"theta": 1})
-        assert "corollary-precondition-unclear" in r.flags
-        assert r.matches_prediction is None
+        pattern = {"beta5": 1, "gamma": 1}
+        assert extendability("H", 7, pattern) == "extendable"
+        assert predicted_extendable("H", 7, pattern)
+        assert extendability("H", 6, pattern) == "not-extendable"
+        assert not predicted_extendable("H", 6, pattern)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(InputError):
@@ -595,11 +592,10 @@ class TestExtendability:
     def test_unspecified_parameters_are_zero(self):
         for fid in ("L", "M", "H", "G"):
             for pattern in corollary_patterns(fid, 5):
-                result = extendability(fid, 5, pattern)
-                assert result.values == tuple(sorted((k, "1") for k in pattern))
-                assert result == extendability(fid, 5, {**zeros(fid, 5), **pattern})
-        as_text = extendability("H", 6, {"beta4": "2", "gamma": "0"})
-        assert as_text.values == (("beta4", "2"),)
+                assert extendability(fid, 5, pattern) \
+                    == extendability(fid, 5, {**zeros(fid, 5), **pattern})
+        assert extendability("H", 6, {"beta4": "2", "gamma": "0"}) \
+            == extendability("H", 6, {"beta4": 2}) == "extendable"
 
     def test_unknown_parameter_is_rejected_by_build(self):
         with pytest.raises(InputError, match=r"unknown parameter 'x' \(expected one of: "):
@@ -608,7 +604,7 @@ class TestExtendability:
     def test_value_magnitude_is_irrelevant(self):
         a = extendability("H", 6, {"beta4": 1})
         b = extendability("H", 6, {"beta4": Fraction(-7, 3)})
-        assert a.verdict == b.verdict == "extendable"
+        assert a == b == "extendable"
 
     def test_non_triangular_corrected_space_is_unsupported(self):
         with pytest.raises(UnsupportedShapeError):
@@ -627,7 +623,7 @@ class TestExtendability:
                     values = {p: (mask >> i) & 1 for i, p in enumerate(names)}
                     torus = support_torus_dim(
                         build(fid, size, values, VERBATIM))
-                    verdict = extendability(fid, size, values).verdict
+                    verdict = extendability(fid, size, values)
                     assert (verdict == EXTENDABLE) == (torus > 0), (fid, size, values)
                     checked += 1
         assert checked == 168

@@ -736,7 +736,7 @@ class TestKernelBackSolve:
         a = build("N2M", 3)
         assert derivation_space(a, EVEN).dim > 0
         assert right_annihilator(a).dims() == (1, 0)
-        assert extendability("H", 6, {"delta": 1}).verdict == "extendable"
+        assert extendability("H", 6, {"delta": 1}) == "extendable"
 
 
 def presolve_system(rng):

@@ -17,7 +17,7 @@ from superalg.derivations import derivation_space, max_nil_independent
 from superalg.errors import InputError, SuperalgError
 from superalg.families import MAX_SIZE
 from superalg.verify import (CheckResult, ClaimReport, audit_errata, claim_ids,
-                             corollary_patterns, extendability, pairwise_distinguish,
+                             corollary_patterns, pairwise_distinguish,
                              render_text, run_claims, verify_corollary,
                              verify_derivation_proposition, verify_nilpotent_family,
                              verify_solvable_family)
@@ -36,8 +36,7 @@ class TestRecords:
         residual = check_leibniz(build("M", 4, mode=families.VERBATIM))[0]
         records = [GradedVector.from_coords([1, 0]), residual,
                    fingerprint(build("N2M", 3)), identity(2), space,
-                   max_nil_independent(space), extendability("L", 4),
-                   family_info("L"), errata_ledger([4])[0], CheckResult("x", "pass")]
+                   max_nil_independent(space), family_info("L"), errata_ledger([4])[0], CheckResult("x", "pass")]
         for record in records:
             with pytest.raises(AttributeError):
                 setattr(record, record._fields[0], None)
@@ -136,6 +135,12 @@ class TestPropositionClaims:
         report = verify_derivation_proposition("P-M", 4)
         assert any("template correction" in n for n in report.notes)
 
+    @pytest.mark.parametrize("fid", ["L", "M"])
+    def test_below_the_domain_is_an_input_error(self, fid):
+        with pytest.raises(InputError, match=rf"^P-{fid}: the proposition is stated "
+                                             r"for n >= 4 \(got n=3\)$"):
+            verify_derivation_proposition(f"P-{fid}", 3)
+
 
 class TestCorollaryClaims:
     @pytest.mark.parametrize("cid,n", [("COR-L", 6), ("COR-M", 5),
@@ -152,6 +157,12 @@ class TestCorollaryClaims:
         assert bare.claim_id == "COR-H" and bare.status == "pass", failing(bare)
         assert bare.checks[0].detail == \
             f"all {len(corollary_patterns('H', 5))} pattern verdicts match the table"
+
+    @pytest.mark.parametrize("fid", ["L", "M"])
+    def test_below_the_domain_is_an_input_error(self, fid):
+        with pytest.raises(InputError, match=rf"^COR-{fid}: the corollary is stated "
+                                             r"for n >= 4 \(got n=3\)$"):
+            verify_corollary(f"COR-{fid}", 3)
 
 
 class TestDistinguish:
@@ -218,6 +229,21 @@ class TestRunner:
         assert report.all_ok
         assert {c.claim_id for c in report.claims} == {"COR-H"}
         assert len(report.claims) == 2  # n = 5 and n = 6
+
+    def test_proposition_and_corollary_start_at_their_domain(self, monkeypatch):
+        import superalg.verify as verify
+        report = run_claims(["P-L", "COR-M"], (3, 5))
+        assert report.all_ok
+        assert [c.subject for c in report.claims] == [
+            "L(n=4), 3 samples", "L(n=5), 3 samples",
+            "M(n=4) pattern sweep", "M(n=5) pattern sweep"]
+        # The runner and the claim functions read the one stated floor.
+        monkeypatch.setattr(verify, "CLASSIFIER_MIN_SIZE", 5)
+        report = run_claims(["P-L", "COR-M"], (3, 5))
+        assert [c.subject for c in report.claims] == [
+            "L(n=5), 3 samples", "M(n=5) pattern sweep"]
+        with pytest.raises(InputError, match="stated for n >= 5"):
+            verify_corollary("COR-M", 4)
 
     def test_unknown_claim_rejected(self):
         with pytest.raises(InputError):
